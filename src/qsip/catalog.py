@@ -1,8 +1,23 @@
 """Registry of series = product identities, verified coefficientwise.
 
-Every entry carries an LHS builder, an RHS builder and, where the identity
-has a combinatorial reading, a brute-force counting oracle; verification is
-exact integer comparison up to a truncation order.  Registered identities:
+Each identity is one row of data: an id, a source, the series side, the
+product side and, where the identity has a combinatorial reading, a
+brute-force counting oracle; verification is exact integer comparison up
+to the requested truncation order.
+
+* A series side is a q-hypergeometric sum for
+  :func:`~qsip.qfactory.series_sum`: a pair ``(a, b)`` giving
+  Q(n) = (a*n^2 + b*n)/2, numerator and denominator ``PochSpec`` lists, so
+  the sum is over n of q^Q(n) (num)_n / (den)_n.
+* A product side is a list of ``(PochSpec, power)`` pairs with power +1 or
+  -1, for :func:`~qsip.qfactory.poch_product`; a congruence product is the
+  list of its admitted residues r, each a factor 1/(q^r; q^modulus).
+
+Three rows carry code, each a hook for what the data cannot say:
+schur-refined's series side is the class generating function
+:func:`~qsip.sip.class_gf`; mod7-sum multiplies each summand by its inner
+binomial sum; glasgow-mod8 gives each summand its extra (1 + q^(2n-1))
+factor.  Registered identities:
 
     euler-any            sum q^n/(q;q)_n                = 1/(q;q)
     euler-distinct       sum q^(n(n+1)/2)/(q;q)_n       = (-q;q)
@@ -18,6 +33,10 @@ exact integer comparison up to a truncation order.  Registered identities:
     slater-86            even-subscript n-copies        = product over +-2..+-5 mod 16
     mod7-sum             binomial double sum            = product over n != 0,3,4 mod 7
 
+The n-copies sums (difference at least r) are sum q^(n^2 + r n(n-1)/2) /
+((q;q^2)_n (q;q)_n), and slater-86 is sum q^(2n^2)/(q;q)_(2n) with
+(q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.
+
 The slater-81 product is stored in its corrected form: parts not congruent
 to 0 or +-6 mod 14, with parts congruent to +-3 mod 14 in two colors.  The
 transcriptions of this identity in circulation drop the +-1 and +-5
@@ -29,14 +48,14 @@ confirmed periodic through q^120.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import ncopies as nc
-from .partitions import (counting_series, enumerate_overpartitions,
-                         enumerate_partitions, in_sip_class)
-from .qfactory import (CongruenceProductSpec, PochSpec, congruence_product,
-                       gaussian_binomial, poch_finite, poch_infinite)
-from .series import MarkerPoly, QSeries
+from .partitions import counting_series, enumerate_partitions, in_sip_class
+from .qfactory import (CongruenceProductSpec, PochSpec, gaussian_binomial,
+                       poch_infinite, poch_product, series_sum, series_terms)
+from .series import MarkerPoly, QSeries, binomial_factor
 from .sip import GLASGOW, GOLLNITZ_GORDON, SCHUR_REFINED, class_gf
 
 
@@ -51,156 +70,40 @@ class NoOracle(Exception):
 _ONES = PochSpec(1, 1)       # (q; q)
 _EVENS = PochSpec(2, 2)      # (q^2; q^2)
 _ODDS = PochSpec(1, 2)       # (q; q^2)
+_GLASGOW_NUM = (PochSpec(3, 4, sign=-1),)   # (-q^3; q^4)
 
 
-def _inv(series: QSeries, trunc: int) -> QSeries:
-    return series.inverse(trunc)
+def _sum(quad: tuple[int, int], num=(), den=(), extra=None) -> Callable[[int], QSeries]:
+    return lambda t: series_sum(quad, num, den, t, extra)
 
 
-def _sum_terms(term: Callable[[int], QSeries], min_exp: Callable[[int], int],
-               trunc: int) -> QSeries:
-    """Sum term(n) for n = 0, 1, ... while the term can still reach trunc."""
-    total = QSeries.zero(trunc)
-    n = 0
-    while min_exp(n) <= trunc:
-        total = total + term(n)
-        n += 1
-    return total
+def _product(*factors: tuple[PochSpec, int]) -> Callable[[int], QSeries]:
+    return lambda t: poch_product(factors, t)
 
 
-# -- LHS builders -------------------------------------------------------------
-
-def _euler_any_lhs(t: int) -> QSeries:
-    return _sum_terms(
-        lambda n: QSeries.monomial(n, trunc=t) * _inv(poch_finite(_ONES, n, trunc=t), t),
-        lambda n: n, t)
+def _parts(modulus: int, residues: set[int], mode: str = "excluded"
+           ) -> list[tuple[PochSpec, int]]:
+    return CongruenceProductSpec(modulus, frozenset(residues), mode).factors()
 
 
-def _euler_distinct_lhs(t: int) -> QSeries:
-    return _sum_terms(
-        lambda n: QSeries.monomial(n * (n + 1) // 2, trunc=t)
-        * _inv(poch_finite(_ONES, n, trunc=t), t),
-        lambda n: n * (n + 1) // 2, t)
+# -- the hooks ------------------------------------------------------------------
+
+def _glasgow_extra(n: int, coeffs: list) -> list:
+    """Summand n >= 1 of the telescoping mod-8 series is
+    (-q^3; q^4)_(n-1) q^(2n) (1 + q^(2n-1)) / (q^2; q^2)_n: the row's plain
+    summand with its last numerator factor (1 + q^(4n-1)) swapped for
+    (1 + q^(2n-1))."""
+    if n:
+        binomial_factor(coeffs, 1, 2 * n - 1)
+        binomial_factor(coeffs, 1, 4 * n - 1, -1)
+    return coeffs
 
 
-def _rogers_ramanujan_lhs(t: int) -> QSeries:
-    return _sum_terms(
-        lambda n: QSeries.monomial(n * n, trunc=t)
-        * _inv(poch_finite(_ONES, n, trunc=t), t),
-        lambda n: n * n, t)
-
-
-def _gollnitz_gordon_lhs(t: int) -> QSeries:
-    return _sum_terms(
-        lambda n: poch_finite(PochSpec(1, 2, sign=-1), n, trunc=t)
-        * QSeries.monomial(n * n, trunc=t)
-        * _inv(poch_finite(_EVENS, n, trunc=t), t),
-        lambda n: n * n, t)
-
-
-def _glasgow_term(n: int, t: int) -> QSeries:
-    """Summand n >= 2 of the telescoping mod-8 series."""
-    return (poch_finite(PochSpec(3, 4, sign=-1), n - 1, trunc=t)
-            * QSeries.monomial(2 * n, trunc=t)
-            * (1 + QSeries.monomial(2 * n - 1, trunc=t))
-            * _inv(poch_finite(_EVENS, n, trunc=t), t))
-
-
-def _glasgow_lhs(t: int) -> QSeries:
-    head = QSeries.one(t) + (QSeries.monomial(2, trunc=t) + QSeries.monomial(3, trunc=t)) \
-        * _inv(poch_finite(_EVENS, 1, trunc=t), t)
-    total = head
-    n = 2
-    while 2 * n <= t:
-        total = total + _glasgow_term(n, t)
-        n += 1
-    return total
-
-
-def _schur_refined_lhs(t: int) -> QSeries:
-    return class_gf(SCHUR_REFINED, t)
-
-
-def _ncopies_lhs(r: int) -> Callable[[int], QSeries]:
-    return lambda t: nc.ncopies_gf(r, t)
-
-
-def _slater6_lhs(t: int) -> QSeries:
-    return _sum_terms(
-        lambda n: poch_finite(PochSpec(0, 1, sign=-1), n, trunc=t)
-        * QSeries.monomial(n * n, trunc=t)
-        * _inv(poch_finite(_ONES, n, trunc=t), t)
-        * _inv(poch_finite(_ODDS, n, trunc=t), t),
-        lambda n: n * n, t)
-
-
-def _slater86_lhs(t: int) -> QSeries:
-    return _sum_terms(
-        lambda n: QSeries.monomial(2 * n * n, trunc=t)
-        * _inv(poch_finite(_ONES, 2 * n, trunc=t), t),
-        lambda n: 2 * n * n, t)
-
-
-def _mod7_lhs(t: int) -> QSeries:
-    def term(n: int) -> QSeries:
-        inner = QSeries.zero(t)
-        for m in range(0, n + 1):
-            inner = inner + QSeries.monomial(m * m, trunc=t) * gaussian_binomial(n, m)
-        return QSeries.monomial(n * n, trunc=t) \
-            * _inv(poch_finite(_ONES, n, trunc=t), t) * inner
-    return _sum_terms(term, lambda n: n * n, t)
-
-
-# -- RHS builders -------------------------------------------------------------
-
-def _inv_poch_product(specs: list[PochSpec], t: int) -> QSeries:
-    prod = QSeries.one(t)
-    for spec in specs:
-        prod = prod * poch_infinite(spec, t)
-    return prod.inverse(t)
-
-
-def _euler_any_rhs(t: int) -> QSeries:
-    return _inv_poch_product([_ONES], t)
-
-
-def _euler_distinct_rhs(t: int) -> QSeries:
-    return poch_infinite(PochSpec(1, 1, sign=-1), t)
-
-
-def _rogers_ramanujan_rhs(t: int) -> QSeries:
-    return _inv_poch_product([PochSpec(1, 5), PochSpec(4, 5)], t)
-
-
-def _gollnitz_gordon_rhs(t: int) -> QSeries:
-    return _inv_poch_product([PochSpec(1, 8), PochSpec(4, 8), PochSpec(7, 8)], t)
-
-
-def _schur_refined_rhs(t: int) -> QSeries:
-    reg = ("u", "v")
-    left = poch_infinite(PochSpec(1, 3, sign=-1, marker="u"), t, markers=reg)
-    right = poch_infinite(PochSpec(2, 3, sign=-1, marker="v"), t, markers=reg)
-    return left * right
-
-
-def _congruence_rhs(modulus: int, residues: set[int], mode: str) -> Callable[[int], QSeries]:
-    spec = CongruenceProductSpec(modulus, frozenset(residues), mode)
-    return lambda t: congruence_product(spec, t)
-
-
-def _slater81_rhs(t: int) -> QSeries:
-    base = congruence_product(
-        CongruenceProductSpec(14, frozenset({0, 6, 8}), "excluded"), t)
-    second_color = _inv_poch_product([PochSpec(3, 14), PochSpec(11, 14)], t)
-    return base * second_color
-
-
-def _slater6_rhs(t: int) -> QSeries:
-    numer = poch_infinite(PochSpec(1, 3, sign=-1), t) \
-        * poch_infinite(PochSpec(2, 3, sign=-1), t)
-    denom = congruence_product(
-        CongruenceProductSpec(3, frozenset({0}), "excluded"), t)
-    return numer * denom
+def _mod7_extra(n: int, coeffs: list) -> list:
+    """Times the inner sum over m of q^(m^2) [n, m] of the mod-7 double sum."""
+    inner = sum((QSeries.monomial(m * m) * gaussian_binomial(n, m) for m in range(n + 1)),
+                QSeries.zero())
+    return list((QSeries(coeffs, trunc=len(coeffs) - 1) * inner).coeffs)
 
 
 # -- counting oracles ---------------------------------------------------------
@@ -254,63 +157,65 @@ class IdentityEntry:
     lhs: Callable[[int], QSeries]
     rhs: Callable[[int], QSeries]
     oracle: Callable[[int], QSeries] | None = None
-    trunc_cap: int | None = None
 
 
-REGISTRY: dict[str, IdentityEntry] = {}
-
-
-def _register(entry: IdentityEntry) -> None:
-    REGISTRY[entry.id] = entry
-
-
-_register(IdentityEntry(
-    "euler-any", "Euler's series for unrestricted partitions",
-    _euler_any_lhs, _euler_any_rhs,
-    _partition_oracle(None)))
-_register(IdentityEntry(
-    "euler-distinct", "Euler's series for distinct parts",
-    _euler_distinct_lhs, _euler_distinct_rhs,
-    _partition_oracle(_distinct)))
-_register(IdentityEntry(
-    "rogers-ramanujan", "first Rogers-Ramanujan identity",
-    _rogers_ramanujan_lhs, _rogers_ramanujan_rhs,
-    _partition_oracle(_gaps_at_least_two)))
-_register(IdentityEntry(
-    "gollnitz-gordon-1", "first Gollnitz-Gordon identity",
-    _gollnitz_gordon_lhs, _gollnitz_gordon_rhs,
-    _partition_oracle(lambda p: in_sip_class(p, GOLLNITZ_GORDON))))
-_register(IdentityEntry(
-    "schur-refined", "refined Schur product with part-class markers",
-    _schur_refined_lhs, _schur_refined_rhs,
-    _schur_refined_oracle, trunc_cap=25))
-_register(IdentityEntry(
-    "glasgow-mod8", "Gollnitz mod-8 theorem (Glasgow Math. J. 1967)",
-    _glasgow_lhs, _congruence_rhs(8, {1, 5, 6}, "excluded"),
-    _partition_oracle(lambda p: in_sip_class(p, GLASGOW))))
-_register(IdentityEntry(
-    "slater-46", "Slater (46)",
-    _ncopies_lhs(1), _congruence_rhs(10, {0, 4, 6}, "excluded"),
-    _ncopies_oracle(1)))
-_register(IdentityEntry(
-    "slater-61", "Slater (61)",
-    _ncopies_lhs(0), _congruence_rhs(14, {0, 6, 8}, "excluded"),
-    _ncopies_oracle(0)))
-_register(IdentityEntry(
-    "slater-81", "Slater (81), product side corrected",
-    _ncopies_lhs(-1), _slater81_rhs,
-    _ncopies_oracle(-1)))
-_register(IdentityEntry(
-    "slater-6-corrected", "Slater (6), corrected",
-    _slater6_lhs, _slater6_rhs,
-    _overlined_ncopies_oracle))
-_register(IdentityEntry(
-    "slater-86", "Slater (86)",
-    _slater86_lhs, _congruence_rhs(16, {2, 3, 4, 5, 11, 12, 13, 14}, "allowed"),
-    _even_subscript_oracle))
-_register(IdentityEntry(
-    "mod7-sum", "mod-7 Rogers-Ramanujan analogue",
-    _mod7_lhs, _congruence_rhs(7, {0, 3, 4}, "excluded")))
+REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
+    IdentityEntry(
+        "euler-any", "Euler's series for unrestricted partitions",
+        _sum((0, 2), den=[_ONES]), _product((_ONES, -1)),
+        _partition_oracle(None)),
+    IdentityEntry(
+        "euler-distinct", "Euler's series for distinct parts",
+        _sum((1, 1), den=[_ONES]), _product((PochSpec(1, 1, sign=-1), 1)),
+        _partition_oracle(_distinct)),
+    IdentityEntry(
+        "rogers-ramanujan", "first Rogers-Ramanujan identity",
+        _sum((2, 0), den=[_ONES]), _product((PochSpec(1, 5), -1), (PochSpec(4, 5), -1)),
+        _partition_oracle(_gaps_at_least_two)),
+    IdentityEntry(
+        "gollnitz-gordon-1", "first Gollnitz-Gordon identity",
+        _sum((2, 0), num=[PochSpec(1, 2, sign=-1)], den=[_EVENS]),
+        _product((PochSpec(1, 8), -1), (PochSpec(4, 8), -1), (PochSpec(7, 8), -1)),
+        _partition_oracle(partial(in_sip_class, spec=GOLLNITZ_GORDON))),
+    IdentityEntry(
+        "schur-refined", "refined Schur product with part-class markers",
+        lambda t: class_gf(SCHUR_REFINED, t),
+        _product((PochSpec(1, 3, sign=-1, marker="u"), 1),
+                 (PochSpec(2, 3, sign=-1, marker="v"), 1)),
+        _schur_refined_oracle),
+    IdentityEntry(
+        "glasgow-mod8", "Gollnitz mod-8 theorem (Glasgow Math. J. 1967)",
+        _sum((0, 4), num=_GLASGOW_NUM, den=[_EVENS], extra=_glasgow_extra),
+        _product(*_parts(8, {1, 5, 6})),
+        _partition_oracle(partial(in_sip_class, spec=GLASGOW))),
+    IdentityEntry(
+        "slater-46", "Slater (46)",
+        _sum((3, -1), den=[_ODDS, _ONES]), _product(*_parts(10, {0, 4, 6})),
+        _ncopies_oracle(1)),
+    IdentityEntry(
+        "slater-61", "Slater (61)",
+        _sum((2, 0), den=[_ODDS, _ONES]), _product(*_parts(14, {0, 6, 8})),
+        _ncopies_oracle(0)),
+    IdentityEntry(
+        "slater-81", "Slater (81), product side corrected",
+        _sum((1, 1), den=[_ODDS, _ONES]),
+        _product(*_parts(14, {0, 6, 8}), (PochSpec(3, 14), -1), (PochSpec(11, 14), -1)),
+        _ncopies_oracle(-1)),
+    IdentityEntry(
+        "slater-6-corrected", "Slater (6), corrected",
+        _sum((2, 0), num=[PochSpec(0, 1, sign=-1)], den=[_ONES, _ODDS]),
+        _product((PochSpec(1, 3, sign=-1), 1), (PochSpec(2, 3, sign=-1), 1),
+                 *_parts(3, {0})),
+        _overlined_ncopies_oracle),
+    IdentityEntry(
+        "slater-86", "Slater (86)",
+        _sum((4, 0), den=[_ODDS, _EVENS]),
+        _product(*_parts(16, {2, 3, 4, 5, 11, 12, 13, 14}, "allowed")),
+        _even_subscript_oracle),
+    IdentityEntry(
+        "mod7-sum", "mod-7 Rogers-Ramanujan analogue",
+        _sum((2, 0), den=[_ONES], extra=_mod7_extra), _product(*_parts(7, {0, 3, 4}))),
+)}
 
 
 def identity_ids() -> list[str]:
@@ -339,15 +244,10 @@ class VerifyResult:
 
 
 def verify(identity: str, trunc: int) -> VerifyResult:
-    """Compare both sides of one identity coefficientwise up to trunc.
-
-    Entries with a truncation cap (the bivariate ones) are checked at the
-    smaller of the cap and the request.
-    """
+    """Compare both sides of one identity coefficientwise up to trunc."""
     entry = get(identity)
-    eff = trunc if entry.trunc_cap is None else min(trunc, entry.trunc_cap)
-    mismatch = entry.lhs(eff).first_mismatch(entry.rhs(eff))
-    return VerifyResult(identity, eff, mismatch is None, mismatch)
+    mismatch = entry.lhs(trunc).first_mismatch(entry.rhs(trunc))
+    return VerifyResult(identity, trunc, mismatch is None, mismatch)
 
 
 def verify_all(trunc: int) -> list[VerifyResult]:
@@ -374,20 +274,18 @@ def oracle_concordance(identity: str, total_max: int) -> ConcordanceResult:
     entry = get(identity)
     if entry.oracle is None:
         raise NoOracle(f"{identity} has no counting oracle")
-    eff = total_max if entry.trunc_cap is None else min(total_max, entry.trunc_cap)
-    counted = entry.oracle(eff)
-    vs_lhs = counted.first_mismatch(entry.lhs(eff))
-    vs_rhs = counted.first_mismatch(entry.rhs(eff))
-    return ConcordanceResult(entry.id, eff, vs_lhs is None and vs_rhs is None,
+    counted = entry.oracle(total_max)
+    vs_lhs = counted.first_mismatch(entry.lhs(total_max))
+    vs_rhs = counted.first_mismatch(entry.rhs(total_max))
+    return ConcordanceResult(entry.id, total_max, vs_lhs is None and vs_rhs is None,
                              vs_lhs, vs_rhs)
 
 
 # -- the telescoping proof of the mod-8 sum -----------------------------------
 
-def _glasgow_partial_closed(n: int, t: int) -> QSeries:
-    """(-q^3; q^4)_n / (q^2; q^2)_n."""
-    return poch_finite(PochSpec(3, 4, sign=-1), n, trunc=t) \
-        * _inv(poch_finite(_EVENS, n, trunc=t), t)
+def _shifted(exp: int, coeffs: list, trunc: int) -> QSeries:
+    """q^exp times a summand from :func:`series_terms`, exact to trunc."""
+    return QSeries([0] * min(exp, trunc + 1) + coeffs, trunc=trunc)
 
 
 @dataclass(frozen=True)
@@ -408,24 +306,24 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
 
     For each N the partial sum through term N must equal
     (-q^3; q^4)_N / (q^2; q^2)_N, and consecutive closed forms must differ
-    by exactly the N-th summand.
+    by exactly the N-th summand.  Summands come from the registered row's
+    term stream, closed forms from the same stream with Q = 0 and no hook.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     failures: list[str] = []
-    partial = QSeries.one(trunc) \
-        + (QSeries.monomial(2, trunc=trunc) + QSeries.monomial(3, trunc=trunc)) \
-        * _inv(poch_finite(_EVENS, 1, trunc=trunc), trunc)
-    for n in range(1, n_max + 1):
-        if n >= 2:
-            partial = partial + _glasgow_term(n, trunc)
-        closed = _glasgow_partial_closed(n, trunc)
-        if not partial.agrees_through(closed):
+    summands = series_terms((0, 4), _GLASGOW_NUM, [_EVENS], trunc, _glasgow_extra)
+    closed_forms = series_terms((0, 0), _GLASGOW_NUM, [_EVENS], trunc)
+    partial = previous = QSeries.zero(trunc)
+    for n in range(n_max + 1):
+        term = _shifted(*next(summands), trunc)
+        closed = _shifted(*next(closed_forms), trunc)
+        partial = partial + term
+        if n >= 1 and not partial.agrees_through(closed):
             failures.append(f"partial sum N={n} differs from closed form")
-        if n >= 2:
-            step = closed - _glasgow_partial_closed(n - 1, trunc)
-            if not step.agrees_through(_glasgow_term(n, trunc)):
-                failures.append(f"closed-form difference at N={n} is not term {n}")
+        if n >= 2 and not (closed - previous).agrees_through(term):
+            failures.append(f"closed-form difference at N={n} is not term {n}")
+        previous = closed
     return TelescopeResult(n_max, trunc, not failures, tuple(failures))
 
 
@@ -438,15 +336,9 @@ def gollnitz_intermediate(trunc: int) -> QSeries:
     q^(2 j^2) / ((-q; q^2)_j (q^2; q^2)_j); both of the registered
     Gollnitz-Gordon sides must agree with it.
     """
-    prefactor = poch_infinite(PochSpec(1, 2, sign=-1), trunc)
-    total = QSeries.zero(trunc)
-    j = 0
-    while 2 * j * j <= trunc:
-        denom = poch_finite(PochSpec(1, 2, sign=-1), j, trunc=trunc) \
-            * poch_finite(_EVENS, j, trunc=trunc)
-        total = total + QSeries.monomial(2 * j * j, trunc=trunc) * denom.inverse(trunc)
-        j += 1
-    return prefactor * total
+    plus_odds = PochSpec(1, 2, sign=-1)
+    return poch_infinite(plus_odds, trunc) \
+        * series_sum((4, 0), (), (plus_odds, _EVENS), trunc)
 
 
 def substitute_neg_q_squared(series: QSeries) -> QSeries:

@@ -217,8 +217,7 @@ def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:
         if left == 0 or right == 0:
             continue
         exp = 3 * m * m + 3 * m * (s - r)
-        denom = poch_finite(cubes, m + s, trunc=trunc).inverse(trunc)
-        lhs = lhs + QSeries.monomial(exp, trunc=trunc) * left * right * denom
-    rhs = poch_finite(cubes, r, trunc=trunc).inverse(trunc) \
-        * poch_finite(cubes, s, trunc=trunc).inverse(trunc)
-    return lhs.agrees_through(rhs)
+        term = list((QSeries.monomial(exp, trunc=trunc) * left * right).coeffs)
+        lhs = lhs + QSeries(cubes.apply(term, m + s, -1), trunc=trunc)
+    rhs = cubes.apply(cubes.apply([1] + [0] * trunc, r, -1), s, -1)
+    return lhs.agrees_through(QSeries(rhs, trunc=trunc))

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .partitions import powerset
-from .qfactory import PochSpec, gaussian_binomial, poch_finite
+from .qfactory import PochSpec, gaussian_binomial, poch_product, series_sum
 from .series import QSeries
+
+_ODDS = PochSpec(offset=1, step=2)  # (q; q^2)
 
 
 class ConstraintViolation(Exception):
@@ -273,28 +275,18 @@ def base_gf(parts: int, r: int, trunc: int) -> QSeries:
         raise ValueError("part count must be non-negative")
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
-    if parts == 0:
-        return QSeries.one(trunc)
     exp = parts * parts + r * (parts * (parts - 1) // 2)
     if exp > trunc:
         return QSeries.zero(trunc)
-    odds = poch_finite(PochSpec(offset=1, step=2), parts, trunc=trunc)
-    return QSeries.monomial(exp, trunc=trunc) * odds.inverse(trunc)
+    coeffs = [0] * exp + [1] + [0] * (trunc - exp)
+    return QSeries(_ODDS.apply(coeffs, parts, -1), trunc=trunc)
 
 
 def ncopies_gf(r: int, trunc: int) -> QSeries:
     """Generating function of n-copies partitions with successive weighted
-    differences at least r: attach an ordinary partition to each chain."""
-    total = QSeries.zero(trunc)
-    m = 0
-    while True:
-        exp = m * m + r * (m * (m - 1) // 2)
-        if exp > trunc:
-            break
-        ones = poch_finite(PochSpec(offset=1, step=1), m, trunc=trunc)
-        total = total + base_gf(m, r, trunc) * ones.inverse(trunc)
-        m += 1
-    return total
+    differences at least r: attach an ordinary partition to each chain,
+    sum over m of q^(m^2 + r*C(m,2)) / ((q; q^2)_m (q; q)_m)."""
+    return series_sum((2 + r, -r), (), (_ODDS, PochSpec(1, 1)), trunc)
 
 
 # -- overlined variants -------------------------------------------------------
@@ -369,13 +361,8 @@ def enumerate_even_subscript(total_max: int) -> Iterator[tuple[CopyPart, ...]]:
 
 
 def ncopies_overpartition_product(trunc: int) -> QSeries:
-    """The species product: for every n, n factors (1 + q^n)/(1 - q^n)."""
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
-    for n in range(1, trunc + 1):
-        for _ in range(n):
-            for i in range(n, trunc + 1):
-                coeffs[i] += coeffs[i - n]
-            for i in range(trunc, n - 1, -1):
-                coeffs[i] += coeffs[i - n]
-    return QSeries(coeffs, trunc=trunc)
+    """The species product: for every n, n factors (1 + q^n)/(1 - q^n),
+    that is (-q^j; q) / (q^j; q) over j >= 1."""
+    return poch_product([(spec, power) for j in range(1, trunc + 1)
+                         for spec, power in ((PochSpec(j, 1, sign=-1), 1),
+                                             (PochSpec(j, 1), -1))], trunc)

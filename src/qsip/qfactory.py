@@ -1,20 +1,23 @@
 """Constructors for standard q-objects.
 
 Finite and infinite q-Pochhammer products, Gaussian (q-binomial)
-polynomials, congruence-restricted partition products and two-sided theta
-sums.  Everything is exact integer arithmetic on :class:`~qsip.series.QSeries`
-values; infinite products are cut at the first factor whose minimal exponent
-exceeds the requested truncation, which cannot affect any retained
-coefficient.
+polynomials, congruence-restricted partition products, q-hypergeometric
+sums and two-sided theta sums.  Everything is exact integer arithmetic on
+:class:`~qsip.series.QSeries` values.  Products and sums are loops of one
+kernel, :func:`~qsip.series.binomial_factor`, which multiplies or divides a
+coefficient list by a single factor 1 + c*q^e in O(trunc); infinite
+products are cut at the first factor whose minimal exponent exceeds the
+requested truncation, which cannot affect any retained coefficient.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
-from .series import MarkerPoly, QSeries
+from .series import MarkerPoly, QSeries, binomial_factor
 
 
 class DivergentProduct(Exception):
@@ -53,20 +56,21 @@ class PochSpec:
             return reg
         return (self.marker,) if self.marker is not None else ()
 
-    def factor(self, j: int, markers: Iterable[str] | None = None,
-               trunc: int | None = None) -> QSeries:
-        """The single factor 1 - sign * x * q^(offset + j*step)."""
-        reg = self._registry(markers)
-        exp = self.factor_exponent(j)
-        if exp < 0:
-            raise ValueError(f"factor {j} has negative q-exponent {exp}")
+    def coeff(self, markers: Iterable[str] | None = None):
+        """The c of every factor 1 + c*q^e: -sign, times the marker if any."""
         if self.marker is None:
-            coeff = MarkerPoly.const(-self.sign, reg)
-        else:
-            gen = MarkerPoly.gens(reg)[reg.index(self.marker)]
-            coeff = gen * (-self.sign)
-        one = QSeries.one(trunc=trunc, markers=reg)
-        return one + QSeries.monomial(exp, coeff, trunc=trunc, markers=reg)
+            return -self.sign
+        reg = self._registry(markers)
+        return MarkerPoly.gens(reg)[reg.index(self.marker)] * -self.sign
+
+    def apply(self, coeffs: list, count: int, power: int = 1,
+              markers: Iterable[str] | None = None) -> list:
+        """Multiply (power 1) or divide (power -1) a coefficient list in place
+        by the first ``count`` factors, one kernel call each; returns it."""
+        c = self.coeff(markers)
+        for j in range(count):
+            binomial_factor(coeffs, c, self.factor_exponent(j), power)
+        return coeffs
 
 
 def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,
@@ -78,30 +82,40 @@ def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,
     if n < 0:
         raise ValueError("factor count must be non-negative")
     reg = spec._registry(markers)
-    out = QSeries.one(trunc=trunc, markers=reg)
-    for j in range(n):
-        out = out * spec.factor(j, markers=reg, trunc=trunc)
-    return out
+    degree = n * spec.offset + spec.step * (n * (n - 1) // 2)
+    coeffs = [1] + [0] * (max(degree, 0) if trunc is None else trunc)
+    return QSeries(spec.apply(coeffs, n, 1, reg), trunc=trunc, markers=reg)
+
+
+def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
+                 markers: Iterable[str] | None = None) -> QSeries:
+    """Product of infinite Pochhammers (spec; .)^power over (spec, power) pairs.
+
+    ``power`` is 1 or -1.  Exact to ``trunc``: factors whose q-exponent
+    exceeds ``trunc`` are dropped (they cannot change any retained
+    coefficient, since each contributes only exponents >= its own).  Every
+    factor needs q-exponent at least 1.  The marker registry defaults to the
+    sorted markers of the specs.
+    """
+    factors = list(factors)
+    if markers is None:
+        markers = sorted({spec.marker for spec, _ in factors} - {None})
+    coeffs = [1] + [0] * trunc
+    for spec, power in factors:
+        if spec.offset <= 0:
+            raise DivergentProduct(
+                f"factor q-exponent {spec.offset} <= 0 in an infinite product"
+            )
+        spec.apply(coeffs, max((trunc - spec.offset) // spec.step + 1, 0), power, markers)
+    return QSeries(coeffs, trunc=trunc, markers=markers)
 
 
 def poch_infinite(spec: PochSpec, trunc: int, markers: Iterable[str] | None = None) -> QSeries:
-    """The infinite Pochhammer product, exact to ``trunc``.
+    """The infinite Pochhammer product, exact to ``trunc``."""
+    return poch_product([(spec, 1)], trunc, markers)
 
-    Requires every factor's q-exponent to be at least 1; factors whose
-    minimal exponent exceeds ``trunc`` are dropped (they cannot change any
-    retained coefficient, since each contributes only exponents >= its own).
-    """
-    if spec.factor_exponent(0) <= 0:
-        raise DivergentProduct(
-            f"factor q-exponent {spec.factor_exponent(0)} <= 0 in an infinite product"
-        )
-    reg = spec._registry(markers)
-    out = QSeries.one(trunc=trunc, markers=reg)
-    j = 0
-    while spec.factor_exponent(j) <= trunc:
-        out = out * spec.factor(j, markers=reg, trunc=trunc)
-        j += 1
-    return out
+
+_FILL_STRIDE = 64
 
 
 @lru_cache(maxsize=None)
@@ -116,11 +130,18 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
         raise ValueError("base step must be a positive integer")
     if b < 0 or b > a:
         return QSeries.zero()
-    if b == 0:
+    if b in (0, a):
         return QSeries.one()
+    # Fill the Pascal entries one stride below first, bottom-up through this
+    # cache: the recursion then stays about a / _FILL_STRIDE + 2 * _FILL_STRIDE
+    # calls deep instead of a.
+    if a - _FILL_STRIDE >= b:
+        gaussian_binomial(a - _FILL_STRIDE, b, base)
+    if b >= _FILL_STRIDE:
+        gaussian_binomial(a - _FILL_STRIDE, b - _FILL_STRIDE, base)
     lower = gaussian_binomial(a - 1, b - 1, base)
     upper = gaussian_binomial(a - 1, b, base)
-    return lower + QSeries.monomial(base * b) * upper
+    return lower + QSeries([MarkerPoly()] * (base * b) + list(upper.coeffs))
 
 
 @dataclass(frozen=True)
@@ -150,16 +171,62 @@ class CongruenceProductSpec:
         hit = (n % self.modulus) in self.residues
         return hit if self.mode == "allowed" else not hit
 
+    def factors(self) -> list[tuple[PochSpec, int]]:
+        """The product as 1/(q^r; q^modulus) over the admitted residues r."""
+        m = self.modulus
+        return [(PochSpec(r or m, m), -1) for r in range(m) if self.admits(r)]
+
 
 def congruence_product(spec: CongruenceProductSpec, trunc: int) -> QSeries:
     """Product of 1/(1 - q^n) over admitted part sizes n <= trunc."""
-    coeffs = [0] * (trunc + 1)
-    coeffs[0] = 1
-    for n in range(1, trunc + 1):
-        if spec.admits(n):
-            for i in range(n, trunc + 1):
-                coeffs[i] += coeffs[i - n]
-    return QSeries(coeffs, trunc=trunc)
+    return poch_product(spec.factors(), trunc)
+
+
+def series_terms(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[PochSpec],
+                 trunc: int, extra: Callable[[int, list], list] | None = None
+                 ) -> Iterator[tuple[int, list]]:
+    """Summands of the sum over n >= 0 of q^Q(n) (num)_n / (den)_n, endless.
+
+    Q(n) = (a*n^2 + b*n)/2 for ``quad = (a, b)`` must be integral and
+    non-decreasing.  Yields (Q(n), coefficients of summand n over q^Q(n)
+    through q^trunc), a list the caller must not change.  Each step is one
+    shift plus one kernel call per Pochhammer:
+
+        term(n) = term(n-1) * q^(Q(n) - Q(n-1)) * (num factors n-1) / (den factors n-1)
+
+    ``extra(n, coeffs)`` is the hook for an extra piece of a summand: given
+    a copy of a non-empty summand, it returns the summand to use.
+    """
+    num, den = tuple(num), tuple(den)
+    a, b = quad
+    if a < 0 or a + b < 0 or (a + b) % 2:
+        raise ValueError(f"Q(n) = ({a}n^2 + {b}n)/2 must be integral and non-decreasing")
+    term = [1] + [0] * trunc
+    n = 0
+    while True:
+        exp = (a * n * n + b * n) // 2
+        del term[max(trunc - exp + 1, 0):]
+        if n:
+            for spec in num:
+                binomial_factor(term, spec.coeff(), spec.factor_exponent(n - 1))
+            for spec in den:
+                binomial_factor(term, spec.coeff(), spec.factor_exponent(n - 1), -1)
+        yield exp, extra(n, term[:]) if extra is not None and term else term
+        n += 1
+
+
+def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[PochSpec],
+               trunc: int, extra: Callable[[int, list], list] | None = None) -> QSeries:
+    """The sum of :func:`series_terms` exact to ``trunc``, as a marker-free series."""
+    if not any(quad):
+        raise ValueError("Q(n) must grow for the sum to end")
+    total = [0] * (trunc + 1)
+    for exp, term in series_terms(quad, num, den, trunc, extra):
+        if exp > trunc:
+            break
+        for i, c in enumerate(term, exp):
+            total[i] += c
+    return QSeries(total, trunc=trunc)
 
 
 def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSeries:
@@ -172,7 +239,7 @@ def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSe
     if quad < 1:
         raise ValueError("quadratic coefficient must be at least 1")
     coeffs = [0] * (trunc + 1)
-    bound = int(((lin * lin + 4 * quad * trunc) ** 0.5 + abs(lin)) // (2 * quad)) + 2
+    bound = (math.isqrt(lin * lin + 4 * quad * trunc) + abs(lin)) // (2 * quad) + 2
     for n in range(-bound, bound + 1):
         exp = quad * n * n + lin * n
         if exp > trunc:

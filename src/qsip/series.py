@@ -95,6 +95,9 @@ class MarkerPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_one(self) -> bool:
         zero = (0,) * len(self.markers)
         return self.terms == {zero: 1}
@@ -267,6 +270,28 @@ def _coerce_pair(a: "QSeries", b) -> tuple["QSeries", "QSeries"]:
     if not b.markers:
         return a, b.lift(a.markers)
     raise ValueError(f"marker registries differ: {a.markers} vs {b.markers}")
+
+
+def binomial_factor(coeffs: list, c, e: int, power: int = 1) -> None:
+    """Multiply (power 1) or divide (power -1) coeffs in place by 1 + c*q^e.
+
+    The sparse kernel under every product and sum: one O(len(coeffs)) pass,
+    where the dense ``*`` and :meth:`QSeries.inverse` cost quadratic time.
+    ``coeffs`` is a plain list indexed by q-exponent, exact through its last
+    index; an exact polynomial must already have room for its e new top
+    coefficients.  Entries and ``c`` may be ints or MarkerPoly values of one
+    registry.  Multiplication takes e >= 0; division needs e >= 1.
+    """
+    if power == 1 and e >= 0:
+        indices = range(len(coeffs) - 1, e - 1, -1)
+    elif power == -1 and e >= 1:
+        indices, c = range(e, len(coeffs)), -c
+    else:
+        raise ValueError(f"cannot apply (1 + c*q^{e})^{power}")
+    for i in indices:
+        src = coeffs[i - e]
+        if src:
+            coeffs[i] += c * src
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:

@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .partitions import (Partition, SipClassSpec, enumerate_partitions,
                          in_sip_class)
-from .qfactory import PochSpec, poch_finite
+from .qfactory import PochSpec
 from .series import MarkerPoly, QSeries
 
 
@@ -353,8 +353,9 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
     total = QSeries.one(trunc, markers=spec.markers)
     denom_spec = PochSpec(offset=spec.k, step=spec.k)
     for n in range(1, table.max_n + 1):
-        denom = poch_finite(denom_spec, n, trunc=trunc)
-        total = total + table.row_gf(n) * denom.inverse(trunc)
+        row = list(table.row_gf(n).truncate(trunc).coeffs)
+        total = total + QSeries(denom_spec.apply(row, n, -1), trunc=trunc,
+                                markers=spec.markers)
     return total
 
 

@@ -31,7 +31,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_identity_suite():
-    """All 12 identities verify coefficientwise (trunc 40; 25 bivariate)."""
+    """All 12 identities verify coefficientwise at trunc 40."""
     start = time.perf_counter()
     results = catalog.verify_all(40)
     elapsed = time.perf_counter() - start

@@ -34,8 +34,14 @@ class TestVerify:
         assert verify("rogers-ramanujan", 50).passed
 
     def test_bivariate_cap(self):
+        # the bivariate entry is checked at the requested truncation, uncapped
         res = verify("schur-refined", 40)
-        assert res.trunc == 25 and res.passed
+        assert res.trunc == 40 and res.passed
+
+    def test_verify_all_deep(self):
+        results = verify_all(120)
+        assert all(r.passed and r.trunc == 120 for r in results), \
+            [r.summary() for r in results if not r.passed]
 
     def test_verify_all_covers_registry(self):
         results = verify_all(30)

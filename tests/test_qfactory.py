@@ -90,6 +90,13 @@ class TestGaussianBinomial:
             for b in range(a + 1):
                 assert gaussian_binomial(a, b) == gaussian_binomial(a, a - b)
 
+    @pytest.mark.parametrize("b", [1, 1099])
+    def test_deep_row_at_one(self, b):
+        # the column and the diagonal recursion both run deeper than the
+        # interpreter's recursion limit without the bottom-up fill
+        total = sum(c.constant_value() for c in gaussian_binomial(1100, b).coeffs)
+        assert total == math.comb(1100, b)
+
     def test_counts_at_one(self):
         # evaluating at q = 1 recovers the ordinary binomial coefficient
         for a in range(9):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
-                         TruncationExceeded)
+                         TruncationExceeded, binomial_factor)
 
 UV = ("u", "v")
 U, V = MarkerPoly.gens(UV)
@@ -228,3 +228,54 @@ def test_truncation_contract(s, t):
     other = QSeries([1] * (t + 1), trunc=t)
     assert (s * other).trunc == min(s.trunc, t)
     assert (s + other).trunc == min(s.trunc, t)
+
+
+# -- the binomial-factor kernel against the dense reference -------------------
+
+@st.composite
+def kernel_case(draw, polynomials=True):
+    """(series, c, coefficient list): marker-free with int entries or in u, v
+    with MarkerPoly entries; truncated or, if allowed, an exact polynomial."""
+    base = draw(small_series())
+    trunc = None if polynomials and draw(st.booleans()) else base.trunc
+    if draw(st.booleans()):
+        series = QSeries(base.coeffs, trunc=trunc)
+        c = draw(coeff_ints)
+        return series, c, [x.constant_value() for x in series.coeffs]
+    monomials = st.sampled_from([1, U, V, U * V, U + V])
+    coeffs = [x.constant_value() * draw(monomials) for x in base.coeffs]
+    series = QSeries(coeffs, trunc=trunc, markers=UV)
+    c = draw(st.sampled_from([U, -V, 2 * U * V, U - 1, 3]))
+    return series, c, list(series.coeffs)
+
+
+def two_term(series, c, e):
+    """The dense reference factor 1 + c*q^e in the series' registry."""
+    reg = series.markers
+    return QSeries.one(markers=reg) + QSeries.monomial(e, c, markers=reg)
+
+
+@given(kernel_case(), st.integers(0, 14))
+@settings(max_examples=80)
+def test_kernel_multiplies_like_dense(case, e):
+    series, c, coeffs = case
+    if series.trunc is None:
+        coeffs += [0] * e  # room for the new top coefficients
+    binomial_factor(coeffs, c, e)
+    got = QSeries(coeffs, trunc=series.trunc, markers=series.markers)
+    assert got == series * two_term(series, c, e)
+
+
+@given(kernel_case(polynomials=False), st.integers(1, 14))
+@settings(max_examples=80)
+def test_kernel_divides_like_dense_inverse(case, e):
+    series, c, coeffs = case
+    binomial_factor(coeffs, c, e, -1)
+    got = QSeries(coeffs, trunc=series.trunc, markers=series.markers)
+    assert got == series * two_term(series, c, e).inverse(series.trunc)
+
+
+def test_kernel_rejects_non_unit_division():
+    for e, power in ((0, -1), (-1, 1), (2, 2)):
+        with pytest.raises(ValueError):
+            binomial_factor([1, 0, 0], 1, e, power)
