@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .partitions import powerset
+from .partitions import grow, powerset
 from .qfactory import PochSpec, gaussian_binomial, poch_product, series_sum
 from .series import QSeries
 
@@ -67,23 +67,20 @@ def enumerate_ncopies(total_max: int, min_diff: int | None = None,
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def gen(prefix: tuple[CopyPart, ...], remaining: int) -> Iterator[tuple[CopyPart, ...]]:
-        yield prefix
-        last = prefix[-1] if prefix else None
-        for value in range(1, remaining + 1):
-            for sub in range(1, value + 1):
-                cand = CopyPart(value, sub)
-                if last is not None:
-                    if min_diff is None:
-                        if cand < last:
-                            continue
-                    elif weighted_difference(cand, last) < min_diff:
-                        continue
-                yield from gen(prefix + (cand,), remaining - value)
+    def successors(last, remaining):
+        if last is None or min_diff is None:  # lexicographically >= last
+            low = last or CopyPart(1, 1)
+            return ((CopyPart(v, s), remaining - v)
+                    for v in range(low.value, remaining + 1)
+                    for s in range(low.sub if v == low.value else 1, v + 1))
+        # ((v_s - last)) >= min_diff  <=>  s <= v - reach, and s >= 1
+        reach = last.value + last.sub + min_diff
+        return ((CopyPart(v, s), remaining - v)
+                for v in range(max(1, reach + 1), remaining + 1)
+                for s in range(1, min(v, v - reach) + 1))
 
-    for parts in gen((), total_max):
-        if predicate is None or predicate(parts):
-            yield parts
+    parts = grow(total_max, successors)
+    return parts if predicate is None else filter(predicate, parts)
 
 
 # -- minimal chains and the attach/detach bijection -------------------------
@@ -94,18 +91,15 @@ def enumerate_base(total_max: int, r: int) -> Iterator[tuple[CopyPart, ...]]:
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
 
-    def extend(prefix: tuple[CopyPart, ...], remaining: int) -> Iterator[tuple[CopyPart, ...]]:
-        yield prefix
-        last = prefix[-1]
-        for sub in range(1, remaining + 1):
-            value = last.value + last.sub + sub + r
-            if value > remaining:
-                break
-            yield from extend(prefix + (CopyPart(value, sub),), remaining - value)
+    def successors(last, remaining):
+        if last is None:
+            return ((CopyPart(i, i), remaining - i) for i in range(1, remaining + 1))
+        # the next part j_s has j = last.value + last.sub + s + r <= remaining
+        reach = last.value + last.sub + r
+        return ((CopyPart(reach + s, s), remaining - reach - s)
+                for s in range(1, remaining - reach + 1))
 
-    yield ()
-    for i in range(1, total_max + 1):
-        yield from extend((CopyPart(i, i),), total_max - i)
+    return grow(total_max, successors)
 
 
 def base_decompose(parts: tuple[CopyPart, ...], r: int
@@ -343,21 +337,16 @@ def enumerate_all_copy_overpartitions(total_max: int) -> Iterator[OverCopyPartit
 def enumerate_even_subscript(total_max: int) -> Iterator[tuple[CopyPart, ...]]:
     """n-copies partitions with even subscripts, non-negative successive
     weighted differences, and no adjacent odd-value pair at difference zero."""
-    def gen(prefix: tuple[CopyPart, ...], remaining: int) -> Iterator[tuple[CopyPart, ...]]:
-        yield prefix
-        last = prefix[-1] if prefix else None
-        for value in range(1, remaining + 1):
-            for sub in range(2, value + 1, 2):
-                cand = CopyPart(value, sub)
-                if last is not None:
-                    wd = weighted_difference(cand, last)
-                    if wd < 0:
-                        continue
-                    if wd == 0 and value % 2 and last.value % 2:
-                        continue
-                yield from gen(prefix + (cand,), remaining - value)
+    def successors(last, remaining):
+        # ((v_s - last)) >= 0  <=>  s <= v - reach; with even subscripts a
+        # difference of zero makes v and last.value share their parity
+        reach = 0 if last is None else last.value + last.sub
+        return ((CopyPart(v, s), remaining - v)
+                for v in range(reach + 2, remaining + 1)
+                for s in range(2, v - reach + 1, 2)
+                if s < v - reach or not v % 2)
 
-    yield from gen((), total_max)
+    return grow(total_max, successors)
 
 
 def ncopies_overpartition_product(trunc: int) -> QSeries:

@@ -1,21 +1,43 @@
 """Brute-force enumeration oracles for partitions and overpartitions.
 
 Partitions are ascending tuples of positive integers (non-decreasing,
-smallest part first).  These generators are deliberately simple and
-unoptimized for totals beyond desk scale; they exist to cross-check the
-generating-function machinery.
+smallest part first).  Every enumerator in the package is a successor rule
+over the single pre-order walk :func:`grow`, which keeps its own stack, so
+the number of parts is not limited by the interpreter's recursion limit.
+The enumerators are deliberately simple brute force for desk-scale totals;
+they exist to cross-check the generating-function machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
 
 from .series import MarkerPoly, QSeries
 
 Partition = tuple[int, ...]
+
+
+def grow(state, successors: Callable) -> Iterator[tuple]:
+    """Yield () and then every tuple reachable through ``successors``.
+
+    ``successors(last, state)`` gives the admissible ``(part, next_state)``
+    steps after a prefix ending in ``last`` (None for the empty prefix)
+    that was reached in ``state``.  The walk is pre-order: each prefix comes
+    before its extensions, and extensions follow the order of the steps.
+    """
+    yield ()
+    stack = [((), iter(successors(None, state)))]
+    while stack:
+        prefix, steps = stack[-1]
+        for part, reached in steps:
+            prefix += (part,)
+            yield prefix
+            stack.append((prefix, iter(successors(part, reached))))
+            break
+        else:
+            stack.pop()
 
 
 def enumerate_partitions(total_max: int,
@@ -29,27 +51,28 @@ def enumerate_partitions(total_max: int,
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def gen(prefix: Partition, remaining: int, min_part: int) -> Iterator[Partition]:
-        yield prefix
-        for p in range(min_part, remaining + 1):
-            yield from gen(prefix + (p,), remaining - p, p)
+    def successors(last, remaining):
+        # two C-level ranges keep the per-node cost of the busiest walk low
+        low = last or 1
+        return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
 
-    for part in gen((), total_max, 1):
-        if predicate is None or predicate(part):
-            yield part
+    parts = grow(total_max, successors)
+    return parts if predicate is None else filter(predicate, parts)
 
 
-@lru_cache(maxsize=None)
 def partition_count(total: int, max_part: int | None = None) -> int:
-    """Independent recursive partition counter (for duplicate-free checks)."""
+    """Partitions of ``total`` into parts at most ``max_part``, counted
+    bottom-up by adding one allowed part size at a time (an independent
+    check on the enumerators, sharing no code with them)."""
     if max_part is None:
         max_part = total
-    if total == 0:
-        return 0 if max_part < 0 else 1
-    if total < 0 or max_part <= 0:
+    if total < 0 or max_part < 0:
         return 0
-    return partition_count(total - max_part, min(max_part, total - max_part)) \
-        + partition_count(total, max_part - 1)
+    ways = [1] + [0] * total
+    for part in range(1, min(max_part, total) + 1):
+        for n in range(part, total + 1):
+            ways[n] += ways[n - part]
+    return ways[total]
 
 
 @dataclass(frozen=True)
@@ -164,12 +187,10 @@ def enumerate_overpartitions(total_max: int,
     partition with s distinct sizes produces 2^s overpartitions.
     """
     for parts in enumerate_partitions(total_max):
-        sizes = sorted(set(parts))
-        for r in range(len(sizes) + 1):
-            for marked in combinations(sizes, r):
-                over = Overpartition(parts, frozenset(marked))
-                if predicate is None or predicate(over):
-                    yield over
+        for marked in powerset(sorted(set(parts))):
+            over = Overpartition(parts, frozenset(marked))
+            if predicate is None or predicate(over):
+                yield over
 
 
 def _default_size(obj) -> int:
@@ -189,17 +210,14 @@ def counting_series(stream: Iterable, trunc: int,
 
     ``size`` maps an object to its total (defaults to .total or tuple sum);
     ``weight`` optionally maps an object to a MarkerPoly, turning the count
-    into a marker-refined generating function.
+    into a marker-refined generating function.  Plain counts stay ints.
     """
     size = size or _default_size
-    zero = MarkerPoly(markers)
-    coeffs = [zero] * (trunc + 1)
+    coeffs = [0] * (trunc + 1)
     for obj in stream:
         n = size(obj)
-        if n > trunc:
-            continue
-        w = MarkerPoly.unit(markers) if weight is None else weight(obj)
-        coeffs[n] = coeffs[n] + w
+        if n <= trunc:
+            coeffs[n] += 1 if weight is None else weight(obj)
     return QSeries(coeffs, trunc=trunc, markers=markers)
 
 

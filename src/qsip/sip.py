@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .partitions import (Partition, SipClassSpec, enumerate_partitions,
-                         in_sip_class)
+from .partitions import Partition, SipClassSpec, grow, in_sip_class
 from .qfactory import PochSpec
 from .series import MarkerPoly, QSeries
 
@@ -91,17 +90,13 @@ def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
     if n_parts < 1:
         raise ValueError("n_parts must be at least 1")
 
-    def extend(prefix: Partition, depth: int) -> Iterator[Partition]:
+    def successors(last, depth):
         if depth == n_parts:
-            yield prefix
-            return
-        for nxt in basis_successors(spec, prefix[-1]):
-            if nxt <= h_max:
-                yield from extend(prefix + (nxt,), depth + 1)
+            return ()
+        nexts = sorted(set(spec.c)) if last is None else basis_successors(spec, last)
+        return ((p, depth + 1) for p in nexts if p <= h_max)
 
-    for first in sorted(set(spec.c)):
-        if first <= h_max:
-            yield from extend((first,), 1)
+    return (parts for parts in grow(0, successors) if len(parts) == n_parts)
 
 
 def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
@@ -111,17 +106,15 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
     least its residue threshold) is cross-checked against the unpruned
     filter of enumerate_partitions in the test suite.
     """
-    def extend(prefix: Partition, remaining: int) -> Iterator[Partition]:
-        yield prefix
-        prev = prefix[-1] if prefix else None
-        for p in range(1, remaining + 1):
-            if p < spec.min_value(p):
-                continue
-            if prev is not None and p - prev < spec.min_gap(p):
-                continue
-            yield from extend(prefix + (p,), remaining - p)
+    least_gap = min(spec.d)
 
-    yield from extend((), total_max)
+    def successors(last, remaining):
+        low = 1 if last is None else last + least_gap
+        return ((p, remaining - p) for p in range(low, remaining + 1)
+                if p >= spec.min_value(p)
+                and (last is None or p - last >= spec.min_gap(p)))
+
+    return grow(total_max, successors)
 
 
 @dataclass(frozen=True)
@@ -173,16 +166,14 @@ def recompose(decomp: SipDecomposition) -> Partition:
 
 def _paddings(n: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
     """Non-decreasing n-tuples of non-negative multiples of k summing <= budget."""
-    def extend(prefix: tuple[int, ...], low: int, rest: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        slots = n - len(prefix)
-        p = low
-        while p * slots <= rest:
-            yield from extend(prefix + (p,), p, rest - p)
-            p += k
-    yield from extend((), 0, budget)
+    def successors(last, state):
+        rest, slots = state
+        if not slots:
+            return ()
+        return ((p, (rest - p, slots - 1))
+                for p in range(last or 0, rest // slots + 1, k))
+
+    return (pad for pad in grow((budget, n), successors) if len(pad) == n)
 
 
 @dataclass

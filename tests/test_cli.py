@@ -66,6 +66,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "1+3" in out and "2+6" in out
 
+    def test_basis_command_beyond_recursion_limit(self, capsys):
+        assert main(["basis", "--spec", "natural", "--n", "1200",
+                     "--h-max", "1", "--output", "json"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["count"] == 1
+        assert result["elements"] == [[1] * 1200]
+
     def test_decompose_command(self, capsys):
         assert main(["decompose", "--spec", "k=3,c=1:2:3,d=3:3:4",
                      "--partition", "2,7", "--output", "json"]) == 0

@@ -20,6 +20,43 @@ def P(value, sub):
     return CopyPart(value, sub)
 
 
+def unpruned_ncopies(total_max, admits):
+    """Reference enumerator: every (value, sub) candidate in ascending lex
+    order, kept when ``admits(candidate, last)`` holds (last is None for
+    the first part).  Recursive on purpose; it shares no rule with the
+    pruned successor ranges of the package."""
+    def gen(prefix, remaining):
+        yield prefix
+        last = prefix[-1] if prefix else None
+        for value in range(1, remaining + 1):
+            for sub in range(1, value + 1):
+                cand = CopyPart(value, sub)
+                if admits(cand, last):
+                    yield from gen(prefix + (cand,), remaining - value)
+    return list(gen((), total_max))
+
+
+def admits_min_diff(r):
+    if r is None:
+        return lambda cand, last: last is None or cand >= last
+    return lambda cand, last: (last is None
+                               or weighted_difference(cand, last) >= r)
+
+
+def admits_even_subscript(cand, last):
+    if cand.sub % 2:
+        return False
+    if last is None:
+        return True
+    wd = weighted_difference(cand, last)
+    return wd > 0 or wd == 0 and not (cand.value % 2 and last.value % 2)
+
+
+def admits_base(r):
+    return lambda cand, last: (is_diagonal(cand) if last is None
+                               else weighted_difference(cand, last) == r)
+
+
 class TestWeightedDifference:
     def test_examples(self):
         assert weighted_difference(P(7, 2), P(3, 2)) == 0
@@ -48,6 +85,11 @@ class TestEnumerate:
     def test_total_zero(self):
         assert list(enumerate_ncopies(0)) == [()]
 
+    @pytest.mark.parametrize("r", [None, -1, 0, 1, 2])
+    def test_pruned_matches_unpruned_filter_in_order(self, r):
+        assert list(enumerate_ncopies(14, min_diff=r)) == \
+            unpruned_ncopies(14, admits_min_diff(r))
+
     def test_positive_difference_of_nine(self):
         # with strictly positive weighted differences and a diagonal bottom
         # forced out, partitions of 9 are counted by the min_diff=1 class
@@ -57,6 +99,10 @@ class TestEnumerate:
 
 
 class TestBaseChains:
+    @pytest.mark.parametrize("r", [-1, 0, 1, 2])
+    def test_pruned_matches_unpruned_filter_in_order(self, r):
+        assert list(enumerate_base(14, r)) == unpruned_ncopies(14, admits_base(r))
+
     def test_exact_difference_and_diagonal_start(self):
         for r in (-1, 0, 1):
             for chain in enumerate_base(14, r):
@@ -276,6 +322,10 @@ class TestOverlined:
 
 
 class TestEvenSubscript:
+    def test_pruned_matches_unpruned_filter_in_order(self):
+        assert list(enumerate_even_subscript(14)) == \
+            unpruned_ncopies(14, admits_even_subscript)
+
     def test_h_of_ten(self):
         hits = {p for p in enumerate_even_subscript(10) if copy_total(p) == 10}
         assert hits == {

@@ -1,0 +1,56 @@
+"""Guard: no function in the package sources calls itself.
+
+Every enumerator is a successor rule over the explicit-stack walk
+``partitions.grow``, so the part count of an enumerated object is not
+bounded by the interpreter's recursion limit.  The single exception is
+``gaussian_binomial``: it fills the Pascal entries one stride (64) below
+bottom-up through its own cache before recursing, which bounds its depth
+at about a/64 + 128.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qsip"
+ALLOWED = {"gaussian_binomial"}
+
+
+def called_name(call: ast.Call) -> str | None:
+    """``f`` for ``f(...)``, ``self.f(...)`` and ``cls.f(...)``; calls on any
+    other object (``spec.weight(p)`` inside ``weight``) are not self-calls."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id in ("self", "cls")):
+        return func.attr
+    return None
+
+
+def self_callers(tree: ast.AST) -> list[str]:
+    """Names of functions whose body, nested functions included, calls them."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and called_name(node) == fn.name:
+                found.append(fn.name)
+                break
+    return found
+
+
+def test_detector_flags_each_form():
+    tree = ast.parse(
+        "def f(n):\n    return f(n - 1)\n"
+        "class A:\n    def g(self):\n        return self.g()\n"
+        "def h():\n    def inner():\n        return h()\n    return inner\n"
+        "def weight(spec, p):\n    return spec.weight(p)\n")
+    assert sorted(self_callers(tree)) == ["f", "g", "h"]
+
+
+def test_sources_have_no_self_calls():
+    found = {path.name: [name for name in self_callers(
+                 ast.parse(path.read_text(), str(path))) if name not in ALLOWED]
+             for path in sorted(SRC.glob("*.py"))}
+    assert found and {name: fns for name, fns in found.items() if fns} == {}

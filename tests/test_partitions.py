@@ -1,6 +1,7 @@
 """Enumeration oracles: uniqueness, class predicates, overpartitions."""
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -27,6 +28,9 @@ class TestEnumerate:
         for total in range(16):
             assert counts[total] == partition_count(total)
 
+    def test_part_count_beyond_recursion_limit(self):
+        assert next(islice(enumerate_partitions(3000), 3000, None)) == (1,) * 3000
+
     def test_gap_two_count(self):
         hits = [p for p in enumerate_partitions(9)
                 if sum(p) == 9 and all(b - a >= 2 for a, b in zip(p, p[1:]))]
@@ -39,6 +43,32 @@ class TestEnumerate:
             (10,), (2, 8), (3, 7), (4, 6), (2, 2, 6), (2, 4, 4),
             (2, 2, 2, 4), (2, 2, 2, 2, 2),
         }
+
+
+class TestPartitionCount:
+    def test_matches_pentagonal_recurrence_through_2000(self):
+        # Euler: p(n) = sum over k >= 1 of (-1)^(k+1) (p(n - k(3k-1)/2)
+        # + p(n - k(3k+1)/2)), terms with a negative argument dropped
+        top = 2000
+        p = [1] + [0] * top
+        for n in range(1, top + 1):
+            k, sign = 1, 1
+            while k * (3 * k - 1) // 2 <= n:
+                p[n] += sign * p[n - k * (3 * k - 1) // 2]
+                if k * (3 * k + 1) // 2 <= n:
+                    p[n] += sign * p[n - k * (3 * k + 1) // 2]
+                k, sign = k + 1, -sign
+        for n in [*range(60), 500, 1000, 1999, 2000]:
+            assert partition_count(n) == p[n]
+
+    def test_largest_part_bound(self):
+        for total in range(13):
+            for max_part in range(total + 2):
+                expected = sum(1 for parts in enumerate_partitions(total)
+                               if sum(parts) == total
+                               and all(x <= max_part for x in parts))
+                assert partition_count(total, max_part) == expected
+        assert partition_count(-1) == 0
 
 
 class TestSipPredicate:

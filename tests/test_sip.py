@@ -30,6 +30,9 @@ class TestBasisEnumeration:
         assert list(enumerate_basis(DISTINCT, 4, 30)) == [(1, 2, 3, 4)]
         assert list(enumerate_basis(ROGERS_RAMANUJAN, 4, 30)) == [(1, 3, 5, 7)]
 
+    def test_part_count_beyond_recursion_limit(self):
+        assert list(enumerate_basis(NATURAL, 1200, 1)) == [(1,) * 1200]
+
     def test_members_are_basis_elements(self):
         for spec in ALL_SPECS:
             for n in range(1, 5):
@@ -40,10 +43,12 @@ class TestBasisEnumeration:
 
 class TestPrunedEnumeration:
     def test_matches_unpruned_filter(self):
+        # classes are closed under taking prefixes, so the pruned walk and
+        # the filtered walk meet the members in the same order
         for spec in ALL_SPECS:
-            pruned = set(enumerate_class(spec, 15))
-            plain = {p for p in enumerate_partitions(15)
-                     if in_sip_class(p, spec)}
+            pruned = list(enumerate_class(spec, 15))
+            plain = [p for p in enumerate_partitions(15)
+                     if in_sip_class(p, spec)]
             assert pruned == plain
 
 
