@@ -13,18 +13,20 @@ The generating function of the whole class is then
 
     sum over n of  b(n) / ((q^k; q^k) sub n)
 
-where b(n) is the generating function of the n-part basis elements,
-tabulated here by largest part via a window recurrence.
+where b(n) sums the n-part basis elements.  By largest part h,
+b(1, c_r) = weight(c_r) q^c_r, and b(n, h) = weight(h) q^h times the sum of
+b(n-1, g) over h - g in [d_r, d_r + k), r the residue of h.  class_gf cuts
+these rows at q^trunc and stops at the first empty one, since basis
+elements are closed under taking prefixes; basis_table keeps them exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class
-from .qfactory import PochSpec
-from .series import MarkerPoly, QSeries
+from .series import MarkerPoly, QSeries, binomial_factor
 
 
 class NotInClass(Exception):
@@ -274,33 +276,42 @@ class BasisTable:
         return total
 
 
-def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
-    """Tabulate b(n, h) for n <= max_n, h <= max_h by the window recurrence.
+def _add_at(out: list, start: int, *lists) -> list:
+    """Add each of lists into out from index start on, dropping what runs past
+    its end; returns out."""
+    for coeffs in lists:
+        for i, c in zip(range(start, len(out)), coeffs):
+            if c:
+                out[i] = out[i] + c if out[i] else c
+    return out
 
-    Seed: b(1, c_r) = weight(c_r) q^c_r.  Step: a new largest part h admits
-    previous largest parts g with h - g in [d_r, d_r + k), r the residue of
-    h, so b(n, h) = weight(h) q^h * sum of b(n-1, g) over that window.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    entries: dict[tuple[int, int], QSeries] = {}
-    for cr in set(spec.c):
-        if cr <= max_h:
-            entries[(1, cr)] = QSeries.monomial(cr, spec.weight(cr),
-                                                markers=spec.markers)
-    for n in range(2, max_n + 1):
-        for h in range(1, max_h + 1):
+
+def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int) -> Iterator[dict[int, list]]:
+    """Rows n = 1, 2, ... of the recurrence in the module docstring, {h: b(n, h)}
+    for h <= h_max as lists cut at q^trunc; entries zero that far are left out."""
+    row = {cr: [0] * cr + [spec.weight(cr) if spec.weights else 1]
+           for cr in set(spec.c) if cr <= min(h_max, trunc)}
+    while row:
+        yield row
+        nxt = {}
+        for h in range(1, h_max + 1):
             dr = spec.min_gap(h)
-            acc = QSeries.zero(markers=spec.markers)
-            hit = False
-            for gap in range(dr, dr + spec.k):
-                prev = entries.get((n - 1, h - gap))
-                if prev is not None:
-                    acc = acc + prev
-                    hit = True
-            if hit:
-                entries[(n, h)] = QSeries.monomial(h, spec.weight(h),
-                                                   markers=spec.markers) * acc
+            window = [row[g] for g in range(h - dr - spec.k + 1, h - dr + 1) if g in row]
+            acc = _add_at([0] * min(h + max(map(len, window), default=0), trunc + 1),
+                          h, *window)
+            if any(acc):
+                nxt[h] = [spec.weight(h) * c if c else 0 for c in acc] if spec.weights else acc
+        row = nxt
+
+
+def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
+    """Tabulate b(n, h) for n <= max_n, h <= max_h as exact polynomials: the
+    rows of :func:`_basis_rows` cut at q^(max_n * max_h), which none exceeds."""
+    if max_n < 1 or max_h < 1:
+        raise ValueError(f"max_n and max_h must be at least 1, got {max_n} and {max_h}")
+    rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, max_n * max_h))
+    entries = {(n, h): QSeries(coeffs, markers=spec.markers)
+               for n, row in rows for h, coeffs in row.items()}
     return BasisTable(spec=spec, max_n=max_n, max_h=max_h, entries=entries)
 
 
@@ -327,6 +338,17 @@ def min_basis_total(spec: SipClassSpec, n: int) -> int:
     return min(total for _, total in frontier)
 
 
+def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int) -> QSeries:
+    """1 + sum over n of b(n) / (q^k; q^k)_n to ``trunc``, b(n) summing the n-th
+    of ``rows``; inside out, (b(1) + (b(2) + ...) / (1 - q^2k)) / (1 - q^k)."""
+    sums = [_add_at([0] * (trunc + 1), 0, *row.values()) for row in rows]
+    total = [0] * (trunc + 1)
+    for n in range(len(sums), 0, -1):
+        _add_at(total, 0, sums.pop())
+        binomial_factor(total, -1, n * spec.k, -1)
+    return QSeries([1] + total[1:], trunc=trunc, markers=spec.markers)
+
+
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
     """Class generating function to ``trunc`` from a basis table.
 
@@ -341,21 +363,11 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
         raise InsufficientTableDepth(
             f"basis elements with {table.max_n + 1} parts still reach total <= {trunc}"
         )
-    total = QSeries.one(trunc, markers=spec.markers)
-    denom_spec = PochSpec(offset=spec.k, step=spec.k)
-    for n in range(1, table.max_n + 1):
-        row = list(table.row_gf(n).truncate(trunc).coeffs)
-        total = total + QSeries(denom_spec.apply(row, n, -1), trunc=trunc,
-                                markers=spec.markers)
-    return total
+    return _gf_from_rows(spec, ({h: e.coeffs for h, e in table.row(n).items()}
+                                for n in range(1, table.max_n + 1)), trunc)
 
 
 def class_gf(spec: SipClassSpec, trunc: int) -> QSeries:
-    """Class generating function to ``trunc``, sizing the table automatically."""
-    max_n = 0
-    while min_basis_total(spec, max_n + 1) <= trunc:
-        max_n += 1
-    if max_n == 0:
-        return QSeries.one(trunc, markers=spec.markers)
-    table = basis_table(spec, max_n, trunc)
-    return assemble_gf(spec, table, trunc)
+    """Class generating function to ``trunc`` from the basis rows cut at q^trunc,
+    up to the first empty row: basis elements are closed under taking prefixes."""
+    return _gf_from_rows(spec, _basis_rows(spec, trunc, trunc), trunc)

@@ -88,6 +88,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "b(2,3) = q^4" in out
 
+    @pytest.mark.parametrize("h_max", ["-4", "0"])
+    def test_table_bad_h_max_exit_two(self, capsys, h_max):
+        assert main(["table", "--spec", "glasgow", "--n", "2", "--h-max", h_max,
+                     "--output", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--identity", "glasgow-mod8",
                      "--total-max", "12"]) == 0

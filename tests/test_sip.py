@@ -2,11 +2,12 @@
 
 import pytest
 
+from qsip import catalog
 from qsip.partitions import counting_series, enumerate_partitions, in_sip_class
 from qsip.qfactory import PochSpec, poch_finite, poch_infinite
 from qsip.series import MarkerPoly, QSeries
 from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
-                      ROGERS_RAMANUJAN, SCHUR, SCHUR_REFINED,
+                      ROGERS_RAMANUJAN, SCHUR, SCHUR_REFINED, SPEC_REGISTRY,
                       InsufficientTableDepth, NotInClass, SipDecomposition,
                       assemble_gf, basis_table, class_gf, decompose,
                       enumerate_basis, enumerate_class, is_basis_element,
@@ -14,6 +15,13 @@ from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
 
 ALL_SPECS = (NATURAL, DISTINCT, ROGERS_RAMANUJAN, GOLLNITZ_GORDON, SCHUR,
              GLASGOW)
+SPEC_NAMES = {id(spec): name for name, spec in SPEC_REGISTRY.items()}
+# The unweighted specs at trunc 30 take the k/c ids the other tests here use.
+MEMBER_COUNT_CASES = (
+    [pytest.param(spec, 30, id=f"k{spec.k}c{spec.c}") for spec in ALL_SPECS]
+    + [pytest.param(spec, t, id=f"{SPEC_NAMES[id(spec)]}-t{t}")
+       for spec in ALL_SPECS + (SCHUR_REFINED,) for t in (0, 1, 2, 3)]
+    + [pytest.param(SCHUR_REFINED, 30, id="schur-refined-t30")])
 
 
 class TestBasisEnumeration:
@@ -192,11 +200,33 @@ class TestAssembleGf:
                * poch_infinite(PochSpec(7, 8), t)).inverse(t)
         assert class_gf(GOLLNITZ_GORDON, t) == rhs
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"k{s.k}c{s.c}")
-    def test_matches_member_counts(self, spec):
-        t = 30
-        oracle = counting_series(enumerate_class(spec, t), t)
+    @pytest.mark.parametrize("spec, t", MEMBER_COUNT_CASES)
+    def test_matches_member_counts(self, spec, t):
+        """Against enumerated members, weighted by the product of part weights.
+
+        Truncations 0..3 end the basis rows early: below the smallest
+        threshold c_r there is no row at all, and above it every entry of
+        the second or third row is already cut away.
+        """
+        def weight(parts):
+            w = MarkerPoly.unit(spec.markers)
+            for p in parts:
+                w = w * spec.weight(p)
+            return w
+
+        oracle = counting_series(enumerate_class(spec, t), t,
+                                 weight=weight if spec.weights else None,
+                                 markers=spec.markers)
         assert class_gf(spec, t) == oracle
+
+    @pytest.mark.parametrize("spec, identity", [(GLASGOW, "glasgow-mod8"),
+                                                (SCHUR_REFINED, "schur-refined")],
+                             ids=["glasgow", "schur-refined"])
+    def test_deep_matches_product(self, spec, identity):
+        t = 200
+        got = class_gf(spec, t)
+        assert got.trunc == t
+        assert got.first_mismatch(catalog.get(identity).rhs(t)) is None
 
     def test_shallow_table_rejected(self):
         tbl = basis_table(ROGERS_RAMANUJAN, 2, 30)
