@@ -103,7 +103,7 @@ def _mod7_extra(n: int, coeffs: list) -> list:
     """Times the inner sum over m of q^(m^2) [n, m] of the mod-7 double sum."""
     inner = sum((QSeries.monomial(m * m) * gaussian_binomial(n, m) for m in range(n + 1)),
                 QSeries.zero())
-    return list((QSeries(coeffs, trunc=len(coeffs) - 1) * inner).coeffs)
+    return (QSeries(coeffs, trunc=len(coeffs) - 1) * inner).int_coefficients(len(coeffs) - 1)
 
 
 # -- counting oracles ---------------------------------------------------------

@@ -21,7 +21,6 @@ from typing import Sequence
 from . import catalog, sip
 from .ncopies import CopyPart, check_part
 from .partitions import SipClassSpec
-from .series import QSeries
 
 SCHEMA = "qsip-report/1"
 
@@ -83,13 +82,6 @@ def parse_spec(text: str) -> SipClassSpec:
         return SipClassSpec(k, c, d)
     except ValueError as exc:
         raise ValueError(f"bad spec {text!r}: {exc}") from None
-
-
-def _series_payload(series: QSeries, upto: int | None = None) -> list:
-    limit = upto
-    if limit is None:
-        limit = series.trunc if series.trunc is not None else len(series.coeffs) - 1
-    return [str(series.coefficient(n)) for n in range(limit + 1)]
 
 
 def _emit(report: dict, output: str, stream) -> None:

@@ -217,7 +217,7 @@ def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:
         if left == 0 or right == 0:
             continue
         exp = 3 * m * m + 3 * m * (s - r)
-        term = list((QSeries.monomial(exp, trunc=trunc) * left * right).coeffs)
+        term = (QSeries.monomial(exp, trunc=trunc) * left * right).int_coefficients(trunc)
         lhs = lhs + QSeries(cubes.apply(term, m + s, -1), trunc=trunc)
     rhs = cubes.apply(cubes.apply([1] + [0] * trunc, r, -1), s, -1)
     return lhs.agrees_through(QSeries(rhs, trunc=trunc))

@@ -141,7 +141,8 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
         gaussian_binomial(a - _FILL_STRIDE, b - _FILL_STRIDE, base)
     lower = gaussian_binomial(a - 1, b - 1, base)
     upper = gaussian_binomial(a - 1, b, base)
-    return lower + QSeries([MarkerPoly()] * (base * b) + list(upper.coeffs))
+    # [a-1, b] has degree base * b * (a - 1 - b).
+    return lower + QSeries([0] * (base * b) + upper.int_coefficients(base * b * (a - 1 - b)))
 
 
 @dataclass(frozen=True)

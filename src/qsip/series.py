@@ -5,6 +5,14 @@ arbitrary-precision integer coefficients in a fixed tuple of named markers
 (such as ``u``, ``v``).  Most series carry no markers at all; the registry is
 then the empty tuple and every coefficient is a plain integer constant.
 
+A :class:`QSeries` stores its coefficients transposed, as one plain int list
+per marker monomial, so arithmetic is integer list arithmetic: a product
+convolves the rows of every pair of monomials, and a marker-free series is a
+single int list that never builds a MarkerPoly.  MarkerPoly values appear
+only where a caller asks for them (:meth:`QSeries.coefficient` and the
+cached :attr:`QSeries.coeffs` view) and as the entries that series builders
+hand to the constructor.
+
 A :class:`QSeries` is either truncated or exact:
 
 * truncated: ``trunc`` is an integer and the series is guaranteed exact for
@@ -20,6 +28,8 @@ it cannot vouch for.
 
 from __future__ import annotations
 
+import math
+from operator import add, mul
 from typing import Iterable, Mapping
 
 
@@ -259,19 +269,6 @@ class _RegistryMismatch(Exception):
     """Internal: retry the operation with operands swapped after lifting."""
 
 
-def _coerce_pair(a: "QSeries", b) -> tuple["QSeries", "QSeries"]:
-    if not isinstance(b, QSeries):
-        coeff = b if isinstance(b, MarkerPoly) else MarkerPoly.const(_as_int(b))
-        b = QSeries([coeff], markers=coeff.markers)
-    if a.markers == b.markers:
-        return a, b
-    if not a.markers:
-        return a.lift(b.markers), b
-    if not b.markers:
-        return a, b.lift(a.markers)
-    raise ValueError(f"marker registries differ: {a.markers} vs {b.markers}")
-
-
 def binomial_factor(coeffs: list, c, e: int, power: int = 1) -> None:
     """Multiply (power 1) or divide (power -1) coeffs in place by 1 + c*q^e.
 
@@ -288,10 +285,17 @@ def binomial_factor(coeffs: list, c, e: int, power: int = 1) -> None:
         indices, c = range(e, len(coeffs)), -c
     else:
         raise ValueError(f"cannot apply (1 + c*q^{e})^{power}")
+    # Every (1 - q^e) factor has c = +-1: add or subtract without a product.
+    sign = 1 if c == 1 else -1 if c == -1 else 0
     for i in indices:
         src = coeffs[i - e]
         if src:
-            coeffs[i] += c * src
+            if sign > 0:
+                coeffs[i] += src
+            elif sign:
+                coeffs[i] -= src
+            else:
+                coeffs[i] += c * src
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
@@ -302,49 +306,127 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
+def _fit(row: list[int], size: int) -> list[int]:
+    """A fresh copy of ``row`` cut or zero-padded to ``size`` entries."""
+    return row[:size] + [0] * (size - len(row))
+
+
+def _canonical(rows: dict, trunc: int | None) -> dict:
+    """Drop all-zero rows; trim trailing zeros off polynomial rows in place."""
+    out = {}
+    for key, row in rows.items():
+        if trunc is None:
+            while row and not row[-1]:
+                row.pop()
+        if any(row):
+            out[key] = row
+    return out
+
+
+def _convolve_into(out: list[int], a: list[int], b: list[int]) -> None:
+    """Add the schoolbook product of rows a and b into out, dropping every
+    term past its end."""
+    size = len(out)
+    nonzero_b = [(j, y) for j, y in enumerate(b[:size]) if y]
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in nonzero_b:
+                if i + j >= size:
+                    break
+                out[i + j] += x * y
+
+
+def _as_series(value) -> "QSeries":
+    """A series operand as is; an int or MarkerPoly as a constant polynomial."""
+    if isinstance(value, QSeries):
+        return value
+    if isinstance(value, MarkerPoly):
+        return QSeries([value], markers=value.markers)
+    value = _as_int(value)
+    return QSeries._make({(): [value]} if value else {}, None, ())
+
+
+def _registry(a: "QSeries", b: "QSeries") -> tuple[str, ...]:
+    """The registry both operands live in: a marker-free one lifts to the other's."""
+    if a.markers == b.markers or not b.markers:
+        return a.markers
+    if not a.markers:
+        return b.markers
+    raise ValueError(f"marker registries differ: {a.markers} vs {b.markers}")
+
+
 class QSeries:
     """A formal power series in q with MarkerPoly coefficients.
 
     ``trunc`` is the largest q-exponent at which the series is guaranteed
-    exact, or None for an exact polynomial.  Coefficient storage is dense,
-    indexed by q-exponent; for truncated series the stored length is exactly
-    ``trunc + 1``, for polynomials trailing zero coefficients are trimmed.
-    Instances are immutable; all operations return new values.
+    exact, or None for an exact polynomial.  Storage is one plain int list
+    per marker monomial, indexed by q-exponent: the coefficient of
+    u^i v^j q^n is ``_rows[(i, j)][n]``, and a marker-free series has at
+    most the row ``()``.  The form is canonical: a truncated series keeps
+    rows of exactly ``trunc + 1`` entries, a polynomial trims trailing
+    zeros, and all-zero rows are dropped, so equal series have equal rows.
+    Instances are immutable and never hand out a row, so they may share
+    them; all operations return new values.  :attr:`coeffs` is a MarkerPoly
+    view of the rows, built on first read.
     """
 
-    __slots__ = ("markers", "trunc", "coeffs")
+    __slots__ = ("markers", "trunc", "_rows", "_coeffs")
 
     def __init__(self, coeffs: Iterable = (), trunc: int | None = None,
                  markers: Iterable[str] = ()):
         markers = tuple(markers)
-        lifted = []
-        for c in coeffs:
-            if isinstance(c, MarkerPoly):
-                if c.markers != markers:
-                    if c.markers:
+        coeffs = list(coeffs)
+        zero = (0,) * len(markers)
+        if set(map(type, coeffs)) <= {int}:
+            rows = {zero: coeffs}
+        else:
+            rows = {}
+            for n, c in enumerate(coeffs):
+                if type(c) is int and not c:
+                    continue
+                if isinstance(c, MarkerPoly):
+                    if c.markers and c.markers != markers:
                         raise ValueError(
                             f"coefficient registry {c.markers} does not match "
                             f"series registry {markers}"
                         )
-                    c = c.lift(markers)
-            else:
-                c = MarkerPoly.const(_as_int(c), markers)
-            lifted.append(c)
-        if trunc is None:
-            while lifted and lifted[-1].is_zero():
-                lifted.pop()
-        else:
+                    terms = c.terms.items() if c.markers else [(zero, c.constant_value())]
+                else:
+                    terms = [(zero, _as_int(c))]
+                for key, value in terms:
+                    if value:
+                        if key not in rows:
+                            rows[key] = [0] * len(coeffs)
+                        rows[key][n] = value
+        if trunc is not None:
             if trunc < 0:
                 raise ValueError("truncation order must be non-negative")
-            if len(lifted) > trunc + 1:
+            if len(coeffs) > trunc + 1:
                 raise ValueError(
-                    f"{len(lifted)} coefficients exceed truncation order {trunc}"
+                    f"{len(coeffs)} coefficients exceed truncation order {trunc}"
                 )
-            zero = MarkerPoly(markers)
-            lifted.extend([zero] * (trunc + 1 - len(lifted)))
+            for row in rows.values():
+                row.extend([0] * (trunc + 1 - len(row)))
         self.markers = markers
         self.trunc = trunc
-        self.coeffs = tuple(lifted)
+        self._rows = _canonical(rows, trunc)
+        self._coeffs = None
+
+    @classmethod
+    def _make(cls, rows: dict, trunc: int | None, markers: tuple[str, ...]) -> "QSeries":
+        """A series over rows already in canonical form, taken as they are."""
+        out = object.__new__(cls)
+        out.markers, out.trunc, out._rows, out._coeffs = markers, trunc, rows, None
+        return out
+
+    def _rows_in(self, markers: tuple[str, ...]) -> dict:
+        """The rows keyed in ``markers``, re-keying a marker-free series."""
+        if self.markers == markers:
+            return self._rows
+        if self.markers:
+            raise ValueError("can only lift a marker-free series")
+        zero = (0,) * len(markers)
+        return {zero: row for row in self._rows.values()}
 
     # -- constructors ------------------------------------------------------
 
@@ -373,85 +455,101 @@ class QSeries:
     def is_polynomial(self) -> bool:
         return self.trunc is None
 
-    def coefficient(self, n: int) -> MarkerPoly:
-        """Exact coefficient of q^n; raises beyond the guaranteed range."""
-        if n < 0:
-            raise ValueError("q-exponent must be non-negative")
+    @property
+    def coeffs(self) -> tuple[MarkerPoly, ...]:
+        """Every stored coefficient as a MarkerPoly, from q^0 through q^trunc
+        or through the degree of a polynomial; built on first read, then cached."""
+        if self._coeffs is None:
+            size = self.trunc + 1 if self.trunc is not None else \
+                max(map(len, self._rows.values()), default=0)
+            self._coeffs = tuple(self._marker_poly(n) for n in range(size))
+        return self._coeffs
+
+    def _marker_poly(self, n: int) -> MarkerPoly:
+        return MarkerPoly(self.markers, {key: row[n] for key, row in self._rows.items()
+                                         if n < len(row) and row[n]})
+
+    def _check_window(self, n: int) -> None:
         if self.trunc is not None and n > self.trunc:
             raise TruncationExceeded(
                 f"coefficient of q^{n} requested from a series truncated at {self.trunc}"
             )
-        if n < len(self.coeffs):
-            return self.coeffs[n]
-        return MarkerPoly(self.markers)
+
+    def coefficient(self, n: int) -> MarkerPoly:
+        """Exact coefficient of q^n; raises beyond the guaranteed range."""
+        if n < 0:
+            raise ValueError("q-exponent must be non-negative")
+        self._check_window(n)
+        return self._marker_poly(n)
 
     def coefficients(self, upto: int) -> list[MarkerPoly]:
         return [self.coefficient(n) for n in range(upto + 1)]
 
+    def _nonzero_through(self, upto: int, rows: Iterable) -> bool:
+        """Whether any of ``rows`` is nonzero at an exponent <= upto within the
+        guarantee window; then raises if upto reaches past that window."""
+        size = max(upto + 1 if self.trunc is None else min(upto, self.trunc) + 1, 0)
+        if any(any(row[:size]) for row in rows):
+            return True
+        self._check_window(upto)
+        return False
+
     def int_coefficients(self, upto: int) -> list[int]:
-        """Coefficients as plain integers (marker-free series only)."""
-        out = []
-        for n in range(upto + 1):
-            c = self.coefficient(n)
-            if len(c.terms) > 1 or (c.terms and any(next(iter(c.terms)))):
-                raise ValueError("series has marker terms; use coefficients()")
-            out.append(c.constant_value())
-        return out
+        """Coefficients of q^0..q^upto as a fresh list of plain integers
+        (marker-free coefficients only)."""
+        zero = (0,) * len(self.markers)
+        if self._nonzero_through(upto, (row for key, row in self._rows.items()
+                                        if key != zero)):
+            raise ValueError("series has marker terms; use coefficients()")
+        return _fit(self._rows.get(zero, []), max(upto + 1, 0))
 
     def is_zero_through(self, upto: int) -> bool:
-        return all(self.coefficient(n).is_zero() for n in range(upto + 1))
+        return not self._nonzero_through(upto, self._rows.values())
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "QSeries":
-        a, b = _coerce_pair(self, other)
-        trunc = _min_trunc(a.trunc, b.trunc)
-        length = (trunc + 1) if trunc is not None else max(len(a.coeffs), len(b.coeffs))
-        zero = MarkerPoly(a.markers)
-        out = []
-        for n in range(length):
-            ca = a.coeffs[n] if n < len(a.coeffs) else zero
-            cb = b.coeffs[n] if n < len(b.coeffs) else zero
-            out.append(ca + cb)
-        return QSeries(out, trunc=trunc, markers=a.markers)
+        other = _as_series(other)
+        markers = _registry(self, other)
+        a, b = self._rows_in(markers), other._rows_in(markers)
+        trunc = _min_trunc(self.trunc, other.trunc)
+        rows = {}
+        for key in a.keys() | b.keys():
+            ra, rb = a.get(key, []), b.get(key, [])
+            size = trunc + 1 if trunc is not None else max(len(ra), len(rb))
+            rows[key] = list(map(add, _fit(ra, size), _fit(rb, size)))
+        return QSeries._make(_canonical(rows, trunc), trunc, markers)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs], trunc=self.trunc, markers=self.markers)
+        return QSeries._make({key: [-x for x in row] for key, row in self._rows.items()},
+                             self.trunc, self.markers)
 
     def __sub__(self, other) -> "QSeries":
-        a, b = _coerce_pair(self, other)
-        return a + (-b)
+        return self + (-_as_series(other))
 
     def __rsub__(self, other) -> "QSeries":
         return (-self) + other
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, MarkerPoly)) and not isinstance(other, bool):
-            scalar = other if isinstance(other, MarkerPoly) else MarkerPoly.const(other)
-            if not scalar.markers or scalar.markers == self.markers:
-                if scalar.markers != self.markers:
-                    scalar = scalar.lift(self.markers)
-                return QSeries([c * scalar for c in self.coeffs],
-                               trunc=self.trunc, markers=self.markers)
-        a, b = _coerce_pair(self, other)
-        trunc = _min_trunc(a.trunc, b.trunc)
+        other = _as_series(other)
+        markers = _registry(self, other)
+        a, b = self._rows_in(markers), other._rows_in(markers)
+        trunc = _min_trunc(self.trunc, other.trunc)
         if trunc is not None:
-            length = trunc + 1
+            size = trunc + 1
         else:
-            length = max(len(a.coeffs) + len(b.coeffs) - 1, 0)
-        zero = MarkerPoly(a.markers)
-        out = [zero] * length
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero() or i >= length:
-                continue
-            top = min(len(b.coeffs), length - i)
-            for j in range(top):
-                cb = b.coeffs[j]
-                if not cb.is_zero():
-                    out[i + j] = out[i + j] + ca * cb
-        return QSeries(out, trunc=trunc, markers=a.markers)
+            size = max(map(len, a.values()), default=0) + max(map(len, b.values()), default=0) - 1
+        rows: dict[tuple[int, ...], list[int]] = {}
+        for ka, ra in a.items():
+            for kb, rb in b.items():
+                key = tuple(map(add, ka, kb))
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = [0] * size
+                _convolve_into(row, ra, rb)
+        return QSeries._make(_canonical(rows, trunc), trunc, markers)
 
     __rmul__ = __mul__
 
@@ -474,21 +572,25 @@ class QSeries:
             raise ValueError("inverting an exact polynomial requires a truncation order")
         if self.trunc is not None and trunc is not None:
             eff = min(eff, trunc)
-        if not self.coefficient(0).is_one():
+        zero = (0,) * len(self.markers)
+        if {key: row[0] for key, row in self._rows.items() if row[0]} != {zero: 1}:
             raise NonUnitConstantTerm(
                 f"constant term is {self.coefficient(0)}, expected 1"
             )
-        zero = MarkerPoly(self.markers)
-        inv = [MarkerPoly.unit(self.markers)] + [zero] * eff
+        # inv[n] = -(sum over i = 1..n of a[i] * inv[n - i]), per pair of monomials;
+        # a row first reached at step n is zero below n, so a snapshot suffices.
+        inv = {zero: [1] + [0] * eff}
         for n in range(1, eff + 1):
-            acc = zero
-            top = min(n, len(self.coeffs) - 1)
-            for i in range(1, top + 1):
-                ai = self.coeffs[i]
-                if not ai.is_zero():
-                    acc = acc + ai * inv[n - i]
-            inv[n] = -acc
-        return QSeries(inv, trunc=eff, markers=self.markers)
+            for ka, ra in self._rows.items():
+                for kb, rb in list(inv.items()):
+                    acc = sum(map(mul, ra[1:n + 1], rb[n - 1::-1]))
+                    if acc:
+                        key = tuple(map(add, ka, kb))
+                        row = inv.get(key)
+                        if row is None:
+                            row = inv[key] = [0] * (eff + 1)
+                        row[n] -= acc
+        return QSeries._make(_canonical(inv, eff), eff, self.markers)
 
     def truncate(self, trunc: int) -> "QSeries":
         """Restrict the guarantee window to 0..trunc."""
@@ -496,34 +598,44 @@ class QSeries:
             raise TruncationExceeded(
                 f"cannot extend truncation {self.trunc} to {trunc}"
             )
-        return QSeries(list(self.coeffs[: trunc + 1]), trunc=trunc, markers=self.markers)
+        if trunc < 0:
+            raise ValueError("truncation order must be non-negative")
+        rows = {key: _fit(row, trunc + 1) for key, row in self._rows.items()}
+        return QSeries._make(_canonical(rows, trunc), trunc, self.markers)
 
     def lift(self, markers: Iterable[str]) -> "QSeries":
         """Re-embed a marker-free series into a wider marker registry."""
         markers = tuple(markers)
         if self.markers == markers:
             return self
-        return QSeries([c.lift(markers) for c in self.coeffs],
-                       trunc=self.trunc, markers=markers)
+        return QSeries._make(self._rows_in(markers), self.trunc, markers)
 
     # -- marker operations ---------------------------------------------------
 
+    def _check_assignment(self, assignment: Mapping[str, int], what: str) -> None:
+        missing = [m for m in self.markers if m not in assignment]
+        if missing:
+            raise ValueError(f"{what} missing markers {missing}")
+
     def specialize(self, assignment: Mapping[str, int]) -> "QSeries":
         """Substitute integers for all markers; coefficients become constants."""
-        out = [c.specialize(assignment) for c in self.coeffs]
-        return QSeries(out, trunc=self.trunc, markers=())
+        self._check_assignment(assignment, "assignment")
+        values = [assignment[m] for m in self.markers]
+        out = [0] * max(map(len, self._rows.values()), default=0)
+        for key, row in self._rows.items():
+            weight = math.prod(v**e for v, e in zip(values, key))
+            for n, x in enumerate(row):
+                out[n] += weight * x
+        return QSeries(out, trunc=self.trunc)
 
     def marker_coefficient(self, exponents: Mapping[str, int]) -> "QSeries":
         """Extract the marker-free series multiplying a marker monomial.
 
         ``exponents`` must assign an exponent to every registered marker.
         """
-        missing = [m for m in self.markers if m not in exponents]
-        if missing:
-            raise ValueError(f"exponents missing markers {missing}")
+        self._check_assignment(exponents, "exponents")
         key = tuple(exponents[m] for m in self.markers)
-        out = [c.coefficient_of(key) for c in self.coeffs]
-        return QSeries(out, trunc=self.trunc, markers=())
+        return QSeries(self._rows.get(key, []), trunc=self.trunc)
 
     # -- comparison ------------------------------------------------------------
 
@@ -533,32 +645,35 @@ class QSeries:
         Comparison runs over the overlap of the guarantee windows, further
         limited by ``upto`` when given.
         """
-        a, b = _coerce_pair(self, other)
-        limit = _min_trunc(a.trunc, b.trunc)
+        other = _as_series(other)
+        markers = _registry(self, other)
+        a, b = self._rows_in(markers), other._rows_in(markers)
+        limit = _min_trunc(self.trunc, other.trunc)
         if upto is not None:
             limit = upto if limit is None else min(limit, upto)
         if limit is None:
-            limit = max(len(a.coeffs), len(b.coeffs)) - 1
-        for n in range(limit + 1):
-            if a.coefficient(n) != b.coefficient(n):
-                return n
-        return None
+            limit = max(map(len, [*a.values(), *b.values()]), default=0) - 1
+        size, first = max(limit + 1, 0), None
+        for key in a.keys() | b.keys():
+            ra, rb = _fit(a.get(key, []), size), _fit(b.get(key, []), size)
+            if ra != rb:
+                n = next(n for n, (x, y) in enumerate(zip(ra, rb)) if x != y)
+                first = n if first is None else min(first, n)
+        return first
 
     def agrees_through(self, other: "QSeries", upto: int | None = None) -> bool:
         return self.first_mismatch(other, upto=upto) is None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, MarkerPoly)) and not isinstance(other, bool):
-            other = QSeries([other if isinstance(other, MarkerPoly) else
-                             MarkerPoly.const(other)],
-                            markers=getattr(other, "markers", ()))
+            other = _as_series(other)
         if not isinstance(other, QSeries):
             return NotImplemented
         try:
-            a, b = _coerce_pair(self, other)
+            markers = _registry(self, other)
         except ValueError:
             return False
-        return a.trunc == b.trunc and a.coeffs == b.coeffs
+        return self.trunc == other.trunc and self._rows_in(markers) == other._rows_in(markers)
 
     __hash__ = None
 

@@ -363,7 +363,8 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
         raise InsufficientTableDepth(
             f"basis elements with {table.max_n + 1} parts still reach total <= {trunc}"
         )
-    return _gf_from_rows(spec, ({h: e.coeffs for h, e in table.row(n).items()}
+    return _gf_from_rows(spec, ({h: e.coeffs if spec.markers else e.int_coefficients(trunc)
+                                 for h, e in table.row(n).items()}
                                 for n in range(1, table.max_n + 1)), trunc)
 
 

@@ -90,7 +90,7 @@ class TestGaussianBinomial:
             for b in range(a + 1):
                 assert gaussian_binomial(a, b) == gaussian_binomial(a, a - b)
 
-    @pytest.mark.parametrize("b", [1, 1099])
+    @pytest.mark.parametrize("b", [1, 3, 1099])
     def test_deep_row_at_one(self, b):
         # the column and the diagonal recursion both run deeper than the
         # interpreter's recursion limit without the bottom-up fill

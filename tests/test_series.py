@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsip import catalog
 from qsip.partitions import counting_series, enumerate_partitions
+from qsip.qfactory import gaussian_binomial
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
                          TruncationExceeded, binomial_factor)
 
@@ -245,7 +247,7 @@ def kernel_case(draw, polynomials=True):
     monomials = st.sampled_from([1, U, V, U * V, U + V])
     coeffs = [x.constant_value() * draw(monomials) for x in base.coeffs]
     series = QSeries(coeffs, trunc=trunc, markers=UV)
-    c = draw(st.sampled_from([U, -V, 2 * U * V, U - 1, 3]))
+    c = draw(st.sampled_from([U, -V, 2 * U * V, U - 1, 3, 1, -1, -MarkerPoly.unit(UV)]))
     return series, c, list(series.coeffs)
 
 
@@ -279,3 +281,179 @@ def test_kernel_rejects_non_unit_division():
     for e, power in ((0, -1), (-1, 1), (2, 2)):
         with pytest.raises(ValueError):
             binomial_factor([1, 0, 0], 1, e, power)
+
+
+# -- the int-row core against a MarkerPoly schoolbook reference ---------------
+#
+# A drawn operand is (coefficient list, trunc, markers): the list holds ints
+# and, in the (u, v) registry, MarkerPoly values; it may be shorter than
+# trunc + 1 and a polynomial's may end in zeros.  The reference reads the list
+# directly and computes with MarkerPoly + and * only.
+
+@st.composite
+def operand(draw):
+    markers = draw(st.sampled_from([(), UV]))
+    trunc = draw(st.one_of(st.none(), st.integers(0, 8)))
+    size = draw(st.integers(0, 9 if trunc is None else trunc + 1))
+    ints = st.one_of(st.just(0), coeff_ints)
+    monomials = st.sampled_from([1, U, V, U * V, U + V, U - V] if markers else [1])
+    coeffs = [draw(ints) * draw(monomials) for _ in range(size)]
+    return coeffs, trunc, markers
+
+
+@st.composite
+def operand_pair(draw):
+    """Two operands; half the time the second is the first with one
+    coefficient changed, or none, under its own trunc and registry."""
+    a = draw(operand())
+    if draw(st.booleans()):
+        return a, draw(operand())
+    coeffs, trunc, markers = a
+    coeffs = list(coeffs)
+    if coeffs and draw(st.booleans()):
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(st.sampled_from([1, -1, U]))
+    markers = UV if any(isinstance(c, MarkerPoly) for c in coeffs) else markers
+    return a, (coeffs, draw(st.one_of(st.none(), st.just(trunc))), markers)
+
+
+def build(case):
+    coeffs, trunc, markers = case
+    return QSeries(coeffs, trunc=trunc, markers=markers)
+
+
+def ref_coeff(case, n):
+    coeffs, _, markers = case
+    c = coeffs[n] if n < len(coeffs) else 0
+    return c if isinstance(c, MarkerPoly) else MarkerPoly.const(c, markers)
+
+
+def ref_trunc(*cases):
+    truncs = [trunc for _, trunc, _ in cases if trunc is not None]
+    return min(truncs) if truncs else None
+
+
+def assert_matches(got, trunc, markers, expected):
+    """got has the given trunc and registry, coefficient(n) equals expected[n]
+    through its window, and its stored coefficients are in canonical form."""
+    assert got.trunc == trunc and got.markers == markers
+    for n, c in enumerate(expected):
+        assert got.coefficient(n) == c, n
+    if trunc is None:
+        assert all(got.coefficient(n) == 0 for n in range(len(expected), len(expected) + 3))
+        assert not got.coeffs or not got.coeffs[-1].is_zero()
+    else:
+        assert len(expected) == len(got.coeffs) == trunc + 1
+        with pytest.raises(TruncationExceeded):
+            got.coefficient(trunc + 1)
+
+
+def registry(*cases):
+    return UV if any(markers for _, _, markers in cases) else ()
+
+
+@given(operand_pair())
+@settings(max_examples=150)
+def test_add_sub_match_reference(pair):
+    a, b = pair
+    trunc = ref_trunc(a, b)
+    top = trunc if trunc is not None else max(len(a[0]), len(b[0])) - 1
+    assert_matches(build(a) + build(b), trunc, registry(a, b),
+                   [ref_coeff(a, n) + ref_coeff(b, n) for n in range(top + 1)])
+    assert_matches(build(a) - build(b), trunc, registry(a, b),
+                   [ref_coeff(a, n) - ref_coeff(b, n) for n in range(top + 1)])
+
+
+@given(operand_pair())
+@settings(max_examples=150)
+def test_mul_matches_reference(pair):
+    a, b = pair
+    trunc = ref_trunc(a, b)
+    top = trunc if trunc is not None else len(a[0]) + len(b[0]) - 2
+    expected = []
+    for n in range(top + 1):
+        total = MarkerPoly.const(0, registry(a, b))
+        for i in range(n + 1):
+            total = total + ref_coeff(a, i) * ref_coeff(b, n - i)
+        expected.append(total)
+    assert_matches(build(a) * build(b), trunc, registry(a, b), expected)
+
+
+@given(operand(), st.integers(0, 8))
+@settings(max_examples=100)
+def test_inverse_matches_reference(case, t):
+    coeffs, trunc, markers = case
+    case = ([1] + coeffs[1:], trunc, markers)
+    eff = t if trunc is None else min(trunc, t)
+    inv = [MarkerPoly.unit(markers)]
+    for n in range(1, eff + 1):
+        acc = MarkerPoly(markers)
+        for i in range(1, n + 1):
+            acc = acc + ref_coeff(case, i) * inv[n - i]
+        inv.append(-acc)
+    assert_matches(build(case).inverse(t), eff, markers, inv)
+
+
+@given(operand_pair(), st.one_of(st.none(), st.integers(-1, 10)))
+@settings(max_examples=150)
+def test_comparison_matches_reference(pair, upto):
+    a, b = pair
+    limit = ref_trunc(a, b)
+    if upto is not None:
+        limit = upto if limit is None else min(limit, upto)
+    if limit is None:
+        limit = max(len(a[0]), len(b[0])) - 1
+    first = next((n for n in range(limit + 1) if ref_coeff(a, n) != ref_coeff(b, n)), None)
+    assert build(a).first_mismatch(build(b), upto=upto) == first
+    top = max(len(a[0]), len(b[0])) if a[1] is None else a[1] + 1
+    same = a[1] == b[1] and all(ref_coeff(a, n) == ref_coeff(b, n) for n in range(top))
+    assert (build(a) == build(b)) is same
+
+
+@given(operand())
+@settings(max_examples=60)
+def test_difference_with_itself_is_zero(case):
+    s = build(case)
+    assert s - s == QSeries.zero(s.trunc, s.markers)
+    assert (s - s).is_zero_through(s.trunc if s.trunc is not None else 5)
+
+
+def test_cancelled_rows_leave_canonical_form():
+    uq = QSeries.monomial(1, U, markers=UV)
+    assert uq - uq == QSeries.zero(markers=UV)
+    assert str(uq - uq) == "0" and (uq - uq).coeffs == ()
+    poly = QSeries([1, U, 3 * V], markers=UV) - QSeries([0, U, 3 * V], markers=UV)
+    assert poly == QSeries.one(markers=UV) and len(poly.coeffs) == 1
+    assert (QSeries([1, 2, 3]) - QSeries([0, 0, 3])).int_coefficients(3) == [1, 2, 0, 0]
+
+
+def test_handed_out_lists_are_copies():
+    s = QSeries([1, 2, 3], trunc=4)
+    got = s.int_coefficients(4)
+    got[0] = 99
+    binomial_factor(got, 1, 1)
+    assert s == QSeries([1, 2, 3], trunc=4)
+    g = gaussian_binomial(6, 2)
+    before = [str(c) for c in g.coeffs]
+    row = g.int_coefficients(12)
+    binomial_factor(row, -1, 1, -1)
+    row[0] = 7
+    assert gaussian_binomial(6, 2) is g
+    assert [str(c) for c in g.coeffs] == before
+
+
+def test_marker_free_arithmetic_builds_no_marker_poly(monkeypatch):
+    created = []
+    init = MarkerPoly.__init__
+
+    def counted(self, *args, **kwargs):
+        created.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MarkerPoly, "__init__", counted)
+    assert catalog.verify("rogers-ramanujan", 200).passed
+    a = QSeries([1, -1, 2, 0, 5], trunc=30)
+    b = QSeries(range(1, 12))
+    results = [a * b, a.inverse(), a + b, a - b, 3 * b, b.inverse(20) * b]
+    assert results[-1] == QSeries.one(20)
+    assert a.first_mismatch(b) == 1 and a != b
+    assert created == []
