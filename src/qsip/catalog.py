@@ -352,7 +352,6 @@ def substitute_neg_q_squared(series: QSeries) -> QSeries:
     if series.markers:
         raise ValueError("substitution is defined for marker-free series")
     out = [0] * (2 * series.trunc + 2)
-    for n in range(series.trunc + 1):
-        c = series.coefficient(n).constant_value()
+    for n, c in enumerate(series.int_coefficients(series.trunc)):
         out[2 * n] = -c if n % 2 else c
     return QSeries(out, trunc=2 * series.trunc + 1)

@@ -5,9 +5,11 @@ polynomials, congruence-restricted partition products, q-hypergeometric
 sums and two-sided theta sums.  Everything is exact integer arithmetic on
 :class:`~qsip.series.QSeries` values.  Products and sums are loops of one
 kernel, :func:`~qsip.series.binomial_factor`, which multiplies or divides a
-coefficient list by a single factor 1 + c*q^e in O(trunc); infinite
-products are cut at the first factor whose minimal exponent exceeds the
-requested truncation, which cannot affect any retained coefficient.
+coefficient list by a single factor 1 + c*q^e in O(trunc); a factor with a
+marker x steps a stack of such lists, one per power of x, instead.
+Infinite products are cut at the first factor whose minimal exponent
+exceeds the requested truncation, which cannot affect any retained
+coefficient.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
 from .series import MarkerPoly, QSeries, binomial_factor
@@ -87,6 +90,30 @@ def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,
     return QSeries(spec.apply(coeffs, n, 1, reg), trunc=trunc, markers=reg)
 
 
+def _marked_factor(rows: list[list[int]], c: int, e: int, power: int) -> None:
+    """Multiply (power 1) or divide (power -1) in place by 1 + c*x*q^e, c = +-1,
+    the series sum over a of x^a q^n rows[a][n], every row cut at one length.
+
+    x^a picks up row a - 1 shifted by e: from the top degree down when
+    multiplying, from degree 0 up (on rows already divided) when dividing.
+    A new top row is added only while the shifted top row still reaches the
+    cut.
+    """
+    size = len(rows[0])
+    step = add if c * power == 1 else sub
+    if power == 1:
+        if any(rows[-1][:size - e]):
+            rows.append([0] * size)
+        degrees = range(len(rows) - 1, 0, -1)
+    else:
+        degrees = range(1, len(rows))
+    for a in degrees:
+        rows[a][e:] = map(step, rows[a][e:], rows[a - 1])
+    while power == -1 and any(rows[-1][:size - e]):
+        rows.append([0] * size)
+        rows[-1][e:] = map(step, rows[-1][e:], rows[-2])
+
+
 def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
                  markers: Iterable[str] | None = None) -> QSeries:
     """Product of infinite Pochhammers (spec; .)^power over (spec, power) pairs.
@@ -96,18 +123,42 @@ def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
     coefficient, since each contributes only exponents >= its own).  Every
     factor needs q-exponent at least 1.  The marker registry defaults to the
     sorted markers of the specs.
+
+    Unmarked factors run the sparse kernel on one int list.  Marked factors
+    are grouped by marker, each group a stack of int rows indexed by that
+    marker's degree (see :func:`_marked_factor`); the groups and the
+    unmarked list then combine by series multiplication, row pair by row
+    pair.
     """
     factors = list(factors)
     if markers is None:
         markers = sorted({spec.marker for spec, _ in factors} - {None})
-    coeffs = [1] + [0] * trunc
+    markers = tuple(markers)
+    plain = [1] + [0] * trunc
+    groups: dict[str, list[list[int]]] = {}
     for spec, power in factors:
         if spec.offset <= 0:
             raise DivergentProduct(
                 f"factor q-exponent {spec.offset} <= 0 in an infinite product"
             )
-        spec.apply(coeffs, max((trunc - spec.offset) // spec.step + 1, 0), power, markers)
-    return QSeries(coeffs, trunc=trunc, markers=markers)
+        if power not in (1, -1):
+            raise ValueError(f"power must be 1 or -1, got {power}")
+        count = max((trunc - spec.offset) // spec.step + 1, 0)
+        if spec.marker is None:
+            spec.apply(plain, count, power)
+            continue
+        if spec.marker not in markers:
+            raise ValueError(f"marker {spec.marker!r} not in registry {markers}")
+        rows = groups.setdefault(spec.marker, [[1] + [0] * trunc])
+        for j in range(count):
+            _marked_factor(rows, -spec.sign, spec.factor_exponent(j), power)
+    zero = (0,) * len(markers)
+    out = QSeries.from_rows({zero: plain}, trunc, markers)
+    for marker, rows in groups.items():
+        i = markers.index(marker)
+        out = out * QSeries.from_rows({zero[:i] + (a,) + zero[i + 1:]: row
+                                       for a, row in enumerate(rows)}, trunc, markers)
+    return out
 
 
 def poch_infinite(spec: PochSpec, trunc: int, markers: Iterable[str] | None = None) -> QSeries:

@@ -8,10 +8,11 @@ then the empty tuple and every coefficient is a plain integer constant.
 A :class:`QSeries` stores its coefficients transposed, as one plain int list
 per marker monomial, so arithmetic is integer list arithmetic: a product
 convolves the rows of every pair of monomials, and a marker-free series is a
-single int list that never builds a MarkerPoly.  MarkerPoly values appear
-only where a caller asks for them (:meth:`QSeries.coefficient` and the
-cached :attr:`QSeries.coeffs` view) and as the entries that series builders
-hand to the constructor.
+single int list that never builds a MarkerPoly.  Builders hand over int
+lists, one per monomial (:meth:`QSeries.from_rows`, or the constructor for
+a marker-free list); MarkerPoly values appear only where a caller asks for
+them (:meth:`QSeries.coefficient` and the cached :attr:`QSeries.coeffs`
+view) or passes them to the constructor.
 
 A :class:`QSeries` is either truncated or exact:
 
@@ -413,6 +414,29 @@ class QSeries:
         self._coeffs = None
 
     @classmethod
+    def from_rows(cls, rows: Mapping[tuple[int, ...], list[int]], trunc: int | None = None,
+                  markers: Iterable[str] = ()) -> "QSeries":
+        """A series from plain int lists, one per marker monomial: the
+        coefficient of u^i v^j q^n is ``rows[(i, j)][n]``.  The lists are copied."""
+        markers = tuple(markers)
+        if trunc is not None and trunc < 0:
+            raise ValueError("truncation order must be non-negative")
+        copied = {}
+        for key, row in rows.items():
+            key = tuple(key)
+            if len(key) != len(markers) or min(key, default=0) < 0:
+                raise ValueError(f"row key {key} is no exponent vector over {markers}")
+            if not set(map(type, row)) <= {int}:
+                raise TypeError(f"integer coefficients expected in row {key}")
+            if trunc is None:
+                copied[key] = list(row)
+            elif len(row) > trunc + 1:
+                raise ValueError(f"{len(row)} coefficients exceed truncation order {trunc}")
+            else:
+                copied[key] = _fit(row, trunc + 1)
+        return cls._make(_canonical(copied, trunc), trunc, markers)
+
+    @classmethod
     def _make(cls, rows: dict, trunc: int | None, markers: tuple[str, ...]) -> "QSeries":
         """A series over rows already in canonical form, taken as they are."""
         out = object.__new__(cls)
@@ -485,26 +509,29 @@ class QSeries:
     def coefficients(self, upto: int) -> list[MarkerPoly]:
         return [self.coefficient(n) for n in range(upto + 1)]
 
-    def _nonzero_through(self, upto: int, rows: Iterable) -> bool:
-        """Whether any of ``rows`` is nonzero at an exponent <= upto within the
-        guarantee window; then raises if upto reaches past that window."""
-        size = max(upto + 1 if self.trunc is None else min(upto, self.trunc) + 1, 0)
-        if any(any(row[:size]) for row in rows):
-            return True
+    def monomial_rows(self, upto: int) -> dict[tuple[int, ...], list[int]]:
+        """Coefficients of q^0..q^upto as fresh int lists, one per marker
+        monomial with a nonzero coefficient there: the inverse of from_rows."""
         self._check_window(upto)
-        return False
+        size = max(upto + 1, 0)
+        return {key: _fit(row, size) for key, row in self._rows.items()
+                if any(row[:size])}
 
     def int_coefficients(self, upto: int) -> list[int]:
-        """Coefficients of q^0..q^upto as a fresh list of plain integers
-        (marker-free coefficients only)."""
+        """Coefficients of q^0..q^upto as a fresh list of plain integers: the
+        marker-free case of :meth:`monomial_rows`."""
         zero = (0,) * len(self.markers)
-        if self._nonzero_through(upto, (row for key, row in self._rows.items()
-                                        if key != zero)):
+        rows = self.monomial_rows(upto)
+        if rows.keys() - {zero}:
             raise ValueError("series has marker terms; use coefficients()")
-        return _fit(self._rows.get(zero, []), max(upto + 1, 0))
+        return rows.get(zero) or [0] * max(upto + 1, 0)
 
     def is_zero_through(self, upto: int) -> bool:
-        return not self._nonzero_through(upto, self._rows.values())
+        size = max(upto + 1 if self.trunc is None else min(upto, self.trunc) + 1, 0)
+        if any(any(row[:size]) for row in self._rows.values()):
+            return False
+        self._check_window(upto)
+        return True
 
     # -- arithmetic --------------------------------------------------------
 

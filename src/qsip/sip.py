@@ -18,11 +18,19 @@ b(1, c_r) = weight(c_r) q^c_r, and b(n, h) = weight(h) q^h times the sum of
 b(n-1, g) over h - g in [d_r, d_r + k), r the residue of h.  class_gf cuts
 these rows at q^trunc and stops at the first empty one, since basis
 elements are closed under taking prefixes; basis_table keeps them exact.
+
+Each b(n, h) is held as {marker monomial: int list by q-exponent}, the
+single monomial () for an unmarked class, so marked and unmarked classes
+run one path.  A weight multiplies an entry as key shifts: each of its
+terms shifts the monomials by its exponents and scales the lists by its
+integer coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import add
 from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class
@@ -276,20 +284,48 @@ class BasisTable:
         return total
 
 
-def _add_at(out: list, start: int, *lists) -> list:
-    """Add each of lists into out from index start on, dropping what runs past
-    its end; returns out."""
-    for coeffs in lists:
-        for i, c in zip(range(start, len(out)), coeffs):
-            if c:
-                out[i] = out[i] + c if out[i] else c
+def _add_into(acc: dict[tuple, list[int]], start: int, entry: dict[tuple, list[int]],
+              size: int) -> None:
+    """Add each row of ``entry`` into the row of ``acc`` with its monomial (a
+    missing one starts as ``size`` zeros) from index start on, dropping what
+    runs past the end.
+
+    Basis rows are mostly leading zeros (at trunc 1000 about 86% of the
+    entries added), so each add starts at the row's first nonzero, found by
+    C-level scans."""
+    for key, row in entry.items():
+        lead = next(filter(None, row), 0)
+        if lead:
+            out = acc.setdefault(key, [0] * size)
+            first = row.index(lead)
+            begin, end = start + first, min(len(out), start + len(row))
+            out[begin:end] = map(add, out[begin:end], islice(row, first, None))
+
+
+def _weighted(entry: dict[tuple, list[int]], weight: MarkerPoly) -> dict[tuple, list[int]]:
+    """An entry {monomial: row}, its rows of one length, times ``weight``: each
+    term of the weight shifts the keys by its exponents and scales the rows by
+    its integer coefficient.  The result may hold the rows of ``entry``
+    themselves: read them, never write."""
+    out: dict[tuple, list[int]] = {}
+    for shift, c in weight.terms.items():
+        for key, row in entry.items():
+            key = tuple(map(add, key, shift))
+            if c != 1:
+                row = [c * x for x in row]
+            out[key] = list(map(add, out[key], row)) if key in out else row
     return out
 
 
-def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int) -> Iterator[dict[int, list]]:
+def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int
+                ) -> Iterator[dict[int, dict[tuple, list[int]]]]:
     """Rows n = 1, 2, ... of the recurrence in the module docstring, {h: b(n, h)}
-    for h <= h_max as lists cut at q^trunc; entries zero that far are left out."""
-    row = {cr: [0] * cr + [spec.weight(cr) if spec.weights else 1]
+    for h <= h_max, each entry {marker monomial: int list cut at q^trunc} (the
+    single monomial () for an unmarked spec); entries zero that far are left
+    out.  A weight applies as key shifts (:func:`_weighted`)."""
+    weights = [spec.weight(r) for r in range(1, spec.k + 1)]
+    zero = (0,) * len(spec.markers)
+    row = {cr: _weighted({zero: [0] * cr + [1]}, weights[spec.residue_index(cr)])
            for cr in set(spec.c) if cr <= min(h_max, trunc)}
     while row:
         yield row
@@ -297,10 +333,13 @@ def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int) -> Iterator[dict[int
         for h in range(1, h_max + 1):
             dr = spec.min_gap(h)
             window = [row[g] for g in range(h - dr - spec.k + 1, h - dr + 1) if g in row]
-            acc = _add_at([0] * min(h + max(map(len, window), default=0), trunc + 1),
-                          h, *window)
-            if any(acc):
-                nxt[h] = [spec.weight(h) * c if c else 0 for c in acc] if spec.weights else acc
+            longest = max((len(r) for entry in window for r in entry.values()), default=0)
+            size = min(h + longest, trunc + 1)
+            acc: dict[tuple, list[int]] = {}
+            for entry in window:
+                _add_into(acc, h, entry, size)
+            if any(map(any, acc.values())):
+                nxt[h] = _weighted(acc, weights[spec.residue_index(h)])
         row = nxt
 
 
@@ -310,8 +349,8 @@ def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
     if max_n < 1 or max_h < 1:
         raise ValueError(f"max_n and max_h must be at least 1, got {max_n} and {max_h}")
     rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, max_n * max_h))
-    entries = {(n, h): QSeries(coeffs, markers=spec.markers)
-               for n, row in rows for h, coeffs in row.items()}
+    entries = {(n, h): QSeries.from_rows(entry, markers=spec.markers)
+               for n, row in rows for h, entry in row.items()}
     return BasisTable(spec=spec, max_n=max_n, max_h=max_h, entries=entries)
 
 
@@ -340,13 +379,22 @@ def min_basis_total(spec: SipClassSpec, n: int) -> int:
 
 def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int) -> QSeries:
     """1 + sum over n of b(n) / (q^k; q^k)_n to ``trunc``, b(n) summing the n-th
-    of ``rows``; inside out, (b(1) + (b(2) + ...) / (1 - q^2k)) / (1 - q^k)."""
-    sums = [_add_at([0] * (trunc + 1), 0, *row.values()) for row in rows]
-    total = [0] * (trunc + 1)
+    of ``rows`` per marker monomial; inside out, (b(1) + (b(2) + ...) /
+    (1 - q^2k)) / (1 - q^k), one division pass per monomial row and level."""
+    sums = []
+    for row in rows:
+        summed: dict[tuple, list[int]] = {}
+        for entry in row.values():
+            _add_into(summed, 0, entry, trunc + 1)
+        sums.append(summed)
+    total: dict[tuple, list[int]] = {}
     for n in range(len(sums), 0, -1):
-        _add_at(total, 0, sums.pop())
-        binomial_factor(total, -1, n * spec.k, -1)
-    return QSeries([1] + total[1:], trunc=trunc, markers=spec.markers)
+        _add_into(total, 0, sums.pop(), trunc + 1)
+        for coeffs in total.values():
+            binomial_factor(coeffs, -1, n * spec.k, -1)
+    zero = (0,) * len(spec.markers)
+    total.setdefault(zero, [0] * (trunc + 1))[0] = 1
+    return QSeries.from_rows(total, trunc, spec.markers)
 
 
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
@@ -363,8 +411,7 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
         raise InsufficientTableDepth(
             f"basis elements with {table.max_n + 1} parts still reach total <= {trunc}"
         )
-    return _gf_from_rows(spec, ({h: e.coeffs if spec.markers else e.int_coefficients(trunc)
-                                 for h, e in table.row(n).items()}
+    return _gf_from_rows(spec, ({h: e.monomial_rows(trunc) for h, e in table.row(n).items()}
                                 for n in range(1, table.max_n + 1)), trunc)
 
 

@@ -42,6 +42,23 @@ def test_criterion_1_identity_suite():
            ("; " + "; ".join(failed) if failed else ""))
 
 
+def test_north_star_identity_suite_at_trunc_1000():
+    """All 12 identities verify coefficientwise at trunc 1000 within 60 s."""
+    times, failed = {}, []
+    for identity in catalog.identity_ids():
+        start = time.perf_counter()
+        result = catalog.verify(identity, 1000)
+        times[identity] = time.perf_counter() - start
+        if not result.passed:
+            failed.append(result.summary())
+    slowest = max(times, key=times.get)
+    elapsed = sum(times.values())
+    ok = not failed and len(times) == 12 and elapsed < 60.0
+    report("north star (identity suite at trunc 1000)", ok,
+           f"{len(times)} identities, {elapsed:.1f}s, slowest {slowest} "
+           f"{times[slowest]:.1f}s" + ("; " + "; ".join(failed) if failed else ""))
+
+
 def test_criterion_2_quoted_counts():
     """Named counts reproduce exactly."""
     checks = {}

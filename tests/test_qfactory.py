@@ -3,12 +3,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import (CongruenceProductSpec, DivergentProduct, PochSpec,
                            congruence_product, gaussian_binomial, poch_finite,
-                           poch_infinite, theta_sum)
-from qsip.series import QSeries
+                           poch_infinite, poch_product, theta_sum)
+from qsip.series import MarkerPoly, QSeries
 
 ONES = PochSpec(1, 1)
 
@@ -61,6 +63,70 @@ class TestPochInfinite:
     def test_divergent(self):
         with pytest.raises(DivergentProduct):
             poch_infinite(PochSpec(0, 1), 10)
+
+
+# -- the grouped marker product against a MarkerPoly reference ----------------
+#
+# The reference keeps one dense list of MarkerPoly coefficients and multiplies
+# it by each factor 1 + c*q^e, or by the inverse sum over m of (-c)^m q^(m e),
+# with MarkerPoly + and * only; it shares no code with the row kernel.
+
+def reference_product(factors, trunc, markers):
+    zero, one = MarkerPoly(markers), MarkerPoly.unit(markers)
+    gens = dict(zip(markers, MarkerPoly.gens(markers)))
+    coeffs = [one] + [zero] * trunc
+    for spec, power in factors:
+        c = (gens[spec.marker] if spec.marker else one) * -spec.sign
+        for e in range(spec.offset, trunc + 1, spec.step):
+            if power == 1:
+                terms = [(0, one), (e, c)]
+            else:
+                terms = [(m * e, (-c) ** m) for m in range(trunc // e + 1)]
+            coeffs = [sum((coeffs[n - s] * t for s, t in terms if s <= n), zero)
+                      for n in range(trunc + 1)]
+    return coeffs
+
+
+@st.composite
+def product_case(draw):
+    """Factor lists over a registry of up to three markers, w never used; the
+    registry is passed explicitly or left to default to the used markers."""
+    registry = draw(st.sampled_from([(), ("u",), ("u", "v"), ("u", "v", "w")]))
+    spec = st.builds(PochSpec, st.one_of(st.integers(1, 5), st.integers(6, 45)),
+                     st.integers(1, 4), st.sampled_from([1, -1]),
+                     st.sampled_from((None,) + registry[:2]))
+    factors = draw(st.lists(st.tuples(spec, st.sampled_from([1, -1])), max_size=4))
+    trunc = draw(st.sampled_from([0, 1, 2, 3, 40]))
+    markers = registry if draw(st.booleans()) else None
+    return factors, trunc, markers
+
+
+U3, V3 = PochSpec(1, 3, sign=-1, marker="u"), PochSpec(2, 3, sign=-1, marker="v")
+
+
+@given(product_case())
+@settings(max_examples=60, deadline=None)
+@example(([(U3, 1), (PochSpec(2, 2, marker="u"), -1)], 40, None))
+@example(([(U3, 1), (V3, -1), (ONES, -1), (PochSpec(2, 3, sign=-1), 1)], 40, None))
+@example(([(U3, -1), (PochSpec(1, 1, marker="u"), 1)], 40, ("u", "v", "w")))
+@example(([(U3, 1), (V3, 1)], 3, ("u", "v")))
+def test_grouped_product_matches_reference(case):
+    factors, trunc, markers = case
+    got = poch_product(factors, trunc, markers)
+    registry = markers if markers is not None else \
+        tuple(sorted({spec.marker for spec, _ in factors} - {None}))
+    assert got.trunc == trunc and got.markers == registry
+    expected = reference_product(factors, trunc, registry)
+    assert [got.coefficient(n) for n in range(trunc + 1)] == expected
+
+
+def test_product_rejects_bad_factors():
+    with pytest.raises(DivergentProduct):
+        poch_product([(PochSpec(0, 3, sign=-1, marker="u"), 1)], 10)
+    with pytest.raises(ValueError):
+        poch_product([(PochSpec(1, 3, marker="w"), 1)], 10, markers=("u", "v"))
+    with pytest.raises(ValueError):
+        poch_product([(PochSpec(1, 3, marker="u"), 2)], 10)
 
 
 class TestGaussianBinomial:

@@ -9,6 +9,7 @@ from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import gaussian_binomial
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
                          TruncationExceeded, binomial_factor)
+from qsip.sip import SCHUR_REFINED, basis_table
 
 UV = ("u", "v")
 U, V = MarkerPoly.gens(UV)
@@ -439,9 +440,20 @@ def test_handed_out_lists_are_copies():
     row[0] = 7
     assert gaussian_binomial(6, 2) is g
     assert [str(c) for c in g.coeffs] == before
+    for trunc in (3, None):
+        given_rows = {(1, 0): [0, 2, 0], (0, 0): [1]}
+        m = QSeries.from_rows(given_rows, trunc=trunc, markers=UV)
+        assert given_rows[(1, 0)] == [0, 2, 0]
+        given_rows[(1, 0)][1] = 5
+        rows = m.monomial_rows(3)
+        assert rows == {(0, 0): [1, 0, 0, 0], (1, 0): [0, 2, 0, 0]}
+        rows[(1, 0)][1] = 9
+        assert m == QSeries([1, 2 * U], trunc=trunc, markers=UV)
 
 
-def test_marker_free_arithmetic_builds_no_marker_poly(monkeypatch):
+@pytest.fixture
+def marker_polys_built(monkeypatch):
+    """The argument tuples of every MarkerPoly constructed from here on."""
     created = []
     init = MarkerPoly.__init__
 
@@ -450,10 +462,21 @@ def test_marker_free_arithmetic_builds_no_marker_poly(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MarkerPoly, "__init__", counted)
+    return created
+
+
+def test_marker_free_arithmetic_builds_no_marker_poly(marker_polys_built):
     assert catalog.verify("rogers-ramanujan", 200).passed
     a = QSeries([1, -1, 2, 0, 5], trunc=30)
     b = QSeries(range(1, 12))
     results = [a * b, a.inverse(), a + b, a - b, 3 * b, b.inverse(20) * b]
     assert results[-1] == QSeries.one(20)
     assert a.first_mismatch(b) == 1 and a != b
-    assert created == []
+    assert marker_polys_built == []
+
+
+def test_marked_builders_build_no_marker_poly(marker_polys_built):
+    assert catalog.verify("schur-refined", 200).passed
+    table = basis_table(SCHUR_REFINED, 8, 80)
+    assert marker_polys_built == []
+    assert table.entry(1, 3) == QSeries.monomial(3, U * V, markers=UV)

@@ -3,7 +3,8 @@
 import pytest
 
 from qsip import catalog
-from qsip.partitions import counting_series, enumerate_partitions, in_sip_class
+from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions,
+                             in_sip_class)
 from qsip.qfactory import PochSpec, poch_finite, poch_infinite
 from qsip.series import MarkerPoly, QSeries
 from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
@@ -15,13 +16,19 @@ from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
 
 ALL_SPECS = (NATURAL, DISTINCT, ROGERS_RAMANUJAN, GOLLNITZ_GORDON, SCHUR,
              GLASGOW)
+# Schur's gaps with weights that are not all monomials: a sum of two terms,
+# a coefficient other than 1 and a square.
+_U, _V = MarkerPoly.gens(("u", "v"))
+MIXED_WEIGHTS = SipClassSpec(3, (1, 2, 3), (3, 3, 4), markers=("u", "v"),
+                             weights=(_U + _V, 2 * _V, _U * _U))
 SPEC_NAMES = {id(spec): name for name, spec in SPEC_REGISTRY.items()}
 # The unweighted specs at trunc 30 take the k/c ids the other tests here use.
 MEMBER_COUNT_CASES = (
     [pytest.param(spec, 30, id=f"k{spec.k}c{spec.c}") for spec in ALL_SPECS]
     + [pytest.param(spec, t, id=f"{SPEC_NAMES[id(spec)]}-t{t}")
        for spec in ALL_SPECS + (SCHUR_REFINED,) for t in (0, 1, 2, 3)]
-    + [pytest.param(SCHUR_REFINED, 30, id="schur-refined-t30")])
+    + [pytest.param(SCHUR_REFINED, 30, id="schur-refined-t30")]
+    + [pytest.param(MIXED_WEIGHTS, t, id=f"mixed-weights-t{t}") for t in (0, 1, 2, 3, 30)])
 
 
 class TestBasisEnumeration:
@@ -113,7 +120,6 @@ class TestVerifySip:
         assert report.collisions == [] and report.omissions == []
 
     def test_rejects_bad_spec_before_verification(self):
-        from qsip.partitions import SipClassSpec
         with pytest.raises(ValueError):
             SipClassSpec(3, (1, 2, 4), (1, 1, 1))
 
@@ -138,7 +144,8 @@ class TestBasisTable:
             for m in range(1, 21):
                 assert tbl.entry(n, 2 * m) == QSeries.monomial(1) * tbl.entry(n, 2 * m - 1)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS + (SCHUR_REFINED,),
+    @pytest.mark.parametrize("spec", ALL_SPECS + (SCHUR_REFINED,)
+                             + (pytest.param(MIXED_WEIGHTS, id="mixed-weights"),),
                              ids=lambda s: f"k{s.k}c{s.c}w{bool(s.weights)}")
     def test_matches_enumeration(self, spec):
         h_max = 30
