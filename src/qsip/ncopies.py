@@ -155,7 +155,7 @@ class ExactDiffTable:
     entries: dict[tuple[int, int, int], QSeries]
 
     def entry(self, n: int, m: int, j: int) -> QSeries:
-        return self.entries.get((n, m, j), QSeries.zero())
+        return self.entries.get((n, m, j)) or QSeries.zero()
 
     def level_gf(self, n: int) -> QSeries:
         """Sum over (m, j) of g(n, m, j): all n-part chains."""

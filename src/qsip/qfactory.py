@@ -3,14 +3,14 @@
 Finite and infinite q-Pochhammer products, Gaussian (q-binomial)
 polynomials, congruence-restricted partition products, q-hypergeometric
 sums and two-sided theta sums.  Everything is exact integer arithmetic on
-:class:`~qsip.series.QSeries` values.  Products and sums are loops of one
-kernel, :func:`~qsip.series.binomial_factor`, which multiplies or divides a
-coefficient list by a single factor 1 + c*q^e in O(trunc); a factor with a
-marker x steps a stack of such lists, one per power of x, instead.
-Infinite products are cut at the first factor whose minimal exponent
-exceeds the requested truncation, which cannot affect any retained
-coefficient.
-"""
+:class:`~qsip.series.QSeries` values.  Every product, Gaussian binomials
+included, and every sum is a loop of two factor kernels:
+:func:`~qsip.series.binomial_factor` multiplies or divides one int list by
+a single factor 1 + c*q^e in O(trunc), and :func:`_marked_factor` does the
+same for a factor 1 + c*x*q^e on a stack of such lists, one per power of
+the marker x.  Infinite products are cut at the first factor whose minimal
+exponent exceeds the requested truncation, which cannot affect any
+retained coefficient."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Callable, Iterable, Iterator
 
-from .series import MarkerPoly, QSeries, binomial_factor
+from .series import QSeries, binomial_factor
 
 
 class DivergentProduct(Exception):
@@ -51,43 +51,15 @@ class PochSpec:
     def factor_exponent(self, j: int) -> int:
         return self.offset + j * self.step
 
-    def _registry(self, markers: Iterable[str] | None) -> tuple[str, ...]:
-        if markers is not None:
-            reg = tuple(markers)
-            if self.marker is not None and self.marker not in reg:
-                raise ValueError(f"marker {self.marker!r} not in registry {reg}")
-            return reg
-        return (self.marker,) if self.marker is not None else ()
-
-    def coeff(self, markers: Iterable[str] | None = None):
-        """The c of every factor 1 + c*q^e: -sign, times the marker if any."""
-        if self.marker is None:
-            return -self.sign
-        reg = self._registry(markers)
-        return MarkerPoly.gens(reg)[reg.index(self.marker)] * -self.sign
-
-    def apply(self, coeffs: list, count: int, power: int = 1,
-              markers: Iterable[str] | None = None) -> list:
-        """Multiply (power 1) or divide (power -1) a coefficient list in place
-        by the first ``count`` factors, one kernel call each; returns it."""
-        c = self.coeff(markers)
+    def apply(self, coeffs: list, count: int, power: int = 1) -> list:
+        """Multiply (power 1) or divide (power -1) an int coefficient list in
+        place by the first ``count`` factors, one kernel call each; returns it.
+        A marked spec raises ValueError: a plain list has no marker to carry."""
+        if self.marker is not None:
+            raise ValueError(f"marker {self.marker!r} on a plain coefficient list")
         for j in range(count):
-            binomial_factor(coeffs, c, self.factor_exponent(j), power)
+            binomial_factor(coeffs, -self.sign, self.factor_exponent(j), power)
         return coeffs
-
-
-def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,
-                markers: Iterable[str] | None = None) -> QSeries:
-    """The n-factor Pochhammer product for ``spec``; n = 0 is the empty product.
-
-    Without ``trunc`` the result is an exact polynomial.
-    """
-    if n < 0:
-        raise ValueError("factor count must be non-negative")
-    reg = spec._registry(markers)
-    degree = n * spec.offset + spec.step * (n * (n - 1) // 2)
-    coeffs = [1] + [0] * (max(degree, 0) if trunc is None else trunc)
-    return QSeries(spec.apply(coeffs, n, 1, reg), trunc=trunc, markers=reg)
 
 
 def _marked_factor(rows: list[list[int]], c: int, e: int, power: int) -> None:
@@ -114,44 +86,33 @@ def _marked_factor(rows: list[list[int]], c: int, e: int, power: int) -> None:
         rows[-1][e:] = map(step, rows[-1][e:], rows[-2])
 
 
-def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
-                 markers: Iterable[str] | None = None) -> QSeries:
-    """Product of infinite Pochhammers (spec; .)^power over (spec, power) pairs.
+def _product(factors: Iterable[tuple[PochSpec, int | None, int]], size: int,
+             trunc: int | None, markers: tuple[str, ...]) -> QSeries:
+    """Product over (spec, count, power) triples of the first ``count``
+    factors of spec (all of them for None) to the power 1 or -1.
 
-    ``power`` is 1 or -1.  Exact to ``trunc``: factors whose q-exponent
-    exceeds ``trunc`` are dropped (they cannot change any retained
-    coefficient, since each contributes only exponents >= its own).  Every
-    factor needs q-exponent at least 1.  The marker registry defaults to the
-    sorted markers of the specs.
-
-    Unmarked factors run the sparse kernel on one int list.  Marked factors
-    are grouped by marker, each group a stack of int rows indexed by that
-    marker's degree (see :func:`_marked_factor`); the groups and the
-    unmarked list then combine by series multiplication, row pair by row
-    pair.
+    Every list holds ``size`` coefficients; the result is cut at ``trunc``,
+    or is an exact polynomial for None, which the lists must then hold
+    whole.  Factors at q-exponents past the lists cannot change them and
+    are skipped.  Unmarked factors run the sparse kernel on one int list.
+    Marked factors are grouped by marker, each group a stack of int rows
+    indexed by that marker's degree (see :func:`_marked_factor`); the groups
+    and the unmarked list then combine by series multiplication, row pair by
+    row pair.
     """
-    factors = list(factors)
-    if markers is None:
-        markers = sorted({spec.marker for spec, _ in factors} - {None})
-    markers = tuple(markers)
-    plain = [1] + [0] * trunc
+    plain = [1] + [0] * (size - 1)
     groups: dict[str, list[list[int]]] = {}
-    for spec, power in factors:
-        if spec.offset <= 0:
-            raise DivergentProduct(
-                f"factor q-exponent {spec.offset} <= 0 in an infinite product"
-            )
-        if power not in (1, -1):
-            raise ValueError(f"power must be 1 or -1, got {power}")
-        count = max((trunc - spec.offset) // spec.step + 1, 0)
+    for spec, count, power in factors:
+        exponents = range(spec.offset, size, spec.step)[:count]
         if spec.marker is None:
-            spec.apply(plain, count, power)
+            for e in exponents:
+                binomial_factor(plain, -spec.sign, e, power)
             continue
         if spec.marker not in markers:
             raise ValueError(f"marker {spec.marker!r} not in registry {markers}")
-        rows = groups.setdefault(spec.marker, [[1] + [0] * trunc])
-        for j in range(count):
-            _marked_factor(rows, -spec.sign, spec.factor_exponent(j), power)
+        rows = groups.setdefault(spec.marker, [[1] + [0] * (size - 1)])
+        for e in exponents:
+            _marked_factor(rows, -spec.sign, e, power)
     zero = (0,) * len(markers)
     out = QSeries.from_rows({zero: plain}, trunc, markers)
     for marker, rows in groups.items():
@@ -161,39 +122,73 @@ def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
     return out
 
 
+def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,
+                markers: Iterable[str] | None = None) -> QSeries:
+    """The n-factor Pochhammer product for ``spec``; n = 0 is the empty product.
+
+    Without ``trunc`` the result is an exact polynomial.  The marker
+    registry defaults to the spec's marker, if any.
+    """
+    if n < 0:
+        raise ValueError("factor count must be non-negative")
+    if n and spec.offset < 0:
+        raise ValueError(f"factor q-exponent {spec.offset} < 0")
+    if markers is None:
+        markers = () if spec.marker is None else (spec.marker,)
+    degree = n * spec.offset + spec.step * (n * (n - 1) // 2)
+    size = degree + 1 if trunc is None else trunc + 1
+    return _product([(spec, n, 1)], size, trunc, tuple(markers))
+
+
+def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
+                 markers: Iterable[str] | None = None) -> QSeries:
+    """Product of infinite Pochhammers (spec; .)^power over (spec, power) pairs.
+
+    ``power`` is 1 or -1.  Exact to ``trunc``: factors whose q-exponent
+    exceeds ``trunc`` are dropped (they cannot change any retained
+    coefficient, since each contributes only exponents >= its own).  Every
+    factor needs q-exponent at least 1.  The marker registry defaults to the
+    sorted markers of the specs.
+    """
+    factors = list(factors)
+    for spec, power in factors:
+        if spec.offset <= 0:
+            raise DivergentProduct(
+                f"factor q-exponent {spec.offset} <= 0 in an infinite product"
+            )
+        if power not in (1, -1):
+            raise ValueError(f"power must be 1 or -1, got {power}")
+    if markers is None:
+        markers = sorted({spec.marker for spec, _ in factors} - {None})
+    return _product([(spec, None, power) for spec, power in factors],
+                    trunc + 1, trunc, tuple(markers))
+
+
 def poch_infinite(spec: PochSpec, trunc: int, markers: Iterable[str] | None = None) -> QSeries:
     """The infinite Pochhammer product, exact to ``trunc``."""
     return poch_product([(spec, 1)], trunc, markers)
 
 
-_FILL_STRIDE = 64
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
     """Gaussian binomial [a, b] in base q^base as an exact polynomial.
 
-    Zero-extended: the result is 0 whenever b < 0 or b > a.  Computed
-    division-free by the Pascal recurrence
-    [a, b] = [a-1, b-1] + q^(base*b) * [a-1, b].
+    Zero-extended: the result is 0 whenever b < 0 or b > a.  With
+    b = min(b, a - b) it is the finite q-binomial product over i < b of
+    (1 - q^(base*(a-i))) / (1 - q^(base*(i+1))), run as two kernel calls per
+    i on one int list cut at the degree base*b*(a-b).  The quotient is that
+    polynomial, so the cut loses nothing.
     """
     if base < 1:
         raise ValueError("base step must be a positive integer")
     if b < 0 or b > a:
         return QSeries.zero()
-    if b in (0, a):
-        return QSeries.one()
-    # Fill the Pascal entries one stride below first, bottom-up through this
-    # cache: the recursion then stays about a / _FILL_STRIDE + 2 * _FILL_STRIDE
-    # calls deep instead of a.
-    if a - _FILL_STRIDE >= b:
-        gaussian_binomial(a - _FILL_STRIDE, b, base)
-    if b >= _FILL_STRIDE:
-        gaussian_binomial(a - _FILL_STRIDE, b - _FILL_STRIDE, base)
-    lower = gaussian_binomial(a - 1, b - 1, base)
-    upper = gaussian_binomial(a - 1, b, base)
-    # [a-1, b] has degree base * b * (a - 1 - b).
-    return lower + QSeries([0] * (base * b) + upper.int_coefficients(base * b * (a - 1 - b)))
+    b = min(b, a - b)
+    coeffs = [1] + [0] * (base * b * (a - b))
+    for i in range(b):
+        binomial_factor(coeffs, -1, base * (a - i))
+        binomial_factor(coeffs, -1, base * (i + 1), -1)
+    return QSeries(coeffs)
 
 
 @dataclass(frozen=True)
@@ -247,9 +242,12 @@ def series_terms(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[P
         term(n) = term(n-1) * q^(Q(n) - Q(n-1)) * (num factors n-1) / (den factors n-1)
 
     ``extra(n, coeffs)`` is the hook for an extra piece of a summand: given
-    a copy of a non-empty summand, it returns the summand to use.
+    a copy of a non-empty summand, it returns the summand to use.  Summands
+    are marker-free: a marked spec raises ValueError.
     """
     num, den = tuple(num), tuple(den)
+    if any(spec.marker is not None for spec in num + den):
+        raise ValueError("q-hypergeometric sums are marker-free")
     a, b = quad
     if a < 0 or a + b < 0 or (a + b) % 2:
         raise ValueError(f"Q(n) = ({a}n^2 + {b}n)/2 must be integral and non-decreasing")
@@ -260,9 +258,9 @@ def series_terms(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[P
         del term[max(trunc - exp + 1, 0):]
         if n:
             for spec in num:
-                binomial_factor(term, spec.coeff(), spec.factor_exponent(n - 1))
+                binomial_factor(term, -spec.sign, spec.factor_exponent(n - 1))
             for spec in den:
-                binomial_factor(term, spec.coeff(), spec.factor_exponent(n - 1), -1)
+                binomial_factor(term, -spec.sign, spec.factor_exponent(n - 1), -1)
         yield exp, extra(n, term[:]) if extra is not None and term else term
         n += 1
 

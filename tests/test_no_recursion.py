@@ -2,17 +2,15 @@
 
 Every enumerator is a successor rule over the explicit-stack walk
 ``partitions.grow``, so the part count of an enumerated object is not
-bounded by the interpreter's recursion limit.  The single exception is
-``gaussian_binomial``: it fills the Pascal entries one stride (64) below
-bottom-up through its own cache before recursing, which bounds its depth
-at about a/64 + 128.
+bounded by the interpreter's recursion limit, and Gaussian binomials are
+finite q-binomial products run by the factor kernels.  No function is
+exempt.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qsip"
-ALLOWED = {"gaussian_binomial"}
 
 
 def called_name(call: ast.Call) -> str | None:
@@ -50,7 +48,6 @@ def test_detector_flags_each_form():
 
 
 def test_sources_have_no_self_calls():
-    found = {path.name: [name for name in self_callers(
-                 ast.parse(path.read_text(), str(path))) if name not in ALLOWED]
+    found = {path.name: self_callers(ast.parse(path.read_text(), str(path)))
              for path in sorted(SRC.glob("*.py"))}
     assert found and {name: fns for name, fns in found.items() if fns} == {}

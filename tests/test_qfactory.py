@@ -1,5 +1,6 @@
 """q-object constructors against independent expansions and enumerations."""
 
+import itertools
 import math
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import (CongruenceProductSpec, DivergentProduct, PochSpec,
                            congruence_product, gaussian_binomial, poch_finite,
-                           poch_infinite, poch_product, theta_sum)
+                           poch_infinite, poch_product, series_sum, theta_sum)
 from qsip.series import MarkerPoly, QSeries
 
 ONES = PochSpec(1, 1)
@@ -71,13 +72,14 @@ class TestPochInfinite:
 # it by each factor 1 + c*q^e, or by the inverse sum over m of (-c)^m q^(m e),
 # with MarkerPoly + and * only; it shares no code with the row kernel.
 
-def reference_product(factors, trunc, markers):
+def reference_product(factors, trunc, markers, count=None):
+    """The first ``count`` factors of each spec (all for None) through q^trunc."""
     zero, one = MarkerPoly(markers), MarkerPoly.unit(markers)
     gens = dict(zip(markers, MarkerPoly.gens(markers)))
     coeffs = [one] + [zero] * trunc
     for spec, power in factors:
         c = (gens[spec.marker] if spec.marker else one) * -spec.sign
-        for e in range(spec.offset, trunc + 1, spec.step):
+        for e in range(spec.offset, trunc + 1, spec.step)[:count]:
             if power == 1:
                 terms = [(0, one), (e, c)]
             else:
@@ -120,6 +122,32 @@ def test_grouped_product_matches_reference(case):
     assert [got.coefficient(n) for n in range(trunc + 1)] == expected
 
 
+@pytest.mark.parametrize("trunc", [None, 0, 3, 12])
+@pytest.mark.parametrize("markers", [None, ("u", "v"), ("u", "v", "w")])
+def test_marked_finite_product_matches_reference(trunc, markers):
+    # offsets 5 and 9 put factor exponents past the cuts 0, 3 and 12
+    for n, offset, step, sign, marker in itertools.product(
+            range(7), (0, 1, 5, 9), (1, 3), (1, -1), ("u", "v")):
+        spec = PochSpec(offset, step, sign, marker)
+        got = poch_finite(spec, n, trunc, markers)
+        registry = markers or (marker,)
+        degree = n * offset + step * n * (n - 1) // 2
+        cut = degree if trunc is None else trunc
+        assert got.trunc == trunc and got.markers == registry
+        expected = reference_product([(spec, 1)], cut, registry, count=n)
+        assert [got.coefficient(k) for k in range(cut + 1)] == expected
+
+
+def test_sums_and_plain_lists_reject_markers():
+    marked = PochSpec(1, 1, marker="u")
+    with pytest.raises(ValueError):
+        series_sum((2, 0), [marked], [], 10)
+    with pytest.raises(ValueError):
+        series_sum((2, 0), [], [ONES, marked], 10)
+    with pytest.raises(ValueError):
+        marked.apply([1, 0, 0], 2)
+
+
 def test_product_rejects_bad_factors():
     with pytest.raises(DivergentProduct):
         poch_product([(PochSpec(0, 3, sign=-1, marker="u"), 1)], 10)
@@ -127,6 +155,19 @@ def test_product_rejects_bad_factors():
         poch_product([(PochSpec(1, 3, marker="w"), 1)], 10, markers=("u", "v"))
     with pytest.raises(ValueError):
         poch_product([(PochSpec(1, 3, marker="u"), 2)], 10)
+
+
+def pascal_table(a_max, base):
+    """[a, b] in base q^base for 0 <= b <= a <= a_max as plain int lists,
+    bottom-up by [a, b] = [a-1, b-1] + q^(base*b) [a-1, b]; it shares no
+    code with the factor kernels."""
+    table = {(0, 0): [1]}
+    for a in range(1, a_max + 1):
+        for b in range(a + 1):
+            upper = [0] * (base * b) + table.get((a - 1, b), [])
+            table[a, b] = [x + y for x, y in itertools.zip_longest(
+                table.get((a - 1, b - 1), []), upper, fillvalue=0)]
+    return table
 
 
 class TestGaussianBinomial:
@@ -158,10 +199,22 @@ class TestGaussianBinomial:
 
     @pytest.mark.parametrize("b", [1, 3, 1099])
     def test_deep_row_at_one(self, b):
-        # the column and the diagonal recursion both run deeper than the
-        # interpreter's recursion limit without the bottom-up fill
+        # a row longer than the interpreter's recursion limit; b = 1099 runs
+        # as its mirror b = 1
         total = sum(c.constant_value() for c in gaussian_binomial(1100, b).coeffs)
         assert total == math.comb(1100, b)
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_row_far_past_the_recursion_limit(self, b):
+        total = sum(gaussian_binomial(70000, b).int_coefficients(b * (70000 - b)))
+        assert total == math.comb(70000, b)
+
+    @pytest.mark.parametrize("base", [1, 2, 3, 4])
+    def test_matches_pascal_table(self, base):
+        table = pascal_table(24, base)
+        for a in range(25):
+            for b in range(-1, a + 2):
+                assert gaussian_binomial(a, b, base) == QSeries(table.get((a, b), []))
 
     def test_counts_at_one(self):
         # evaluating at q = 1 recovers the ordinary binomial coefficient
