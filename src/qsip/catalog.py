@@ -37,6 +37,12 @@ The n-copies sums (difference at least r) are sum q^(n^2 + r n(n-1)/2) /
 ((q;q^2)_n (q;q)_n), and slater-86 is sum q^(2n^2)/(q;q)_(2n) with
 (q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.
 
+Every oracle enumerates its objects.  The slater-6-corrected oracle walks
+the n-copies partitions with non-negative weighted differences and counts
+each with weight 2^s, s its number of overline carriers
+(:func:`~qsip.ncopies.overline_carriers`): that is how many overlined
+versions :func:`~qsip.ncopies.enumerate_ncopies_over` lists one by one.
+
 The slater-81 product is stored in its corrected form: parts not congruent
 to 0 or +-6 mod 14, with parts congruent to +-3 mod 14 in two colors.  The
 transcriptions of this identity in circulation drop the +-1 and +-5
@@ -110,7 +116,7 @@ def _mod7_extra(n: int, coeffs: list) -> list:
 
 def _partition_oracle(predicate) -> Callable[[int], QSeries]:
     return lambda total: counting_series(
-        enumerate_partitions(total, predicate), total)
+        enumerate_partitions(total, predicate), total, size=sum)
 
 
 def _distinct(parts) -> bool:
@@ -140,7 +146,9 @@ def _ncopies_oracle(r: int) -> Callable[[int], QSeries]:
 
 
 def _overlined_ncopies_oracle(total: int) -> QSeries:
-    return counting_series(nc.enumerate_ncopies_over(total), total)
+    return counting_series(nc.enumerate_ncopies(total, min_diff=0), total,
+                           size=nc.copy_total,
+                           weight=lambda parts: 1 << len(nc.overline_carriers(parts)))
 
 
 def _even_subscript_oracle(total: int) -> QSeries:

@@ -51,7 +51,7 @@ def weighted_difference(upper: CopyPart, lower: CopyPart) -> int:
 
 
 def copy_total(parts: tuple[CopyPart, ...]) -> int:
-    return sum(p.value for p in parts)
+    return sum([p.value for p in parts])
 
 
 def enumerate_ncopies(total_max: int, min_diff: int | None = None,
@@ -88,6 +88,8 @@ def enumerate_ncopies(total_max: int, min_diff: int | None = None,
 def enumerate_base(total_max: int, r: int) -> Iterator[tuple[CopyPart, ...]]:
     """Chains with diagonal smallest part and successive weighted difference
     exactly r, over all totals 0..total_max."""
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
 
@@ -319,12 +321,17 @@ def enumerate_ncopies_over(total_max: int) -> Iterator[OverCopyPartition]:
     any run count as their own run, so they may always be overlined.
     """
     for parts in enumerate_ncopies(total_max, min_diff=0):
-        carriers = [
-            p for idx, p in enumerate(parts)
-            if idx == 0 or weighted_difference(p, parts[idx - 1]) > 0
-        ]
-        for marked in powerset(carriers):
+        for marked in powerset(overline_carriers(parts)):
             yield OverCopyPartition(parts, frozenset(marked))
+
+
+def overline_carriers(parts: tuple[CopyPart, ...]) -> tuple[CopyPart, ...]:
+    """The parts that may carry an overline under the chain-minimum rule of
+    :func:`enumerate_ncopies_over`: the first part, and each part whose
+    weighted difference over its predecessor is positive.  A partition with
+    s carriers has 2^s overlined versions."""
+    return parts[:1] + tuple(p for lower, p in zip(parts, parts[1:])
+                             if weighted_difference(p, lower) > 0)
 
 
 def enumerate_all_copy_overpartitions(total_max: int) -> Iterator[OverCopyPartition]:
@@ -337,6 +344,9 @@ def enumerate_all_copy_overpartitions(total_max: int) -> Iterator[OverCopyPartit
 def enumerate_even_subscript(total_max: int) -> Iterator[tuple[CopyPart, ...]]:
     """n-copies partitions with even subscripts, non-negative successive
     weighted differences, and no adjacent odd-value pair at difference zero."""
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+
     def successors(last, remaining):
         # ((v_s - last)) >= 0  <=>  s <= v - reach; with even subscripts a
         # difference of zero makes v and last.value share their parity

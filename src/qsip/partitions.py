@@ -10,6 +10,7 @@ they exist to cross-check the generating-function machinery.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
@@ -26,18 +27,22 @@ def grow(state, successors: Callable) -> Iterator[tuple]:
     steps after a prefix ending in ``last`` (None for the empty prefix)
     that was reached in ``state``.  The walk is pre-order: each prefix comes
     before its extensions, and extensions follow the order of the steps.
+    It keeps two parallel stacks, the prefixes on the current path and
+    their step iterators, so a node costs one tuple and no stack entry pair.
     """
     yield ()
-    stack = [((), iter(successors(None, state)))]
+    prefixes = [()]
+    stack = [iter(successors(None, state))]
     while stack:
-        prefix, steps = stack[-1]
-        for part, reached in steps:
-            prefix += (part,)
+        for part, reached in stack[-1]:
+            prefix = prefixes[-1] + (part,)
             yield prefix
-            stack.append((prefix, iter(successors(part, reached))))
+            prefixes.append(prefix)
+            stack.append(iter(successors(part, reached)))
             break
         else:
             stack.pop()
+            prefixes.pop()
 
 
 def enumerate_partitions(total_max: int,
@@ -135,11 +140,11 @@ class SipClassSpec:
 
 def in_sip_class(parts: Partition, spec: SipClassSpec) -> bool:
     """True iff every part meets its residue threshold and gap condition."""
+    k, c, d = spec.k, spec.c, spec.d
     prev = None
     for p in parts:
-        if p < spec.min_value(p):
-            return False
-        if prev is not None and p - prev < spec.min_gap(p):
+        i = (p - 1) % k
+        if p < c[i] or prev is not None and p - prev < d[i]:
             return False
         prev = p
     return True
@@ -208,16 +213,21 @@ def counting_series(stream: Iterable, trunc: int,
                     markers: tuple[str, ...] = ()) -> QSeries:
     """Accumulate a stream of combinatorial objects into sum(count(n) q^n).
 
-    ``size`` maps an object to its total (defaults to .total or tuple sum);
-    ``weight`` optionally maps an object to a MarkerPoly, turning the count
-    into a marker-refined generating function.  Plain counts stay ints.
+    ``size`` maps an object to its total (defaults to .total or tuple sum).
+    ``weight`` optionally maps an object to what it counts for: an int
+    (several objects counted at once) or a MarkerPoly, turning the count
+    into a marker-refined generating function.  Without a weight each
+    object counts once, tallied at C level.
     """
     size = size or _default_size
+    if weight is None:
+        counts = Counter(map(size, stream))
+        return QSeries([counts[n] for n in range(trunc + 1)], trunc=trunc, markers=markers)
     coeffs = [0] * (trunc + 1)
     for obj in stream:
         n = size(obj)
         if n <= trunc:
-            coeffs[n] += 1 if weight is None else weight(obj)
+            coeffs[n] += weight(obj)
     return QSeries(coeffs, trunc=trunc, markers=markers)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class
@@ -71,13 +71,9 @@ SPEC_REGISTRY: dict[str, SipClassSpec] = {
 
 def basis_successors(spec: SipClassSpec, value: int) -> list[int]:
     """The k possible next basis parts above ``value``, one per residue."""
-    out = []
-    for i in range(spec.k):
-        r = i + 1
-        lo = value + spec.d[i]
-        nxt = lo + ((r - lo) % spec.k)
-        out.append(nxt)
-    return sorted(out)
+    k = spec.k
+    return sorted(lo + (r - lo) % k
+                  for r, lo in enumerate((value + dr for dr in spec.d), 1))
 
 
 def is_basis_element(parts: Partition, spec: SipClassSpec) -> bool:
@@ -116,13 +112,17 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
     least its residue threshold) is cross-checked against the unpruned
     filter of enumerate_partitions in the test suite.
     """
-    least_gap = min(spec.d)
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+    k, c, d = spec.k, spec.c, spec.d
+    least_gap = min(d)
 
     def successors(last, remaining):
-        low = 1 if last is None else last + least_gap
-        return ((p, remaining - p) for p in range(low, remaining + 1)
-                if p >= spec.min_value(p)
-                and (last is None or p - last >= spec.min_gap(p)))
+        if last is None:
+            return ((p, remaining - p) for p in range(1, remaining + 1)
+                    if p >= c[(p - 1) % k])
+        return ((p, remaining - p) for p in range(last + least_gap, remaining + 1)
+                if p >= c[(p - 1) % k] and p - last >= d[(p - 1) % k])
 
     return grow(total_max, successors)
 
@@ -148,6 +148,23 @@ class SipDecomposition:
             raise ValueError("padding must be non-decreasing")
 
 
+def _split(parts: Partition, spec: SipClassSpec) -> tuple[Partition, tuple[int, ...]]:
+    """The (basis, padding) tuples of a class member, built left to right as
+    :func:`decompose` describes; raises NotInClass for a non-member."""
+    if not in_sip_class(parts, spec):
+        raise NotInClass(f"{parts} is not in the class {spec.c}/{spec.d} mod {spec.k}")
+    if not parts:
+        return (), ()
+    k, c, d = spec.k, spec.c, spec.d
+    b = c[(parts[0] - 1) % k]
+    basis = [b]
+    for p in islice(parts, 1, None):
+        lo = b + d[(p - 1) % k]
+        b = lo + (p - lo) % k
+        basis.append(b)
+    return tuple(basis), tuple(map(sub, parts, basis))
+
+
 def decompose(parts: Partition, spec: SipClassSpec) -> SipDecomposition:
     """Split a class member into its unique basis element and padding.
 
@@ -155,23 +172,25 @@ def decompose(parts: Partition, spec: SipClassSpec) -> SipDecomposition:
     part's residue; each later basis part is the unique value congruent to
     the member part in the window [prev + d_r, prev + d_r + k).
     """
-    if not in_sip_class(parts, spec):
-        raise NotInClass(f"{parts} is not in the class {spec.c}/{spec.d} mod {spec.k}")
-    basis: list[int] = []
-    for i, p in enumerate(parts):
-        if i == 0:
-            b = spec.min_value(p)
-        else:
-            lo = basis[-1] + spec.min_gap(p)
-            b = lo + ((p - lo) % spec.k)
-        basis.append(b)
-    padding = tuple(p - b for p, b in zip(parts, basis))
-    return SipDecomposition(tuple(basis), padding)
+    return SipDecomposition(*_split(parts, spec))
 
 
 def recompose(decomp: SipDecomposition) -> Partition:
     """Add padding to basis partwise; always lands back in the class."""
     return tuple(b + p for b, p in zip(decomp.basis, decomp.padding))
+
+
+def _bases(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
+    """Every basis element of total 1..total_max, each once, from one walk
+    whose successors are cut at the remaining total: parts are positive and
+    basis elements are closed under taking prefixes."""
+    firsts = sorted(set(spec.c))
+
+    def successors(last, remaining):
+        nexts = firsts if last is None else basis_successors(spec, last)
+        return ((p, remaining - p) for p in nexts if p <= remaining)
+
+    return islice(grow(total_max, successors), 1, None)
 
 
 def _paddings(n: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -215,44 +234,42 @@ class SipVerifyReport:
 def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
     """Exhaustively confirm unique decomposition for all members <= total_max.
 
-    Walks the full basis x padding lattice, recomposes every pair, and
-    reports collisions (two decompositions of one partition), omissions
-    (members never produced), escapes from the class, and any disagreement
-    with the constructive decompose().
+    One walk over the basis elements of total <= total_max (:func:`_bases`)
+    recomposes each with every padding that fits, and the report lists
+    collisions (two decompositions of one partition), omissions (members
+    never produced), escapes from the class, and any disagreement with the
+    constructive split of :func:`decompose`.  Pairs are kept as
+    (basis, padding) tuples; SipDecomposition objects are built only for
+    report entries.
     """
-    report = SipVerifyReport(spec=spec, total_max=total_max)
-    members = {p for p in enumerate_class(spec, total_max)}
-    report.class_count = len(members)
+    members = set(enumerate_class(spec, total_max))
+    report = SipVerifyReport(spec=spec, total_max=total_max, class_count=len(members))
 
-    seen: dict[Partition, SipDecomposition] = {}
-    n = 1
-    while min_basis_total(spec, n) <= total_max:
-        for basis in enumerate_basis(spec, n, total_max):
-            btot = sum(basis)
-            if btot > total_max:
-                continue
-            for pad in _paddings(n, spec.k, total_max - btot):
-                decomp = SipDecomposition(basis, pad)
-                parts = recompose(decomp)
-                report.recomposed_count += 1
-                if parts not in members:
-                    report.not_in_class.append((decomp, parts))
-                    continue
-                if parts in seen:
-                    report.collisions.append((seen[parts], decomp, parts))
-                else:
-                    seen[parts] = decomp
-        n += 1
+    seen: dict[Partition, tuple[Partition, tuple[int, ...]]] = {}
+    recomposed = 0
+    for basis in _bases(spec, total_max):
+        for pad in _paddings(len(basis), spec.k, total_max - sum(basis)):
+            parts = tuple(map(add, basis, pad))
+            recomposed += 1
+            if parts not in members:
+                report.not_in_class.append((SipDecomposition(basis, pad), parts))
+            elif parts in seen:
+                report.collisions.append((SipDecomposition(*seen[parts]),
+                                          SipDecomposition(basis, pad), parts))
+            else:
+                seen[parts] = basis, pad
+    report.recomposed_count = recomposed
 
     for parts in members:
         if not parts:
             continue
-        if parts not in seen:
+        pair = seen.get(parts)
+        if pair is None:
             report.omissions.append(parts)
             continue
-        built = decompose(parts, spec)
-        if recompose(built) != parts or built != seen[parts]:
-            report.constructive_mismatches.append((parts, built))
+        built = _split(parts, spec)
+        if built != pair:
+            report.constructive_mismatches.append((parts, SipDecomposition(*built)))
     return report
 
 

@@ -100,6 +100,13 @@ class TestCommands:
                      "--total-max", "12"]) == 0
         assert "oracle = lhs = rhs" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("identity", [i for i in catalog.identity_ids()
+                                          if catalog.get(i).oracle is not None])
+    def test_oracle_negative_total_exit_two(self, capsys, identity):
+        assert main(["oracle", "--identity", identity, "--total-max", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "total_max must be non-negative" in captured.err and captured.out == ""
+
     def test_unknown_identity_exit_two(self, capsys):
         assert main(["verify", "--identity", "nope"]) == 2
         assert "error:" in capsys.readouterr().err

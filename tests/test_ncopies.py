@@ -4,6 +4,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
+from qsip import catalog
 from qsip.ncopies import (ConstraintViolation, CopyPart, base_decompose,
                           base_gf, base_recompose, copy_total, enumerate_base,
                           enumerate_all_copy_overpartitions,
@@ -110,6 +111,10 @@ class TestBaseChains:
                     assert is_diagonal(chain[0])
                     for lo, hi in zip(chain, chain[1:]):
                         assert weighted_difference(hi, lo) == r
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValueError, match="total_max must be non-negative"):
+            enumerate_base(-1, 0)
 
     def test_m2_of_nine(self):
         hits = [c for c in enumerate_base(9, 0) if copy_total(c) == 9]
@@ -314,6 +319,29 @@ class TestOverlined:
         assert got_diag == diagonal
         assert got_rest == shifted
 
+    def test_weighted_oracle_counts_filtered_overpartitions(self):
+        # the chain-minimum rule read straight off its statement, applied to
+        # every unrestricted overlined n-copies partition
+        def admitted(over):
+            parts = over.parts
+            diffs = [hi.value - lo.value - hi.sub - lo.sub
+                     for lo, hi in zip(parts, parts[1:])]
+            if any(diff < 0 for diff in diffs):
+                return False
+            return all(idx == 0 or diffs[idx - 1] != 0
+                       for idx, part in enumerate(parts) if part in over.overlined)
+
+        t_max = 12
+        counts = [0] * (t_max + 1)
+        for over in enumerate_all_copy_overpartitions(t_max):
+            if admitted(over):
+                counts[sum(part.value for part in over.parts)] += 1
+        oracle = catalog.get("slater-6-corrected").oracle
+        for t in range(t_max + 1):
+            assert oracle(t).int_coefficients(t) == counts[:t + 1], t
+            assert counting_series(enumerate_ncopies_over(t), t).int_coefficients(t) \
+                == counts[:t + 1], t
+
     def test_unrestricted_product_sequence(self):
         prod = ncopies_overpartition_product(6)
         assert prod.int_coefficients(4) == [1, 2, 6, 16, 38]
@@ -325,6 +353,10 @@ class TestEvenSubscript:
     def test_pruned_matches_unpruned_filter_in_order(self):
         assert list(enumerate_even_subscript(14)) == \
             unpruned_ncopies(14, admits_even_subscript)
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValueError, match="total_max must be non-negative"):
+            enumerate_even_subscript(-1)
 
     def test_h_of_ten(self):
         hits = {p for p in enumerate_even_subscript(10) if copy_total(p) == 10}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsip import catalog
+from qsip import catalog, sip
 from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions,
                              in_sip_class)
 from qsip.qfactory import PochSpec, poch_finite, poch_infinite
@@ -29,6 +29,24 @@ MEMBER_COUNT_CASES = (
        for spec in ALL_SPECS + (SCHUR_REFINED,) for t in (0, 1, 2, 3)]
     + [pytest.param(SCHUR_REFINED, 30, id="schur-refined-t30")]
     + [pytest.param(MIXED_WEIGHTS, t, id=f"mixed-weights-t{t}") for t in (0, 1, 2, 3, 30)])
+# (ok, class_count, recomposed_count) of verify_sip by spec and total, pinned
+# as literals so that no change to how the basis is walked can move them.
+PINNED_SIP = {
+    "natural": {0: (True, 1, 0), 1: (True, 2, 1), 7: (True, 45, 44),
+                22: (True, 4508, 4507)},
+    "distinct": {0: (True, 1, 0), 1: (True, 2, 1), 7: (True, 19, 18),
+                 22: (True, 536, 535)},
+    "rogers-ramanujan": {0: (True, 1, 0), 1: (True, 2, 1), 7: (True, 14, 13),
+                         22: (True, 273, 272)},
+    "gollnitz": {0: (True, 1, 0), 1: (True, 2, 1), 7: (True, 13, 12),
+                 22: (True, 234, 233)},
+    "schur": {0: (True, 1, 0), 1: (True, 2, 1), 7: (True, 12, 11),
+              22: (True, 170, 169)},
+    "schur-refined": {0: (True, 1, 0), 1: (True, 2, 1), 7: (True, 12, 11),
+                      22: (True, 170, 169)},
+    "glasgow": {0: (True, 1, 0), 1: (True, 1, 0), 7: (True, 12, 11),
+                22: (True, 418, 417)},
+}
 
 
 class TestBasisEnumeration:
@@ -57,6 +75,11 @@ class TestBasisEnumeration:
 
 
 class TestPrunedEnumeration:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"k{s.k}c{s.c}")
+    def test_negative_total_rejected(self, spec):
+        with pytest.raises(ValueError, match="total_max must be non-negative"):
+            enumerate_class(spec, -1)
+
     def test_matches_unpruned_filter(self):
         # classes are closed under taking prefixes, so the pruned walk and
         # the filtered walk meet the members in the same order
@@ -119,9 +142,81 @@ class TestVerifySip:
         assert report.ok, report.summary()
         assert report.collisions == [] and report.omissions == []
 
+    @pytest.mark.parametrize("name, total", [(name, t) for name in PINNED_SIP
+                                             for t in (0, 1, 7, 22)])
+    def test_pinned_reports(self, name, total):
+        report = verify_sip(SPEC_REGISTRY[name], total)
+        assert (report.ok, report.class_count, report.recomposed_count) == \
+            PINNED_SIP[name][total]
+
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValueError, match="total_max must be non-negative"):
+            verify_sip(NATURAL, -1)
+
+    @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
+    def test_pruned_basis_walk_matches_enumerate_basis(self, spec):
+        # every part is at least min(c), so no element of total <= t has
+        # more than t // min(c) parts
+        for t in range(25):
+            walked = list(sip._bases(spec, t))
+            assert len(walked) == len(set(walked))
+            assert set(walked) == {
+                basis for n in range(1, t // min(spec.c) + 1)
+                for basis in enumerate_basis(spec, n, t) if sum(basis) <= t}
+
     def test_rejects_bad_spec_before_verification(self):
         with pytest.raises(ValueError):
             SipClassSpec(3, (1, 2, 4), (1, 1, 1))
+
+
+class TestVerifySipFaults:
+    """Each fault injected through a seam of verify_sip must surface in its
+    own report list, and in no other."""
+
+    SPEC, TOTAL = GOLLNITZ_GORDON, 14
+    LISTS = ("not_in_class", "collisions", "omissions", "constructive_mismatches")
+
+    def assert_caught_only_by(self, name):
+        report = verify_sip(self.SPEC, self.TOTAL)
+        assert report.ok is False
+        for other in self.LISTS:
+            assert bool(getattr(report, other)) == (other == name), other
+
+    def test_member_missing_from_class_stream(self, monkeypatch):
+        real = sip.enumerate_class
+        dropped = next(p for p in real(self.SPEC, self.TOTAL) if len(p) == 2)
+        monkeypatch.setattr(sip, "enumerate_class", lambda spec, total_max: (
+            p for p in real(spec, total_max) if p != dropped))
+        self.assert_caught_only_by("not_in_class")
+
+    def test_padding_yielded_twice(self, monkeypatch):
+        real = sip._paddings
+
+        def doubled(n, k, budget):
+            pads = list(real(n, k, budget))
+            return pads + pads[:1] if n == 2 else pads
+
+        monkeypatch.setattr(sip, "_paddings", doubled)
+        self.assert_caught_only_by("collisions")
+
+    def test_basis_element_dropped(self, monkeypatch):
+        real = sip._bases
+        dropped = next(b for b in real(self.SPEC, self.TOTAL) if len(b) == 2)
+        monkeypatch.setattr(sip, "_bases", lambda spec, total_max: (
+            b for b in real(spec, total_max) if b != dropped))
+        self.assert_caught_only_by("omissions")
+
+    def test_constructive_basis_corrupted(self, monkeypatch):
+        real = sip._split
+
+        def corrupted(parts, spec):
+            basis, pad = real(parts, spec)
+            if len(parts) == 2:
+                basis = basis[:1] + (basis[1] + spec.k,)
+            return basis, pad
+
+        monkeypatch.setattr(sip, "_split", corrupted)
+        self.assert_caught_only_by("constructive_mismatches")
 
 
 class TestBasisTable:
