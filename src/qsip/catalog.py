@@ -37,7 +37,10 @@ The n-copies sums (difference at least r) are sum q^(n^2 + r n(n-1)/2) /
 ((q;q^2)_n (q;q)_n), and slater-86 is sum q^(2n^2)/(q;q)_(2n) with
 (q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.
 
-Every oracle enumerates its objects.  The slater-6-corrected oracle walks
+Every oracle enumerates its objects.  The six partition oracles walk
+their separable class through the pruned :func:`~qsip.sip.enumerate_class`,
+so they visit only the members they count (schur-refined weighted by its
+parts' marker weights).  The slater-6-corrected oracle walks
 the n-copies partitions with non-negative weighted differences and counts
 each with weight 2^s, s its number of overline carriers
 (:func:`~qsip.ncopies.overline_carriers`): that is how many overlined
@@ -54,15 +57,16 @@ confirmed periodic through q^120.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from math import prod
 from typing import Callable
 
 from . import ncopies as nc
-from .partitions import counting_series, enumerate_partitions, in_sip_class
+from .partitions import SipClassSpec, counting_series
 from .qfactory import (CongruenceProductSpec, PochSpec, gaussian_binomial,
                        poch_infinite, poch_product, series_sum, series_terms)
 from .series import MarkerPoly, QSeries, binomial_factor
-from .sip import GLASGOW, GOLLNITZ_GORDON, SCHUR_REFINED, class_gf
+from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
+                  SCHUR_REFINED, class_gf, enumerate_class)
 
 
 class UnknownIdentity(Exception):
@@ -114,30 +118,13 @@ def _mod7_extra(n: int, coeffs: list) -> list:
 
 # -- counting oracles ---------------------------------------------------------
 
-def _partition_oracle(predicate) -> Callable[[int], QSeries]:
-    return lambda total: counting_series(
-        enumerate_partitions(total, predicate), total, size=sum)
-
-
-def _distinct(parts) -> bool:
-    return len(set(parts)) == len(parts)
-
-
-def _gaps_at_least_two(parts) -> bool:
-    return all(b - a >= 2 for a, b in zip(parts, parts[1:]))
-
-
-def _schur_refined_oracle(total: int) -> QSeries:
-    spec = SCHUR_REFINED
-
-    def weight(parts):
-        w = MarkerPoly.unit(spec.markers)
-        for p in parts:
-            w = w * spec.weight(p)
-        return w
-
-    stream = enumerate_partitions(total, lambda p: in_sip_class(p, spec))
-    return counting_series(stream, total, weight=weight, markers=spec.markers)
+def _class_oracle(spec: SipClassSpec) -> Callable[[int], QSeries]:
+    """Count the members of a SIP class, each weighted by the product of
+    its parts' weights when the class has them."""
+    weight = None if spec.weights is None else (
+        lambda parts: prod(map(spec.weight, parts), start=MarkerPoly.unit(spec.markers)))
+    return lambda total: counting_series(enumerate_class(spec, total), total, size=sum,
+                                         weight=weight, markers=spec.markers)
 
 
 def _ncopies_oracle(r: int) -> Callable[[int], QSeries]:
@@ -171,31 +158,31 @@ REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
     IdentityEntry(
         "euler-any", "Euler's series for unrestricted partitions",
         _sum((0, 2), den=[_ONES]), _product((_ONES, -1)),
-        _partition_oracle(None)),
+        _class_oracle(NATURAL)),
     IdentityEntry(
         "euler-distinct", "Euler's series for distinct parts",
         _sum((1, 1), den=[_ONES]), _product((PochSpec(1, 1, sign=-1), 1)),
-        _partition_oracle(_distinct)),
+        _class_oracle(DISTINCT)),
     IdentityEntry(
         "rogers-ramanujan", "first Rogers-Ramanujan identity",
         _sum((2, 0), den=[_ONES]), _product((PochSpec(1, 5), -1), (PochSpec(4, 5), -1)),
-        _partition_oracle(_gaps_at_least_two)),
+        _class_oracle(ROGERS_RAMANUJAN)),
     IdentityEntry(
         "gollnitz-gordon-1", "first Gollnitz-Gordon identity",
         _sum((2, 0), num=[PochSpec(1, 2, sign=-1)], den=[_EVENS]),
         _product((PochSpec(1, 8), -1), (PochSpec(4, 8), -1), (PochSpec(7, 8), -1)),
-        _partition_oracle(partial(in_sip_class, spec=GOLLNITZ_GORDON))),
+        _class_oracle(GOLLNITZ_GORDON)),
     IdentityEntry(
         "schur-refined", "refined Schur product with part-class markers",
         lambda t: class_gf(SCHUR_REFINED, t),
         _product((PochSpec(1, 3, sign=-1, marker="u"), 1),
                  (PochSpec(2, 3, sign=-1, marker="v"), 1)),
-        _schur_refined_oracle),
+        _class_oracle(SCHUR_REFINED)),
     IdentityEntry(
         "glasgow-mod8", "Gollnitz mod-8 theorem (Glasgow Math. J. 1967)",
         _sum((0, 4), num=_GLASGOW_NUM, den=[_EVENS], extra=_glasgow_extra),
         _product(*_parts(8, {1, 5, 6})),
-        _partition_oracle(partial(in_sip_class, spec=GLASGOW))),
+        _class_oracle(GLASGOW)),
     IdentityEntry(
         "slater-46", "Slater (46)",
         _sum((3, -1), den=[_ODDS, _ONES]), _product(*_parts(10, {0, 4, 6})),

@@ -70,13 +70,18 @@ def enumerate_ncopies(total_max: int, min_diff: int | None = None,
     def successors(last, remaining):
         if last is None or min_diff is None:  # lexicographically >= last
             low = last or CopyPart(1, 1)
+            if low.value > remaining:
+                return ()
             return ((CopyPart(v, s), remaining - v)
                     for v in range(low.value, remaining + 1)
                     for s in range(low.sub if v == low.value else 1, v + 1))
         # ((v_s - last)) >= min_diff  <=>  s <= v - reach, and s >= 1
         reach = last.value + last.sub + min_diff
+        low = max(1, reach + 1)
+        if low > remaining:
+            return ()
         return ((CopyPart(v, s), remaining - v)
-                for v in range(max(1, reach + 1), remaining + 1)
+                for v in range(low, remaining + 1)
                 for s in range(1, min(v, v - reach) + 1))
 
     parts = grow(total_max, successors)
@@ -98,6 +103,8 @@ def enumerate_base(total_max: int, r: int) -> Iterator[tuple[CopyPart, ...]]:
             return ((CopyPart(i, i), remaining - i) for i in range(1, remaining + 1))
         # the next part j_s has j = last.value + last.sub + s + r <= remaining
         reach = last.value + last.sub + r
+        if reach >= remaining:
+            return ()
         return ((CopyPart(reach + s, s), remaining - reach - s)
                 for s in range(1, remaining - reach + 1))
 
@@ -351,6 +358,8 @@ def enumerate_even_subscript(total_max: int) -> Iterator[tuple[CopyPart, ...]]:
         # ((v_s - last)) >= 0  <=>  s <= v - reach; with even subscripts a
         # difference of zero makes v and last.value share their parity
         reach = 0 if last is None else last.value + last.sub
+        if reach + 2 > remaining:
+            return ()
         return ((CopyPart(v, s), remaining - v)
                 for v in range(reach + 2, remaining + 1)
                 for s in range(2, v - reach + 1, 2)

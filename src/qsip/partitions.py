@@ -29,6 +29,8 @@ def grow(state, successors: Callable) -> Iterator[tuple]:
     before its extensions, and extensions follow the order of the steps.
     It keeps two parallel stacks, the prefixes on the current path and
     their step iterators, so a node costs one tuple and no stack entry pair.
+    A rule may return an empty sequence at a leaf (a prefix with no
+    admissible step); such a prefix is never pushed.
     """
     yield ()
     prefixes = [()]
@@ -37,8 +39,10 @@ def grow(state, successors: Callable) -> Iterator[tuple]:
         for part, reached in stack[-1]:
             prefix = prefixes[-1] + (part,)
             yield prefix
-            prefixes.append(prefix)
-            stack.append(iter(successors(part, reached)))
+            steps = successors(part, reached)
+            if steps:
+                prefixes.append(prefix)
+                stack.append(iter(steps))
             break
         else:
             stack.pop()
@@ -59,6 +63,8 @@ def enumerate_partitions(total_max: int,
     def successors(last, remaining):
         # two C-level ranges keep the per-node cost of the busiest walk low
         low = last or 1
+        if low > remaining:
+            return ()
         return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
 
     parts = grow(total_max, successors)

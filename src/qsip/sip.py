@@ -95,6 +95,8 @@ def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
     """All basis elements with exactly n_parts parts and largest part <= h_max."""
     if n_parts < 1:
         raise ValueError("n_parts must be at least 1")
+    if h_max < 1:
+        raise ValueError(f"h_max must be at least 1, got {h_max}")
 
     def successors(last, depth):
         if depth == n_parts:
@@ -110,19 +112,23 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
 
     The pruned generation (next part at least prev + its residue gap, and at
     least its residue threshold) is cross-checked against the unpruned
-    filter of enumerate_partitions in the test suite.
+    filter of enumerate_partitions in the test suite.  A class with k = 1
+    has one threshold and one gap, so its steps are two C-level ranges, as
+    in :func:`~qsip.partitions.enumerate_partitions`.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
     k, c, d = spec.k, spec.c, spec.d
-    least_gap = min(d)
+    least_c, least_gap = min(c), min(d)
 
     def successors(last, remaining):
-        if last is None:
-            return ((p, remaining - p) for p in range(1, remaining + 1)
-                    if p >= c[(p - 1) % k])
-        return ((p, remaining - p) for p in range(last + least_gap, remaining + 1)
-                if p >= c[(p - 1) % k] and p - last >= d[(p - 1) % k])
+        low = least_c if last is None else last + least_gap
+        if low > remaining:
+            return ()
+        if k == 1:
+            return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
+        return ((p, remaining - p) for p in range(low, remaining + 1)
+                if p >= c[(p - 1) % k] and (last is None or p - last >= d[(p - 1) % k]))
 
     return grow(total_max, successors)
 
@@ -188,21 +194,29 @@ def _bases(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
 
     def successors(last, remaining):
         nexts = firsts if last is None else basis_successors(spec, last)
+        if nexts[0] > remaining:
+            return ()
         return ((p, remaining - p) for p in nexts if p <= remaining)
 
     return islice(grow(total_max, successors), 1, None)
 
 
 def _paddings(n: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing n-tuples of non-negative multiples of k summing <= budget."""
+    """Non-decreasing n-tuples (n >= 1) of non-negative multiples of k summing
+    <= budget: one walk over the (n-1)-prefixes, each followed by every value
+    its last slot can take.  A slot never exceeds the budget left over the
+    slots from it on, so every prefix extends to a full tuple."""
     def successors(last, state):
         rest, slots = state
-        if not slots:
+        if slots < 2:
             return ()
         return ((p, (rest - p, slots - 1))
                 for p in range(last or 0, rest // slots + 1, k))
 
-    return (pad for pad in grow((budget, n), successors) if len(pad) == n)
+    for head in grow((budget, n), successors):
+        if len(head) == n - 1:
+            for p in range(head[-1] if head else 0, budget - sum(head) + 1, k):
+                yield head + (p,)
 
 
 @dataclass
@@ -238,9 +252,9 @@ def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
     recomposes each with every padding that fits, and the report lists
     collisions (two decompositions of one partition), omissions (members
     never produced), escapes from the class, and any disagreement with the
-    constructive split of :func:`decompose`.  Pairs are kept as
-    (basis, padding) tuples; SipDecomposition objects are built only for
-    report entries.
+    constructive split of :func:`decompose`, checked when a member is first
+    produced.  Pairs are kept as (basis, padding) tuples; SipDecomposition
+    objects are built only for report entries.
     """
     members = set(enumerate_class(spec, total_max))
     report = SipVerifyReport(spec=spec, total_max=total_max, class_count=len(members))
@@ -258,18 +272,11 @@ def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
                                           SipDecomposition(basis, pad), parts))
             else:
                 seen[parts] = basis, pad
+                built = _split(parts, spec)
+                if built != (basis, pad):
+                    report.constructive_mismatches.append((parts, SipDecomposition(*built)))
     report.recomposed_count = recomposed
-
-    for parts in members:
-        if not parts:
-            continue
-        pair = seen.get(parts)
-        if pair is None:
-            report.omissions.append(parts)
-            continue
-        built = _split(parts, spec)
-        if built != pair:
-            report.constructive_mismatches.append((parts, SipDecomposition(*built)))
+    report.omissions = list(members.difference(seen, [()]))
     return report
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qsip import catalog
+from qsip import catalog, partitions
 from qsip.catalog import (NoOracle, TelescopeResult, UnknownIdentity,
                           gollnitz_intermediate, oracle_concordance,
                           substitute_neg_q_squared, telescope_check, verify,
@@ -11,7 +11,7 @@ from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import (CongruenceProductSpec, PochSpec,
                            congruence_product, poch_finite, poch_infinite,
                            theta_sum)
-from qsip.series import QSeries
+from qsip.series import MarkerPoly, QSeries
 
 ALL_IDS = [
     "euler-any", "euler-distinct", "rogers-ramanujan", "gollnitz-gordon-1",
@@ -95,6 +95,70 @@ class TestOracles:
             (10,), (2, 8), (3, 7), (3, 3, 4), (2, 4, 4), (2, 2, 2, 4),
             (2, 2, 3, 3), (2, 2, 2, 2, 2),
         }
+
+
+def table_member(k, table):
+    """Membership by a table {p % k: (least part, least gap below it)},
+    the gap checked from the second part on."""
+    def admits(parts):
+        prev = None
+        for p in parts:
+            least, gap = table[p % k]
+            if p < least or prev is not None and p - prev < gap:
+                return False
+            prev = p
+        return True
+    return admits
+
+
+_U, _V = MarkerPoly.gens(("u", "v"))
+# identity -> (test-local membership rule, marker weight by p % 3 or None)
+CLASS_ORACLES = {
+    "euler-any": (lambda parts: True, None),
+    "euler-distinct": (lambda parts: len(set(parts)) == len(parts), None),
+    "rogers-ramanujan": (lambda parts: all(b - a >= 2 for a, b in zip(parts, parts[1:])),
+                         None),
+    "gollnitz-gordon-1": (table_member(2, {1: (1, 2), 0: (2, 3)}), None),
+    "glasgow-mod8": (table_member(2, {1: (3, 3), 0: (2, 0)}), None),
+    "schur-refined": (table_member(3, {1: (1, 3), 2: (2, 3), 0: (3, 4)}),
+                      {1: _U, 2: _V, 0: _U * _V}),
+}
+
+
+def reference_class_counts(identity, total):
+    """Coefficients of q^0..q^total by filtering every partition and
+    counting in a local loop: no code shared with the class walk."""
+    admits, weights = CLASS_ORACLES[identity]
+    counts = [0] * (total + 1)
+    for parts in enumerate_partitions(total):
+        if admits(parts):
+            weight = 1
+            if weights is not None:
+                weight = MarkerPoly.unit(("u", "v"))
+                for p in parts:
+                    weight = weight * weights[p % 3]
+            counts[sum(parts)] += weight
+    return counts
+
+
+class TestClassOracles:
+    @pytest.mark.parametrize("identity", list(CLASS_ORACLES))
+    def test_matches_filtered_partitions(self, identity):
+        oracle = catalog.get(identity).oracle
+        expected = reference_class_counts(identity, 18)
+        for total in range(19):
+            got = oracle(total)
+            assert got.markers == (("u", "v") if identity == "schur-refined" else ())
+            assert got.coefficients(total) == expected[:total + 1], total
+
+    def test_no_partition_walk(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("a class oracle walked every partition")
+
+        monkeypatch.setattr(partitions, "enumerate_partitions", unused)
+        monkeypatch.setattr(catalog, "enumerate_partitions", unused, raising=False)
+        for identity in CLASS_ORACLES:
+            assert oracle_concordance(identity, 12).passed, identity
 
 
 class TestSlater81Correction:

@@ -95,6 +95,12 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("h_max", ["-3", "0"])
+    def test_basis_bad_h_max_exit_two(self, capsys, h_max):
+        assert main(["basis", "--spec", "natural", "--n", "2", "--h-max", h_max]) == 2
+        captured = capsys.readouterr()
+        assert "h_max must be at least 1" in captured.err and captured.out == ""
+
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--identity", "glasgow-mod8",
                      "--total-max", "12"]) == 0

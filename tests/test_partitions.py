@@ -7,7 +7,7 @@ import pytest
 
 from qsip.partitions import (Overpartition, SipClassSpec, counting_series,
                              enumerate_overpartitions, enumerate_partitions,
-                             in_sip_class, partition_count)
+                             grow, in_sip_class, partition_count)
 from qsip.qfactory import PochSpec, poch_infinite
 from qsip.sip import GLASGOW, GOLLNITZ_GORDON, SCHUR
 
@@ -43,6 +43,32 @@ class TestEnumerate:
             (10,), (2, 8), (3, 7), (4, 6), (2, 2, 6), (2, 4, 4),
             (2, 2, 2, 4), (2, 2, 2, 2, 2),
         }
+
+
+def gaps_at_least_two(leaf):
+    """Successor rule for ascending parts with gaps >= 2 and total <= the
+    state; where no step fits it returns ``leaf``, or an empty generator
+    when ``leaf`` is None."""
+    def successors(last, remaining):
+        low = 1 if last is None else last + 2
+        if leaf is not None and low > remaining:
+            return leaf
+        return ((p, remaining - p) for p in range(low, remaining + 1))
+    return successors
+
+
+class TestGrow:
+    @pytest.mark.parametrize("leaf", [(), []], ids=["tuple", "list"])
+    def test_empty_leaf_matches_generator_leaf(self, leaf):
+        for total in range(16):
+            walked = list(grow(total, gaps_at_least_two(leaf)))
+            assert walked == list(grow(total, gaps_at_least_two(None)))
+        assert len(walked) == len(set(walked)) == 1 + sum(
+            1 for p in enumerate_partitions(15)
+            if p and all(b - a >= 2 for a, b in zip(p, p[1:])))
+
+    def test_empty_root(self):
+        assert list(grow(0, gaps_at_least_two(()))) == [()]
 
 
 class TestPartitionCount:

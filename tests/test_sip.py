@@ -1,5 +1,7 @@
 """Basis enumeration, decomposition uniqueness and assembly contracts."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
 from qsip import catalog, sip
@@ -82,8 +84,11 @@ class TestPrunedEnumeration:
 
     def test_matches_unpruned_filter(self):
         # classes are closed under taking prefixes, so the pruned walk and
-        # the filtered walk meet the members in the same order
-        for spec in ALL_SPECS:
+        # the filtered walk meet the members in the same order; the extra
+        # specs put the k = 1 threshold above 1 and give k > 1 a zero gap
+        extra = (SipClassSpec(1, (3,), (2,)), SipClassSpec(1, (2,), (0,)),
+                 SipClassSpec(4, (5, 2, 7, 4), (0, 1, 3, 2)))
+        for spec in ALL_SPECS + extra:
             pruned = list(enumerate_class(spec, 15))
             plain = [p for p in enumerate_partitions(15)
                      if in_sip_class(p, spec)]
@@ -163,6 +168,15 @@ class TestVerifySip:
             assert set(walked) == {
                 basis for n in range(1, t // min(spec.c) + 1)
                 for basis in enumerate_basis(spec, n, t) if sum(basis) <= t}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_paddings_match_sorted_tuples(self, k):
+        # non-decreasing tuples in lexicographic order, filtered by their sum
+        for n in range(1, 5):
+            for budget in range(13):
+                assert list(sip._paddings(n, k, budget)) == [
+                    pad for pad in combinations_with_replacement(range(0, budget + 1, k), n)
+                    if sum(pad) <= budget]
 
     def test_rejects_bad_spec_before_verification(self):
         with pytest.raises(ValueError):
