@@ -37,14 +37,22 @@ The n-copies sums (difference at least r) are sum q^(n^2 + r n(n-1)/2) /
 ((q;q^2)_n (q;q)_n), and slater-86 is sum q^(2n^2)/(q;q)_(2n) with
 (q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.
 
-Every oracle enumerates its objects.  The six partition oracles walk
-their separable class through the pruned :func:`~qsip.sip.enumerate_class`,
-so they visit only the members they count (schur-refined weighted by its
-parts' marker weights).  The slater-6-corrected oracle walks
-the n-copies partitions with non-negative weighted differences and counts
-each with weight 2^s, s its number of overline carriers
-(:func:`~qsip.ncopies.overline_carriers`): that is how many overlined
-versions :func:`~qsip.ncopies.enumerate_ncopies_over` lists one by one.
+Every oracle enumerates its objects, as a counting walk with one walk
+state per counted object and no memo across states.  A state keeps only
+what the class rule reads and the remaining total, and the states are
+tallied by remaining total (:func:`~qsip.partitions.walk_series`).  The six
+partition oracles are :func:`~qsip.sip.count_class` on their separable
+class, so they visit only the members they count (schur-refined weighted
+by its parts' marker weights).  The n-copies oracles are the walks of
+:func:`~qsip.ncopies.count_ncopies` and
+:func:`~qsip.ncopies.count_even_subscript`.  The slater-6-corrected oracle
+(:func:`~qsip.ncopies.count_ncopies_over`) walks the n-copies partitions
+with non-negative weighted differences and counts each with weight 2^s,
+s its number of overline carriers (:func:`~qsip.ncopies.overline_carriers`):
+that is how many overlined versions
+:func:`~qsip.ncopies.enumerate_ncopies_over` lists one by one.  The tuple
+enumerators of :mod:`~qsip.sip` and :mod:`~qsip.ncopies` stay as the
+references these walks are tested against.
 
 The slater-81 product is stored in its corrected form: parts not congruent
 to 0 or +-6 mod 14, with parts congruent to +-3 mod 14 in two colors.  The
@@ -57,16 +65,15 @@ confirmed periodic through q^120.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Callable
 
 from . import ncopies as nc
-from .partitions import SipClassSpec, counting_series
+from .partitions import SipClassSpec
 from .qfactory import (CongruenceProductSpec, PochSpec, gaussian_binomial,
                        poch_infinite, poch_product, series_sum, series_terms)
-from .series import MarkerPoly, QSeries, binomial_factor
+from .series import QSeries, binomial_factor
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
-                  SCHUR_REFINED, class_gf, enumerate_class)
+                  SCHUR_REFINED, class_gf, count_class)
 
 
 class UnknownIdentity(Exception):
@@ -119,28 +126,11 @@ def _mod7_extra(n: int, coeffs: list) -> list:
 # -- counting oracles ---------------------------------------------------------
 
 def _class_oracle(spec: SipClassSpec) -> Callable[[int], QSeries]:
-    """Count the members of a SIP class, each weighted by the product of
-    its parts' weights when the class has them."""
-    weight = None if spec.weights is None else (
-        lambda parts: prod(map(spec.weight, parts), start=MarkerPoly.unit(spec.markers)))
-    return lambda total: counting_series(enumerate_class(spec, total), total, size=sum,
-                                         weight=weight, markers=spec.markers)
+    return lambda total: count_class(spec, total)
 
 
 def _ncopies_oracle(r: int) -> Callable[[int], QSeries]:
-    return lambda total: counting_series(
-        nc.enumerate_ncopies(total, min_diff=r), total, size=nc.copy_total)
-
-
-def _overlined_ncopies_oracle(total: int) -> QSeries:
-    return counting_series(nc.enumerate_ncopies(total, min_diff=0), total,
-                           size=nc.copy_total,
-                           weight=lambda parts: 1 << len(nc.overline_carriers(parts)))
-
-
-def _even_subscript_oracle(total: int) -> QSeries:
-    return counting_series(nc.enumerate_even_subscript(total), total,
-                           size=nc.copy_total)
+    return lambda total: nc.count_ncopies(total, r)
 
 
 # -- the registry -------------------------------------------------------------
@@ -201,12 +191,12 @@ REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
         _sum((2, 0), num=[PochSpec(0, 1, sign=-1)], den=[_ONES, _ODDS]),
         _product((PochSpec(1, 3, sign=-1), 1), (PochSpec(2, 3, sign=-1), 1),
                  *_parts(3, {0})),
-        _overlined_ncopies_oracle),
+        nc.count_ncopies_over),
     IdentityEntry(
         "slater-86", "Slater (86)",
         _sum((4, 0), den=[_ODDS, _EVENS]),
         _product(*_parts(16, {2, 3, 4, 5, 11, 12, 13, 14}, "allowed")),
-        _even_subscript_oracle),
+        nc.count_even_subscript),
     IdentityEntry(
         "mod7-sum", "mod-7 Rogers-Ramanujan analogue",
         _sum((2, 0), den=[_ONES], extra=_mod7_extra), _product(*_parts(7, {0, 3, 4}))),

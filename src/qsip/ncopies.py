@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .partitions import grow, powerset
+from .partitions import grow, powerset, walk_series
 from .qfactory import PochSpec, gaussian_binomial, poch_product, series_sum
 from .series import QSeries
 
@@ -67,25 +67,52 @@ def enumerate_ncopies(total_max: int, min_diff: int | None = None,
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def successors(last, remaining):
-        if last is None or min_diff is None:  # lexicographically >= last
-            low = last or CopyPart(1, 1)
+    def successors(state):
+        parts, remaining = state
+        if not parts or min_diff is None:  # lexicographically >= the last part
+            low = parts[-1] if parts else CopyPart(1, 1)
             if low.value > remaining:
                 return ()
-            return ((CopyPart(v, s), remaining - v)
+            return ((parts + (CopyPart(v, s),), remaining - v)
                     for v in range(low.value, remaining + 1)
                     for s in range(low.sub if v == low.value else 1, v + 1))
         # ((v_s - last)) >= min_diff  <=>  s <= v - reach, and s >= 1
+        last = parts[-1]
         reach = last.value + last.sub + min_diff
         low = max(1, reach + 1)
         if low > remaining:
             return ()
-        return ((CopyPart(v, s), remaining - v)
+        return ((parts + (CopyPart(v, s),), remaining - v)
                 for v in range(low, remaining + 1)
                 for s in range(1, min(v, v - reach) + 1))
 
-    parts = grow(total_max, successors)
+    parts = (parts for parts, _ in grow(((), total_max), successors))
     return parts if predicate is None else filter(predicate, parts)
+
+
+def count_ncopies(total_max: int, min_diff: int) -> QSeries:
+    """Generating function of the partitions of :func:`enumerate_ncopies`
+    with ``min_diff``, counted by a walk with one state per partition.
+
+    A state is (v + s of the last part v_s, remaining total), all that the
+    difference rule reads; the root stands for no part as v + s = -1 -
+    min_diff, from which every v_s steps.  The next parts v_s with
+    1 <= s <= v - reach, reach = v + s + min_diff of the last part, step to
+    the states (v + s, remaining - v).
+    """
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+
+    def successors(state):
+        top, remaining = state
+        reach = top + min_diff
+        low = max(1, reach + 1)
+        if low > remaining:
+            return ()
+        return ((top, remaining - v) for v in range(low, remaining + 1)
+                for top in range(v + 1, 2 * v - max(reach, 0) + 1))
+
+    return walk_series(grow((-1 - min_diff, total_max), successors), total_max)
 
 
 # -- minimal chains and the attach/detach bijection -------------------------
@@ -98,17 +125,19 @@ def enumerate_base(total_max: int, r: int) -> Iterator[tuple[CopyPart, ...]]:
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
 
-    def successors(last, remaining):
-        if last is None:
-            return ((CopyPart(i, i), remaining - i) for i in range(1, remaining + 1))
+    def successors(state):
+        parts, remaining = state
+        if not parts:
+            return (((CopyPart(i, i),), remaining - i) for i in range(1, remaining + 1))
         # the next part j_s has j = last.value + last.sub + s + r <= remaining
+        last = parts[-1]
         reach = last.value + last.sub + r
         if reach >= remaining:
             return ()
-        return ((CopyPart(reach + s, s), remaining - reach - s)
+        return ((parts + (CopyPart(reach + s, s),), remaining - reach - s)
                 for s in range(1, remaining - reach + 1))
 
-    return grow(total_max, successors)
+    return (parts for parts, _ in grow(((), total_max), successors))
 
 
 def base_decompose(parts: tuple[CopyPart, ...], r: int
@@ -332,6 +361,33 @@ def enumerate_ncopies_over(total_max: int) -> Iterator[OverCopyPartition]:
             yield OverCopyPartition(parts, frozenset(marked))
 
 
+def count_ncopies_over(total_max: int) -> QSeries:
+    """Generating function of :func:`enumerate_ncopies_over`, counted by a
+    walk with one state per plain partition of difference >= 0, weighted by
+    2^s for its s overline carriers (:func:`overline_carriers`).
+
+    A state is (v + s of the last part v_s, remaining total, weight); the
+    weight doubles at each carrier, that is at each step but the one at
+    weighted difference exactly zero.  The root stands for no part as
+    v + s = -1, from which every v_s steps as a carrier.
+    """
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+
+    def successors(state):
+        reach, remaining, weight = state
+        low = max(1, reach + 1)
+        if low > remaining:
+            return ()
+        doubled = 2 * weight
+        # s = v - reach sits at difference zero, every smaller s is a carrier
+        return ((top, remaining - v, weight if top == 2 * v - reach else doubled)
+                for v in range(low, remaining + 1)
+                for top in range(v + 1, 2 * v - max(reach, 0) + 1))
+
+    return walk_series(grow((-1, total_max, 1), successors), total_max, lambda w: w)
+
+
 def overline_carriers(parts: tuple[CopyPart, ...]) -> tuple[CopyPart, ...]:
     """The parts that may carry an overline under the chain-minimum rule of
     :func:`enumerate_ncopies_over`: the first part, and each part whose
@@ -354,18 +410,41 @@ def enumerate_even_subscript(total_max: int) -> Iterator[tuple[CopyPart, ...]]:
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def successors(last, remaining):
+    def successors(state):
         # ((v_s - last)) >= 0  <=>  s <= v - reach; with even subscripts a
         # difference of zero makes v and last.value share their parity
-        reach = 0 if last is None else last.value + last.sub
+        parts, remaining = state
+        reach = parts[-1].value + parts[-1].sub if parts else 0
         if reach + 2 > remaining:
             return ()
-        return ((CopyPart(v, s), remaining - v)
+        return ((parts + (CopyPart(v, s),), remaining - v)
                 for v in range(reach + 2, remaining + 1)
                 for s in range(2, v - reach + 1, 2)
                 if s < v - reach or not v % 2)
 
-    return grow(total_max, successors)
+    return (parts for parts, _ in grow(((), total_max), successors))
+
+
+def count_even_subscript(total_max: int) -> QSeries:
+    """Generating function of :func:`enumerate_even_subscript`, counted by a
+    walk with one state per partition.
+
+    A state is (v + s of the last part v_s, remaining total), 0 for the
+    root.  The rule reads the new part's value only: at difference zero it
+    shares its parity with the last part's, so an odd v drops the step
+    s = v - reach.
+    """
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+
+    def successors(state):
+        reach, remaining = state
+        if reach + 2 > remaining:
+            return ()
+        return ((top, remaining - v) for v in range(reach + 2, remaining + 1)
+                for top in range(v + 2, 2 * v - reach - (v & 1) + 1, 2))
+
+    return walk_series(grow((0, total_max), successors), total_max)
 
 
 def ncopies_overpartition_product(trunc: int) -> QSeries:

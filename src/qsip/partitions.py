@@ -1,11 +1,15 @@
 """Brute-force enumeration oracles for partitions and overpartitions.
 
 Partitions are ascending tuples of positive integers (non-decreasing,
-smallest part first).  Every enumerator in the package is a successor rule
-over the single pre-order walk :func:`grow`, which keeps its own stack, so
-the number of parts is not limited by the interpreter's recursion limit.
-The enumerators are deliberately simple brute force for desk-scale totals;
-they exist to cross-check the generating-function machinery.
+smallest part first).  Every enumerator and every counting walk in the
+package is a successor rule over states, run by the single pre-order walk
+:func:`grow`, which keeps its own stack, so the number of parts is not
+limited by the interpreter's recursion limit.  An enumerator that yields
+tuples keeps its prefix in its state; a counting walk keeps only what its
+rule reads and the remaining total, and :func:`walk_series` tallies its
+states.  The enumerators are deliberately simple brute force for
+desk-scale totals; they exist to cross-check the generating-function
+machinery.
 """
 
 from __future__ import annotations
@@ -20,33 +24,29 @@ from .series import MarkerPoly, QSeries
 Partition = tuple[int, ...]
 
 
-def grow(state, successors: Callable) -> Iterator[tuple]:
-    """Yield () and then every tuple reachable through ``successors``.
+def grow(root, successors: Callable) -> Iterator:
+    """Yield ``root`` and then every state reachable from it, in pre-order.
 
-    ``successors(last, state)`` gives the admissible ``(part, next_state)``
-    steps after a prefix ending in ``last`` (None for the empty prefix)
-    that was reached in ``state``.  The walk is pre-order: each prefix comes
-    before its extensions, and extensions follow the order of the steps.
-    It keeps two parallel stacks, the prefixes on the current path and
-    their step iterators, so a node costs one tuple and no stack entry pair.
-    A rule may return an empty sequence at a leaf (a prefix with no
-    admissible step); such a prefix is never pushed.
+    ``successors(state)`` gives the states one step on from ``state``.  Each
+    state comes before its extensions, and extensions follow the order of
+    the steps.  One stack holds the step iterators on the current path, so
+    the depth of the walk is not bounded by the interpreter's recursion
+    limit.  A rule may return an empty sequence at a leaf (a state with no
+    step); such a state is never pushed.  A state is whatever the rule
+    needs: an enumerator that yields tuples keeps the prefix in its state,
+    and a counting walk keeps only what its rule and its tally read.
     """
-    yield ()
-    prefixes = [()]
-    stack = [iter(successors(None, state))]
+    yield root
+    stack = [iter(successors(root))]
     while stack:
-        for part, reached in stack[-1]:
-            prefix = prefixes[-1] + (part,)
-            yield prefix
-            steps = successors(part, reached)
+        for state in stack[-1]:
+            yield state
+            steps = successors(state)
             if steps:
-                prefixes.append(prefix)
                 stack.append(iter(steps))
-            break
+                break
         else:
             stack.pop()
-            prefixes.pop()
 
 
 def enumerate_partitions(total_max: int,
@@ -60,14 +60,16 @@ def enumerate_partitions(total_max: int,
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def successors(last, remaining):
-        # two C-level ranges keep the per-node cost of the busiest walk low
-        low = last or 1
+    def successors(state):
+        # each state is (parts, remaining); C-level ranges build the steps
+        parts, remaining = state
+        low = parts[-1] if parts else 1
         if low > remaining:
             return ()
-        return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
+        return zip(map(parts.__add__, zip(range(low, remaining + 1))),
+                   range(remaining - low, -1, -1))
 
-    parts = grow(total_max, successors)
+    parts = (parts for parts, _ in grow(((), total_max), successors))
     return parts if predicate is None else filter(predicate, parts)
 
 
@@ -235,6 +237,30 @@ def counting_series(stream: Iterable, trunc: int,
         if n <= trunc:
             coeffs[n] += weight(obj)
     return QSeries(coeffs, trunc=trunc, markers=markers)
+
+
+def walk_series(states: Iterable[tuple], total_max: int,
+                weight: Callable | None = None,
+                markers: tuple[str, ...] = ()) -> QSeries:
+    """The generating function of a counting walk over totals 0..total_max.
+
+    Each state of the walk is one counted object, and its second entry is
+    what is left of total_max, so it counts at q^(total_max - remaining);
+    a ``Counter`` tallies them.  With ``weight``, the third entry of
+    each state is a tag and the state counts for ``weight(tag)``: the
+    weight is computed once per distinct tag and applied once per distinct
+    (remaining, tag).
+    """
+    if weight is None:
+        counts = Counter(remaining for _, remaining in states)
+        return QSeries([counts[total_max - n] for n in range(total_max + 1)],
+                       trunc=total_max)
+    tally = Counter((remaining, tag) for _, remaining, tag in states)
+    weights = {tag: weight(tag) for tag in {tag for _, tag in tally}}
+    coeffs = [0] * (total_max + 1)
+    for (remaining, tag), count in tally.items():
+        coeffs[total_max - remaining] += count * weights[tag]
+    return QSeries(coeffs, trunc=total_max, markers=markers)
 
 
 def powerset(items: Iterable) -> Iterator[tuple]:

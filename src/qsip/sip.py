@@ -29,11 +29,11 @@ integer coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import add, sub
+from itertools import islice, repeat
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator
 
-from .partitions import Partition, SipClassSpec, grow, in_sip_class
+from .partitions import Partition, SipClassSpec, grow, in_sip_class, walk_series
 from .series import MarkerPoly, QSeries, binomial_factor
 
 
@@ -98,13 +98,82 @@ def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
 
-    def successors(last, depth):
-        if depth == n_parts:
+    def successors(parts):
+        if len(parts) == n_parts:
             return ()
-        nexts = sorted(set(spec.c)) if last is None else basis_successors(spec, last)
-        return ((p, depth + 1) for p in nexts if p <= h_max)
+        nexts = sorted(set(spec.c)) if not parts else basis_successors(spec, parts[-1])
+        return (parts + (p,) for p in nexts if p <= h_max)
 
-    return (parts for parts in grow(0, successors) if len(parts) == n_parts)
+    return (parts for parts in grow((), successors) if len(parts) == n_parts)
+
+
+def _next_parts(spec: SipClassSpec):
+    """The class rule as ``nexts(last, remaining)``: the admissible parts,
+    ascending, after a part ``last`` (None before the first part) that fit
+    in ``remaining``.  A part is at least its residue threshold and at
+    least its residue gap above ``last``."""
+    k, c, d = spec.k, spec.c, spec.d
+    least_c, least_gap = min(c), min(d)
+
+    def nexts(last, remaining):
+        low = least_c if last is None else last + least_gap
+        if low > remaining:
+            return ()
+        return [p for p in range(low, remaining + 1)
+                if p >= c[(p - 1) % k] and (last is None or p - last >= d[(p - 1) % k])]
+
+    return nexts
+
+
+def _basis_step(spec: SipClassSpec, b: int | None, p: int) -> int:
+    """The basis part that the constructive split pairs with a member part
+    ``p`` over the basis part ``b`` (None for the first part): the
+    threshold of p's residue first, then the unique value congruent to p in
+    the window [b + d_r, b + d_r + k).  It reads p only modulo k."""
+    k = spec.k
+    if b is None:
+        return spec.c[(p - 1) % k]
+    lo = b + spec.d[(p - 1) % k]
+    return lo + (p - lo) % k
+
+
+def _member_walk(spec: SipClassSpec, total_max: int) -> Iterator[tuple]:
+    """Every class member of total <= total_max, in ascending pre-order, as
+    the walk state (parts, constructive basis, remaining total).
+
+    Each step extends the basis by :func:`_basis_step`, the rule
+    :func:`decompose` applies, so the basis of every member is built
+    alongside it.  Siblings share their basis tuples: there is one per
+    residue of the next part.  A class with k = 1 has one threshold and one
+    gap, so its steps are C-level ranges.
+    """
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+    k = spec.k
+    if k == 1:
+        first, gap = spec.c[0], spec.d[0]
+
+        def successors(state):
+            parts, basis, remaining = state
+            low = parts[-1] + gap if parts else first
+            if low > remaining:
+                return ()
+            step = _basis_step(spec, basis[-1] if basis else None, low)
+            return zip(map(parts.__add__, zip(range(low, remaining + 1))),
+                       repeat(basis + (step,)), range(remaining - low, -1, -1))
+    else:
+        nexts = _next_parts(spec)
+
+        def successors(state):
+            parts, basis, remaining = state
+            last, b = (parts[-1], basis[-1]) if parts else (None, None)
+            steps = nexts(last, remaining)
+            if not steps:
+                return ()
+            shared = [basis + (_basis_step(spec, b, r),) for r in range(1, k + 1)]
+            return ((parts + (p,), shared[(p - 1) % k], remaining - p) for p in steps)
+
+    return grow(((), (), total_max), successors)
 
 
 def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
@@ -112,25 +181,73 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
 
     The pruned generation (next part at least prev + its residue gap, and at
     least its residue threshold) is cross-checked against the unpruned
-    filter of enumerate_partitions in the test suite.  A class with k = 1
-    has one threshold and one gap, so its steps are two C-level ranges, as
-    in :func:`~qsip.partitions.enumerate_partitions`.
+    filter of enumerate_partitions in the test suite.  These are the parts
+    of the member walk that :func:`verify_sip` reads.
+    """
+    return map(itemgetter(0), _member_walk(spec, total_max))
+
+
+def _members(spec: SipClassSpec, total_max: int) -> dict[Partition, Partition]:
+    """{member: its constructive basis} for every class member of total <=
+    total_max, the empty one included, from one member walk."""
+    return dict(map(itemgetter(0, 1), _member_walk(spec, total_max)))
+
+
+def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
+    """The class generating function to q^total_max, counted by a walk with
+    one state per member, weighted by the product of its parts' weights
+    when the class has them.
+
+    A state is (last part, remaining total); the k = 1 steps are two
+    C-level ranges whose pairs are already the next states.  A weighted
+    class adds to the state its per-residue part counts, packed as the
+    digits of one int in base total_max + 1 (no member has more parts); the
+    weight prod w_r^(n_r) is computed once per distinct counts and applied
+    once per distinct (remaining, counts).
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
     k, c, d = spec.k, spec.c, spec.d
-    least_c, least_gap = min(c), min(d)
+    if spec.weights is None and k == 1:
+        gap = d[0]
 
-    def successors(last, remaining):
-        low = least_c if last is None else last + least_gap
-        if low > remaining:
-            return ()
-        if k == 1:
+        def successors(state):
+            last, remaining = state
+            low = last + gap
+            if low > remaining:
+                return ()
             return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
-        return ((p, remaining - p) for p in range(low, remaining + 1)
-                if p >= c[(p - 1) % k] and (last is None or p - last >= d[(p - 1) % k]))
 
-    return grow(total_max, successors)
+        # the root's last part sits one gap below c_1, where the first part starts
+        return walk_series(grow((c[0] - gap, total_max), successors), total_max)
+
+    nexts = _next_parts(spec)
+    if spec.weights is None:
+        def successors(state):
+            last, remaining = state
+            steps = nexts(last, remaining)
+            return ((p, remaining - p) for p in steps) if steps else ()
+
+        return walk_series(grow((None, total_max), successors), total_max)
+
+    base = total_max + 1
+    digits = [base ** i for i in range(k)]
+
+    def weighted(state):
+        last, remaining, counts = state
+        steps = nexts(last, remaining)
+        return ((p, remaining - p, counts + digits[(p - 1) % k])
+                for p in steps) if steps else ()
+
+    def weight(counts):
+        out = MarkerPoly.unit(spec.markers)
+        for w in spec.weights:
+            counts, n = divmod(counts, base)
+            out = out * w ** n
+        return out
+
+    return walk_series(grow((None, total_max, 0), weighted), total_max, weight,
+                       spec.markers)
 
 
 @dataclass(frozen=True)
@@ -155,18 +272,14 @@ class SipDecomposition:
 
 
 def _split(parts: Partition, spec: SipClassSpec) -> tuple[Partition, tuple[int, ...]]:
-    """The (basis, padding) tuples of a class member, built left to right as
-    :func:`decompose` describes; raises NotInClass for a non-member."""
+    """The (basis, padding) tuples of a class member, built left to right by
+    :func:`_basis_step`; raises NotInClass for a non-member."""
     if not in_sip_class(parts, spec):
         raise NotInClass(f"{parts} is not in the class {spec.c}/{spec.d} mod {spec.k}")
-    if not parts:
-        return (), ()
-    k, c, d = spec.k, spec.c, spec.d
-    b = c[(parts[0] - 1) % k]
-    basis = [b]
-    for p in islice(parts, 1, None):
-        lo = b + d[(p - 1) % k]
-        b = lo + (p - lo) % k
+    basis = []
+    b = None
+    for p in parts:
+        b = _basis_step(spec, b, p)
         basis.append(b)
     return tuple(basis), tuple(map(sub, parts, basis))
 
@@ -192,30 +305,32 @@ def _bases(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
     basis elements are closed under taking prefixes."""
     firsts = sorted(set(spec.c))
 
-    def successors(last, remaining):
-        nexts = firsts if last is None else basis_successors(spec, last)
+    def successors(state):
+        parts, remaining = state
+        nexts = basis_successors(spec, parts[-1]) if parts else firsts
         if nexts[0] > remaining:
             return ()
-        return ((p, remaining - p) for p in nexts if p <= remaining)
+        return ((parts + (p,), remaining - p) for p in nexts if p <= remaining)
 
-    return islice(grow(total_max, successors), 1, None)
+    return islice(map(itemgetter(0), grow(((), total_max), successors)), 1, None)
 
 
 def _paddings(n: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
     """Non-decreasing n-tuples (n >= 1) of non-negative multiples of k summing
     <= budget: one walk over the (n-1)-prefixes, each followed by every value
     its last slot can take.  A slot never exceeds the budget left over the
-    slots from it on, so every prefix extends to a full tuple."""
-    def successors(last, state):
-        rest, slots = state
+    slots from it on, so every prefix extends to a full tuple.  A walk state
+    is (prefix, budget left, slots left)."""
+    def successors(state):
+        head, rest, slots = state
         if slots < 2:
             return ()
-        return ((p, (rest - p, slots - 1))
-                for p in range(last or 0, rest // slots + 1, k))
+        return ((head + (p,), rest - p, slots - 1)
+                for p in range(head[-1] if head else 0, rest // slots + 1, k))
 
-    for head in grow((budget, n), successors):
-        if len(head) == n - 1:
-            for p in range(head[-1] if head else 0, budget - sum(head) + 1, k):
+    for head, rest, slots in grow(((), budget, n), successors):
+        if slots == 1:
+            for p in range(head[-1] if head else 0, rest + 1, k):
                 yield head + (p,)
 
 
@@ -252,31 +367,39 @@ def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
     recomposes each with every padding that fits, and the report lists
     collisions (two decompositions of one partition), omissions (members
     never produced), escapes from the class, and any disagreement with the
-    constructive split of :func:`decompose`, checked when a member is first
-    produced.  Pairs are kept as (basis, padding) tuples; SipDecomposition
-    objects are built only for report entries.
+    constructive split of :func:`decompose`.  The members and their
+    constructive bases come from one member walk (:func:`_members`).  When
+    a member is first produced it leaves that dict for ``seen``, which
+    keeps only its basis; :func:`~qsip.partitions.in_sip_class` confirms
+    it, and its basis must be the constructive one.  Paddings and
+    SipDecomposition objects are rebuilt for report entries only.
     """
-    members = set(enumerate_class(spec, total_max))
+    members = _members(spec, total_max)
     report = SipVerifyReport(spec=spec, total_max=total_max, class_count=len(members))
+    members.pop((), None)  # the empty member has no basis element to recompose
 
-    seen: dict[Partition, tuple[Partition, tuple[int, ...]]] = {}
+    seen: dict[Partition, Partition] = {}
     recomposed = 0
     for basis in _bases(spec, total_max):
         for pad in _paddings(len(basis), spec.k, total_max - sum(basis)):
             parts = tuple(map(add, basis, pad))
             recomposed += 1
-            if parts not in members:
-                report.not_in_class.append((SipDecomposition(basis, pad), parts))
+            built = members.pop(parts, None)
+            if built is not None:
+                seen[parts] = basis
+                if not in_sip_class(parts, spec):
+                    report.not_in_class.append((SipDecomposition(basis, pad), parts))
+                elif built != basis:
+                    report.constructive_mismatches.append(
+                        (parts, SipDecomposition(built, tuple(map(sub, parts, built)))))
             elif parts in seen:
-                report.collisions.append((SipDecomposition(*seen[parts]),
+                first = seen[parts]
+                report.collisions.append((SipDecomposition(first, tuple(map(sub, parts, first))),
                                           SipDecomposition(basis, pad), parts))
             else:
-                seen[parts] = basis, pad
-                built = _split(parts, spec)
-                if built != (basis, pad):
-                    report.constructive_mismatches.append((parts, SipDecomposition(*built)))
+                report.not_in_class.append((SipDecomposition(basis, pad), parts))
     report.recomposed_count = recomposed
-    report.omissions = list(members.difference(seen, [()]))
+    report.omissions = list(members)
     return report
 
 

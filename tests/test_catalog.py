@@ -3,6 +3,7 @@
 import pytest
 
 from qsip import catalog, partitions
+from qsip import ncopies as nc
 from qsip.catalog import (NoOracle, TelescopeResult, UnknownIdentity,
                           gollnitz_intermediate, oracle_concordance,
                           substitute_neg_q_squared, telescope_check, verify,
@@ -12,6 +13,8 @@ from qsip.qfactory import (CongruenceProductSpec, PochSpec,
                            congruence_product, poch_finite, poch_infinite,
                            theta_sum)
 from qsip.series import MarkerPoly, QSeries
+from qsip.sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
+                      SCHUR_REFINED, enumerate_class)
 
 ALL_IDS = [
     "euler-any", "euler-distinct", "rogers-ramanujan", "gollnitz-gordon-1",
@@ -159,6 +162,67 @@ class TestClassOracles:
         monkeypatch.setattr(catalog, "enumerate_partitions", unused, raising=False)
         for identity in CLASS_ORACLES:
             assert oracle_concordance(identity, 12).passed, identity
+
+
+def marker_product(spec):
+    """Weight of a member: the product of its parts' marker weights."""
+    def weight(parts):
+        w = MarkerPoly.unit(spec.markers)
+        for p in parts:
+            w = w * spec.weight(p)
+        return w
+    return weight
+
+
+def _class_reference(spec):
+    weight = marker_product(spec) if spec.weights else None
+    return lambda t: counting_series(enumerate_class(spec, t), t, size=sum,
+                                     weight=weight, markers=spec.markers)
+
+
+def _ncopies_reference(r):
+    return lambda t: counting_series(nc.enumerate_ncopies(t, min_diff=r), t,
+                                     size=nc.copy_total)
+
+
+# identity -> its counting oracle recomputed by counting_series over the
+# public tuple (or object) enumerator of the same class
+REFERENCE_ENUMERATIONS = {
+    "euler-any": _class_reference(NATURAL),
+    "euler-distinct": _class_reference(DISTINCT),
+    "rogers-ramanujan": _class_reference(ROGERS_RAMANUJAN),
+    "gollnitz-gordon-1": _class_reference(GOLLNITZ_GORDON),
+    "schur-refined": _class_reference(SCHUR_REFINED),
+    "glasgow-mod8": _class_reference(GLASGOW),
+    "slater-46": _ncopies_reference(1),
+    "slater-61": _ncopies_reference(0),
+    "slater-81": _ncopies_reference(-1),
+    # every overlined object built, not the 2^s weight of the counting walk
+    "slater-6-corrected": lambda t: counting_series(nc.enumerate_ncopies_over(t), t),
+    "slater-86": lambda t: counting_series(nc.enumerate_even_subscript(t), t,
+                                           size=nc.copy_total),
+}
+ORACLE_IDS = [i for i in ALL_IDS if i != "mod7-sum"]
+
+
+class TestCountingWalks:
+    def test_every_oracle_has_a_reference(self):
+        assert sorted(REFERENCE_ENUMERATIONS) == sorted(ORACLE_IDS)
+
+    @pytest.mark.parametrize("identity", ORACLE_IDS)
+    def test_matches_reference_enumerator(self, identity):
+        oracle = catalog.get(identity).oracle
+        reference = REFERENCE_ENUMERATIONS[identity]
+        for total in range(21):
+            got, want = oracle(total), reference(total)
+            assert got.markers == want.markers and got.trunc == want.trunc == total
+            assert got.coefficients(total) == want.coefficients(total), total
+
+    @pytest.mark.parametrize("identity", ORACLE_IDS)
+    def test_concordance_at_benchmark_size(self, identity):
+        # the largest total the oracle-enum benchmark runs
+        res = oracle_concordance(identity, 30)
+        assert res.passed, res.summary()
 
 
 class TestSlater81Correction:

@@ -46,14 +46,15 @@ class TestEnumerate:
 
 
 def gaps_at_least_two(leaf):
-    """Successor rule for ascending parts with gaps >= 2 and total <= the
-    state; where no step fits it returns ``leaf``, or an empty generator
-    when ``leaf`` is None."""
-    def successors(last, remaining):
-        low = 1 if last is None else last + 2
+    """Successor rule for ascending parts with gaps >= 2, over states
+    (parts, remaining); where no step fits it returns ``leaf``, or an empty
+    generator when ``leaf`` is None."""
+    def successors(state):
+        parts, remaining = state
+        low = parts[-1] + 2 if parts else 1
         if leaf is not None and low > remaining:
             return leaf
-        return ((p, remaining - p) for p in range(low, remaining + 1))
+        return ((parts + (p,), remaining - p) for p in range(low, remaining + 1))
     return successors
 
 
@@ -61,14 +62,15 @@ class TestGrow:
     @pytest.mark.parametrize("leaf", [(), []], ids=["tuple", "list"])
     def test_empty_leaf_matches_generator_leaf(self, leaf):
         for total in range(16):
-            walked = list(grow(total, gaps_at_least_two(leaf)))
-            assert walked == list(grow(total, gaps_at_least_two(None)))
-        assert len(walked) == len(set(walked)) == 1 + sum(
+            walked = list(grow(((), total), gaps_at_least_two(leaf)))
+            assert walked == list(grow(((), total), gaps_at_least_two(None)))
+        parts = [parts for parts, _ in walked]
+        assert len(parts) == len(set(parts)) == 1 + sum(
             1 for p in enumerate_partitions(15)
             if p and all(b - a >= 2 for a, b in zip(p, p[1:])))
 
     def test_empty_root(self):
-        assert list(grow(0, gaps_at_least_two(()))) == [()]
+        assert list(grow(((), 0), gaps_at_least_two(()))) == [((), 0)]
 
 
 class TestPartitionCount:

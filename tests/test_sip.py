@@ -154,6 +154,23 @@ class TestVerifySip:
         assert (report.ok, report.class_count, report.recomposed_count) == \
             PINNED_SIP[name][total]
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"k{s.k}c{s.c}")
+    def test_exhaustive_at_benchmark_size(self, spec):
+        # the largest total the oracle-enum benchmark runs; the member count
+        # is read off the basis-row generating function, which shares no
+        # code with the member walk
+        report = verify_sip(spec, 30)
+        assert report.ok, report.summary()
+        members = sum(class_gf(spec, 30).int_coefficients(30))
+        assert (report.class_count, report.recomposed_count) == (members, members - 1)
+
+    @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
+    def test_member_walk_carries_constructive_basis(self, spec):
+        members = sip._members(spec, 18)
+        assert list(members) == list(enumerate_class(spec, 18))
+        for parts, basis in members.items():
+            assert basis == decompose(parts, spec).basis
+
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError, match="total_max must be non-negative"):
             verify_sip(NATURAL, -1)
@@ -197,10 +214,10 @@ class TestVerifySipFaults:
             assert bool(getattr(report, other)) == (other == name), other
 
     def test_member_missing_from_class_stream(self, monkeypatch):
-        real = sip.enumerate_class
+        real = sip._members
         dropped = next(p for p in real(self.SPEC, self.TOTAL) if len(p) == 2)
-        monkeypatch.setattr(sip, "enumerate_class", lambda spec, total_max: (
-            p for p in real(spec, total_max) if p != dropped))
+        monkeypatch.setattr(sip, "_members", lambda spec, total_max: {
+            p: b for p, b in real(spec, total_max).items() if p != dropped})
         self.assert_caught_only_by("not_in_class")
 
     def test_padding_yielded_twice(self, monkeypatch):
@@ -221,15 +238,13 @@ class TestVerifySipFaults:
         self.assert_caught_only_by("omissions")
 
     def test_constructive_basis_corrupted(self, monkeypatch):
-        real = sip._split
+        real = sip._members
 
-        def corrupted(parts, spec):
-            basis, pad = real(parts, spec)
-            if len(parts) == 2:
-                basis = basis[:1] + (basis[1] + spec.k,)
-            return basis, pad
+        def corrupted(spec, total_max):
+            return {p: b[:1] + (b[1] + spec.k,) if len(p) == 2 else b
+                    for p, b in real(spec, total_max).items()}
 
-        monkeypatch.setattr(sip, "_split", corrupted)
+        monkeypatch.setattr(sip, "_members", corrupted)
         self.assert_caught_only_by("constructive_mismatches")
 
 
