@@ -9,19 +9,47 @@ convention cannot express are added explicitly where noted.  Every formula
 is validated coefficientwise against the recurrence-built tables in the
 test suite; where several transcriptions of a formula circulate, the one
 implemented here is the one that fits the tables.
+
+Values are built on plain int rows: a term q^e [a, b] [c, d] ... convolves
+the int rows of its cached Gaussian binomials and adds the product, shifted
+by e, into the row of its marker monomial u^i v^j.  Each returned value is
+one :class:`QSeries` made from those rows, so MarkerPoly values appear only
+where a caller reads them off that series.
 """
 
 from __future__ import annotations
 
-from .qfactory import PochSpec, gaussian_binomial, poch_finite
-from .series import MarkerPoly, QSeries
+from operator import add
+
+from .qfactory import PochSpec, binomial_row
+from .series import QSeries, _convolve_into
 
 SCHUR_MARKERS = ("u", "v")
-_U, _V = MarkerPoly.gens(SCHUR_MARKERS)
 
 
-def _uv_term(u_exp: int, v_exp: int) -> MarkerPoly:
-    return MarkerPoly(SCHUR_MARKERS, {(u_exp, v_exp): 1})
+def _add_product(acc: list[int], exp: int, *factors: list[int]) -> None:
+    """Add q^exp times the product of the int rows ``factors`` into acc,
+    growing it as needed."""
+    prod = factors[0]
+    for row in factors[1:]:
+        out = [0] * (len(prod) + len(row) - 1)
+        _convolve_into(out, prod, row)
+        prod = out
+    end = exp + len(prod)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[exp:end] = map(add, acc[exp:end], prod)
+
+
+def _shift_into(acc: dict, rows: dict, u_exp: int, exp: int) -> None:
+    """Add u^u_exp q^exp times the marked rows ``rows`` into acc."""
+    for (a, b), row in rows.items():
+        _add_product(acc.setdefault((a + u_exp, b), []), exp, row)
+
+
+def _shifted(exp: int, row: list[int]) -> QSeries:
+    """q^exp times an int row, as an exact polynomial."""
+    return QSeries([0] * exp + row) if row else QSeries.zero()
 
 
 def gollnitz_closed(n: int, h: int) -> QSeries:
@@ -32,8 +60,7 @@ def gollnitz_closed(n: int, h: int) -> QSeries:
     """
     if n < 1 or h < 0:
         raise ValueError("requires n >= 1 and h >= 0")
-    gb = gaussian_binomial(n - 1, h, base=2)
-    return QSeries.monomial(n * n + h * h + 2 * h) * gb
+    return _shifted(n * n + h * h + 2 * h, binomial_row(n - 1, h, base=2))
 
 
 def schur_closed(n: int, h: int, branch: int) -> QSeries:
@@ -46,37 +73,37 @@ def schur_closed(n: int, h: int, branch: int) -> QSeries:
     if n < 1:
         raise ValueError("requires n >= 1")
     if branch == 2:
-        return _schur_s1(n, h)
-    if branch == 1:
-        return _schur_s2(n, h)
-    if branch == 0:
-        return QSeries.monomial(1, _U, markers=SCHUR_MARKERS) * _schur_s1(n, h)
-    raise ValueError("branch must be 0, 1 or 2 (largest part mod 3)")
+        rows = _schur_s1(n, h)
+    elif branch == 1:
+        rows = _schur_s2(n, h)
+    elif branch == 0:  # u q times branch 2
+        rows = {}
+        _shift_into(rows, _schur_s1(n, h), 1, 1)
+    else:
+        raise ValueError("branch must be 0, 1 or 2 (largest part mod 3)")
+    return QSeries.from_rows(rows, markers=SCHUR_MARKERS)
 
 
-def _schur_s1(n: int, h: int) -> QSeries:
-    """Double sum for largest part 3n + 3h - 1 (residue 2)."""
-    if h < 0:
-        return QSeries.zero(markers=SCHUR_MARKERS)
-    total = QSeries.zero(markers=SCHUR_MARKERS)
+def _schur_s1(n: int, h: int) -> dict:
+    """Rows of the double sum for largest part 3n + 3h - 1 (residue 2):
+    u^(j+h-i) v^(n-j) q^e [n-j-1, h] [j+h-i, h] [h, i] in base q^3."""
+    rows: dict = {}
     for j in range(0, n + 1):
-        outer = gaussian_binomial(n - j - 1, h, base=3)
-        if outer == 0:
+        outer = binomial_row(n - j - 1, h, base=3)
+        if not outer:
             continue
         for i in range(0, h + 1):
-            mid = gaussian_binomial(j + h - i, h, base=3)
-            inner = gaussian_binomial(h, i, base=3)
-            if mid == 0 or inner == 0:
-                continue
-            exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
-            mono = QSeries.monomial(exp, _uv_term(j + h - i, n - j),
-                                    markers=SCHUR_MARKERS)
-            total = total + mono * outer * mid * inner
-    return total
+            mid = binomial_row(j + h - i, h, base=3)
+            inner = binomial_row(h, i, base=3)
+            if mid and inner:
+                exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
+                _add_product(rows.setdefault((j + h - i, n - j), []), exp,
+                             outer, mid, inner)
+    return rows
 
 
-def _schur_s2(n: int, h: int) -> QSeries:
-    """Row value for largest part 3n + 3h - 2 (residue 1).
+def _schur_s2(n: int, h: int) -> dict:
+    """Rows of the value for largest part 3n + 3h - 2 (residue 1).
 
     The all-residue-1 chain 1 + 4 + ... + (3n - 2) contributes the isolated
     monomial u^n q^(n(3n-1)/2) when h = 0; everything else unrolls through
@@ -85,22 +112,15 @@ def _schur_s2(n: int, h: int) -> QSeries:
         (1 + u q) * sum over t >= 1 of
             u^t q^(t(3n + 3h - 2) - 3 t (t - 1) / 2) * S1(n - t, h - 1).
     """
-    if h < 0:
-        return QSeries.zero(markers=SCHUR_MARKERS)
-    total = QSeries.zero(markers=SCHUR_MARKERS)
+    rows: dict = {}
     if h == 0:
-        total = QSeries.monomial(n * (3 * n - 1) // 2, _uv_term(n, 0),
-                                 markers=SCHUR_MARKERS)
-    one_plus_uq = QSeries.one(markers=SCHUR_MARKERS) \
-        + QSeries.monomial(1, _U, markers=SCHUR_MARKERS)
+        rows[(n, 0)] = [0] * (n * (3 * n - 1) // 2) + [1]
     for t in range(1, n):
         tail = _schur_s1(n - t, h - 1)
-        if tail == 0:
-            continue
         exp = t * (3 * n + 3 * h - 2) - 3 * t * (t - 1) // 2
-        mono = QSeries.monomial(exp, _uv_term(t, 0), markers=SCHUR_MARKERS)
-        total = total + one_plus_uq * mono * tail
-    return total
+        _shift_into(rows, tail, t, exp)
+        _shift_into(rows, tail, t + 1, exp + 1)
+    return rows
 
 
 def combined_row_formula(n: int, h: int) -> QSeries:
@@ -113,23 +133,21 @@ def combined_row_formula(n: int, h: int) -> QSeries:
     if n < 1 or h < -1:
         raise ValueError("requires n >= 1 and h >= -1")
     if h == -1:
-        return QSeries.monomial(n * (3 * n - 1) // 2, _uv_term(n, 0),
-                                markers=SCHUR_MARKERS)
-    total = QSeries.zero(markers=SCHUR_MARKERS)
+        rows = {(n, 0): [0] * (n * (3 * n - 1) // 2) + [1]}
+        return QSeries.from_rows(rows, markers=SCHUR_MARKERS)
+    rows = {}
     for j in range(0, n + 1):
-        outer = gaussian_binomial(n - 1 - j, h, base=3)
-        if outer == 0:
+        outer = binomial_row(n - 1 - j, h, base=3)
+        if not outer:
             continue
         for i in range(-1, h + 1):
-            mid = gaussian_binomial(j + h - i, j, base=3)
-            inner = gaussian_binomial(j + 1, i + 1, base=3)
-            if mid == 0 or inner == 0:
-                continue
-            exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
-            mono = QSeries.monomial(exp, _uv_term(j + h - i, n - j),
-                                    markers=SCHUR_MARKERS)
-            total = total + mono * outer * mid * inner
-    return total
+            mid = binomial_row(j + h - i, j, base=3)
+            inner = binomial_row(j + 1, i + 1, base=3)
+            if mid and inner:
+                exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
+                _add_product(rows.setdefault((j + h - i, n - j), []), exp,
+                             outer, mid, inner)
+    return QSeries.from_rows(rows, markers=SCHUR_MARKERS)
 
 
 def glasgow_closed(n: int, largest: int) -> QSeries:
@@ -150,19 +168,17 @@ def glasgow_closed(n: int, largest: int) -> QSeries:
     rem = largest % 4
     if rem == 1:
         h = (largest - 1) // 4
-        exp, gb = 2 * n + 2 * h * h + h, gaussian_binomial(n - 2, h - 1, base=4)
+        exp, row = 2 * n + 2 * h * h + h, binomial_row(n - 2, h - 1, base=4)
     elif rem == 0:
         h = largest // 4
-        exp, gb = 4 * n + 2 * h * h + h - 4, gaussian_binomial(n - 2, h - 1, base=4)
+        exp, row = 4 * n + 2 * h * h + h - 4, binomial_row(n - 2, h - 1, base=4)
     elif rem == 3:
         h = (largest + 1) // 4
-        exp, gb = 4 * n + 2 * h * h - 3 * h, gaussian_binomial(n - 2, h - 2, base=4)
+        exp, row = 4 * n + 2 * h * h - 3 * h, binomial_row(n - 2, h - 2, base=4)
     else:
         h = (largest + 2) // 4
-        exp, gb = 2 * n - 3 + 2 * h * h + h, gaussian_binomial(n - 2, h - 1, base=4)
-    if gb == 0:
-        return QSeries.zero()
-    return QSeries.monomial(exp) * gb
+        exp, row = 2 * n - 3 + 2 * h * h + h, binomial_row(n - 2, h - 1, base=4)
+    return _shifted(exp, row)
 
 
 def glasgow_row_sums(n: int) -> dict[int, QSeries]:
@@ -173,12 +189,14 @@ def glasgow_row_sums(n: int) -> dict[int, QSeries]:
     """
     if n < 2:
         raise ValueError("requires n >= 2")
-    tail = poch_finite(PochSpec(offset=7, step=4, sign=-1), n - 2)
+    m = n - 2  # factors 1 + q^(7 + 4k) for k < m, of degree 7m + 2m(m - 1)
+    tail = [1] + [0] * (7 * m + 2 * m * (m - 1))
+    PochSpec(offset=7, step=4, sign=-1).apply(tail, m)
     return {
-        1: QSeries.monomial(2 * n + 3) * tail,
-        0: QSeries.monomial(4 * n - 1) * tail,
-        3: QSeries.monomial(4 * n + 2) * tail,
-        2: QSeries.monomial(2 * n) * tail,
+        1: _shifted(2 * n + 3, tail),
+        0: _shifted(4 * n - 1, tail),
+        3: _shifted(4 * n + 2, tail),
+        2: _shifted(2 * n, tail),
     }
 
 
@@ -191,14 +209,14 @@ def chu_vandermonde_check(r: int, s: int, n: int) -> bool:
     """
     if r < 0 or n < 0 or s < 1:
         raise ValueError("requires r, n >= 0 and s >= 1")
-    lhs = QSeries.zero()
+    lhs: list[int] = []
     for h in range(0, r + 1):
-        left = gaussian_binomial(s - 1, h, base=3)
-        right = gaussian_binomial(n + 1, r - h, base=3)
-        if left == 0 or right == 0:
-            continue
-        lhs = lhs + QSeries.monomial(3 * h * h + 3 * h * (n + 1 - r)) * left * right
-    return lhs == gaussian_binomial(n + s, r, base=3)
+        left = binomial_row(s - 1, h, base=3)
+        right = binomial_row(n + 1, r - h, base=3)
+        if left and right:
+            _add_product(lhs, 3 * h * h + 3 * h * (n + 1 - r), left, right)
+    # no term cancels, so both sides are rows through their degree
+    return lhs == binomial_row(n + s, r, base=3)
 
 
 def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:
@@ -210,14 +228,13 @@ def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:
     if r < 0 or s < 0:
         raise ValueError("requires r, s >= 0")
     cubes = PochSpec(offset=3, step=3)
-    lhs = QSeries.zero(trunc)
+    lhs = [0] * (trunc + 1)
     for m in range(0, r + 1):
-        left = gaussian_binomial(r, m, base=3)
-        right = gaussian_binomial(m + s, r, base=3)
-        if left == 0 or right == 0:
-            continue
-        exp = 3 * m * m + 3 * m * (s - r)
-        term = (QSeries.monomial(exp, trunc=trunc) * left * right).int_coefficients(trunc)
-        lhs = lhs + QSeries(cubes.apply(term, m + s, -1), trunc=trunc)
+        left = binomial_row(r, m, base=3)
+        right = binomial_row(m + s, r, base=3)
+        if left and right:
+            term = [0] * (trunc + 1)
+            _convolve_into(term, [0] * (3 * m * m + 3 * m * (s - r)) + left, right)
+            lhs = list(map(add, lhs, cubes.apply(term, m + s, -1)))
     rhs = cubes.apply(cubes.apply([1] + [0] * trunc, r, -1), s, -1)
-    return lhs.agrees_through(QSeries(rhs, trunc=trunc))
+    return lhs == rhs

@@ -13,10 +13,11 @@ them partwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterator, NamedTuple
 
 from .partitions import grow, powerset, walk_series
-from .qfactory import PochSpec, gaussian_binomial, poch_product, series_sum
+from .qfactory import PochSpec, binomial_row, poch_product, series_sum
 from .series import QSeries
 
 _ODDS = PochSpec(offset=1, step=2)  # (q; q^2)
@@ -182,9 +183,10 @@ def base_recompose(base: tuple[CopyPart, ...], attached: tuple[int, ...]
 class ExactDiffTable:
     """Generating functions g(n, m, j) of exact-difference-r chains.
 
-    Indexed by part count n and largest part m_j; built from the recurrence
-    g(n, m, j) = q^m * sum over i of g(n-1, m - j - i - r, i), seeded by the
-    diagonal one-part chains g(1, m, m) = q^m.
+    Indexed by part count n and largest part m_j, m <= max_m.  Each entry is
+    g(n, m, j) = q^m H(n - 1, m - j - r), where H(n, t) sums the n-part
+    chains whose top part m_j has m + j = t (:func:`exact_diff_table`).
+    ``entries`` holds the nonzero g(n, m, j) only.
     """
 
     r: int
@@ -205,25 +207,43 @@ class ExactDiffTable:
 
 
 def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
+    """The chain table g(n, m, j), n <= max_n and m <= max_m, on int rows.
+
+    The part after a top part m_j is (m + j + r + i)_i, so it reads the top
+    only through m + j.  Summing each level by that key,
+    H(n, t) = sum over m + j = t of g(n, m, j), gives
+
+        g(n, m, j) = q^m H(n - 1, m - j - r),
+        H(n, t) = sum over m + j = t of q^m H(n - 1, m - j - r),
+
+    seeded by the diagonal one-part chains g(1, m, m) = q^m.  Each entry is
+    one shifted copy of an H row, and each level is summed once.
+    """
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    if max_m < 1:
+        raise ValueError("max_m must be at least 1")
     entries: dict[tuple[int, int, int], QSeries] = {}
+    level: dict[int, list[int]] = {}
     for m in range(1, max_m + 1):
-        entries[(1, m, m)] = QSeries.monomial(m)
+        row = [0] * m + [1]
+        entries[(1, m, m)] = QSeries(row)
+        level[2 * m] = row
     for n in range(2, max_n + 1):
+        prev, level = level, {}
         for m in range(1, max_m + 1):
             for j in range(1, m + 1):
-                acc = QSeries.zero()
-                hit = False
-                for i in range(1, m + 1):
-                    prev = entries.get((n - 1, m - j - i - r, i))
-                    if prev is not None:
-                        acc = acc + prev
-                        hit = True
-                if hit:
-                    entries[(n, m, j)] = QSeries.monomial(m) * acc
+                src = prev.get(m - j - r)
+                if src is None:
+                    continue
+                row = [0] * m + src
+                entries[(n, m, j)] = QSeries(row)
+                acc = level.setdefault(m + j, [])
+                if len(acc) < len(row):
+                    acc.extend([0] * (len(row) - len(acc)))
+                acc[:len(row)] = map(add, acc, row)
     return ExactDiffTable(r=r, max_n=max_n, max_m=max_m, entries=entries)
 
 
@@ -244,10 +264,8 @@ def exact_diff_closed(r: int, n: int, m: int, j: int) -> QSeries:
         return QSeries.monomial(m) if m == j else QSeries.zero()
 
     def shifted(main_exp: int, arg: int, order: int, shift: int) -> QSeries:
-        gb = gaussian_binomial(arg, order, base=2)
-        if gb == 0:
-            return QSeries.zero()
-        return QSeries.monomial(main_exp - shift) * gb
+        row = binomial_row(arg, order, base=2)
+        return QSeries([0] * (main_exp - shift) + row) if row else QSeries.zero()
 
     if r % 2:  # r = 2R - 1
         R = (r + 1) // 2

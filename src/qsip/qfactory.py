@@ -191,6 +191,14 @@ def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
     return QSeries(coeffs)
 
 
+def binomial_row(a: int, b: int, base: int = 1) -> list[int]:
+    """The cached :func:`gaussian_binomial` [a, b] in base q^base as a fresh
+    int row through its degree base*b*(a-b); empty where it is zero."""
+    if b < 0 or b > a:
+        return []
+    return gaussian_binomial(a, b, base=base).int_coefficients(base * b * (a - b))
+
+
 @dataclass(frozen=True)
 class CongruenceProductSpec:
     """Product over 1/(1 - q^n) with n filtered by residue classes.

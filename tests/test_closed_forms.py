@@ -6,7 +6,7 @@ from qsip.closed_forms import (chu_vandermonde_check,
                                chu_vandermonde_series_check,
                                combined_row_formula, glasgow_closed,
                                glasgow_row_sums, gollnitz_closed, schur_closed)
-from qsip.qfactory import PochSpec, poch_finite
+from qsip.qfactory import PochSpec, gaussian_binomial, poch_finite
 from qsip.series import MarkerPoly, QSeries
 from qsip.sip import GLASGOW, GOLLNITZ_GORDON, SCHUR_REFINED, basis_table
 
@@ -17,6 +17,96 @@ U, V = MarkerPoly.gens(UV)
 def um(exp, u_exp=0, v_exp=0, coeff=1):
     return QSeries.monomial(exp, MarkerPoly(UV, {(u_exp, v_exp): coeff}),
                             markers=UV)
+
+
+# -- references: the double sums as QSeries products of MarkerPoly terms ------
+# They share no code with the int-row builders of qsip.closed_forms.
+
+def ref_shifted_binomial(exp, a, b, base):
+    """q^exp [a, b] in base q^base by a dense series multiply."""
+    return QSeries.monomial(exp) * gaussian_binomial(a, b, base=base)
+
+
+def ref_s1(n, h):
+    total = QSeries.zero(markers=UV)
+    if h < 0:
+        return total
+    for j in range(0, n + 1):
+        for i in range(0, h + 1):
+            exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
+            total = total + um(exp, j + h - i, n - j) \
+                * gaussian_binomial(n - j - 1, h, base=3) \
+                * gaussian_binomial(j + h - i, h, base=3) \
+                * gaussian_binomial(h, i, base=3)
+    return total
+
+
+def ref_s2(n, h):
+    total = QSeries.zero(markers=UV)
+    if h < 0:
+        return total
+    if h == 0:
+        total = um(n * (3 * n - 1) // 2, n)
+    one_plus_uq = QSeries.one(markers=UV) + um(1, 1)
+    for t in range(1, n):
+        exp = t * (3 * n + 3 * h - 2) - 3 * t * (t - 1) // 2
+        total = total + one_plus_uq * um(exp, t) * ref_s1(n - t, h - 1)
+    return total
+
+
+def ref_schur(n, h, branch):
+    return {2: ref_s1(n, h), 1: ref_s2(n, h), 0: um(1, 1) * ref_s1(n, h)}[branch]
+
+
+def ref_combined(n, h):
+    if h == -1:
+        return um(n * (3 * n - 1) // 2, n)
+    total = QSeries.zero(markers=UV)
+    for j in range(0, n + 1):
+        for i in range(-1, h + 1):
+            exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
+            total = total + um(exp, j + h - i, n - j) \
+                * gaussian_binomial(n - 1 - j, h, base=3) \
+                * gaussian_binomial(j + h - i, j, base=3) \
+                * gaussian_binomial(j + 1, i + 1, base=3)
+    return total
+
+
+class TestReferences:
+    def test_schur_rows(self):
+        for n in range(1, 7):
+            for h in range(-1, 6):
+                for branch in (0, 1, 2):
+                    assert schur_closed(n, h, branch) == ref_schur(n, h, branch), \
+                        (n, h, branch)
+
+    def test_combined_rows(self):
+        for n in range(1, 7):
+            for h in range(-1, 5):
+                assert combined_row_formula(n, h) == ref_combined(n, h), (n, h)
+
+    def test_shifted_binomials(self):
+        for n in range(1, 7):
+            for h in range(0, 6):
+                assert gollnitz_closed(n, h) == \
+                    ref_shifted_binomial(n * n + h * h + 2 * h, n - 1, h, 2), (n, h)
+        for n in range(2, 7):
+            for h in range(1, 6):
+                assert glasgow_closed(n, 4 * h + 1) == \
+                    ref_shifted_binomial(2 * n + 2 * h * h + h, n - 2, h - 1, 4)
+                assert glasgow_closed(n, 4 * h) == \
+                    ref_shifted_binomial(4 * n + 2 * h * h + h - 4, n - 2, h - 1, 4)
+                assert glasgow_closed(n, 4 * h - 1) == \
+                    ref_shifted_binomial(4 * n + 2 * h * h - 3 * h, n - 2, h - 2, 4)
+                assert glasgow_closed(n, 4 * h - 2) == \
+                    ref_shifted_binomial(2 * n - 3 + 2 * h * h + h, n - 2, h - 1, 4)
+
+    def test_glasgow_row_sums(self):
+        for n in range(2, 7):
+            tail = poch_finite(PochSpec(7, 4, sign=-1), n - 2)
+            want = {1: 2 * n + 3, 0: 4 * n - 1, 3: 4 * n + 2, 2: 2 * n}
+            assert glasgow_row_sums(n) == \
+                {rem: QSeries.monomial(exp) * tail for rem, exp in want.items()}, n
 
 
 class TestGollnitz:
@@ -66,6 +156,19 @@ class TestSchur:
                         continue
                     got = schur_closed(n, h, branch)
                     assert got == tbl.entry(n, largest), (n, h, branch)
+
+    def test_deep_table_concordance(self):
+        # every largest part up to 150 for n <= 10: h up to 49
+        tbl = basis_table(SCHUR_REFINED, 10, 150)
+        checked = 0
+        for n in range(1, 11):
+            for largest in range(3 * n - 2, 151):
+                h, rem = divmod(largest - 3 * n + 2, 3)
+                branch = (1, 2, 0)[rem]
+                assert schur_closed(n, h, branch) == tbl.entry(n, largest), \
+                    (n, largest)
+                checked += 1
+        assert checked == sum(151 - (3 * n - 2) for n in range(1, 11))
 
 
 class TestCombinedRow:

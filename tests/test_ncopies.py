@@ -154,7 +154,41 @@ class TestBaseChains:
                 assert set(attached) <= {0}
 
 
+def reference_exact_diff_table(r, max_n, max_m):
+    """The chain table by its (n, m, j, i) recurrence on QSeries:
+    g(n, m, j) = q^m * sum over i of g(n-1, m - j - i - r, i)."""
+    entries = {}
+    for m in range(1, max_m + 1):
+        entries[(1, m, m)] = QSeries.monomial(m)
+    for n in range(2, max_n + 1):
+        for m in range(1, max_m + 1):
+            for j in range(1, m + 1):
+                acc = QSeries.zero()
+                hit = False
+                for i in range(1, m + 1):
+                    prev = entries.get((n - 1, m - j - i - r, i))
+                    if prev is not None:
+                        acc = acc + prev
+                        hit = True
+                if hit:
+                    entries[(n, m, j)] = QSeries.monomial(m) * acc
+    return entries
+
+
 class TestExactDiffTable:
+    def test_matches_reference_recurrence(self):
+        for r in (-1, 0, 1, 2):
+            tbl = exact_diff_table(r, 6, 18)
+            want = reference_exact_diff_table(r, 6, 18)
+            assert tbl.entries.keys() == want.keys(), r
+            for key, series in want.items():
+                assert tbl.entries[key] == series, (r, key)
+
+    def test_rejects_non_positive_max_m(self):
+        for max_m in (0, -5):
+            with pytest.raises(ValueError, match="max_m"):
+                exact_diff_table(0, 3, max_m)
+
     def test_seed_line(self):
         tbl = exact_diff_table(0, 3, 10)
         for m in range(1, 11):
@@ -207,6 +241,15 @@ class TestExactDiffClosed:
             tbl = exact_diff_table(r, 8, 16)
             for n in range(1, 9):
                 for m in range(1, 17):
+                    for j in range(1, m + 1):
+                        assert exact_diff_closed(r, n, m, j) == tbl.entry(n, m, j), \
+                            (r, n, m, j)
+
+    def test_deep_table_concordance(self):
+        for r in (-1, 0, 1, 2):
+            tbl = exact_diff_table(r, 8, 60)
+            for n in range(1, 9):
+                for m in range(1, 61):
                     for j in range(1, m + 1):
                         assert exact_diff_closed(r, n, m, j) == tbl.entry(n, m, j), \
                             (r, n, m, j)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsip import catalog
+from qsip.closed_forms import combined_row_formula, schur_closed
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import gaussian_binomial
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
@@ -478,5 +479,9 @@ def test_marker_free_arithmetic_builds_no_marker_poly(marker_polys_built):
 def test_marked_builders_build_no_marker_poly(marker_polys_built):
     assert catalog.verify("schur-refined", 200).passed
     table = basis_table(SCHUR_REFINED, 8, 80)
+    rows = [schur_closed(n, h, branch) for n in range(1, 9) for h in range(12)
+            for branch in (0, 1, 2)]
+    rows += [combined_row_formula(n, h) for n in range(1, 9) for h in range(-1, 12)]
     assert marker_polys_built == []
+    assert all(row.markers == UV for row in rows)
     assert table.entry(1, 3) == QSeries.monomial(3, U * V, markers=UV)
