@@ -13,6 +13,7 @@ them partwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import add
 from typing import Callable, Iterator, NamedTuple
 
@@ -198,12 +199,15 @@ class ExactDiffTable:
         return self.entries.get((n, m, j)) or QSeries.zero()
 
     def level_gf(self, n: int) -> QSeries:
-        """Sum over (m, j) of g(n, m, j): all n-part chains."""
-        total = QSeries.zero()
-        for (k, _, _), s in self.entries.items():
+        """Sum over (m, j) of g(n, m, j): all n-part chains, summed on one int
+        list.  Part values rise strictly to the top part m, so g(n, m, j)
+        lies between q^m and q^(n * m)."""
+        total = [0] * (n * self.max_m + 1)
+        for (k, m, _), s in self.entries.items():
             if k == n:
-                total = total + s
-        return total
+                end = n * m + 1
+                total[m:end] = map(add, total[m:end], islice(s.int_coefficients(n * m), m, None))
+        return QSeries(total)
 
 
 def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:

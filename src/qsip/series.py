@@ -456,7 +456,9 @@ class QSeries:
 
     @classmethod
     def zero(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
-        return cls([], trunc=trunc, markers=markers)
+        if trunc is not None and trunc < 0:
+            raise ValueError("truncation order must be non-negative")
+        return cls._make({}, trunc, tuple(markers))
 
     @classmethod
     def one(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
@@ -520,11 +522,12 @@ class QSeries:
     def int_coefficients(self, upto: int) -> list[int]:
         """Coefficients of q^0..q^upto as a fresh list of plain integers: the
         marker-free case of :meth:`monomial_rows`."""
+        self._check_window(upto)
+        size = max(upto + 1, 0)
         zero = (0,) * len(self.markers)
-        rows = self.monomial_rows(upto)
-        if rows.keys() - {zero}:
+        if any(any(row[:size]) for key, row in self._rows.items() if key != zero):
             raise ValueError("series has marker terms; use coefficients()")
-        return rows.get(zero) or [0] * max(upto + 1, 0)
+        return _fit(self._rows.get(zero, []), size)
 
     def is_zero_through(self, upto: int) -> bool:
         size = max(upto + 1 if self.trunc is None else min(upto, self.trunc) + 1, 0)

@@ -19,18 +19,23 @@ b(n-1, g) over h - g in [d_r, d_r + k), r the residue of h.  class_gf cuts
 these rows at q^trunc and stops at the first empty one, since basis
 elements are closed under taking prefixes; basis_table keeps them exact.
 
-Each b(n, h) is held as {marker monomial: int list by q-exponent}, the
-single monomial () for an unmarked class, so marked and unmarked classes
-run one path.  A weight multiplies an entry as key shifts: each of its
-terms shifts the monomials by its exponents and scales the lists by its
-integer coefficient.
+Each b(n, h) is held as {marker monomial: (start, row)}, the single
+monomial () for an unmarked class, so marked and unmarked classes run one
+path.  ``row[i]`` is the coefficient of q^(start + g*i) and the row is cut
+at q^trunc; ``row[0]`` is nonzero, since the recurrence starts each row at
+the least start of its window (only a weight with a negative coefficient
+could cancel it), so no row is ever scanned for its first nonzero.  The
+stride g (:func:`_stride`) is k when the weights put every monomial's row
+in one residue class mod k, and 1 otherwise.  A weight multiplies an entry
+as key shifts: each of its terms shifts the monomials by its exponents and
+scales the rows by its integer coefficient, and the starts stay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice, repeat
-from operator import add, itemgetter, sub
+from itertools import islice, product, repeat
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class, walk_series
@@ -431,72 +436,132 @@ class BasisTable:
         return total
 
 
-def _add_into(acc: dict[tuple, list[int]], start: int, entry: dict[tuple, list[int]],
-              size: int) -> None:
-    """Add each row of ``entry`` into the row of ``acc`` with its monomial (a
-    missing one starts as ``size`` zeros) from index start on, dropping what
-    runs past the end.
+def _stride(spec: SipClassSpec) -> int:
+    """The stride g of the basis rows: k when every weight is a monomial and
+    some lambda in (Z/k)^markers makes lambda . exponents(weight_r)
+    congruent to r mod k for every residue r, else 1.
 
-    Basis rows are mostly leading zeros (at trunc 1000 about 86% of the
-    entries added), so each add starts at the row's first nonzero, found by
-    C-level scans."""
-    for key, row in entry.items():
-        lead = next(filter(None, row), 0)
-        if lead:
-            out = acc.setdefault(key, [0] * size)
-            first = row.index(lead)
-            begin, end = start + first, min(len(out), start + len(row))
-            out[begin:end] = map(add, out[begin:end], islice(row, first, None))
+    A member with n_r parts of residue r then weighs the monomial
+    e = sum of n_r exponents(weight_r), and its total is congruent to the
+    sum of n_r r, that is to lambda . e, mod k; a padding adds multiples of
+    k.  So every row of monomial e lies in the class of lambda . e mod k, at
+    every (n, h) and in every level sum.  Weighted Schur takes
+    lambda = (1, 2); an unmarked class with k > 1 has no lambda.  The search
+    runs over the k^markers candidates.
+    """
+    k = spec.k
+    exponents = []
+    for r in range(1, k + 1):
+        terms = spec.weight(r).terms
+        if len(terms) != 1:
+            return 1
+        exponents.extend(terms)
+    for lam in product(range(k), repeat=len(spec.markers)):
+        if all(sum(map(mul, lam, e)) % k == r % k for r, e in enumerate(exponents, 1)):
+            return k
+    return 1
 
 
-def _weighted(entry: dict[tuple, list[int]], weight: MarkerPoly) -> dict[tuple, list[int]]:
-    """An entry {monomial: row}, its rows of one length, times ``weight``: each
-    term of the weight shifts the keys by its exponents and scales the rows by
-    its integer coefficient.  The result may hold the rows of ``entry``
-    themselves: read them, never write."""
-    out: dict[tuple, list[int]] = {}
+def _sum_rows(rows: list[tuple[int, list[int]]], g: int, last: int | None = None
+              ) -> tuple[int, list[int]] | None:
+    """The sum of stride-g rows (start, row) whose starts agree mod g, as one
+    (start, row) from the least start, cut at q^last (None: no cut), or None
+    when that start is past ``last``.  Each row is added at its aligned
+    offset.  A single row is returned as it is, or cut: read it, never
+    write."""
+    start = min(s for s, _ in rows)
+    size = max((s - start) // g + len(row) for s, row in rows)
+    if last is not None:
+        if start > last:
+            return None
+        size = min(size, (last - start) // g + 1)
+    if len(rows) == 1:
+        row = rows[0][1]
+        return start, row if len(row) <= size else row[:size]
+    out = [0] * size
+    for s, row in rows:
+        off = (s - start) // g
+        out[off:off + len(row)] = map(add, out[off:off + len(row)], row)
+    return start, out
+
+
+def _by_key(entries: Iterable[dict]) -> dict[tuple, list[tuple[int, list[int]]]]:
+    """The (start, row) pairs of some entries, grouped by marker monomial."""
+    groups: dict[tuple, list] = {}
+    for entry in entries:
+        for key, pair in entry.items():
+            groups.setdefault(key, []).append(pair)
+    return groups
+
+
+def _weighted(entry: dict[tuple, tuple[int, list[int]]], weight: MarkerPoly, g: int
+              ) -> dict[tuple, tuple[int, list[int]]]:
+    """An entry {monomial: (start, row)} times ``weight``: each term of the
+    weight shifts the keys by its exponents and scales the rows by its
+    integer coefficient; starts stay, and rows whose terms collide on one
+    key are summed at their offsets.  The result may hold the rows of
+    ``entry`` themselves: read them, never write."""
+    out: dict[tuple, tuple[int, list[int]]] = {}
     for shift, c in weight.terms.items():
-        for key, row in entry.items():
+        for key, (start, row) in entry.items():
             key = tuple(map(add, key, shift))
             if c != 1:
                 row = [c * x for x in row]
-            out[key] = list(map(add, out[key], row)) if key in out else row
+            out[key] = _sum_rows([out[key], (start, row)], g) if key in out else (start, row)
     return out
 
 
-def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int
-                ) -> Iterator[dict[int, dict[tuple, list[int]]]]:
+def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int, g: int
+                ) -> Iterator[dict[int, dict[tuple, tuple[int, list[int]]]]]:
     """Rows n = 1, 2, ... of the recurrence in the module docstring, {h: b(n, h)}
-    for h <= h_max, each entry {marker monomial: int list cut at q^trunc} (the
-    single monomial () for an unmarked spec); entries zero that far are left
-    out.  A weight applies as key shifts (:func:`_weighted`)."""
-    weights = [spec.weight(r) for r in range(1, spec.k + 1)]
+    for h <= h_max, each entry {marker monomial: (start, row)} of stride g
+    cut at q^trunc (the single monomial () for an unmarked spec); entries
+    zero that far are left out.  Each b(n, h) sums its window once per key,
+    at offsets aligned by the starts, shifted by q^h; a weight applies as
+    key shifts (:func:`_weighted`)."""
+    k, d = spec.k, spec.d
+    weights = [spec.weight(r) for r in range(1, k + 1)]
     zero = (0,) * len(spec.markers)
-    row = {cr: _weighted({zero: [0] * cr + [1]}, weights[spec.residue_index(cr)])
+    row = {cr: _weighted({zero: (cr, [1])}, weights[(cr - 1) % k], g)
            for cr in set(spec.c) if cr <= min(h_max, trunc)}
     while row:
         yield row
         nxt = {}
-        for h in range(1, h_max + 1):
-            dr = spec.min_gap(h)
-            window = [row[g] for g in range(h - dr - spec.k + 1, h - dr + 1) if g in row]
-            longest = max((len(r) for entry in window for r in entry.values()), default=0)
-            size = min(h + longest, trunc + 1)
-            acc: dict[tuple, list[int]] = {}
-            for entry in window:
-                _add_into(acc, h, entry, size)
-            if any(map(any, acc.values())):
-                nxt[h] = _weighted(acc, weights[spec.residue_index(h)])
+        # b(n, h) reads b(n - 1, b) for b in [h - d_r - k + 1, h - d_r] only
+        for h in range(min(row) + min(d), min(h_max, max(row) + max(d) + k - 1) + 1):
+            top = h - d[(h - 1) % k]
+            window = [row[b] for b in range(top - k + 1, top + 1) if b in row]
+            acc = {}
+            for key, pairs in _by_key(window).items():
+                summed = _sum_rows(pairs, g, trunc - h)
+                if summed is not None:
+                    acc[key] = (summed[0] + h, summed[1])
+            if acc:
+                nxt[h] = _weighted(acc, weights[(h - 1) % k], g)
         row = nxt
+
+
+def _dense(start: int, row: list[int], g: int, size: int | None = None) -> list[int]:
+    """A stride-g row (start, row) as a plain int list by q-exponent, of
+    ``size`` entries (default: through its last stored exponent)."""
+    if size is None:
+        size = start + g * (len(row) - 1) + 1
+    out = [0] * size
+    out[start::g] = row
+    return out
 
 
 def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
     """Tabulate b(n, h) for n <= max_n, h <= max_h as exact polynomials: the
-    rows of :func:`_basis_rows` cut at q^(max_n * max_h), which none exceeds."""
+    rows of :func:`_basis_rows` cut at q^(max_n * max_h), which none exceeds,
+    each expanded to a dense int list by q-exponent."""
     if max_n < 1 or max_h < 1:
         raise ValueError(f"max_n and max_h must be at least 1, got {max_n} and {max_h}")
-    rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, max_n * max_h))
-    entries = {(n, h): QSeries.from_rows(entry, markers=spec.markers)
+    g = _stride(spec)
+    rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, max_n * max_h, g))
+    entries = {(n, h): QSeries.from_rows({key: _dense(start, r, g)
+                                          for key, (start, r) in entry.items()},
+                                         markers=spec.markers)
                for n, row in rows for h, entry in row.items()}
     return BasisTable(spec=spec, max_n=max_n, max_h=max_h, entries=entries)
 
@@ -524,24 +589,29 @@ def min_basis_total(spec: SipClassSpec, n: int) -> int:
     return min(total for _, total in frontier)
 
 
-def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int) -> QSeries:
+def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSeries:
     """1 + sum over n of b(n) / (q^k; q^k)_n to ``trunc``, b(n) summing the n-th
-    of ``rows`` per marker monomial; inside out, (b(1) + (b(2) + ...) /
-    (1 - q^2k)) / (1 - q^k), one division pass per monomial row and level."""
-    sums = []
-    for row in rows:
-        summed: dict[tuple, list[int]] = {}
-        for entry in row.values():
-            _add_into(summed, 0, entry, trunc + 1)
-        sums.append(summed)
-    total: dict[tuple, list[int]] = {}
+    of ``rows`` ({h: {monomial: (start, row)}}, stride g) per marker monomial;
+    inside out, (b(1) + (b(2) + ...) / (1 - q^2k)) / (1 - q^k).
+
+    Each level sum and running total is one stride-g list per monomial,
+    running from its least start to q^trunc, so a division by (1 - q^nk) is
+    one Horner pass by n*k/g steps on it; the totals are expanded to dense
+    rows once, at the end."""
+    if trunc < 0:
+        raise ValueError("truncation order must be non-negative")
+    sums = [{key: _sum_rows(pairs, g, trunc) for key, pairs in _by_key(row.values()).items()}
+            for row in rows]
+    total: dict[tuple, tuple[int, list[int]]] = {}
     for n in range(len(sums), 0, -1):
-        _add_into(total, 0, sums.pop(), trunc + 1)
-        for coeffs in total.values():
-            binomial_factor(coeffs, -1, n * spec.k, -1)
-    zero = (0,) * len(spec.markers)
-    total.setdefault(zero, [0] * (trunc + 1))[0] = 1
-    return QSeries.from_rows(total, trunc, spec.markers)
+        for key, (start, row) in sums.pop().items():
+            total[key] = _sum_rows([total[key], (start, row)], g) if key in total else \
+                (start, row + [0] * ((trunc - start) // g + 1 - len(row)))
+        for _, acc in total.values():
+            binomial_factor(acc, -1, n * spec.k // g, -1)
+    dense = {key: _dense(start, acc, g, trunc + 1) for key, (start, acc) in total.items()}
+    dense.setdefault((0,) * len(spec.markers), [0] * (trunc + 1))[0] = 1
+    return QSeries.from_rows(dense, trunc, spec.markers)
 
 
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
@@ -558,11 +628,14 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
         raise InsufficientTableDepth(
             f"basis elements with {table.max_n + 1} parts still reach total <= {trunc}"
         )
-    return _gf_from_rows(spec, ({h: e.monomial_rows(trunc) for h, e in table.row(n).items()}
-                                for n in range(1, table.max_n + 1)), trunc)
+    rows = ({h: {key: (0, r) for key, r in e.monomial_rows(trunc).items()}
+             for h, e in table.row(n).items()} for n in range(1, table.max_n + 1))
+    return _gf_from_rows(spec, rows, trunc, 1)
 
 
 def class_gf(spec: SipClassSpec, trunc: int) -> QSeries:
     """Class generating function to ``trunc`` from the basis rows cut at q^trunc,
-    up to the first empty row: basis elements are closed under taking prefixes."""
-    return _gf_from_rows(spec, _basis_rows(spec, trunc, trunc), trunc)
+    up to the first empty row: basis elements are closed under taking prefixes.
+    The rows have the spec's stride (:func:`_stride`)."""
+    g = _stride(spec)
+    return _gf_from_rows(spec, _basis_rows(spec, trunc, trunc, g), trunc, g)

@@ -113,6 +113,12 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "total_max must be non-negative" in captured.err and captured.out == ""
 
+    def test_negative_trunc_exit_two(self, capsys):
+        assert main(["verify", "--identity", "schur-refined", "--trunc", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: truncation order must be non-negative" in captured.err
+        assert captured.out == ""
+
     def test_unknown_identity_exit_two(self, capsys):
         assert main(["verify", "--identity", "nope"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -220,6 +220,17 @@ class TestExactDiffTable:
                 want = base_gf(n, r, t)
                 assert level.first_mismatch(want) is None, (r, n)
 
+    def test_level_sums_match_entry_sums(self):
+        # level_gf cuts each entry at degree n * m; the series sum does not
+        for r in (-1, 0, 1, 2):
+            tbl = exact_diff_table(r, 6, 18)
+            for n in range(1, 7):
+                want = QSeries.zero()
+                for (k, _, _), s in tbl.entries.items():
+                    if k == n:
+                        want = want + s
+                assert tbl.level_gf(n) == want, (r, n)
+
 
 class TestExactDiffClosed:
     def test_two_part_anchor(self):

@@ -7,7 +7,8 @@ import pytest
 from qsip import catalog, sip
 from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions,
                              in_sip_class)
-from qsip.qfactory import PochSpec, poch_finite, poch_infinite
+from qsip.qfactory import (CongruenceProductSpec, PochSpec, congruence_product, poch_finite,
+                           poch_infinite)
 from qsip.series import MarkerPoly, QSeries
 from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
                       ROGERS_RAMANUJAN, SCHUR, SCHUR_REFINED, SPEC_REGISTRY,
@@ -23,6 +24,12 @@ ALL_SPECS = (NATURAL, DISTINCT, ROGERS_RAMANUJAN, GOLLNITZ_GORDON, SCHUR,
 _U, _V = MarkerPoly.gens(("u", "v"))
 MIXED_WEIGHTS = SipClassSpec(3, (1, 2, 3), (3, 3, 4), markers=("u", "v"),
                              weights=(_U + _V, 2 * _V, _U * _U))
+# Monomial weights on two gap patterns: Göllnitz–Gordon weighted (u, v) has
+# basis rows of stride k = 2; Schur weighted (u, u, u) puts members of one
+# weight in every residue class, so its rows have stride 1.
+GOLLNITZ_UV = SipClassSpec(2, (1, 2), (2, 3), markers=("u", "v"), weights=(_U, _V))
+(_W,) = MarkerPoly.gens(("u",))
+SCHUR_UUU = SipClassSpec(3, (1, 2, 3), (3, 3, 4), markers=("u",), weights=(_W, _W, _W))
 SPEC_NAMES = {id(spec): name for name, spec in SPEC_REGISTRY.items()}
 # The unweighted specs at trunc 30 take the k/c ids the other tests here use.
 MEMBER_COUNT_CASES = (
@@ -30,7 +37,9 @@ MEMBER_COUNT_CASES = (
     + [pytest.param(spec, t, id=f"{SPEC_NAMES[id(spec)]}-t{t}")
        for spec in ALL_SPECS + (SCHUR_REFINED,) for t in (0, 1, 2, 3)]
     + [pytest.param(SCHUR_REFINED, 30, id="schur-refined-t30")]
-    + [pytest.param(MIXED_WEIGHTS, t, id=f"mixed-weights-t{t}") for t in (0, 1, 2, 3, 30)])
+    + [pytest.param(MIXED_WEIGHTS, t, id=f"mixed-weights-t{t}") for t in (0, 1, 2, 3, 30)]
+    + [pytest.param(GOLLNITZ_UV, t, id=f"gollnitz-uv-t{t}") for t in (0, 1, 2, 3, 30)]
+    + [pytest.param(SCHUR_UUU, t, id=f"schur-uuu-t{t}") for t in (0, 1, 2, 3, 30)])
 # (ok, class_count, recomposed_count) of verify_sip by spec and total, pinned
 # as literals so that no change to how the basis is walked can move them.
 PINNED_SIP = {
@@ -248,7 +257,59 @@ class TestVerifySipFaults:
         self.assert_caught_only_by("constructive_mismatches")
 
 
+def reference_basis_table(spec, max_n, max_h):
+    """{(n, h): b(n, h)} by the dense window recurrence: each entry is
+    {marker monomial: int list by q-exponent, cut at q^(max_n * max_h)}, and
+    b(n, h) adds every row of its window at offset h, then multiplies term by
+    term by the weight of h.  It shares no code with sip."""
+    trunc, k = max_n * max_h, spec.k
+    zero = (0,) * len(spec.markers)
+
+    def weigh(entry, h):
+        out = {}
+        for shift, c in spec.weight(h).terms.items():
+            for key, row in entry.items():
+                acc = out.setdefault(tuple(a + b for a, b in zip(key, shift)), [0] * len(row))
+                acc[:] = [x + c * y for x, y in zip(acc, row)]
+        return out
+
+    table = {}
+    row = {cr: weigh({zero: [0] * cr + [1]}, cr) for cr in set(spec.c) if cr <= max_h}
+    for n in range(1, max_n + 1):
+        table.update({(n, h): QSeries.from_rows(entry, markers=spec.markers)
+                      for h, entry in row.items()})
+        nxt = {}
+        for h in range(1, max_h + 1):
+            top = h - spec.d[(h - 1) % k]
+            acc = {}
+            for below in range(top - k + 1, top + 1):
+                for key, r in row.get(below, {}).items():
+                    out = acc.setdefault(key, [0] * (trunc + 1))
+                    for i, x in enumerate(r[:trunc + 1 - h]):
+                        out[h + i] += x
+            if any(map(any, acc.values())):
+                nxt[h] = weigh(acc, h)
+        row = nxt
+    return table
+
+
 class TestBasisTable:
+    @pytest.mark.parametrize("spec", list(SPEC_REGISTRY.values()) + [MIXED_WEIGHTS],
+                             ids=list(SPEC_REGISTRY) + ["mixed-weights"])
+    @pytest.mark.parametrize("max_n, max_h", [(8, 60), (6, 80)])
+    def test_matches_dense_reference(self, spec, max_n, max_h):
+        assert basis_table(spec, max_n, max_h).entries == \
+            reference_basis_table(spec, max_n, max_h)
+
+    def test_stride_from_weights(self):
+        # k when some lambda maps each weight's exponents to its residue mod k
+        # (lambda = (1, 2) for weighted Schur, (1, 0) for Göllnitz–Gordon
+        # weighted (u, v)), else 1
+        strides = {name: sip._stride(spec) for name, spec in SPEC_REGISTRY.items()}
+        assert strides == {name: 3 if name == "schur-refined" else 1 for name in SPEC_REGISTRY}
+        assert (sip._stride(GOLLNITZ_UV), sip._stride(SCHUR_UUU),
+                sip._stride(MIXED_WEIGHTS)) == (2, 1, 1)
+
     def test_seed_rows(self):
         tbl = basis_table(GOLLNITZ_GORDON, 3, 20)
         assert tbl.entry(1, 1) == QSeries.monomial(1)
@@ -350,14 +411,27 @@ class TestAssembleGf:
                                  markers=spec.markers)
         assert class_gf(spec, t) == oracle
 
-    @pytest.mark.parametrize("spec, identity", [(GLASGOW, "glasgow-mod8"),
-                                                (SCHUR_REFINED, "schur-refined")],
-                             ids=["glasgow", "schur-refined"])
-    def test_deep_matches_product(self, spec, identity):
-        t = 200
-        got = class_gf(spec, t)
+    @pytest.mark.parametrize("name", list(SPEC_REGISTRY))
+    def test_deep_matches_product(self, name):
+        # Schur's theorem: parts congruent to +-1 mod 6; the others have an
+        # identity whose product side is the class generating function
+        t = 300
+        identities = {"natural": "euler-any", "distinct": "euler-distinct",
+                      "rogers-ramanujan": "rogers-ramanujan",
+                      "gollnitz": "gollnitz-gordon-1", "schur-refined": "schur-refined",
+                      "glasgow": "glasgow-mod8"}
+        got = class_gf(SPEC_REGISTRY[name], t)
+        if name == "schur":
+            want = congruence_product(CongruenceProductSpec(6, frozenset({1, 5})), t)
+        else:
+            want = catalog.get(identities[name]).rhs(t)
         assert got.trunc == t
-        assert got.first_mismatch(catalog.get(identity).rhs(t)) is None
+        assert got.first_mismatch(want) is None
+
+    @pytest.mark.parametrize("spec", [NATURAL, SCHUR_REFINED], ids=["natural", "schur-refined"])
+    def test_negative_truncation_rejected(self, spec):
+        with pytest.raises(ValueError, match="truncation order must be non-negative"):
+            class_gf(spec, -1)
 
     def test_shallow_table_rejected(self):
         tbl = basis_table(ROGERS_RAMANUJAN, 2, 30)
