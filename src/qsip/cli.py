@@ -3,9 +3,6 @@
 Text grammars used by the flags:
 
 * partitions: comma-separated ascending positive integers, e.g. ``2,7``;
-* subscripted (n-copies) parts: value:subscript pairs, overline marked by a
-  trailing tilde, e.g. ``1:1~,3:1`` (accepted by the partition parser for
-  documentation tools; the decompose command works on ordinary partitions);
 * class specs: either a registered name (natural, distinct,
   rogers-ramanujan, gollnitz, schur, schur-refined, glasgow) or inline
   ``k=2,c=1:2,d=2:3`` with c and d colon-separated, one entry per residue.
@@ -19,7 +16,6 @@ import sys
 from typing import Sequence
 
 from . import catalog, sip
-from .ncopies import CopyPart, check_part
 from .partitions import SipClassSpec
 
 SCHEMA = "qsip-report/1"
@@ -38,27 +34,6 @@ def parse_partition(text: str) -> tuple[int, ...]:
     if tuple(sorted(parts)) != parts:
         raise ValueError(f"bad partition {text!r}: parts must be ascending")
     return parts
-
-
-def parse_copy_partition(text: str) -> tuple[tuple[CopyPart, bool], ...]:
-    """Parse value:subscript pairs with optional trailing ~ overline marks."""
-    if not text.strip():
-        return ()
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        overlined = tok.endswith("~")
-        if overlined:
-            tok = tok[:-1]
-        try:
-            value_s, sub_s = tok.split(":")
-            part = check_part(CopyPart(int(value_s), int(sub_s)))
-        except (ValueError, TypeError):
-            raise ValueError(
-                f"bad subscripted part {tok!r}: expected value:subscript"
-            ) from None
-        out.append((part, overlined))
-    return tuple(out)
 
 
 def parse_spec(text: str) -> SipClassSpec:
@@ -128,15 +103,14 @@ def _cmd_oracle(args) -> dict:
 
 def _cmd_basis(args) -> dict:
     spec = parse_spec(args.spec)
-    h_max = args.h_max if args.h_max is not None else args.total_max
-    elements = list(sip.enumerate_basis(spec, args.n, h_max))
+    elements = list(sip.enumerate_basis(spec, args.n, args.h_max))
     results = [{
         "pass": True,
         "n": args.n,
-        "h_max": h_max,
+        "h_max": args.h_max,
         "count": len(elements),
         "elements": [list(e) for e in elements],
-        "text": f"{len(elements)} basis elements with {args.n} parts, largest <= {h_max}: "
+        "text": f"{len(elements)} basis elements with {args.n} parts, largest <= {args.h_max}: "
                 + ", ".join("+".join(map(str, e)) for e in elements),
     }]
     return {"schema": SCHEMA, "command": "basis", "results": results}
@@ -160,18 +134,16 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_table(args) -> dict:
     spec = parse_spec(args.spec)
-    h_max = args.h_max if args.h_max is not None else args.total_max
-    table = sip.basis_table(spec, args.n, h_max)
+    table = sip.basis_table(spec, args.n, args.h_max)
     rows = []
     for (n, h), series in sorted(table.entries.items()):
         rows.append({
+            "pass": True,
             "n": n,
             "h": h,
             "series": str(series),
             "text": f"b({n},{h}) = {series}",
         })
-    for row in rows:
-        row["pass"] = True
     return {"schema": SCHEMA, "command": "table", "results": rows}
 
 
@@ -184,33 +156,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, identity=False, spec=False, partition=False, n=False):
-        p.add_argument("--trunc", type=int, default=40,
-                       help="truncation order for series comparison (default 40)")
-        p.add_argument("--total-max", type=int, default=20,
-                       help="largest total for enumeration oracles (default 20)")
+    flags = {
+        "identity": dict(required=True,
+                         help="registered identity id (see verify-all output)"),
+        "trunc": dict(type=int, default=40,
+                      help="truncation order for series comparison (default 40)"),
+        "total-max": dict(type=int, default=20,
+                          help="largest total for enumeration oracles (default 20)"),
+        "spec": dict(required=True, help="spec name or inline k=...,c=...,d=..."),
+        "partition": dict(required=True, help="comma-separated ascending parts, e.g. 2,7"),
+        "n": dict(type=int, required=True, help="number of parts"),
+        "h-max": dict(type=int, default=20, help="largest-part bound (default 20)"),
+    }
+    for name, help_text, names in (
+            ("verify", "verify one identity", ("identity", "trunc")),
+            ("verify-all", "verify every registered identity", ("trunc",)),
+            ("oracle", "three-way oracle concordance", ("identity", "total-max")),
+            ("basis", "list basis elements", ("spec", "n", "h-max")),
+            ("decompose", "split a class member", ("spec", "partition")),
+            ("table", "dump b(n, h) entries", ("spec", "n", "h-max"))):
+        p = sub.add_parser(name, help=help_text)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
         p.add_argument("--output", choices=("text", "json"), default="text")
-        if identity:
-            p.add_argument("--identity", required=True,
-                           help="registered identity id (see verify-all output)")
-        if spec:
-            p.add_argument("--spec", required=True,
-                           help="spec name or inline k=...,c=...,d=...")
-        if partition:
-            p.add_argument("--partition", required=True,
-                           help="comma-separated ascending parts, e.g. 2,7")
-        if n:
-            p.add_argument("--n", type=int, required=True, help="number of parts")
-            p.add_argument("--h-max", type=int, default=None,
-                           help="largest-part bound (default: --total-max)")
-
-    common(sub.add_parser("verify", help="verify one identity"), identity=True)
-    common(sub.add_parser("verify-all", help="verify every registered identity"))
-    common(sub.add_parser("oracle", help="three-way oracle concordance"), identity=True)
-    common(sub.add_parser("basis", help="list basis elements"), spec=True, n=True)
-    common(sub.add_parser("decompose", help="split a class member"), spec=True,
-           partition=True)
-    common(sub.add_parser("table", help="dump b(n, h) entries"), spec=True, n=True)
     return parser
 
 

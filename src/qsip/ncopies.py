@@ -13,7 +13,6 @@ them partwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import add
 from typing import Callable, Iterator, NamedTuple
 
@@ -61,13 +60,15 @@ def enumerate_ncopies(total_max: int, min_diff: int | None = None,
                       ) -> Iterator[tuple[CopyPart, ...]]:
     """All n-copies partitions of totals 0..total_max, ascending lex order.
 
-    With ``min_diff`` set, successive parts must have weighted difference at
-    least min_diff (which forces strictly increasing parts for min_diff >=
-    -1); without it arbitrary multisets are allowed.  An optional predicate
-    filters the yield.
+    With ``min_diff`` set, which must be at least -1, successive parts must
+    have weighted difference at least min_diff, which forces strictly
+    increasing parts; without it arbitrary multisets are allowed.  An
+    optional predicate filters the yield.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
+    if min_diff is not None and min_diff < -1:
+        raise ValueError("weighted-difference constant must be at least -1")
 
     def successors(state):
         parts, remaining = state
@@ -104,6 +105,8 @@ def count_ncopies(total_max: int, min_diff: int) -> QSeries:
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
+    if min_diff < -1:
+        raise ValueError("weighted-difference constant must be at least -1")
 
     def successors(state):
         top, remaining = state
@@ -180,38 +183,49 @@ def base_recompose(base: tuple[CopyPart, ...], attached: tuple[int, ...]
 
 # -- chain generating functions ---------------------------------------------
 
+def _add_shifted(acc: list[int], row: list[int], shift: int) -> None:
+    """Add q^shift * row into acc, zero-extending acc to fit."""
+    end = shift + len(row)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[shift:end] = map(add, acc[shift:end], row)
+
+
 @dataclass(frozen=True)
 class ExactDiffTable:
-    """Generating functions g(n, m, j) of exact-difference-r chains.
+    """Exact-difference-r chains by part count n and top part m_j, m <= max_m.
 
-    Indexed by part count n and largest part m_j, m <= max_m.  Each entry is
-    g(n, m, j) = q^m H(n - 1, m - j - r), where H(n, t) sums the n-part
-    chains whose top part m_j has m + j = t (:func:`exact_diff_table`).
-    ``entries`` holds the nonzero g(n, m, j) only.
+    ``levels[n - 1][t]`` is the int row of H(n, t), the generating function
+    of the n-part chains whose top part m_j has m + j = t; a t with no such
+    chain has no row (:func:`exact_diff_table`).  The entries
+    g(n, m, j) = q^m H(n - 1, m - j - r) are built on read.
     """
 
     r: int
     max_n: int
     max_m: int
-    entries: dict[tuple[int, int, int], QSeries]
+    levels: tuple[dict[int, list[int]], ...]
 
     def entry(self, n: int, m: int, j: int) -> QSeries:
-        return self.entries.get((n, m, j)) or QSeries.zero()
+        """g(n, m, j): q^m on the diagonal for n = 1, q^m H(n - 1, m - j - r)
+        above it, and zero off the table."""
+        if not (1 <= n <= self.max_n and 1 <= j <= m <= self.max_m):
+            return QSeries.zero()
+        if n == 1:
+            return QSeries.monomial(m) if m == j else QSeries.zero()
+        src = self.levels[n - 2].get(m - j - self.r)
+        return QSeries([0] * m + src) if src else QSeries.zero()
 
     def level_gf(self, n: int) -> QSeries:
-        """Sum over (m, j) of g(n, m, j): all n-part chains, summed on one int
-        list.  Part values rise strictly to the top part m, so g(n, m, j)
-        lies between q^m and q^(n * m)."""
-        total = [0] * (n * self.max_m + 1)
-        for (k, m, _), s in self.entries.items():
-            if k == n:
-                end = n * m + 1
-                total[m:end] = map(add, total[m:end], islice(s.int_coefficients(n * m), m, None))
+        """All n-part chains: the sum over t of H(n, t)."""
+        total: list[int] = []
+        for row in self.levels[n - 1].values() if 1 <= n <= self.max_n else ():
+            _add_shifted(total, row, 0)
         return QSeries(total)
 
 
 def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
-    """The chain table g(n, m, j), n <= max_n and m <= max_m, on int rows.
+    """The chain table, n <= max_n and m <= max_m, as its level rows H(n, t).
 
     The part after a top part m_j is (m + j + r + i)_i, so it reads the top
     only through m + j.  Summing each level by that key,
@@ -220,8 +234,8 @@ def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
         g(n, m, j) = q^m H(n - 1, m - j - r),
         H(n, t) = sum over m + j = t of q^m H(n - 1, m - j - r),
 
-    seeded by the diagonal one-part chains g(1, m, m) = q^m.  Each entry is
-    one shifted copy of an H row, and each level is summed once.
+    seeded by the diagonal one-part chains g(1, m, m) = q^m, so
+    H(1, 2m) = q^m.  Each level is stepped once from the one below it.
     """
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
@@ -229,36 +243,32 @@ def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
         raise ValueError("max_n must be at least 1")
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
-    entries: dict[tuple[int, int, int], QSeries] = {}
-    level: dict[int, list[int]] = {}
-    for m in range(1, max_m + 1):
-        row = [0] * m + [1]
-        entries[(1, m, m)] = QSeries(row)
-        level[2 * m] = row
-    for n in range(2, max_n + 1):
-        prev, level = level, {}
+    levels = [{2 * m: [0] * m + [1] for m in range(1, max_m + 1)}]
+    for _ in range(1, max_n):
+        prev, level = levels[-1], {}
         for m in range(1, max_m + 1):
             for j in range(1, m + 1):
                 src = prev.get(m - j - r)
-                if src is None:
-                    continue
-                row = [0] * m + src
-                entries[(n, m, j)] = QSeries(row)
-                acc = level.setdefault(m + j, [])
-                if len(acc) < len(row):
-                    acc.extend([0] * (len(row) - len(acc)))
-                acc[:len(row)] = map(add, acc, row)
-    return ExactDiffTable(r=r, max_n=max_n, max_m=max_m, entries=entries)
+                if src is not None:
+                    _add_shifted(level.setdefault(m + j, []), src, m)
+        levels.append(level)
+    return ExactDiffTable(r=r, max_n=max_n, max_m=max_m, levels=tuple(levels))
 
 
 def exact_diff_closed(r: int, n: int, m: int, j: int) -> QSeries:
     """Closed form for g_r(n, m, j): a monomial times a base-q^2 binomial.
 
-    The support splits by parity: chains alternate between diagonal-parity
-    parts (value and subscript congruent mod 2) and, for odd r, the
-    opposite; every (m, j) parity pattern outside the four supported
-    combinations is identically zero.  Validated entrywise against
-    :func:`exact_diff_table` in the test suite.
+    With N, M, J = ceil(n/2), ceil(m/2), ceil(j/2) and
+    B = ceil(((r + 2) n^2 - (4r + 6) n + 3r + 4) / 2),
+
+        g_r(n, m, j) = q^(3M - J + B - s) [M - rN - J + a, n - 2]_{q^2}.
+
+    Chains alternate between diagonal-parity parts (value and subscript
+    congruent mod 2) and, for odd r and even n, the opposite: there the
+    top has m + j odd, (a, s) = ((r - 1)/2, 0) for even m and
+    ((r - 3)/2, 2) for odd m.  Otherwise m + j is even, s = m mod 2, and
+    a = r - 1 for odd n, (r - 2)/2 for even n.  Every other (m, j) is zero.
+    Validated entrywise against :func:`exact_diff_table` in the test suite.
     """
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
@@ -266,57 +276,17 @@ def exact_diff_closed(r: int, n: int, m: int, j: int) -> QSeries:
         return QSeries.zero()
     if n == 1:
         return QSeries.monomial(m) if m == j else QSeries.zero()
-
-    def shifted(main_exp: int, arg: int, order: int, shift: int) -> QSeries:
-        row = binomial_row(arg, order, base=2)
-        return QSeries([0] * (main_exp - shift) + row) if row else QSeries.zero()
-
-    if r % 2:  # r = 2R - 1
-        R = (r + 1) // 2
-        if n % 2 == 0:
-            N = n // 2
-            base_n = (4 * R + 2) * N * N - (8 * R + 2) * N + 3 * R + 1
-            if m % 2 == 0 and j % 2 == 1:
-                M, J = m // 2, (j + 1) // 2
-                return shifted(3 * M - J + base_n,
-                               M - (2 * R - 1) * N - J + R - 1, 2 * N - 2, 0)
-            if m % 2 == 1 and j % 2 == 0:
-                # Equals the even-value entry one subscript step up, divided
-                # by q; the naive same-index pairing overshoots the support.
-                M, J = (m + 1) // 2, j // 2
-                return shifted(3 * M - J + base_n,
-                               M - (2 * R - 1) * N - J + R - 2, 2 * N - 2, 2)
-            return QSeries.zero()
-        N = (n + 1) // 2
-        base_n = (4 * R + 2) * N * N - (12 * R + 4) * N + 8 * R + 2
-        if m % 2 == 0 and j % 2 == 0:
-            M, J = m // 2, j // 2
-            return shifted(3 * M - J + base_n,
-                           M - (2 * R - 1) * N - J + 2 * R - 2, 2 * N - 3, 0)
-        if m % 2 == 1 and j % 2 == 1:
-            M, J = (m + 1) // 2, (j + 1) // 2
-            return shifted(3 * M - J + base_n,
-                           M - (2 * R - 1) * N - J + 2 * R - 2, 2 * N - 3, 1)
+    mixed = r % 2 == 1 and n % 2 == 0
+    if (m + j) % 2 != mixed:
         return QSeries.zero()
-
-    R = r // 2
-    if n % 2 == 0:
-        N = n // 2
-        base_n = (4 * R + 4) * N * N - (8 * R + 6) * N + 3 * R + 2
-        order = 2 * N - 2
-        arg_shift = R - 1
+    if mixed:
+        a, s = ((r - 1) // 2, 0) if m % 2 == 0 else ((r - 3) // 2, 2)
     else:
-        N = (n + 1) // 2
-        base_n = (4 * R + 4) * N * N - (12 * R + 10) * N + 8 * R + 6
-        order = 2 * N - 3
-        arg_shift = 2 * R - 1
-    if m % 2 == 0 and j % 2 == 0:
-        M, J = m // 2, j // 2
-        return shifted(3 * M - J + base_n, M - 2 * R * N - J + arg_shift, order, 0)
-    if m % 2 == 1 and j % 2 == 1:
-        M, J = (m + 1) // 2, (j + 1) // 2
-        return shifted(3 * M - J + base_n, M - 2 * R * N - J + arg_shift, order, 1)
-    return QSeries.zero()
+        a, s = (r - 1 if n % 2 else (r - 2) // 2), m % 2
+    N, M, J = (n + 1) // 2, (m + 1) // 2, (j + 1) // 2
+    B = -(-((r + 2) * n * n - (4 * r + 6) * n + 3 * r + 4) // 2)
+    row = binomial_row(M - r * N - J + a, n - 2, base=2)
+    return QSeries([0] * (3 * M - J + B - s) + row) if row else QSeries.zero()
 
 
 def base_gf(parts: int, r: int, trunc: int) -> QSeries:

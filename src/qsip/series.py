@@ -211,9 +211,6 @@ class MarkerPoly:
             total += term
         return total
 
-    def coefficient_of(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     # -- comparison / display ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -478,10 +475,6 @@ class QSeries:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def is_polynomial(self) -> bool:
-        return self.trunc is None
-
-    @property
     def coeffs(self) -> tuple[MarkerPoly, ...]:
         """Every stored coefficient as a MarkerPoly, from q^0 through q^trunc
         or through the degree of a polynomial; built on first read, then cached."""
@@ -632,13 +625,6 @@ class QSeries:
             raise ValueError("truncation order must be non-negative")
         rows = {key: _fit(row, trunc + 1) for key, row in self._rows.items()}
         return QSeries._make(_canonical(rows, trunc), trunc, self.markers)
-
-    def lift(self, markers: Iterable[str]) -> "QSeries":
-        """Re-embed a marker-free series into a wider marker registry."""
-        markers = tuple(markers)
-        if self.markers == markers:
-            return self
-        return QSeries._make(self._rows_in(markers), self.trunc, markers)
 
     # -- marker operations ---------------------------------------------------
 

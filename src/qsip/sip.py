@@ -266,15 +266,6 @@ class SipDecomposition:
         if len(self.basis) != len(self.padding):
             raise ValueError("basis and padding lengths differ")
 
-    def check(self, spec: SipClassSpec) -> None:
-        """Raise unless this is a valid decomposition for the spec."""
-        if not is_basis_element(self.basis, spec):
-            raise ValueError(f"{self.basis} is not a basis element")
-        if any(p < 0 or p % spec.k for p in self.padding):
-            raise ValueError("padding entries must be non-negative multiples of k")
-        if any(a > b for a, b in zip(self.padding, self.padding[1:])):
-            raise ValueError("padding must be non-decreasing")
-
 
 def _split(parts: Partition, spec: SipClassSpec) -> tuple[Partition, tuple[int, ...]]:
     """The (basis, padding) tuples of a class member, built left to right by

@@ -1,12 +1,12 @@
 """CLI surface: command wiring, grammars, JSON schema, exit codes."""
 
+import argparse
 import json
 
 import pytest
 
 from qsip import catalog
-from qsip.cli import (main, parse_copy_partition, parse_partition, parse_spec)
-from qsip.ncopies import CopyPart
+from qsip.cli import build_parser, main, parse_partition, parse_spec
 from qsip.sip import GLASGOW, SCHUR
 
 
@@ -21,14 +21,6 @@ class TestGrammars:
         with pytest.raises(ValueError):
             parse_partition("a,b")
 
-    def test_copy_partition(self):
-        got = parse_copy_partition("1:1~,3:1")
-        assert got == ((CopyPart(1, 1), True), (CopyPart(3, 1), False))
-        with pytest.raises(ValueError):
-            parse_copy_partition("3:4")  # subscript above value
-        with pytest.raises(ValueError):
-            parse_copy_partition("3")
-
     def test_spec_names(self):
         assert parse_spec("glasgow") == GLASGOW
         assert parse_spec("schur") == SCHUR
@@ -40,6 +32,48 @@ class TestGrammars:
             parse_spec("k=2,c=1:2")
         with pytest.raises(ValueError):
             parse_spec("k=2,c=2:2,d=0:0")
+
+
+class TestOptions:
+    """Each subcommand takes only the flags it reads."""
+
+    WANT = {
+        "verify": {"--identity", "--trunc", "--output"},
+        "verify-all": {"--trunc", "--output"},
+        "oracle": {"--identity", "--total-max", "--output"},
+        "basis": {"--spec", "--n", "--h-max", "--output"},
+        "table": {"--spec", "--n", "--h-max", "--output"},
+        "decompose": {"--spec", "--partition", "--output"},
+    }
+
+    def test_option_sets(self):
+        (commands,) = [a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        got = {name: {opt for action in sub._actions
+                      for opt in action.option_strings} - {"-h", "--help"}
+               for name, sub in commands.choices.items()}
+        assert got == self.WANT
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--identity", "slater-46", "--trunc", "5"],
+        ["verify", "--identity", "slater-46", "--total-max", "5"],
+        ["verify-all", "--h-max", "5"],
+        ["basis", "--spec", "natural", "--n", "2", "--trunc", "5"],
+        ["table", "--spec", "natural", "--n", "2", "--total-max", "5"],
+        ["decompose", "--spec", "natural", "--partition", "2", "--n", "1"],
+    ])
+    def test_ignored_flag_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and captured.out == ""
+
+    def test_h_max_defaults_to_twenty(self, capsys):
+        assert main(["basis", "--spec", "natural", "--n", "1",
+                     "--output", "json"]) == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["h_max"] == 20
 
 
 class TestCommands:

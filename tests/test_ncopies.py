@@ -6,8 +6,8 @@ import pytest
 
 from qsip import catalog
 from qsip.ncopies import (ConstraintViolation, CopyPart, base_decompose,
-                          base_gf, base_recompose, copy_total, enumerate_base,
-                          enumerate_all_copy_overpartitions,
+                          base_gf, base_recompose, copy_total, count_ncopies,
+                          enumerate_base, enumerate_all_copy_overpartitions,
                           enumerate_even_subscript, enumerate_ncopies,
                           enumerate_ncopies_over, exact_diff_closed,
                           exact_diff_table, is_diagonal, ncopies_gf,
@@ -90,6 +90,15 @@ class TestEnumerate:
     def test_pruned_matches_unpruned_filter_in_order(self, r):
         assert list(enumerate_ncopies(14, min_diff=r)) == \
             unpruned_ncopies(14, admits_min_diff(r))
+
+    @pytest.mark.parametrize("r", [-2, -3])
+    def test_difference_below_minus_one_rejected(self, r):
+        # below -1 a part may fall back in value, so neither the lex order
+        # of the enumerator nor the strictly rising walk of the count holds
+        with pytest.raises(ValueError, match="at least -1"):
+            enumerate_ncopies(4, min_diff=r)
+        with pytest.raises(ValueError, match="at least -1"):
+            count_ncopies(6, r)
 
     def test_positive_difference_of_nine(self):
         # with strictly positive weighted differences and a diagonal bottom
@@ -177,12 +186,16 @@ def reference_exact_diff_table(r, max_n, max_m):
 
 class TestExactDiffTable:
     def test_matches_reference_recurrence(self):
+        # every index in and around the table, so zero entries, j = 0,
+        # j > m and n, m past the bounds are checked too
         for r in (-1, 0, 1, 2):
             tbl = exact_diff_table(r, 6, 18)
             want = reference_exact_diff_table(r, 6, 18)
-            assert tbl.entries.keys() == want.keys(), r
-            for key, series in want.items():
-                assert tbl.entries[key] == series, (r, key)
+            for n in range(8):
+                for m in range(20):
+                    for j in range(m + 2):
+                        assert tbl.entry(n, m, j) == \
+                            want.get((n, m, j), QSeries.zero()), (r, n, m, j)
 
     def test_rejects_non_positive_max_m(self):
         for max_m in (0, -5):
@@ -221,14 +234,13 @@ class TestExactDiffTable:
                 assert level.first_mismatch(want) is None, (r, n)
 
     def test_level_sums_match_entry_sums(self):
-        # level_gf cuts each entry at degree n * m; the series sum does not
         for r in (-1, 0, 1, 2):
             tbl = exact_diff_table(r, 6, 18)
-            for n in range(1, 7):
+            for n in range(8):
                 want = QSeries.zero()
-                for (k, _, _), s in tbl.entries.items():
-                    if k == n:
-                        want = want + s
+                for m in range(1, 19):
+                    for j in range(1, m + 1):
+                        want = want + tbl.entry(n, m, j)
                 assert tbl.level_gf(n) == want, (r, n)
 
 
@@ -252,6 +264,15 @@ class TestExactDiffClosed:
             tbl = exact_diff_table(r, 8, 16)
             for n in range(1, 9):
                 for m in range(1, 17):
+                    for j in range(1, m + 1):
+                        assert exact_diff_closed(r, n, m, j) == tbl.entry(n, m, j), \
+                            (r, n, m, j)
+
+    def test_table_concordance_larger_differences(self):
+        for r in (3, 4, 5, 6):
+            tbl = exact_diff_table(r, 8, 30)
+            for n in range(1, 9):
+                for m in range(1, 31):
                     for j in range(1, m + 1):
                         assert exact_diff_closed(r, n, m, j) == tbl.entry(n, m, j), \
                             (r, n, m, j)
