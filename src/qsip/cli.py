@@ -184,7 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # report them with the chosen subcommand's own usage line
+        (commands,) = [a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        commands.choices[args.command].error(
+            f"unrecognized arguments: {' '.join(extra)}")
     try:
         if args.command in ("verify", "verify-all"):
             report = _cmd_verify(args)
@@ -199,6 +204,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (catalog.UnknownIdentity, catalog.NoOracle, ValueError,
             sip.NotInClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OverflowError, MemoryError) as exc:
+        print(f"error: sizes too large to allocate ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
         return 2
     _emit(report, args.output, sys.stdout)
     return 0 if all(r.get("pass", True) for r in report["results"]) else 1

@@ -11,10 +11,12 @@ test suite; where several transcriptions of a formula circulate, the one
 implemented here is the one that fits the tables.
 
 Values are built on plain int rows: a term q^e [a, b] [c, d] ... convolves
-the int rows of its cached Gaussian binomials and adds the product, shifted
-by e, into the row of its marker monomial u^i v^j.  Each returned value is
-one :class:`QSeries` made from those rows, so MarkerPoly values appear only
-where a caller reads them off that series.
+the cached int rows of its Gaussian binomials (:func:`~qsip.qfactory.binomial_row`,
+immutable tuples) and adds the product, shifted by e, into a fresh list for
+its marker monomial u^i v^j.  Those fresh lists go to the trusted
+``QSeries._make`` after ``_canonical`` trims them, with no second type scan
+or copy, so MarkerPoly values appear only where a caller reads them off the
+returned series.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from __future__ import annotations
 from operator import add
 
 from .qfactory import PochSpec, binomial_row
-from .series import QSeries, _convolve_into
+from .series import QSeries, _canonical, _convolve_into
 
 SCHUR_MARKERS = ("u", "v")
 
 
-def _add_product(acc: list[int], exp: int, *factors: list[int]) -> None:
-    """Add q^exp times the product of the int rows ``factors`` into acc,
-    growing it as needed."""
+def _add_product(acc: list[int], exp: int, *factors) -> None:
+    """Add q^exp times the product of the int rows ``factors`` (lists or
+    tuples) into acc, growing it as needed."""
     prod = factors[0]
     for row in factors[1:]:
         out = [0] * (len(prod) + len(row) - 1)
@@ -47,9 +49,20 @@ def _shift_into(acc: dict, rows: dict, u_exp: int, exp: int) -> None:
         _add_product(acc.setdefault((a + u_exp, b), []), exp, row)
 
 
-def _shifted(exp: int, row: list[int]) -> QSeries:
-    """q^exp times an int row, as an exact polynomial."""
-    return QSeries([0] * exp + row) if row else QSeries.zero()
+def _polynomial(rows: dict, markers: tuple[str, ...] = ()) -> QSeries:
+    """The exact polynomial over fresh int rows {monomial: row}, taken as they are."""
+    return QSeries._make(_canonical(rows, None), None, markers)
+
+
+def _shifted(exp: int, row) -> QSeries:
+    """q^exp times an int row or tuple, as an exact polynomial.  Zero rows
+    are answered directly: ``_canonical`` would pop their zero prefix one
+    entry at a time."""
+    if not row:
+        return QSeries.zero()
+    shifted = [0] * exp
+    shifted += row
+    return _polynomial({(): shifted})
 
 
 def gollnitz_closed(n: int, h: int) -> QSeries:
@@ -81,7 +94,7 @@ def schur_closed(n: int, h: int, branch: int) -> QSeries:
         _shift_into(rows, _schur_s1(n, h), 1, 1)
     else:
         raise ValueError("branch must be 0, 1 or 2 (largest part mod 3)")
-    return QSeries.from_rows(rows, markers=SCHUR_MARKERS)
+    return _polynomial(rows, SCHUR_MARKERS)
 
 
 def _schur_s1(n: int, h: int) -> dict:
@@ -133,8 +146,7 @@ def combined_row_formula(n: int, h: int) -> QSeries:
     if n < 1 or h < -1:
         raise ValueError("requires n >= 1 and h >= -1")
     if h == -1:
-        rows = {(n, 0): [0] * (n * (3 * n - 1) // 2) + [1]}
-        return QSeries.from_rows(rows, markers=SCHUR_MARKERS)
+        return _polynomial({(n, 0): [0] * (n * (3 * n - 1) // 2) + [1]}, SCHUR_MARKERS)
     rows = {}
     for j in range(0, n + 1):
         outer = binomial_row(n - 1 - j, h, base=3)
@@ -147,7 +159,7 @@ def combined_row_formula(n: int, h: int) -> QSeries:
                 exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
                 _add_product(rows.setdefault((j + h - i, n - j), []), exp,
                              outer, mid, inner)
-    return QSeries.from_rows(rows, markers=SCHUR_MARKERS)
+    return _polynomial(rows, SCHUR_MARKERS)
 
 
 def glasgow_closed(n: int, largest: int) -> QSeries:
@@ -216,7 +228,7 @@ def chu_vandermonde_check(r: int, s: int, n: int) -> bool:
         if left and right:
             _add_product(lhs, 3 * h * h + 3 * h * (n + 1 - r), left, right)
     # no term cancels, so both sides are rows through their degree
-    return lhs == binomial_row(n + s, r, base=3)
+    return tuple(lhs) == binomial_row(n + s, r, base=3)
 
 
 def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:
@@ -234,7 +246,7 @@ def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:
         right = binomial_row(m + s, r, base=3)
         if left and right:
             term = [0] * (trunc + 1)
-            _convolve_into(term, [0] * (3 * m * m + 3 * m * (s - r)) + left, right)
+            _convolve_into(term, [0] * (3 * m * m + 3 * m * (s - r)) + list(left), right)
             lhs = list(map(add, lhs, cubes.apply(term, m + s, -1)))
     rhs = cubes.apply(cubes.apply([1] + [0] * trunc, r, -1), s, -1)
     return lhs == rhs

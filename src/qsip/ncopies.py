@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterator, NamedTuple
 
+from .closed_forms import _polynomial, _shifted
 from .partitions import grow, powerset, walk_series
 from .qfactory import PochSpec, binomial_row, poch_product, series_sum
 from .series import QSeries
@@ -213,15 +214,14 @@ class ExactDiffTable:
             return QSeries.zero()
         if n == 1:
             return QSeries.monomial(m) if m == j else QSeries.zero()
-        src = self.levels[n - 2].get(m - j - self.r)
-        return QSeries([0] * m + src) if src else QSeries.zero()
+        return _shifted(m, self.levels[n - 2].get(m - j - self.r))
 
     def level_gf(self, n: int) -> QSeries:
         """All n-part chains: the sum over t of H(n, t)."""
         total: list[int] = []
         for row in self.levels[n - 1].values() if 1 <= n <= self.max_n else ():
             _add_shifted(total, row, 0)
-        return QSeries(total)
+        return _polynomial({(): total})
 
 
 def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
@@ -285,8 +285,7 @@ def exact_diff_closed(r: int, n: int, m: int, j: int) -> QSeries:
         a, s = (r - 1 if n % 2 else (r - 2) // 2), m % 2
     N, M, J = (n + 1) // 2, (m + 1) // 2, (j + 1) // 2
     B = -(-((r + 2) * n * n - (4 * r + 6) * n + 3 * r + 4) // 2)
-    row = binomial_row(M - r * N - J + a, n - 2, base=2)
-    return QSeries([0] * (3 * M - J + B - s) + row) if row else QSeries.zero()
+    return _shifted(3 * M - J + B - s, binomial_row(M - r * N - J + a, n - 2, base=2))
 
 
 def base_gf(parts: int, r: int, trunc: int) -> QSeries:

@@ -3,13 +3,15 @@
 Finite and infinite q-Pochhammer products, Gaussian (q-binomial)
 polynomials, congruence-restricted partition products, q-hypergeometric
 sums and two-sided theta sums.  Everything is exact integer arithmetic on
-:class:`~qsip.series.QSeries` values.  Every product, Gaussian binomials
-included, and every sum is a loop of two factor kernels:
-:func:`~qsip.series.binomial_factor` multiplies or divides one int list by
-a single factor 1 + c*q^e in O(trunc), and :func:`_marked_factor` does the
-same for a factor 1 + c*x*q^e on a stack of such lists, one per power of
-the marker x.  Infinite products are cut at the first factor whose minimal
-exponent exceeds the requested truncation, which cannot affect any
+:class:`~qsip.series.QSeries` values, except that Gaussian binomials are
+cached as immutable int rows (:func:`binomial_row`) for the int-row
+builders; :func:`gaussian_binomial` wraps a row as a series.  Every
+product, Gaussian binomials included, and every sum is a loop of two factor
+kernels: :func:`~qsip.series.binomial_factor` multiplies or divides one int
+list by a single factor 1 + c*q^e in O(trunc), and :func:`_marked_factor`
+does the same for a factor 1 + c*x*q^e on a stack of such lists, one per
+power of the marker x.  Infinite products are cut at the first factor whose
+minimal exponent exceeds the requested truncation, which cannot affect any
 retained coefficient."""
 
 from __future__ import annotations
@@ -170,33 +172,34 @@ def poch_infinite(spec: PochSpec, trunc: int, markers: Iterable[str] | None = No
 
 
 @lru_cache(maxsize=4096)
-def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
-    """Gaussian binomial [a, b] in base q^base as an exact polynomial.
+def binomial_row(a: int, b: int, base: int = 1) -> tuple[int, ...]:
+    """Gaussian binomial [a, b] in base q^base as an immutable int row
+    through its degree base*b*(a-b), cached; () where it is zero.
 
-    Zero-extended: the result is 0 whenever b < 0 or b > a.  With
+    Zero-extended: the row is empty whenever b < 0 or b > a.  With
     b = min(b, a - b) it is the finite q-binomial product over i < b of
     (1 - q^(base*(a-i))) / (1 - q^(base*(i+1))), run as two kernel calls per
     i on one int list cut at the degree base*b*(a-b).  The quotient is that
-    polynomial, so the cut loses nothing.
+    polynomial, so the cut loses nothing.  The cache keys ``base=3`` and a
+    positional 3 apart, so every caller passes ``base`` by keyword.
     """
     if base < 1:
         raise ValueError("base step must be a positive integer")
     if b < 0 or b > a:
-        return QSeries.zero()
+        return ()
     b = min(b, a - b)
     coeffs = [1] + [0] * (base * b * (a - b))
     for i in range(b):
         binomial_factor(coeffs, -1, base * (a - i))
         binomial_factor(coeffs, -1, base * (i + 1), -1)
-    return QSeries(coeffs)
+    return tuple(coeffs)
 
 
-def binomial_row(a: int, b: int, base: int = 1) -> list[int]:
-    """The cached :func:`gaussian_binomial` [a, b] in base q^base as a fresh
-    int row through its degree base*b*(a-b); empty where it is zero."""
-    if b < 0 or b > a:
-        return []
-    return gaussian_binomial(a, b, base=base).int_coefficients(base * b * (a - b))
+@lru_cache(maxsize=4096)
+def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
+    """Gaussian binomial [a, b] in base q^base as an exact polynomial: the
+    series of :func:`binomial_row`, zero whenever b < 0 or b > a."""
+    return QSeries(binomial_row(a, b, base=base))
 
 
 @dataclass(frozen=True)

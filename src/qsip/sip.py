@@ -39,7 +39,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class, walk_series
-from .series import MarkerPoly, QSeries, binomial_factor
+from .series import MarkerPoly, QSeries, _canonical, binomial_factor
 
 
 class NotInClass(Exception):
@@ -545,14 +545,15 @@ def _dense(start: int, row: list[int], g: int, size: int | None = None) -> list[
 def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
     """Tabulate b(n, h) for n <= max_n, h <= max_h as exact polynomials: the
     rows of :func:`_basis_rows` cut at q^(max_n * max_h), which none exceeds,
-    each expanded to a dense int list by q-exponent."""
+    each expanded to a fresh dense int list by q-exponent and handed to the
+    series as it is."""
     if max_n < 1 or max_h < 1:
         raise ValueError(f"max_n and max_h must be at least 1, got {max_n} and {max_h}")
     g = _stride(spec)
     rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, max_n * max_h, g))
-    entries = {(n, h): QSeries.from_rows({key: _dense(start, r, g)
-                                          for key, (start, r) in entry.items()},
-                                         markers=spec.markers)
+    entries = {(n, h): QSeries._make(_canonical({key: _dense(start, r, g)
+                                                 for key, (start, r) in entry.items()},
+                                                None), None, spec.markers)
                for n, row in rows for h, entry in row.items()}
     return BasisTable(spec=spec, max_n=max_n, max_h=max_h, entries=entries)
 
@@ -587,8 +588,8 @@ def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSe
 
     Each level sum and running total is one stride-g list per monomial,
     running from its least start to q^trunc, so a division by (1 - q^nk) is
-    one Horner pass by n*k/g steps on it; the totals are expanded to dense
-    rows once, at the end."""
+    one Horner pass by n*k/g steps on it; the totals are expanded to fresh
+    dense rows once, at the end, and handed to the series as they are."""
     if trunc < 0:
         raise ValueError("truncation order must be non-negative")
     sums = [{key: _sum_rows(pairs, g, trunc) for key, pairs in _by_key(row.values()).items()}
@@ -602,7 +603,7 @@ def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSe
             binomial_factor(acc, -1, n * spec.k // g, -1)
     dense = {key: _dense(start, acc, g, trunc + 1) for key, (start, acc) in total.items()}
     dense.setdefault((0,) * len(spec.markers), [0] * (trunc + 1))[0] = 1
-    return QSeries.from_rows(dense, trunc, spec.markers)
+    return QSeries._make(_canonical(dense, trunc), trunc, spec.markers)
 
 
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:

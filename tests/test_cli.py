@@ -68,6 +68,9 @@ class TestOptions:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err and captured.out == ""
+        # the subcommand's own usage, which lists the flags it does take
+        assert captured.err.startswith(f"usage: qsip {argv[0]} [-h]")
+        assert f"qsip {argv[0]}: error: unrecognized arguments" in captured.err
 
     def test_h_max_defaults_to_twenty(self, capsys):
         assert main(["basis", "--spec", "natural", "--n", "1",
@@ -151,6 +154,23 @@ class TestCommands:
         assert main(["verify", "--identity", "schur-refined", "--trunc", "-1"]) == 2
         captured = capsys.readouterr()
         assert "error: truncation order must be non-negative" in captured.err
+        assert captured.out == ""
+
+    def test_huge_trunc_exit_two(self, capsys):
+        # fails at its first list allocation, before any memory is taken
+        assert main(["verify", "--identity", "euler-any", "--trunc", str(10**20)]) == 2
+        captured = capsys.readouterr()
+        assert "error: sizes too large to allocate (OverflowError" in captured.err
+        assert captured.out == ""
+
+    def test_memory_error_exit_two(self, capsys, monkeypatch):
+        def exhausted(identity, trunc):
+            raise MemoryError
+
+        monkeypatch.setattr(catalog, "verify", exhausted)
+        assert main(["verify", "--identity", "euler-any", "--trunc", "10"]) == 2
+        captured = capsys.readouterr()
+        assert "error: sizes too large to allocate (MemoryError" in captured.err
         assert captured.out == ""
 
     def test_unknown_identity_exit_two(self, capsys):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import (CongruenceProductSpec, DivergentProduct, PochSpec,
-                           congruence_product, gaussian_binomial, poch_finite,
-                           poch_infinite, poch_product, series_sum, theta_sum)
+                           binomial_row, congruence_product, gaussian_binomial,
+                           poch_finite, poch_infinite, poch_product, series_sum,
+                           theta_sum)
 from qsip.series import MarkerPoly, QSeries
 
 ONES = PochSpec(1, 1)
@@ -223,6 +224,34 @@ class TestGaussianBinomial:
                 total = sum(c.constant_value()
                             for c in gaussian_binomial(a, b).coeffs)
                 assert total == math.comb(a, b)
+
+
+class TestBinomialRow:
+    @pytest.mark.parametrize("base", [1, 2, 3, 4])
+    def test_matches_pascal_table(self, base):
+        table = pascal_table(14, base)
+        for a in range(15):
+            for b in range(-1, a + 2):
+                want = table.get((a, b), [])
+                while want and not want[-1]:  # [a, a] carries zeros past degree 0
+                    want = want[:-1]
+                row = binomial_row(a, b, base=base)
+                assert type(row) is tuple and row == tuple(want)
+                assert all(type(c) is int for c in row)
+                if row:
+                    assert len(row) == base * b * (a - b) + 1
+                assert binomial_row(a, b, base=base) is row
+                assert gaussian_binomial(a, b, base) == QSeries(list(row))
+
+    def test_cache_sizes(self):
+        assert binomial_row.cache_info().maxsize == 4096
+        assert gaussian_binomial.cache_info().maxsize == 4096
+
+    def test_rejects_base_below_one(self):
+        with pytest.raises(ValueError):
+            binomial_row(3, 1, 0)
+        with pytest.raises(ValueError):
+            gaussian_binomial(3, 1, 0)
 
 
 class TestCongruenceProduct:
