@@ -43,7 +43,7 @@ what the class rule reads and the remaining total, and the states are
 tallied by remaining total (:func:`~qsip.partitions.walk_series`).  The six
 partition oracles are :func:`~qsip.sip.count_class` on their separable
 class, so they visit only the members they count (schur-refined weighted
-by its parts' marker weights).  The n-copies oracles are the walks of
+by its parts' marker monomials, with one tally per monomial).  The n-copies oracles are the walks of
 :func:`~qsip.ncopies.count_ncopies` and
 :func:`~qsip.ncopies.count_even_subscript`.  The slater-6-corrected oracle
 (:func:`~qsip.ncopies.count_ncopies_over`) walks the n-copies partitions

@@ -13,10 +13,9 @@ them partwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, Iterator, NamedTuple
 
-from .closed_forms import _polynomial, _shifted
+from .closed_forms import _add_product, _polynomial, _shifted
 from .partitions import grow, powerset, walk_series
 from .qfactory import PochSpec, binomial_row, poch_product, series_sum
 from .series import QSeries
@@ -184,14 +183,6 @@ def base_recompose(base: tuple[CopyPart, ...], attached: tuple[int, ...]
 
 # -- chain generating functions ---------------------------------------------
 
-def _add_shifted(acc: list[int], row: list[int], shift: int) -> None:
-    """Add q^shift * row into acc, zero-extending acc to fit."""
-    end = shift + len(row)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[shift:end] = map(add, acc[shift:end], row)
-
-
 @dataclass(frozen=True)
 class ExactDiffTable:
     """Exact-difference-r chains by part count n and top part m_j, m <= max_m.
@@ -220,7 +211,7 @@ class ExactDiffTable:
         """All n-part chains: the sum over t of H(n, t)."""
         total: list[int] = []
         for row in self.levels[n - 1].values() if 1 <= n <= self.max_n else ():
-            _add_shifted(total, row, 0)
+            _add_product(total, 0, row)
         return _polynomial({(): total})
 
 
@@ -250,7 +241,7 @@ def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
             for j in range(1, m + 1):
                 src = prev.get(m - j - r)
                 if src is not None:
-                    _add_shifted(level.setdefault(m + j, []), src, m)
+                    _add_product(level.setdefault(m + j, []), m, src)
         levels.append(level)
     return ExactDiffTable(r=r, max_n=max_n, max_m=max_m, levels=tuple(levels))
 

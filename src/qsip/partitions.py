@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator
 
-from .series import MarkerPoly, QSeries
+from .series import QSeries
 
 Partition = tuple[int, ...]
 
@@ -95,14 +95,17 @@ class SipClassSpec:
     ``c[i]`` is the minimum value of a part congruent to i+1 (mod k) and
     ``d[i]`` the minimum gap below such a part; a class member must satisfy
     both for every part (gaps only from the second part on).  Optional
-    residue-indexed marker weights refine the generating functions.
+    residue-indexed marker weights refine the generating functions:
+    ``weights[i]`` is the exponent vector over ``markers`` of the monomial
+    that weighs a part congruent to i+1, so ``((1, 0), (0, 1), (1, 1))``
+    over ("u", "v") weighs the residues 1, 2, 0 (mod 3) by u, v and uv.
     """
 
     k: int
     c: tuple[int, ...]
     d: tuple[int, ...]
     markers: tuple[str, ...] = ()
-    weights: tuple[MarkerPoly, ...] | None = None
+    weights: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(self.c))
@@ -126,8 +129,9 @@ class SipClassSpec:
             if len(self.weights) != self.k:
                 raise ValueError("weights must have one entry per residue class")
             for w in self.weights:
-                if w.markers != self.markers:
-                    raise ValueError("weight registry does not match spec markers")
+                if not (type(w) is tuple and len(w) == len(self.markers)
+                        and all(type(e) is int and e >= 0 for e in w)):
+                    raise ValueError(f"weight {w!r} is no exponent vector over {self.markers}")
 
     def residue_index(self, value: int) -> int:
         """Index into c/d for the residue class of a part value."""
@@ -140,9 +144,10 @@ class SipClassSpec:
         """Minimum gap below a part of this value (keyed by its residue)."""
         return self.d[self.residue_index(value)]
 
-    def weight(self, value: int) -> MarkerPoly:
+    def weight(self, value: int) -> tuple[int, ...]:
+        """The exponent vector weighing a part of this value (zero if unweighted)."""
         if self.weights is None:
-            return MarkerPoly.unit(self.markers)
+            return (0,) * len(self.markers)
         return self.weights[self.residue_index(value)]
 
 
@@ -240,16 +245,16 @@ def counting_series(stream: Iterable, trunc: int,
 
 
 def walk_series(states: Iterable[tuple], total_max: int,
-                weight: Callable | None = None,
-                markers: tuple[str, ...] = ()) -> QSeries:
+                weight: Callable | None = None) -> QSeries:
     """The generating function of a counting walk over totals 0..total_max.
 
     Each state of the walk is one counted object, and its second entry is
     what is left of total_max, so it counts at q^(total_max - remaining);
     a ``Counter`` tallies them.  With ``weight``, the third entry of
-    each state is a tag and the state counts for ``weight(tag)``: the
-    weight is computed once per distinct tag and applied once per distinct
-    (remaining, tag).
+    each state is a tag and the state counts ``weight(tag)`` times, an int:
+    the weight is computed once per distinct tag and applied once per
+    distinct (remaining, tag).  A marker-weighted walk tallies its own rows
+    (:func:`~qsip.sip.count_class`).
     """
     if weight is None:
         counts = Counter(remaining for _, remaining in states)
@@ -260,7 +265,7 @@ def walk_series(states: Iterable[tuple], total_max: int,
     coeffs = [0] * (total_max + 1)
     for (remaining, tag), count in tally.items():
         coeffs[total_max - remaining] += count * weights[tag]
-    return QSeries(coeffs, trunc=total_max, markers=markers)
+    return QSeries(coeffs, trunc=total_max)
 
 
 def powerset(items: Iterable) -> Iterator[tuple]:

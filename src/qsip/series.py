@@ -52,7 +52,9 @@ class MarkerPoly:
     """Polynomial in named markers with integer coefficients.
 
     The marker registry is fixed at construction; exponent vectors have one
-    non-negative entry per registered marker.  Terms with coefficient zero
+    non-negative entry per registered marker.  Arithmetic stays in one
+    registry: the other operand is a MarkerPoly of the same registry or an
+    int, which counts as a constant.  Terms with coefficient zero
     are never stored, so the zero polynomial has an empty term map.
     Instances are immutable by convention: no method mutates ``terms``.
     """
@@ -120,35 +122,19 @@ class MarkerPoly:
     # -- coercion --------------------------------------------------------
 
     def _coerce(self, other) -> "MarkerPoly":
+        """An operand in this registry: an int becomes a constant."""
         if isinstance(other, MarkerPoly):
-            if other.markers == self.markers:
-                return other
-            if not other.markers:
-                return other.lift(self.markers)
-            if not self.markers:
-                raise _RegistryMismatch
-            raise ValueError(
-                f"marker registries differ: {self.markers} vs {other.markers}"
-            )
+            if other.markers != self.markers:
+                raise ValueError(
+                    f"marker registries differ: {self.markers} vs {other.markers}"
+                )
+            return other
         return MarkerPoly.const(_as_int(other), self.markers)
-
-    def lift(self, markers: Iterable[str]) -> "MarkerPoly":
-        """Re-embed a marker-free polynomial into a wider registry."""
-        markers = tuple(markers)
-        if self.markers == markers:
-            return self
-        if self.markers:
-            raise ValueError("can only lift a marker-free polynomial")
-        zero = (0,) * len(markers)
-        return MarkerPoly(markers, {zero: c for _, c in self.terms.items()})
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> "MarkerPoly":
-        try:
-            other = self._coerce(other)
-        except _RegistryMismatch:
-            return other + self
+        other = self._coerce(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             total = out.get(exps, 0) + coeff
@@ -164,16 +150,13 @@ class MarkerPoly:
         return MarkerPoly(self.markers, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other) if not isinstance(other, MarkerPoly) else -other)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other) -> "MarkerPoly":
-        try:
-            other = self._coerce(other)
-        except _RegistryMismatch:
-            return other * self
+        other = self._coerce(other)
         out: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -263,37 +246,32 @@ class MarkerPoly:
         return f"MarkerPoly({self})"
 
 
-class _RegistryMismatch(Exception):
-    """Internal: retry the operation with operands swapped after lifting."""
+def binomial_factor(coeffs: list[int], c: int, e: int, power: int = 1) -> None:
+    """Multiply (power 1) or divide (power -1) coeffs in place by 1 + c*q^e,
+    for c = 1 or c = -1: every such factor in the package is (1 +- q^e).
 
-
-def binomial_factor(coeffs: list, c, e: int, power: int = 1) -> None:
-    """Multiply (power 1) or divide (power -1) coeffs in place by 1 + c*q^e.
-
-    The sparse kernel under every product and sum: one O(len(coeffs)) pass,
-    where the dense ``*`` and :meth:`QSeries.inverse` cost quadratic time.
-    ``coeffs`` is a plain list indexed by q-exponent, exact through its last
-    index; an exact polynomial must already have room for its e new top
-    coefficients.  Entries and ``c`` may be ints or MarkerPoly values of one
-    registry.  Multiplication takes e >= 0; division needs e >= 1.
+    The sparse kernel under every product and sum: one O(len(coeffs)) pass
+    of adds or subtracts, where the dense ``*`` and :meth:`QSeries.inverse`
+    cost quadratic time.  ``coeffs`` is a plain int list indexed by
+    q-exponent, exact through its last index; an exact polynomial must
+    already have room for its e new top coefficients.  Multiplication takes
+    e >= 0; division needs e >= 1.  Any other c raises ValueError.
     """
+    if type(c) is not int or c not in (1, -1):
+        raise ValueError(f"binomial_factor takes c = 1 or -1, got {c!r}")
     if power == 1 and e >= 0:
         indices = range(len(coeffs) - 1, e - 1, -1)
     elif power == -1 and e >= 1:
         indices, c = range(e, len(coeffs)), -c
     else:
         raise ValueError(f"cannot apply (1 + c*q^{e})^{power}")
-    # Every (1 - q^e) factor has c = +-1: add or subtract without a product.
-    sign = 1 if c == 1 else -1 if c == -1 else 0
     for i in indices:
         src = coeffs[i - e]
         if src:
-            if sign > 0:
+            if c > 0:
                 coeffs[i] += src
-            elif sign:
-                coeffs[i] -= src
             else:
-                coeffs[i] += c * src
+                coeffs[i] -= src
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
@@ -345,7 +323,7 @@ def _as_series(value) -> "QSeries":
 
 
 def _registry(a: "QSeries", b: "QSeries") -> tuple[str, ...]:
-    """The registry both operands live in: a marker-free one lifts to the other's."""
+    """The registry both operands live in: a marker-free one takes the other's."""
     if a.markers == b.markers or not b.markers:
         return a.markers
     if not a.markers:
@@ -445,7 +423,7 @@ class QSeries:
         if self.markers == markers:
             return self._rows
         if self.markers:
-            raise ValueError("can only lift a marker-free series")
+            raise ValueError("only a marker-free series re-keys into another registry")
         zero = (0,) * len(markers)
         return {zero: row for row in self._rows.values()}
 
@@ -587,9 +565,12 @@ class QSeries:
     def inverse(self, trunc: int | None = None) -> "QSeries":
         """Multiplicative inverse, exact to the effective truncation.
 
-        A polynomial input needs an explicit ``trunc``.  Raises
-        :class:`NonUnitConstantTerm` unless the constant term is 1.
+        A polynomial input needs an explicit ``trunc``, and a negative one
+        raises ValueError.  Raises :class:`NonUnitConstantTerm` unless the
+        constant term is 1.
         """
+        if trunc is not None and trunc < 0:
+            raise ValueError("truncation order must be non-negative")
         eff = self.trunc if self.trunc is not None else trunc
         if eff is None:
             raise ValueError("inverting an exact polynomial requires a truncation order")

@@ -23,23 +23,24 @@ Each b(n, h) is held as {marker monomial: (start, row)}, the single
 monomial () for an unmarked class, so marked and unmarked classes run one
 path.  ``row[i]`` is the coefficient of q^(start + g*i) and the row is cut
 at q^trunc; ``row[0]`` is nonzero, since the recurrence starts each row at
-the least start of its window (only a weight with a negative coefficient
-could cancel it), so no row is ever scanned for its first nonzero.  The
-stride g (:func:`_stride`) is k when the weights put every monomial's row
-in one residue class mod k, and 1 otherwise.  A weight multiplies an entry
-as key shifts: each of its terms shifts the monomials by its exponents and
-scales the rows by its integer coefficient, and the starts stay.
+the least start of its window and adds only positive counts, so no row is
+ever scanned for its first nonzero.  The stride g (:func:`_stride`) is k
+when the weights put every monomial's row in one residue class mod k, and
+1 otherwise.  A weight is a monomial, its exponent vector over the spec's
+markers, so it multiplies an entry as a key shift: every monomial moves by
+that vector, and the rows and their starts stay.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, product, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class, walk_series
-from .series import MarkerPoly, QSeries, _canonical, binomial_factor
+from .series import QSeries, _canonical, binomial_factor
 
 
 class NotInClass(Exception):
@@ -51,7 +52,8 @@ class InsufficientTableDepth(Exception):
 
 
 # The concrete classes studied here, by their usual names.  Weighted Schur
-# marks parts congruent to 0 or 1 (mod 3) with u and 0 or 2 (mod 3) with v.
+# marks parts congruent to 0 or 1 (mod 3) with u and 0 or 2 (mod 3) with v:
+# its weights are u, v and uv, as exponent vectors over (u, v).
 NATURAL = SipClassSpec(1, (1,), (0,))
 DISTINCT = SipClassSpec(1, (1,), (1,))
 ROGERS_RAMANUJAN = SipClassSpec(1, (1,), (2,))
@@ -59,9 +61,8 @@ GOLLNITZ_GORDON = SipClassSpec(2, (1, 2), (2, 3))
 SCHUR = SipClassSpec(3, (1, 2, 3), (3, 3, 4))
 GLASGOW = SipClassSpec(2, (3, 2), (3, 0))
 
-_U, _V = MarkerPoly.gens(("u", "v"))
 SCHUR_REFINED = SipClassSpec(3, (1, 2, 3), (3, 3, 4),
-                             markers=("u", "v"), weights=(_U, _V, _U * _V))
+                             markers=("u", "v"), weights=((1, 0), (0, 1), (1, 1)))
 
 SPEC_REGISTRY: dict[str, SipClassSpec] = {
     "natural": NATURAL,
@@ -205,10 +206,12 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
 
     A state is (last part, remaining total); the k = 1 steps are two
     C-level ranges whose pairs are already the next states.  A weighted
-    class adds to the state its per-residue part counts, packed as the
-    digits of one int in base total_max + 1 (no member has more parts); the
-    weight prod w_r^(n_r) is computed once per distinct counts and applied
-    once per distinct (remaining, counts).
+    class adds to the state its per-residue part counts n_r, packed as the
+    digits of one int in base total_max + 1 (no member has more parts).
+    The states are tallied by (remaining, counts); each distinct counts is
+    decoded once into its monomial, the exponent vector sum of n_r w_r,
+    and the tallies become one int row per monomial.  The exponents are
+    not packed themselves: a weight may raise a marker past the total.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
@@ -244,15 +247,20 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
         return ((p, remaining - p, counts + digits[(p - 1) % k])
                 for p in steps) if steps else ()
 
-    def weight(counts):
-        out = MarkerPoly.unit(spec.markers)
+    def monomial(counts):
+        out = (0,) * len(spec.markers)
         for w in spec.weights:
             counts, n = divmod(counts, base)
-            out = out * w ** n
+            out = tuple(a + n * e for a, e in zip(out, w))
         return out
 
-    return walk_series(grow((None, total_max, 0), weighted), total_max, weight,
-                       spec.markers)
+    tally = Counter((remaining, counts)
+                    for _, remaining, counts in grow((None, total_max, 0), weighted))
+    monomials = {counts: monomial(counts) for counts in {counts for _, counts in tally}}
+    rows: dict[tuple, list[int]] = {}
+    for (remaining, counts), count in tally.items():
+        rows.setdefault(monomials[counts], [0] * base)[total_max - remaining] += count
+    return QSeries._make(_canonical(rows, total_max), total_max, spec.markers)
 
 
 @dataclass(frozen=True)
@@ -428,25 +436,20 @@ class BasisTable:
 
 
 def _stride(spec: SipClassSpec) -> int:
-    """The stride g of the basis rows: k when every weight is a monomial and
-    some lambda in (Z/k)^markers makes lambda . exponents(weight_r)
-    congruent to r mod k for every residue r, else 1.
+    """The stride g of the basis rows: k when some lambda in (Z/k)^markers
+    makes lambda . w_r congruent to r mod k for the exponent vector w_r of
+    every residue r's weight, else 1.
 
     A member with n_r parts of residue r then weighs the monomial
-    e = sum of n_r exponents(weight_r), and its total is congruent to the
-    sum of n_r r, that is to lambda . e, mod k; a padding adds multiples of
-    k.  So every row of monomial e lies in the class of lambda . e mod k, at
-    every (n, h) and in every level sum.  Weighted Schur takes
-    lambda = (1, 2); an unmarked class with k > 1 has no lambda.  The search
-    runs over the k^markers candidates.
+    e = sum of n_r w_r, and its total is congruent to the sum of n_r r,
+    that is to lambda . e, mod k; a padding adds multiples of k.  So every
+    row of monomial e lies in the class of lambda . e mod k, at every
+    (n, h) and in every level sum.  Weighted Schur takes lambda = (1, 2);
+    an unmarked class with k > 1 has no lambda.  The search runs over the
+    k^markers candidates.
     """
     k = spec.k
-    exponents = []
-    for r in range(1, k + 1):
-        terms = spec.weight(r).terms
-        if len(terms) != 1:
-            return 1
-        exponents.extend(terms)
+    exponents = [spec.weight(r) for r in range(1, k + 1)]
     for lam in product(range(k), repeat=len(spec.markers)):
         if all(sum(map(mul, lam, e)) % k == r % k for r, e in enumerate(exponents, 1)):
             return k
@@ -485,35 +488,17 @@ def _by_key(entries: Iterable[dict]) -> dict[tuple, list[tuple[int, list[int]]]]
     return groups
 
 
-def _weighted(entry: dict[tuple, tuple[int, list[int]]], weight: MarkerPoly, g: int
-              ) -> dict[tuple, tuple[int, list[int]]]:
-    """An entry {monomial: (start, row)} times ``weight``: each term of the
-    weight shifts the keys by its exponents and scales the rows by its
-    integer coefficient; starts stay, and rows whose terms collide on one
-    key are summed at their offsets.  The result may hold the rows of
-    ``entry`` themselves: read them, never write."""
-    out: dict[tuple, tuple[int, list[int]]] = {}
-    for shift, c in weight.terms.items():
-        for key, (start, row) in entry.items():
-            key = tuple(map(add, key, shift))
-            if c != 1:
-                row = [c * x for x in row]
-            out[key] = _sum_rows([out[key], (start, row)], g) if key in out else (start, row)
-    return out
-
-
 def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int, g: int
                 ) -> Iterator[dict[int, dict[tuple, tuple[int, list[int]]]]]:
     """Rows n = 1, 2, ... of the recurrence in the module docstring, {h: b(n, h)}
     for h <= h_max, each entry {marker monomial: (start, row)} of stride g
     cut at q^trunc (the single monomial () for an unmarked spec); entries
     zero that far are left out.  Each b(n, h) sums its window once per key,
-    at offsets aligned by the starts, shifted by q^h; a weight applies as
-    key shifts (:func:`_weighted`)."""
+    at offsets aligned by the starts, shifted by q^h, and the weight of h
+    shifts its keys."""
     k, d = spec.k, spec.d
     weights = [spec.weight(r) for r in range(1, k + 1)]
-    zero = (0,) * len(spec.markers)
-    row = {cr: _weighted({zero: (cr, [1])}, weights[(cr - 1) % k], g)
+    row = {cr: {weights[(cr - 1) % k]: (cr, [1])}
            for cr in set(spec.c) if cr <= min(h_max, trunc)}
     while row:
         yield row
@@ -522,13 +507,13 @@ def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int, g: int
         for h in range(min(row) + min(d), min(h_max, max(row) + max(d) + k - 1) + 1):
             top = h - d[(h - 1) % k]
             window = [row[b] for b in range(top - k + 1, top + 1) if b in row]
-            acc = {}
+            weight, acc = weights[(h - 1) % k], {}
             for key, pairs in _by_key(window).items():
                 summed = _sum_rows(pairs, g, trunc - h)
                 if summed is not None:
-                    acc[key] = (summed[0] + h, summed[1])
+                    acc[tuple(map(add, key, weight))] = (summed[0] + h, summed[1])
             if acc:
-                nxt[h] = _weighted(acc, weights[(h - 1) % k], g)
+                nxt[h] = acc
         row = nxt
 
 

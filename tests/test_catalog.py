@@ -165,11 +165,11 @@ class TestClassOracles:
 
 
 def marker_product(spec):
-    """Weight of a member: the product of its parts' marker weights."""
+    """Weight of a member: the product of its parts' marker monomials."""
     def weight(parts):
         w = MarkerPoly.unit(spec.markers)
         for p in parts:
-            w = w * spec.weight(p)
+            w = w * MarkerPoly(spec.markers, {spec.weight(p): 1})
         return w
     return weight
 

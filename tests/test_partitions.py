@@ -9,7 +9,10 @@ from qsip.partitions import (Overpartition, SipClassSpec, counting_series,
                              enumerate_overpartitions, enumerate_partitions,
                              grow, in_sip_class, partition_count)
 from qsip.qfactory import PochSpec, poch_infinite
+from qsip.series import MarkerPoly
 from qsip.sip import GLASGOW, GOLLNITZ_GORDON, SCHUR
+
+UV = ("u", "v")
 
 
 class TestEnumerate:
@@ -156,6 +159,27 @@ class TestSipPredicate:
             SipClassSpec(2, (1,), (0, 0))
         with pytest.raises(ValueError):
             SipClassSpec(2, (1, 2), (-1, 0))
+
+    @pytest.mark.parametrize("weights", [
+        ((1, 0),),                      # one weight for two residues
+        ((1, 0), (0, 1), (1, 1)),       # three weights for two residues
+        ((1,), (0, 1)),                 # an exponent vector of the wrong arity
+        ((1, 0), (0, 1, 0)),
+        ((1, -1), (0, 1)),              # a negative exponent
+        (MarkerPoly.gens(UV)[0], (0, 1)),  # a polynomial, not its exponents
+        ((True, 0), (0, 1)),            # a bool is no exponent
+        ((1.0, 0), (0, 1)),             # nor is a float
+        ([1, 0], (0, 1)),               # a vector is a tuple
+    ])
+    def test_weight_validation(self, weights):
+        with pytest.raises(ValueError):
+            SipClassSpec(2, (1, 2), (2, 3), markers=UV, weights=weights)
+
+    def test_weight_is_exponent_vector(self):
+        spec = SipClassSpec(2, (1, 2), (2, 3), markers=UV, weights=((1, 0), (0, 2)))
+        assert [spec.weight(p) for p in (1, 2, 3, 4)] == [(1, 0), (0, 2), (1, 0), (0, 2)]
+        assert SipClassSpec(2, (1, 2), (2, 3), markers=UV).weight(5) == (0, 0)
+        assert GOLLNITZ_GORDON.weight(5) == ()
 
 
 class TestOverpartitions:

@@ -10,7 +10,7 @@ from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import gaussian_binomial
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
                          TruncationExceeded, binomial_factor)
-from qsip.sip import SCHUR_REFINED, basis_table
+from qsip.sip import SCHUR_REFINED, basis_table, count_class
 
 UV = ("u", "v")
 U, V = MarkerPoly.gens(UV)
@@ -125,6 +125,12 @@ class TestInverse:
         with pytest.raises(ValueError):
             QSeries([1, 1]).inverse()
 
+    @pytest.mark.parametrize("trunc", [5, None])
+    def test_negative_trunc(self, trunc):
+        for t in (-1, -2):
+            with pytest.raises(ValueError):
+                QSeries([1, 2, 3], trunc=trunc).inverse(t)
+
 
 class TestCoefficient:
     def test_constant(self):
@@ -238,25 +244,17 @@ def test_truncation_contract(s, t):
 
 @st.composite
 def kernel_case(draw, polynomials=True):
-    """(series, c, coefficient list): marker-free with int entries or in u, v
-    with MarkerPoly entries; truncated or, if allowed, an exact polynomial."""
+    """(series, c, coefficient list): marker-free with int entries and
+    c = 1 or -1; truncated or, if allowed, an exact polynomial."""
     base = draw(small_series())
     trunc = None if polynomials and draw(st.booleans()) else base.trunc
-    if draw(st.booleans()):
-        series = QSeries(base.coeffs, trunc=trunc)
-        c = draw(coeff_ints)
-        return series, c, [x.constant_value() for x in series.coeffs]
-    monomials = st.sampled_from([1, U, V, U * V, U + V])
-    coeffs = [x.constant_value() * draw(monomials) for x in base.coeffs]
-    series = QSeries(coeffs, trunc=trunc, markers=UV)
-    c = draw(st.sampled_from([U, -V, 2 * U * V, U - 1, 3, 1, -1, -MarkerPoly.unit(UV)]))
-    return series, c, list(series.coeffs)
+    series = QSeries(base.coeffs, trunc=trunc)
+    return series, draw(st.sampled_from([1, -1])), series.int_coefficients(len(base.coeffs) - 1)
 
 
 def two_term(series, c, e):
-    """The dense reference factor 1 + c*q^e in the series' registry."""
-    reg = series.markers
-    return QSeries.one(markers=reg) + QSeries.monomial(e, c, markers=reg)
+    """The dense reference factor 1 + c*q^e."""
+    return QSeries.one() + QSeries.monomial(e, c)
 
 
 @given(kernel_case(), st.integers(0, 14))
@@ -266,7 +264,7 @@ def test_kernel_multiplies_like_dense(case, e):
     if series.trunc is None:
         coeffs += [0] * e  # room for the new top coefficients
     binomial_factor(coeffs, c, e)
-    got = QSeries(coeffs, trunc=series.trunc, markers=series.markers)
+    got = QSeries(coeffs, trunc=series.trunc)
     assert got == series * two_term(series, c, e)
 
 
@@ -275,7 +273,7 @@ def test_kernel_multiplies_like_dense(case, e):
 def test_kernel_divides_like_dense_inverse(case, e):
     series, c, coeffs = case
     binomial_factor(coeffs, c, e, -1)
-    got = QSeries(coeffs, trunc=series.trunc, markers=series.markers)
+    got = QSeries(coeffs, trunc=series.trunc)
     assert got == series * two_term(series, c, e).inverse(series.trunc)
 
 
@@ -283,6 +281,15 @@ def test_kernel_rejects_non_unit_division():
     for e, power in ((0, -1), (-1, 1), (2, 2)):
         with pytest.raises(ValueError):
             binomial_factor([1, 0, 0], 1, e, power)
+
+
+@pytest.mark.parametrize("c", [0, 2, -3, True, 1.0, U, MarkerPoly.unit()])
+def test_kernel_takes_only_unit_c(c):
+    for power in (1, -1):
+        coeffs = [1, 2, 3]
+        with pytest.raises(ValueError):
+            binomial_factor(coeffs, c, 1, power)
+        assert coeffs == [1, 2, 3]
 
 
 # -- the int-row core against a MarkerPoly schoolbook reference ---------------
@@ -323,9 +330,10 @@ def build(case):
     return QSeries(coeffs, trunc=trunc, markers=markers)
 
 
-def ref_coeff(case, n):
-    coeffs, _, markers = case
-    c = coeffs[n] if n < len(coeffs) else 0
+def ref_coeff(case, n, markers):
+    """The coefficient of q^n as a MarkerPoly in ``markers``, the registry of
+    the operands compared or combined; an int becomes a constant there."""
+    c = case[0][n] if n < len(case[0]) else 0
     return c if isinstance(c, MarkerPoly) else MarkerPoly.const(c, markers)
 
 
@@ -359,10 +367,11 @@ def test_add_sub_match_reference(pair):
     a, b = pair
     trunc = ref_trunc(a, b)
     top = trunc if trunc is not None else max(len(a[0]), len(b[0])) - 1
-    assert_matches(build(a) + build(b), trunc, registry(a, b),
-                   [ref_coeff(a, n) + ref_coeff(b, n) for n in range(top + 1)])
-    assert_matches(build(a) - build(b), trunc, registry(a, b),
-                   [ref_coeff(a, n) - ref_coeff(b, n) for n in range(top + 1)])
+    reg = registry(a, b)
+    assert_matches(build(a) + build(b), trunc, reg,
+                   [ref_coeff(a, n, reg) + ref_coeff(b, n, reg) for n in range(top + 1)])
+    assert_matches(build(a) - build(b), trunc, reg,
+                   [ref_coeff(a, n, reg) - ref_coeff(b, n, reg) for n in range(top + 1)])
 
 
 @given(operand_pair())
@@ -371,13 +380,14 @@ def test_mul_matches_reference(pair):
     a, b = pair
     trunc = ref_trunc(a, b)
     top = trunc if trunc is not None else len(a[0]) + len(b[0]) - 2
+    reg = registry(a, b)
     expected = []
     for n in range(top + 1):
-        total = MarkerPoly.const(0, registry(a, b))
+        total = MarkerPoly.const(0, reg)
         for i in range(n + 1):
-            total = total + ref_coeff(a, i) * ref_coeff(b, n - i)
+            total = total + ref_coeff(a, i, reg) * ref_coeff(b, n - i, reg)
         expected.append(total)
-    assert_matches(build(a) * build(b), trunc, registry(a, b), expected)
+    assert_matches(build(a) * build(b), trunc, reg, expected)
 
 
 @given(operand(), st.integers(0, 8))
@@ -390,7 +400,7 @@ def test_inverse_matches_reference(case, t):
     for n in range(1, eff + 1):
         acc = MarkerPoly(markers)
         for i in range(1, n + 1):
-            acc = acc + ref_coeff(case, i) * inv[n - i]
+            acc = acc + ref_coeff(case, i, markers) * inv[n - i]
         inv.append(-acc)
     assert_matches(build(case).inverse(t), eff, markers, inv)
 
@@ -404,10 +414,13 @@ def test_comparison_matches_reference(pair, upto):
         limit = upto if limit is None else min(limit, upto)
     if limit is None:
         limit = max(len(a[0]), len(b[0])) - 1
-    first = next((n for n in range(limit + 1) if ref_coeff(a, n) != ref_coeff(b, n)), None)
+    reg = registry(a, b)
+    first = next((n for n in range(limit + 1)
+                  if ref_coeff(a, n, reg) != ref_coeff(b, n, reg)), None)
     assert build(a).first_mismatch(build(b), upto=upto) == first
     top = max(len(a[0]), len(b[0])) if a[1] is None else a[1] + 1
-    same = a[1] == b[1] and all(ref_coeff(a, n) == ref_coeff(b, n) for n in range(top))
+    same = a[1] == b[1] and all(ref_coeff(a, n, reg) == ref_coeff(b, n, reg)
+                                for n in range(top))
     assert (build(a) == build(b)) is same
 
 
@@ -478,6 +491,8 @@ def test_marker_free_arithmetic_builds_no_marker_poly(marker_polys_built):
 
 def test_marked_builders_build_no_marker_poly(marker_polys_built):
     assert catalog.verify("schur-refined", 200).passed
+    assert catalog.oracle_concordance("schur-refined", 20).passed
+    counted = count_class(SCHUR_REFINED, 30)
     table = basis_table(SCHUR_REFINED, 8, 80)
     rows = [schur_closed(n, h, branch) for n in range(1, 9) for h in range(12)
             for branch in (0, 1, 2)]
@@ -485,3 +500,4 @@ def test_marked_builders_build_no_marker_poly(marker_polys_built):
     assert marker_polys_built == []
     assert all(row.markers == UV for row in rows)
     assert table.entry(1, 3) == QSeries.monomial(3, U * V, markers=UV)
+    assert counted.markers == UV and counted.trunc == 30

@@ -13,23 +13,24 @@ from qsip.series import MarkerPoly, QSeries
 from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
                       ROGERS_RAMANUJAN, SCHUR, SCHUR_REFINED, SPEC_REGISTRY,
                       InsufficientTableDepth, NotInClass, SipDecomposition,
-                      assemble_gf, basis_table, class_gf, decompose,
+                      assemble_gf, basis_table, class_gf, count_class, decompose,
                       enumerate_basis, enumerate_class, is_basis_element,
                       min_basis_total, recompose, verify_sip)
 
 ALL_SPECS = (NATURAL, DISTINCT, ROGERS_RAMANUJAN, GOLLNITZ_GORDON, SCHUR,
              GLASGOW)
-# Schur's gaps with weights that are not all monomials: a sum of two terms,
-# a coefficient other than 1 and a square.
-_U, _V = MarkerPoly.gens(("u", "v"))
+# Schur's gaps with weights that no lambda maps to their residues (see
+# sip._stride): uv, v and a square u^2, so its rows have stride 1.
 MIXED_WEIGHTS = SipClassSpec(3, (1, 2, 3), (3, 3, 4), markers=("u", "v"),
-                             weights=(_U + _V, 2 * _V, _U * _U))
+                             weights=((1, 1), (0, 1), (2, 0)))
 # Monomial weights on two gap patterns: Göllnitz–Gordon weighted (u, v) has
 # basis rows of stride k = 2; Schur weighted (u, u, u) puts members of one
 # weight in every residue class, so its rows have stride 1.
-GOLLNITZ_UV = SipClassSpec(2, (1, 2), (2, 3), markers=("u", "v"), weights=(_U, _V))
-(_W,) = MarkerPoly.gens(("u",))
-SCHUR_UUU = SipClassSpec(3, (1, 2, 3), (3, 3, 4), markers=("u",), weights=(_W, _W, _W))
+GOLLNITZ_UV = SipClassSpec(2, (1, 2), (2, 3), markers=("u", "v"), weights=((1, 0), (0, 1)))
+SCHUR_UUU = SipClassSpec(3, (1, 2, 3), (3, 3, 4), markers=("u",), weights=((1,), (1,), (1,)))
+# Every part weighs u^3, so a member's u-exponent is three times its part
+# count and can exceed its total, the base the part counts are packed in.
+NATURAL_U3 = SipClassSpec(1, (1,), (0,), markers=("u",), weights=((3,),))
 SPEC_NAMES = {id(spec): name for name, spec in SPEC_REGISTRY.items()}
 # The unweighted specs at trunc 30 take the k/c ids the other tests here use.
 MEMBER_COUNT_CASES = (
@@ -39,7 +40,18 @@ MEMBER_COUNT_CASES = (
     + [pytest.param(SCHUR_REFINED, 30, id="schur-refined-t30")]
     + [pytest.param(MIXED_WEIGHTS, t, id=f"mixed-weights-t{t}") for t in (0, 1, 2, 3, 30)]
     + [pytest.param(GOLLNITZ_UV, t, id=f"gollnitz-uv-t{t}") for t in (0, 1, 2, 3, 30)]
-    + [pytest.param(SCHUR_UUU, t, id=f"schur-uuu-t{t}") for t in (0, 1, 2, 3, 30)])
+    + [pytest.param(SCHUR_UUU, t, id=f"schur-uuu-t{t}") for t in (0, 1, 2, 3, 30)]
+    + [pytest.param(NATURAL_U3, t, id=f"natural-u3-t{t}") for t in (0, 1, 2, 3, 30)])
+
+
+def weight_of(spec, parts):
+    """The product of the parts' weights, as a MarkerPoly monomial."""
+    w = MarkerPoly.unit(spec.markers)
+    for p in parts:
+        w = w * MarkerPoly(spec.markers, {spec.weight(p): 1})
+    return w
+
+
 # (ok, class_count, recomposed_count) of verify_sip by spec and total, pinned
 # as literals so that no change to how the basis is walked can move them.
 PINNED_SIP = {
@@ -260,18 +272,14 @@ class TestVerifySipFaults:
 def reference_basis_table(spec, max_n, max_h):
     """{(n, h): b(n, h)} by the dense window recurrence: each entry is
     {marker monomial: int list by q-exponent, cut at q^(max_n * max_h)}, and
-    b(n, h) adds every row of its window at offset h, then multiplies term by
-    term by the weight of h.  It shares no code with sip."""
+    b(n, h) adds every row of its window at offset h, then shifts every
+    monomial by the weight of h.  It shares no code with sip."""
     trunc, k = max_n * max_h, spec.k
     zero = (0,) * len(spec.markers)
 
     def weigh(entry, h):
-        out = {}
-        for shift, c in spec.weight(h).terms.items():
-            for key, row in entry.items():
-                acc = out.setdefault(tuple(a + b for a, b in zip(key, shift)), [0] * len(row))
-                acc[:] = [x + c * y for x, y in zip(acc, row)]
-        return out
+        shift = spec.weight(h)
+        return {tuple(a + b for a, b in zip(key, shift)): row for key, row in entry.items()}
 
     table = {}
     row = {cr: weigh({zero: [0] * cr + [1]}, cr) for cr in set(spec.c) if cr <= max_h}
@@ -338,10 +346,8 @@ class TestBasisTable:
         for n in range(1, 9):
             grouped: dict[int, QSeries] = {}
             for parts in enumerate_basis(spec, n, h_max):
-                w = MarkerPoly.unit(spec.markers)
-                for p in parts:
-                    w = w * spec.weight(p)
-                mono = QSeries.monomial(sum(parts), w, markers=spec.markers)
+                mono = QSeries.monomial(sum(parts), weight_of(spec, parts),
+                                        markers=spec.markers)
                 h = parts[-1]
                 grouped[h] = grouped.get(h, QSeries.zero(markers=spec.markers)) + mono
             for h in range(1, h_max + 1):
@@ -394,22 +400,20 @@ class TestAssembleGf:
 
     @pytest.mark.parametrize("spec, t", MEMBER_COUNT_CASES)
     def test_matches_member_counts(self, spec, t):
-        """Against enumerated members, weighted by the product of part weights.
+        """class_gf and the counting walk count_class against enumerated
+        members, weighted by the product of part weights.
 
         Truncations 0..3 end the basis rows early: below the smallest
         threshold c_r there is no row at all, and above it every entry of
-        the second or third row is already cut away.
+        the second or third row is already cut away.  NATURAL_U3 guards the
+        walk's packed part counts: its marker exponents exceed the total.
         """
-        def weight(parts):
-            w = MarkerPoly.unit(spec.markers)
-            for p in parts:
-                w = w * spec.weight(p)
-            return w
-
         oracle = counting_series(enumerate_class(spec, t), t,
-                                 weight=weight if spec.weights else None,
+                                 weight=(lambda parts: weight_of(spec, parts))
+                                 if spec.weights else None,
                                  markers=spec.markers)
         assert class_gf(spec, t) == oracle
+        assert count_class(spec, t) == oracle
 
     @pytest.mark.parametrize("name", list(SPEC_REGISTRY))
     def test_deep_matches_product(self, name):
