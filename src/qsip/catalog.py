@@ -9,19 +9,23 @@ to the requested truncation order.
   :func:`~qsip.qfactory.series_sum`: a pair ``(a, b)`` giving
   Q(n) = (a*n^2 + b*n)/2, numerator and denominator ``PochSpec`` lists, so
   the sum is over n of q^Q(n) (num)_n / (den)_n.
+* Or it is an Andrews-Gordon multisum, the pair ``(k, i)`` for
+  :func:`~qsip.qfactory.andrews_gordon_sum`: the sum over
+  n_1, ..., n_(k-1) of q^(N_1^2 + ... + N_(k-1)^2 + N_i + ... + N_(k-1)) /
+  ((q)_n_1 ... (q)_n_(k-1)), N_j = n_j + ... + n_(k-1), which equals the
+  product over n not congruent to 0 or +-i (mod 2k + 1) of 1/(1 - q^n).
 * A product side is a list of ``(PochSpec, power)`` pairs with power +1 or
   -1, for :func:`~qsip.qfactory.poch_product`; a congruence product is the
   list of its admitted residues r, each a factor 1/(q^r; q^modulus).
 
-Three rows carry code, each a hook for what the data cannot say:
+Two rows carry code, each a hook for what the data cannot say:
 schur-refined's series side is the class generating function
-:func:`~qsip.sip.class_gf`; mod7-sum multiplies each summand by its inner
-binomial sum; glasgow-mod8 gives each summand its extra (1 + q^(2n-1))
-factor.  Registered identities:
+:func:`~qsip.sip.class_gf`, and glasgow-mod8 gives each summand its extra
+(1 + q^(2n-1)) factor.  Registered identities:
 
     euler-any            sum q^n/(q;q)_n                = 1/(q;q)
     euler-distinct       sum q^(n(n+1)/2)/(q;q)_n       = (-q;q)
-    rogers-ramanujan     sum q^(n^2)/(q;q)_n            = 1/((q;q^5)(q^4;q^5))
+    rogers-ramanujan     Andrews-Gordon (2, 2)          = 1/((q;q^5)(q^4;q^5))
     gollnitz-gordon-1    sum (-q;q^2)_n q^(n^2)/(q^2;q^2)_n
                                                         = 1/((q;q^8)(q^4;q^8)(q^7;q^8))
     schur-refined        weighted-class sum             = (-uq;q^3)(-vq^2;q^3)
@@ -31,11 +35,13 @@ factor.  Registered identities:
     slater-81            n-copies, differences >= -1    = two-color mod-14 product
     slater-6-corrected   overlined n-copies sum         = product over 3-free parts
     slater-86            even-subscript n-copies        = product over +-2..+-5 mod 16
-    mod7-sum             binomial double sum            = product over n != 0,3,4 mod 7
+    mod7-sum             Andrews-Gordon (3, 3)          = product over n != 0,3,4 mod 7
 
 The n-copies sums (difference at least r) are sum q^(n^2 + r n(n-1)/2) /
 ((q;q^2)_n (q;q)_n), and slater-86 is sum q^(2n^2)/(q;q)_(2n) with
-(q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.
+(q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.  Andrews-Gordon (2, 2) is
+sum q^(n^2)/(q;q)_n, and (3, 3) is sum q^(N_1^2 + N_2^2) / ((q;q)_n_1 (q;q)_n_2)
+with N_1 = n_1 + n_2, N_2 = n_2.
 
 Every oracle enumerates its objects, as a counting walk with one walk
 state per counted object and no memo across states.  A state keeps only
@@ -50,7 +56,10 @@ by its parts' marker monomials, with one tally per monomial).  The n-copies orac
 with non-negative weighted differences and counts each with weight 2^s,
 s its number of overline carriers (:func:`~qsip.ncopies.overline_carriers`):
 that is how many overlined versions
-:func:`~qsip.ncopies.enumerate_ncopies_over` lists one by one.  The tuple
+:func:`~qsip.ncopies.enumerate_ncopies_over` lists one by one.  The
+mod7-sum oracle (:func:`~qsip.partitions.count_gordon`) walks the
+partitions under Gordon's frequency condition for (k, i) = (3, 3): at most
+two ones, and at most two parts equal to j or j + 1 for every j.  The tuple
 enumerators of :mod:`~qsip.sip` and :mod:`~qsip.ncopies` stay as the
 references these walks are tested against.
 
@@ -68,8 +77,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import ncopies as nc
-from .partitions import SipClassSpec
-from .qfactory import (CongruenceProductSpec, PochSpec, gaussian_binomial,
+from .partitions import SipClassSpec, count_gordon
+from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                        poch_infinite, poch_product, series_sum, series_terms)
 from .series import QSeries, binomial_factor
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
@@ -94,6 +103,10 @@ def _sum(quad: tuple[int, int], num=(), den=(), extra=None) -> Callable[[int], Q
     return lambda t: series_sum(quad, num, den, t, extra)
 
 
+def _multisum(k: int, i: int) -> Callable[[int], QSeries]:
+    return lambda t: andrews_gordon_sum(k, i, t)
+
+
 def _product(*factors: tuple[PochSpec, int]) -> Callable[[int], QSeries]:
     return lambda t: poch_product(factors, t)
 
@@ -116,13 +129,6 @@ def _glasgow_extra(n: int, coeffs: list) -> list:
     return coeffs
 
 
-def _mod7_extra(n: int, coeffs: list) -> list:
-    """Times the inner sum over m of q^(m^2) [n, m] of the mod-7 double sum."""
-    inner = sum((QSeries.monomial(m * m) * gaussian_binomial(n, m) for m in range(n + 1)),
-                QSeries.zero())
-    return (QSeries(coeffs, trunc=len(coeffs) - 1) * inner).int_coefficients(len(coeffs) - 1)
-
-
 # -- counting oracles ---------------------------------------------------------
 
 def _class_oracle(spec: SipClassSpec) -> Callable[[int], QSeries]:
@@ -131,6 +137,10 @@ def _class_oracle(spec: SipClassSpec) -> Callable[[int], QSeries]:
 
 def _ncopies_oracle(r: int) -> Callable[[int], QSeries]:
     return lambda total: nc.count_ncopies(total, r)
+
+
+def _gordon_oracle(k: int, i: int) -> Callable[[int], QSeries]:
+    return lambda total: count_gordon(k, i, total)
 
 
 # -- the registry -------------------------------------------------------------
@@ -155,7 +165,7 @@ REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
         _class_oracle(DISTINCT)),
     IdentityEntry(
         "rogers-ramanujan", "first Rogers-Ramanujan identity",
-        _sum((2, 0), den=[_ONES]), _product((PochSpec(1, 5), -1), (PochSpec(4, 5), -1)),
+        _multisum(2, 2), _product((PochSpec(1, 5), -1), (PochSpec(4, 5), -1)),
         _class_oracle(ROGERS_RAMANUJAN)),
     IdentityEntry(
         "gollnitz-gordon-1", "first Gollnitz-Gordon identity",
@@ -199,7 +209,7 @@ REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
         nc.count_even_subscript),
     IdentityEntry(
         "mod7-sum", "mod-7 Rogers-Ramanujan analogue",
-        _sum((2, 0), den=[_ONES], extra=_mod7_extra), _product(*_parts(7, {0, 3, 4}))),
+        _multisum(3, 3), _product(*_parts(7, {0, 3, 4})), _gordon_oracle(3, 3)),
 )}
 
 

@@ -268,6 +268,34 @@ def walk_series(states: Iterable[tuple], total_max: int,
     return QSeries(coeffs, trunc=total_max)
 
 
+def count_gordon(k: int, i: int, total_max: int) -> QSeries:
+    """Partitions under Gordon's frequency condition for 1 <= i <= k, k >= 2,
+    counted to q^total_max: at most i - 1 parts equal 1, and for every j at
+    most k - 1 parts equal j or j + 1.  Gordon's theorem makes this the
+    product over n not congruent to 0 or +-i (mod 2k + 1) of 1/(1 - q^n).
+
+    A walk with one state per partition, ((last part, its frequency),
+    remaining total).  The root is a virtual part 0 of frequency k - i, so
+    the pair rule at part 1 is the bound on it.  A next part p > last comes
+    f >= 1 times, with f at most k - 1, less the last frequency when p is
+    last + 1, and at most the remaining total over p.
+    """
+    if k < 2 or not 1 <= i <= k:
+        raise ValueError(f"Gordon's condition needs k >= 2 and 1 <= i <= k, got ({k}, {i})")
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+
+    def successors(state):
+        (last, freq), remaining = state
+        steps = []
+        for p in range(last + 1, remaining + 1):
+            most = min(k - 1 - freq if p == last + 1 else k - 1, remaining // p)
+            steps.extend(((p, f), remaining - p * f) for f in range(1, most + 1))
+        return steps
+
+    return walk_series(grow(((0, k - i), total_max), successors), total_max)
+
+
 def powerset(items: Iterable) -> Iterator[tuple]:
     items = list(items)
     return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))

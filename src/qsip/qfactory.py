@@ -2,10 +2,11 @@
 
 Finite and infinite q-Pochhammer products, Gaussian (q-binomial)
 polynomials, congruence-restricted partition products, q-hypergeometric
-sums and two-sided theta sums.  Everything is exact integer arithmetic on
-:class:`~qsip.series.QSeries` values, except that Gaussian binomials are
-cached as immutable int rows (:func:`binomial_row`) for the int-row
-builders; :func:`gaussian_binomial` wraps a row as a series.  Every
+sums, Andrews-Gordon multisums and two-sided theta sums.  Everything is
+exact integer arithmetic on :class:`~qsip.series.QSeries` values, except
+that Gaussian binomials are cached as immutable int rows
+(:func:`binomial_row`) for the int-row builders; :func:`gaussian_binomial`
+wraps a row as a series.  Every
 product, Gaussian binomials included, and every sum is a loop of two factor
 kernels: :func:`~qsip.series.binomial_factor` multiplies or divides one int
 list by a single factor 1 + c*q^e in O(trunc), and :func:`_marked_factor`
@@ -62,6 +63,9 @@ class PochSpec:
         for j in range(count):
             binomial_factor(coeffs, -self.sign, self.factor_exponent(j), power)
         return coeffs
+
+
+_QQ = PochSpec(1, 1)   # (q; q)
 
 
 def _marked_factor(rows: list[list[int]], c: int, e: int, power: int) -> None:
@@ -288,6 +292,66 @@ def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[Poc
         for i, c in enumerate(term, exp):
             total[i] += c
     return QSeries(total, trunc=trunc)
+
+
+def andrews_gordon_sum(k: int, i: int, trunc: int) -> QSeries:
+    """The Andrews-Gordon multisum for 1 <= i <= k, k >= 2, exact to ``trunc``:
+
+        sum over n_1, ..., n_(k-1) >= 0 of
+            q^(N_1^2 + ... + N_(k-1)^2 + N_i + ... + N_(k-1)) / ((q)_n_1 ... (q)_n_(k-1))
+
+    with N_j = n_j + ... + n_(k-1).  It equals the product over n not
+    congruent to 0 or +-i (mod 2k + 1) of 1/(1 - q^n).
+
+    Summed from the inside out over N_1 >= N_2 >= ... >= N_(k-1) >= 0 on
+    plain int lists: with F_0 = 1, level j is
+
+        F_j(M) = sum over N >= M of q^(N^2 + [i <= j] N) F_(j-1)(N) / (q)_(N - M),
+
+    and the sum is F_(k-1)(0).  F_1(M) is one :func:`series_terms` run
+    with Q(n) = n^2 + 2Mn + [i = 1] n.  A higher level is a Horner pass from
+    the largest N down: add F_(j-1)(N) at its offset, then divide by
+    (1 - q^(N - M)).  Each F_j(M) is a list over q^e, e = jM^2 + #{l <= j :
+    l >= i} M its least exponent, cut where the next level's own factor
+    q^(M^2 + [i <= j+1] M) pushes it past q^trunc; it is computed once per
+    M and read by every outer sum that needs it.
+    """
+    if k < 2 or not 1 <= i <= k:
+        raise ValueError(f"Andrews-Gordon sums need k >= 2 and 1 <= i <= k, got ({k}, {i})")
+    if trunc < 0:
+        raise ValueError("truncation order must be non-negative")
+    out = [0] * (trunc + 1)   # first, so a size too large to hold fails before any work
+
+    def least(j: int, m: int) -> int:   # the least exponent of F_j(m)
+        return j * m * m + max(j - i + 1, 0) * m
+
+    rows: list[list[int]] = []   # F_(j-1)(N) for N = 0, 1, ...
+    for j in range(1, k):
+        level = []
+        # the outermost level is F_(k-1)(0) alone
+        for m in range(1 if j == k - 1 else trunc + 1):
+            size = trunc + 1 - least(j + 1, m)
+            if size <= 0:
+                break
+            acc = out if j == k - 1 else [0] * size
+            if j == 1:
+                for exp, term in series_terms((2, 4 * m + 2 * (i == 1)), (), (_QQ,), size - 1):
+                    if exp >= size:
+                        break
+                    acc[exp:] = map(add, acc[exp:], term)
+            else:
+                base = least(j, m)
+                top = m
+                while top + 1 < len(rows) and least(j, top + 1) - base < size:
+                    top += 1
+                for n in range(top, m - 1, -1):
+                    off = least(j, n) - base
+                    acc[off:] = map(add, acc[off:], rows[n])
+                    if n > m:
+                        binomial_factor(acc, -1, n - m, -1)
+            level.append(acc)
+        rows = level
+    return QSeries(out, trunc=trunc)
 
 
 def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSeries:

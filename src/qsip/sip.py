@@ -216,27 +216,30 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
     k, c, d = spec.k, spec.c, spec.d
-    if spec.weights is None and k == 1:
-        gap = d[0]
-
-        def successors(state):
-            last, remaining = state
-            low = last + gap
-            if low > remaining:
-                return ()
-            return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
-
-        # the root's last part sits one gap below c_1, where the first part starts
-        return walk_series(grow((c[0] - gap, total_max), successors), total_max)
-
     nexts = _next_parts(spec)
     if spec.weights is None:
-        def successors(state):
-            last, remaining = state
-            steps = nexts(last, remaining)
-            return ((p, remaining - p) for p in steps) if steps else ()
+        if k == 1:
+            gap = d[0]
 
-        return walk_series(grow((None, total_max), successors), total_max)
+            def successors(state):
+                last, remaining = state
+                low = last + gap
+                if low > remaining:
+                    return ()
+                return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
+
+            # the root's last part sits one gap below c_1, where the first part starts
+            root = (c[0] - gap, total_max)
+        else:
+            def successors(state):
+                last, remaining = state
+                steps = nexts(last, remaining)
+                return ((p, remaining - p) for p in steps) if steps else ()
+
+            root = (None, total_max)
+        # unweighted, every member weighs the zero monomial over the spec's markers
+        counted = walk_series(grow(root, successors), total_max)
+        return QSeries._make(counted._rows_in(spec.markers), total_max, spec.markers)
 
     base = total_max + 1
     digits = [base ** i for i in range(k)]
@@ -577,6 +580,7 @@ def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSe
     dense rows once, at the end, and handed to the series as they are."""
     if trunc < 0:
         raise ValueError("truncation order must be non-negative")
+    unit = [0] * (trunc + 1)   # first, so a size too large to hold fails before any row is built
     sums = [{key: _sum_rows(pairs, g, trunc) for key, pairs in _by_key(row.values()).items()}
             for row in rows]
     total: dict[tuple, tuple[int, list[int]]] = {}
@@ -587,7 +591,7 @@ def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSe
         for _, acc in total.values():
             binomial_factor(acc, -1, n * spec.k // g, -1)
     dense = {key: _dense(start, acc, g, trunc + 1) for key, (start, acc) in total.items()}
-    dense.setdefault((0,) * len(spec.markers), [0] * (trunc + 1))[0] = 1
+    dense.setdefault((0,) * len(spec.markers), unit)[0] = 1
     return QSeries._make(_canonical(dense, trunc), trunc, spec.markers)
 
 

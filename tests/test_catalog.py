@@ -1,5 +1,7 @@
 """Identity registry: verification, oracles, telescoping, proof pivots."""
 
+from collections import Counter
+
 import pytest
 
 from qsip import catalog, partitions
@@ -8,10 +10,10 @@ from qsip.catalog import (NoOracle, TelescopeResult, UnknownIdentity,
                           gollnitz_intermediate, oracle_concordance,
                           substitute_neg_q_squared, telescope_check, verify,
                           verify_all)
-from qsip.partitions import counting_series, enumerate_partitions
-from qsip.qfactory import (CongruenceProductSpec, PochSpec,
-                           congruence_product, poch_finite, poch_infinite,
-                           theta_sum)
+from qsip.partitions import count_gordon, counting_series, enumerate_partitions
+from qsip.qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
+                           congruence_product, gaussian_binomial, poch_finite,
+                           poch_infinite, theta_sum)
 from qsip.series import MarkerPoly, QSeries
 from qsip.sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                       SCHUR_REFINED, enumerate_class)
@@ -81,14 +83,17 @@ class TestSchurRefined:
 
 
 class TestOracles:
-    @pytest.mark.parametrize("identity", [i for i in ALL_IDS if i != "mod7-sum"])
+    @pytest.mark.parametrize("identity", ALL_IDS)
     def test_three_way_agreement(self, identity):
         res = oracle_concordance(identity, 16)
         assert res.passed, res.summary()
 
-    def test_no_oracle(self):
+    def test_no_oracle(self, monkeypatch):
+        bare = catalog.IdentityEntry("bare", "no combinatorial reading",
+                                     lhs=lambda t: QSeries.one(t), rhs=lambda t: QSeries.one(t))
+        monkeypatch.setitem(catalog.REGISTRY, "bare", bare)
         with pytest.raises(NoOracle):
-            oracle_concordance("mod7-sum", 10)
+            oracle_concordance("bare", 10)
 
     def test_mod8_listed_partitions(self):
         allowed = CongruenceProductSpec(8, frozenset({0, 2, 3, 4, 7}), "allowed")
@@ -111,6 +116,15 @@ def table_member(k, table):
                 return False
             prev = p
         return True
+    return admits
+
+
+def gordon_rule(k, i):
+    """Gordon's frequency condition, read off each partition's part counts:
+    f_1 <= i - 1 and f_j + f_(j+1) <= k - 1 for every j."""
+    def admits(parts):
+        f = Counter(parts)
+        return f[1] <= i - 1 and all(f[j] + f[j + 1] <= k - 1 for j in f)
     return admits
 
 
@@ -201,15 +215,16 @@ REFERENCE_ENUMERATIONS = {
     "slater-6-corrected": lambda t: counting_series(nc.enumerate_ncopies_over(t), t),
     "slater-86": lambda t: counting_series(nc.enumerate_even_subscript(t), t,
                                            size=nc.copy_total),
+    # Gordon's frequency condition for k = i = 3, filtered from every partition
+    "mod7-sum": lambda t: counting_series(enumerate_partitions(t, gordon_rule(3, 3)), t),
 }
-ORACLE_IDS = [i for i in ALL_IDS if i != "mod7-sum"]
 
 
 class TestCountingWalks:
     def test_every_oracle_has_a_reference(self):
-        assert sorted(REFERENCE_ENUMERATIONS) == sorted(ORACLE_IDS)
+        assert sorted(REFERENCE_ENUMERATIONS) == sorted(ALL_IDS)
 
-    @pytest.mark.parametrize("identity", ORACLE_IDS)
+    @pytest.mark.parametrize("identity", ALL_IDS)
     def test_matches_reference_enumerator(self, identity):
         oracle = catalog.get(identity).oracle
         reference = REFERENCE_ENUMERATIONS[identity]
@@ -218,11 +233,72 @@ class TestCountingWalks:
             assert got.markers == want.markers and got.trunc == want.trunc == total
             assert got.coefficients(total) == want.coefficients(total), total
 
-    @pytest.mark.parametrize("identity", ORACLE_IDS)
+    @pytest.mark.parametrize("identity", ALL_IDS)
     def test_concordance_at_benchmark_size(self, identity):
         # the largest total the oracle-enum benchmark runs
         res = oracle_concordance(identity, 30)
         assert res.passed, res.summary()
+
+
+def mod7_double_sum(t):
+    """The mod-7 double sum by the route of its old registry hook, on dense
+    series arithmetic: the sum over n of q^(n^2) / (q)_n times the inner sum
+    over m of q^(m^2) [n, m], with 1/(q)_n a product of geometric series."""
+    total, reciprocal, n = QSeries.zero(t), QSeries.one(t), 0
+    while n * n <= t:
+        if n:
+            reciprocal = reciprocal * QSeries([int(e % n == 0) for e in range(t + 1)], trunc=t)
+        inner = sum((QSeries.monomial(m * m) * gaussian_binomial(n, m) for m in range(n + 1)),
+                    QSeries.zero())
+        total = total + QSeries.monomial(n * n, trunc=t) * inner * reciprocal
+        n += 1
+    return total
+
+
+def gordon_product(k, i, t):
+    """The product over n not congruent to 0 or +-i (mod 2k + 1) of 1/(1 - q^n)."""
+    m = 2 * k + 1
+    return congruence_product(CongruenceProductSpec(m, frozenset({0, i, m - i}), "excluded"), t)
+
+
+GORDON_PAIRS = [(k, i) for k in (2, 3, 4) for i in range(1, k + 1)]
+
+
+class TestAndrewsGordon:
+    def test_mod7_side_matches_binomial_double_sum(self):
+        reference = mod7_double_sum(150)
+        lhs = catalog.get("mod7-sum").lhs
+        for t in range(151):
+            got = lhs(t)
+            assert got.trunc == t and got == reference.truncate(t), t
+
+    @pytest.mark.parametrize("k, i", GORDON_PAIRS)
+    def test_sum_matches_product(self, k, i):
+        assert andrews_gordon_sum(k, i, 200) == gordon_product(k, i, 200)
+
+    @pytest.mark.parametrize("k, i", GORDON_PAIRS)
+    def test_walk_matches_filtered_partitions(self, k, i):
+        expected = counting_series(enumerate_partitions(20, gordon_rule(k, i)), 20)
+        for total in range(21):
+            got = count_gordon(k, i, total)
+            assert got.trunc == total and got == expected.truncate(total), total
+
+    @pytest.mark.parametrize("k, i", GORDON_PAIRS)
+    def test_walk_matches_product(self, k, i):
+        assert count_gordon(k, i, 30) == gordon_product(k, i, 30)
+
+    @pytest.mark.parametrize("k, i", [(1, 1), (3, 0), (3, 4)])
+    def test_rejects_bad_parameters(self, k, i):
+        with pytest.raises(ValueError):
+            andrews_gordon_sum(k, i, 10)
+        with pytest.raises(ValueError):
+            count_gordon(k, i, 10)
+
+    def test_rejects_negative_sizes(self):
+        with pytest.raises(ValueError, match="truncation order must be non-negative"):
+            andrews_gordon_sum(3, 3, -1)
+        with pytest.raises(ValueError, match="total_max must be non-negative"):
+            count_gordon(3, 3, -1)
 
 
 class TestSlater81Correction:

@@ -150,15 +150,17 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "total_max must be non-negative" in captured.err and captured.out == ""
 
-    def test_negative_trunc_exit_two(self, capsys):
-        assert main(["verify", "--identity", "schur-refined", "--trunc", "-1"]) == 2
+    @pytest.mark.parametrize("identity", catalog.identity_ids())
+    def test_negative_trunc_exit_two(self, capsys, identity):
+        assert main(["verify", "--identity", identity, "--trunc", "-1"]) == 2
         captured = capsys.readouterr()
         assert "error: truncation order must be non-negative" in captured.err
         assert captured.out == ""
 
-    def test_huge_trunc_exit_two(self, capsys):
+    @pytest.mark.parametrize("identity", catalog.identity_ids())
+    def test_huge_trunc_exit_two(self, capsys, identity):
         # fails at its first list allocation, before any memory is taken
-        assert main(["verify", "--identity", "euler-any", "--trunc", str(10**20)]) == 2
+        assert main(["verify", "--identity", identity, "--trunc", str(10**20)]) == 2
         captured = capsys.readouterr()
         assert "error: sizes too large to allocate (OverflowError" in captured.err
         assert captured.out == ""

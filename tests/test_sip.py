@@ -415,6 +415,14 @@ class TestAssembleGf:
         assert class_gf(spec, t) == oracle
         assert count_class(spec, t) == oracle
 
+    @pytest.mark.parametrize("spec", [SipClassSpec(1, (1,), (2,), markers=("u",)),
+                                      SipClassSpec(2, (1, 2), (2, 3), markers=("u", "v"))],
+                             ids=["k1", "k2"])
+    def test_unweighted_count_keeps_markers(self, spec):
+        counted, assembled = count_class(spec, 5), class_gf(spec, 5)
+        assert counted.markers == assembled.markers == spec.markers
+        assert counted.monomial_rows(5) == assembled.monomial_rows(5)
+
     @pytest.mark.parametrize("name", list(SPEC_REGISTRY))
     def test_deep_matches_product(self, name):
         # Schur's theorem: parts congruent to +-1 mod 6; the others have an
