@@ -254,15 +254,16 @@ def walk_series(states: Iterable[tuple], total_max: int,
     each state is a tag and the state counts ``weight(tag)`` times, an int:
     the weight is computed once per distinct tag and applied once per
     distinct (remaining, tag).  A marker-weighted walk tallies its own rows
-    (:func:`~qsip.sip.count_class`).
+    (:func:`~qsip.sip.count_class`).  The row is allocated before the walk
+    starts, so a total too large to hold fails before any state is visited.
     """
+    coeffs = [0] * (total_max + 1)
     if weight is None:
-        counts = Counter(remaining for _, remaining in states)
-        return QSeries([counts[total_max - n] for n in range(total_max + 1)],
-                       trunc=total_max)
+        for remaining, count in Counter(remaining for _, remaining in states).items():
+            coeffs[total_max - remaining] = count
+        return QSeries(coeffs, trunc=total_max)
     tally = Counter((remaining, tag) for _, remaining, tag in states)
     weights = {tag: weight(tag) for tag in {tag for _, tag in tally}}
-    coeffs = [0] * (total_max + 1)
     for (remaining, tag), count in tally.items():
         coeffs[total_max - remaining] += count * weights[tag]
     return QSeries(coeffs, trunc=total_max)

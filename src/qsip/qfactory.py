@@ -7,23 +7,26 @@ exact integer arithmetic on :class:`~qsip.series.QSeries` values, except
 that Gaussian binomials are cached as immutable int rows
 (:func:`binomial_row`) for the int-row builders; :func:`gaussian_binomial`
 wraps a row as a series.  Every
-product, Gaussian binomials included, and every sum is a loop of two factor
-kernels: :func:`~qsip.series.binomial_factor` multiplies or divides one int
-list by a single factor 1 + c*q^e in O(trunc), and :func:`_marked_factor`
-does the same for a factor 1 + c*x*q^e on a stack of such lists, one per
-power of the marker x.  Infinite products are cut at the first factor whose
-minimal exponent exceeds the requested truncation, which cannot affect any
-retained coefficient."""
+product, Gaussian binomials included, and every sum is a loop of one factor
+kernel, :func:`~qsip.series.binomial_factor`, which multiplies or divides
+one int list by a single factor 1 + c*q^e in O(trunc).  A product with a
+marker x is expanded by the q-binomial theorem and Euler's two identities
+(Andrews, *The Theory of Partitions*, 1976, Thm 2.1 and Cor. 2.2): the
+x^k row of a marked Pochhammer product is its x^(k-1) row shifted and run
+through one or two such kernel calls (:func:`_expand`), so no two series
+are multiplied and a product costs O(rows * trunc).  Infinite products are
+cut at the first factor whose minimal exponent exceeds the requested
+truncation, which cannot affect any retained coefficient."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
+from operator import add, neg
 from typing import Callable, Iterable, Iterator
 
-from .series import QSeries, binomial_factor
+from .series import QSeries, _canonical, binomial_factor
 
 
 class DivergentProduct(Exception):
@@ -68,64 +71,74 @@ class PochSpec:
 _QQ = PochSpec(1, 1)   # (q; q)
 
 
-def _marked_factor(rows: list[list[int]], c: int, e: int, power: int) -> None:
-    """Multiply (power 1) or divide (power -1) in place by 1 + c*x*q^e, c = +-1,
-    the series sum over a of x^a q^n rows[a][n], every row cut at one length.
+def _expand(rows: dict[tuple[int, ...], list[int]], spec: PochSpec, count: int | None,
+            power: int, i: int, size: int) -> dict[tuple[int, ...], list[int]]:
+    """The rows times the first ``count`` factors of marked spec (all of them
+    for None) to the power 1 or -1, x the marker at key index i.
 
-    x^a picks up row a - 1 shifted by e: from the top degree down when
-    multiplying, from degree 0 up (on rows already divided) when dividing.
-    A new top row is added only while the shifted top row still reaches the
-    cut.
+    By the q-binomial theorem (Andrews 1976, Thm 2.1 and Cor. 2.2), with
+    sign s, offset o, step d and count n, the x^k row of the product comes
+    from its x^(k-1) row:
+
+        power 1:   row_k = row_(k-1) * (-s) q^(o + d(k-1)) (1 - q^(d(n-k+1))) / (1 - q^(dk)),
+        power -1:  row_k = row_(k-1) * s q^o / (1 - q^(dk)),
+
+    with no numerator factor for n = None and no row past k = n; a divided
+    spec is infinite (no caller divides by a finite product).  Each step
+    is one shift cut at ``size``, a negation when the sign asks for one and
+    one or two :func:`~qsip.series.binomial_factor` calls, so every row stays
+    exact.  Every row of ``rows`` starts a chain of such rows at key + k*e_i;
+    rows that land on one key add.  A chain ends when its shift passes the
+    cut or its row is zero.
     """
-    size = len(rows[0])
-    step = add if c * power == 1 else sub
-    if power == 1:
-        if any(rows[-1][:size - e]):
-            rows.append([0] * size)
-        degrees = range(len(rows) - 1, 0, -1)
-    else:
-        degrees = range(1, len(rows))
-    for a in degrees:
-        rows[a][e:] = map(step, rows[a][e:], rows[a - 1])
-    while power == -1 and any(rows[-1][:size - e]):
-        rows.append([0] * size)
-        rows[-1][e:] = map(step, rows[-1][e:], rows[-2])
+    o, d = spec.offset, spec.step
+    negate = spec.sign == power
+    out: dict[tuple[int, ...], list[int]] = {}
+    for key, row in rows.items():
+        k = 0
+        while True:
+            target = key[:i] + (key[i] + k,) + key[i + 1:]
+            have = out.get(target)
+            if have is None:
+                out[target] = row
+            else:
+                have[:] = map(add, have, row)
+            k += 1
+            shift = o + d * (k - 1) if power == 1 else o
+            if (count is not None and k > count) or shift >= size or not any(row):
+                break
+            tail = row[:size - shift]
+            row = [0] * shift + (list(map(neg, tail)) if negate else tail)
+            if power == 1 and count is not None:
+                binomial_factor(row, -1, d * (count - k + 1))
+            binomial_factor(row, -1, d * k, -1)
+    return out
 
 
-def _product(factors: Iterable[tuple[PochSpec, int | None, int]], size: int,
+def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
              trunc: int | None, markers: tuple[str, ...]) -> QSeries:
     """Product over (spec, count, power) triples of the first ``count``
     factors of spec (all of them for None) to the power 1 or -1.
 
     Every list holds ``size`` coefficients; the result is cut at ``trunc``,
     or is an exact polynomial for None, which the lists must then hold
-    whole.  Factors at q-exponents past the lists cannot change them and
-    are skipped.  Unmarked factors run the sparse kernel on one int list.
-    Marked factors are grouped by marker, each group a stack of int rows
-    indexed by that marker's degree (see :func:`_marked_factor`); the groups
-    and the unmarked list then combine by series multiplication, row pair by
-    row pair.
+    whole.  Unmarked factors run the sparse kernel on one int list, and
+    factors at q-exponents past it cannot change it and are skipped.  Each
+    marked spec then expands every monomial row into its rows by marker
+    degree (:func:`_expand`), so no two series are ever multiplied.
     """
     plain = [1] + [0] * (size - 1)
-    groups: dict[str, list[list[int]]] = {}
     for spec, count, power in factors:
-        exponents = range(spec.offset, size, spec.step)[:count]
         if spec.marker is None:
-            for e in exponents:
+            for e in range(spec.offset, size, spec.step)[:count]:
                 binomial_factor(plain, -spec.sign, e, power)
-            continue
-        if spec.marker not in markers:
+        elif spec.marker not in markers:
             raise ValueError(f"marker {spec.marker!r} not in registry {markers}")
-        rows = groups.setdefault(spec.marker, [[1] + [0] * (size - 1)])
-        for e in exponents:
-            _marked_factor(rows, -spec.sign, e, power)
-    zero = (0,) * len(markers)
-    out = QSeries.from_rows({zero: plain}, trunc, markers)
-    for marker, rows in groups.items():
-        i = markers.index(marker)
-        out = out * QSeries.from_rows({zero[:i] + (a,) + zero[i + 1:]: row
-                                       for a, row in enumerate(rows)}, trunc, markers)
-    return out
+    rows = {(0,) * len(markers): plain}
+    for spec, count, power in factors:
+        if spec.marker is not None:
+            rows = _expand(rows, spec, count, power, markers.index(spec.marker), size)
+    return QSeries._make(_canonical(rows, trunc), trunc, markers)
 
 
 def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,
@@ -154,7 +167,9 @@ def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
     exceeds ``trunc`` are dropped (they cannot change any retained
     coefficient, since each contributes only exponents >= its own).  Every
     factor needs q-exponent at least 1.  The marker registry defaults to the
-    sorted markers of the specs.
+    sorted markers of the specs.  Unmarked specs step one int list; each
+    marked spec then expands every monomial row into its rows by marker
+    degree with the q-binomial theorem (see :func:`_expand`).
     """
     factors = list(factors)
     for spec, power in factors:
@@ -289,8 +304,7 @@ def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[Poc
     for exp, term in series_terms(quad, num, den, trunc, extra):
         if exp > trunc:
             break
-        for i, c in enumerate(term, exp):
-            total[i] += c
+        total[exp:] = map(add, total[exp:], term)
     return QSeries(total, trunc=trunc)
 
 

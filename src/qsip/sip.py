@@ -257,10 +257,11 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
             out = tuple(a + n * e for a, e in zip(out, w))
         return out
 
+    # the empty member's row comes first, so a total too large to hold fails before the walk
+    rows: dict[tuple, list[int]] = {(0,) * len(spec.markers): [0] * base}
     tally = Counter((remaining, counts)
                     for _, remaining, counts in grow((None, total_max, 0), weighted))
     monomials = {counts: monomial(counts) for counts in {counts for _, counts in tally}}
-    rows: dict[tuple, list[int]] = {}
     for (remaining, counts), count in tally.items():
         rows.setdefault(monomials[counts], [0] * base)[total_max - remaining] += count
     return QSeries._make(_canonical(rows, total_max), total_max, spec.markers)

@@ -150,6 +150,15 @@ class TestCommands:
         captured = capsys.readouterr()
         assert "total_max must be non-negative" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("identity", [i for i in catalog.identity_ids()
+                                          if catalog.get(i).oracle is not None])
+    def test_oracle_huge_total_exit_two(self, capsys, identity):
+        # the oracle allocates its row before its walk visits any state
+        assert main(["oracle", "--identity", identity, "--total-max", str(10**20)]) == 2
+        captured = capsys.readouterr()
+        assert "error: sizes too large to allocate (OverflowError" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("identity", catalog.identity_ids())
     def test_negative_trunc_exit_two(self, capsys, identity):
         assert main(["verify", "--identity", identity, "--trunc", "-1"]) == 2

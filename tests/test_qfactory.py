@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -113,6 +114,8 @@ U3, V3 = PochSpec(1, 3, sign=-1, marker="u"), PochSpec(2, 3, sign=-1, marker="v"
 @example(([(U3, 1), (V3, -1), (ONES, -1), (PochSpec(2, 3, sign=-1), 1)], 40, None))
 @example(([(U3, -1), (PochSpec(1, 1, marker="u"), 1)], 40, ("u", "v", "w")))
 @example(([(U3, 1), (V3, 1)], 3, ("u", "v")))
+@example(([(PochSpec(1, 2, marker="u"), -1), (PochSpec(2, 3, sign=-1, marker="u"), -1)],
+          40, None))
 def test_grouped_product_matches_reference(case):
     factors, trunc, markers = case
     got = poch_product(factors, trunc, markers)
@@ -137,6 +140,56 @@ def test_marked_finite_product_matches_reference(trunc, markers):
         assert got.trunc == trunc and got.markers == registry
         expected = reference_product([(spec, 1)], cut, registry, count=n)
         assert [got.coefficient(k) for k in range(cut + 1)] == expected
+
+
+@given(st.builds(PochSpec, st.integers(0, 9), st.integers(1, 4), st.sampled_from([1, -1]),
+                 st.sampled_from(["u", "v"])),
+       st.integers(0, 9), st.sampled_from([None, 0, 3, 12, 40]))
+@settings(max_examples=60, deadline=None)
+# the x^n row, the last one by count, has its least exponent n*o + s*n(n-1)/2
+# exactly at the cut: 3 + 9 = 12 and 8 + 6 = 14
+@example(U3, 3, 12)
+@example(PochSpec(2, 1, marker="v"), 4, 14)
+def test_marked_finite_chain_matches_reference(spec, n, trunc):
+    got = poch_finite(spec, n, trunc)
+    degree = n * spec.offset + spec.step * n * (n - 1) // 2
+    cut = degree if trunc is None else trunc
+    assert got.trunc == trunc and got.markers == (spec.marker,)
+    expected = reference_product([(spec, 1)], cut, (spec.marker,), count=n)
+    assert [got.coefficient(k) for k in range(cut + 1)] == expected
+
+
+def distinct_mod3_table(trunc):
+    """Partitions into distinct parts not divisible by 3, counted by parts
+    = 1 (mod 3), parts = 2 (mod 3) and total through q^trunc: a 0/1 knapsack
+    on plain int lists, one per (u-count, v-count), sharing no code with the
+    package.  Sources run from the largest key down, so each part is used
+    at most once."""
+    table = {(0, 0): [1] + [0] * trunc}
+    for p in range(1, trunc + 1):
+        if p % 3:
+            du, dv = (1, 0) if p % 3 == 1 else (0, 1)
+            for (a, b), row in sorted(table.items(), reverse=True):
+                if any(row[:trunc + 1 - p]):
+                    dest = table.setdefault((a + du, b + dv), [0] * (trunc + 1))
+                    dest[p:] = map(add, dest[p:], row)
+    return {key: row for key, row in table.items() if any(row)}
+
+
+def test_schur_product_matches_knapsack():
+    # (-uq; q^3)(-vq^2; q^3): u marks the parts = 1 and v the parts = 2 (mod 3)
+    got = poch_product([(U3, 1), (V3, 1)], 300)
+    assert got.markers == ("u", "v")
+    assert got.monomial_rows(300) == distinct_mod3_table(300)
+
+
+def test_marked_product_multiplies_no_series(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("series multiplication in a product build")
+
+    monkeypatch.setattr(QSeries, "__mul__", refuse)
+    assert poch_product([(U3, 1), (V3, 1), (PochSpec(1, 1, marker="u"), -1)], 30).trunc == 30
+    assert poch_finite(U3, 5, None).trunc is None
 
 
 def test_sums_and_plain_lists_reject_markers():
