@@ -59,52 +59,36 @@ def parse_spec(text: str) -> SipClassSpec:
         raise ValueError(f"bad spec {text!r}: {exc}") from None
 
 
-def _emit(report: dict, output: str, stream) -> None:
-    if output == "json":
-        json.dump(report, stream, indent=2, sort_keys=True)
-        stream.write("\n")
-        return
-    for result in report["results"]:
-        line = result.get("text")
-        if line:
-            stream.write(line + "\n")
-        else:
-            stream.write(json.dumps(result, sort_keys=True) + "\n")
-
-
-def _cmd_verify(args) -> dict:
-    results = []
-    if args.command == "verify-all":
-        outcomes = catalog.verify_all(args.trunc)
-    else:
+def _verify(args) -> list[dict]:
+    if "identity" in args:  # verify-all takes no --identity
         outcomes = [catalog.verify(args.identity, args.trunc)]
-    for res in outcomes:
-        results.append({
-            "id": res.identity,
-            "pass": res.passed,
-            "trunc": res.trunc,
-            "first_mismatch": res.first_mismatch,
-            "text": res.summary(),
-        })
-    return {"schema": SCHEMA, "command": args.command, "results": results}
+    else:
+        outcomes = catalog.verify_all(args.trunc)
+    return [{
+        "id": res.identity,
+        "pass": res.passed,
+        "trunc": res.trunc,
+        "first_mismatch": res.first_mismatch,
+        "text": res.summary(),
+    } for res in outcomes]
 
 
-def _cmd_oracle(args) -> dict:
+def _oracle(args) -> list[dict]:
     res = catalog.oracle_concordance(args.identity, args.total_max)
-    return {"schema": SCHEMA, "command": "oracle", "results": [{
+    return [{
         "id": res.identity,
         "pass": res.passed,
         "total_max": res.total_max,
         "oracle_vs_lhs": res.oracle_vs_lhs,
         "oracle_vs_rhs": res.oracle_vs_rhs,
         "text": res.summary(),
-    }]}
+    }]
 
 
-def _cmd_basis(args) -> dict:
+def _basis(args) -> list[dict]:
     spec = parse_spec(args.spec)
     elements = list(sip.enumerate_basis(spec, args.n, args.h_max))
-    results = [{
+    return [{
         "pass": True,
         "n": args.n,
         "h_max": args.h_max,
@@ -113,15 +97,14 @@ def _cmd_basis(args) -> dict:
         "text": f"{len(elements)} basis elements with {args.n} parts, largest <= {args.h_max}: "
                 + ", ".join("+".join(map(str, e)) for e in elements),
     }]
-    return {"schema": SCHEMA, "command": "basis", "results": results}
 
 
-def _cmd_decompose(args) -> dict:
+def _decompose(args) -> list[dict]:
     spec = parse_spec(args.spec)
     parts = parse_partition(args.partition)
     decomp = sip.decompose(parts, spec)
     roundtrip = sip.recompose(decomp) == parts
-    results = [{
+    return [{
         "pass": roundtrip,
         "partition": list(parts),
         "basis": list(decomp.basis),
@@ -129,22 +112,42 @@ def _cmd_decompose(args) -> dict:
         "text": (f"{'+'.join(map(str, parts))} = basis {'+'.join(map(str, decomp.basis))}"
                  f" with padding {list(decomp.padding)}"),
     }]
-    return {"schema": SCHEMA, "command": "decompose", "results": results}
 
 
-def _cmd_table(args) -> dict:
+def _table(args) -> list[dict]:
     spec = parse_spec(args.spec)
     table = sip.basis_table(spec, args.n, args.h_max)
-    rows = []
-    for (n, h), series in sorted(table.entries.items()):
-        rows.append({
-            "pass": True,
-            "n": n,
-            "h": h,
-            "series": str(series),
-            "text": f"b({n},{h}) = {series}",
-        })
-    return {"schema": SCHEMA, "command": "table", "results": rows}
+    return [{
+        "pass": True,
+        "n": n,
+        "h": h,
+        "series": str(series),
+        "text": f"b({n},{h}) = {series}",
+    } for (n, h), series in sorted(table.entries.items())]
+
+
+_FLAGS = {
+    "identity": dict(required=True,
+                     help="registered identity id (see verify-all output)"),
+    "trunc": dict(type=int, default=40,
+                  help="truncation order for series comparison (default 40)"),
+    "total-max": dict(type=int, default=20,
+                      help="largest total for enumeration oracles (default 20)"),
+    "spec": dict(required=True, help="spec name or inline k=...,c=...,d=..."),
+    "partition": dict(required=True, help="comma-separated ascending parts, e.g. 2,7"),
+    "n": dict(type=int, required=True, help="number of parts"),
+    "h-max": dict(type=int, default=20, help="largest-part bound (default 20)"),
+}
+# Each subcommand: its help text, the flags it reads, and the handler that
+# turns the parsed flags into result rows, each with a "pass" and a "text".
+_COMMANDS = {
+    "verify": ("verify one identity", ("identity", "trunc"), _verify),
+    "verify-all": ("verify every registered identity", ("trunc",), _verify),
+    "oracle": ("three-way oracle concordance", ("identity", "total-max"), _oracle),
+    "basis": ("list basis elements", ("spec", "n", "h-max"), _basis),
+    "decompose": ("split a class member", ("spec", "partition"), _decompose),
+    "table": ("dump b(n, h) entries", ("spec", "n", "h-max"), _table),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,52 +158,21 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    flags = {
-        "identity": dict(required=True,
-                         help="registered identity id (see verify-all output)"),
-        "trunc": dict(type=int, default=40,
-                      help="truncation order for series comparison (default 40)"),
-        "total-max": dict(type=int, default=20,
-                          help="largest total for enumeration oracles (default 20)"),
-        "spec": dict(required=True, help="spec name or inline k=...,c=...,d=..."),
-        "partition": dict(required=True, help="comma-separated ascending parts, e.g. 2,7"),
-        "n": dict(type=int, required=True, help="number of parts"),
-        "h-max": dict(type=int, default=20, help="largest-part bound (default 20)"),
-    }
-    for name, help_text, names in (
-            ("verify", "verify one identity", ("identity", "trunc")),
-            ("verify-all", "verify every registered identity", ("trunc",)),
-            ("oracle", "three-way oracle concordance", ("identity", "total-max")),
-            ("basis", "list basis elements", ("spec", "n", "h-max")),
-            ("decompose", "split a class member", ("spec", "partition")),
-            ("table", "dump b(n, h) entries", ("spec", "n", "h-max"))):
+    for name, (help_text, flags, handler) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in names:
-            p.add_argument(f"--{flag}", **flags[flag])
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--output", choices=("text", "json"), default="text")
+        p.set_defaults(handler=handler, subparser=p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     if extra:  # report them with the chosen subcommand's own usage line
-        (commands,) = [a for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction)]
-        commands.choices[args.command].error(
-            f"unrecognized arguments: {' '.join(extra)}")
+        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        if args.command in ("verify", "verify-all"):
-            report = _cmd_verify(args)
-        elif args.command == "oracle":
-            report = _cmd_oracle(args)
-        elif args.command == "basis":
-            report = _cmd_basis(args)
-        elif args.command == "decompose":
-            report = _cmd_decompose(args)
-        else:
-            report = _cmd_table(args)
+        results = args.handler(args)
     except (catalog.UnknownIdentity, catalog.NoOracle, ValueError,
             sip.NotInClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -209,8 +181,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: sizes too large to allocate ({type(exc).__name__}: {exc})",
               file=sys.stderr)
         return 2
-    _emit(report, args.output, sys.stdout)
-    return 0 if all(r.get("pass", True) for r in report["results"]) else 1
+    if args.output == "json":
+        report = {"schema": SCHEMA, "command": args.command, "results": results}
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
+    else:
+        for result in results:
+            sys.stdout.write(result["text"] + "\n")
+    return 0 if all(r["pass"] for r in results) else 1
 
 
 if __name__ == "__main__":

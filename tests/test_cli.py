@@ -2,11 +2,16 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsip
 from qsip import catalog
-from qsip.cli import build_parser, main, parse_partition, parse_spec
+from qsip.cli import SCHEMA, build_parser, main, parse_partition, parse_spec
 from qsip.sip import GLASGOW, SCHUR
 
 
@@ -191,6 +196,12 @@ class TestCommands:
     def test_bad_spec_exit_two(self, capsys):
         assert main(["basis", "--spec", "k=2,c=1:1,d=0:0", "--n", "1"]) == 2
 
+    def test_bad_spec_fragment_exit_two(self, capsys):
+        assert main(["basis", "--spec", "k2", "--n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: bad spec fragment 'k2': expected key=value" in captured.err
+        assert captured.out == ""
+
     def test_partition_outside_class_exit_two(self, capsys):
         assert main(["decompose", "--spec", "rogers-ramanujan",
                      "--partition", "1,2"]) == 2
@@ -211,3 +222,64 @@ class TestCommands:
         assert {r["id"] for r in report["results"]} == set(catalog.identity_ids())
         assert all(set(r) >= {"id", "pass", "trunc", "first_mismatch"}
                    for r in report["results"])
+
+
+class TestReports:
+    """Both output modes carry the same rows; the exit status follows them."""
+
+    VERIFY_KEYS = {"id", "pass", "trunc", "first_mismatch", "text"}
+    CASES = {
+        "verify": (["--identity", "rogers-ramanujan", "--trunc", "20"], VERIFY_KEYS),
+        # verify-all also runs the failing identity registered below
+        "verify-all": (["--trunc", "12"], VERIFY_KEYS),
+        "oracle": (["--identity", "glasgow-mod8", "--total-max", "10"],
+                   {"id", "pass", "total_max", "oracle_vs_lhs", "oracle_vs_rhs", "text"}),
+        "basis": (["--spec", "gollnitz", "--n", "2", "--h-max", "12"],
+                  {"pass", "n", "h_max", "count", "elements", "text"}),
+        "decompose": (["--spec", "schur", "--partition", "2,7"],
+                      {"pass", "partition", "basis", "padding", "text"}),
+        "table": (["--spec", "gollnitz", "--n", "2", "--h-max", "8"],
+                  {"pass", "n", "h", "series", "text"}),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_text_lines_are_json_texts(self, capsys, monkeypatch, command):
+        broken = catalog.IdentityEntry(
+            "broken", "synthetic failure",
+            lhs=lambda t: catalog.QSeries.one(t),
+            rhs=lambda t: catalog.QSeries.zero(t))
+        monkeypatch.setitem(catalog.REGISTRY, "broken", broken)
+        flags, keys = self.CASES[command]
+        text_status = main([command, *flags])
+        lines = capsys.readouterr().out.splitlines()
+        json_status = main([command, *flags, "--output", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"schema", "command", "results"}
+        assert (report["schema"], report["command"]) == (SCHEMA, command)
+        rows = report["results"]
+        assert rows and all(set(row) == keys for row in rows)
+        assert lines == [row["text"] for row in rows]
+        want = 0 if all(row["pass"] for row in rows) else 1
+        assert text_status == json_status == want
+
+
+class TestModuleEntryPoint:
+    """``python -m qsip`` runs :func:`qsip.cli.main` and exits with its status."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(qsip.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "qsip", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path))
+
+    def test_verify(self, capsys):
+        argv = ["verify", "--identity", "euler-any", "--trunc", "10"]
+        proc = self.run(*argv)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out)
+
+    def test_unknown_identity(self):
+        proc = self.run("verify", "--identity", "nope")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stdout == ""

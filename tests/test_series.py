@@ -172,6 +172,18 @@ class TestSpecialize:
             _ = a + b
 
 
+class TestDisplay:
+    def test_truncated(self):
+        s = QSeries([1, -1, 0, 2], trunc=3)
+        assert str(s) == "1 - q + 2*q^3 + O(q^4)"
+        assert repr(s) == "QSeries(1 - q + 2*q^3 + O(q^4))"
+        assert str(QSeries.zero(3)) == "0 + O(q^4)"
+
+    def test_marked_coefficients(self):
+        s = QSeries([0, -U, 2 * U, V + U], trunc=4, markers=UV)
+        assert str(s) == "-u*q + 2*u*q^2 + (v + u)*q^3 + O(q^5)"
+
+
 class TestMismatch:
     def test_first_mismatch(self):
         a = QSeries([1, 2, 3, 4], trunc=3)

@@ -1,6 +1,6 @@
 """Basis enumeration, decomposition uniqueness and assembly contracts."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 
 import pytest
 
@@ -96,6 +96,12 @@ class TestBasisEnumeration:
                     assert is_basis_element(parts, spec)
                     assert in_sip_class(parts, spec)
 
+    @pytest.mark.parametrize("parts", [(2, 4), (1, 5)])
+    def test_members_outside_the_basis(self, parts):
+        # (2, 4) starts above the least part, (1, 5) has a gap beyond d + k - 1
+        assert in_sip_class(parts, ROGERS_RAMANUJAN)
+        assert not is_basis_element(parts, ROGERS_RAMANUJAN)
+
 
 class TestPrunedEnumeration:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: f"k{s.k}c{s.c}")
@@ -167,6 +173,11 @@ class TestVerifySip:
         report = verify_sip(spec, 20)
         assert report.ok, report.summary()
         assert report.collisions == [] and report.omissions == []
+
+    def test_summary(self):
+        assert verify_sip(ROGERS_RAMANUJAN, 8).summary() == (
+            "verify_sip k=1 c=(1,) d=(2,) total<=8: pass "
+            "(18 members, 17 recompositions, 0 collisions, 0 omissions)")
 
     @pytest.mark.parametrize("name, total", [(name, t) for name in PINNED_SIP
                                              for t in (0, 1, 7, 22)])
@@ -267,6 +278,17 @@ class TestVerifySipFaults:
 
         monkeypatch.setattr(sip, "_members", corrupted)
         self.assert_caught_only_by("constructive_mismatches")
+
+    def test_member_rejected_by_class_test(self, monkeypatch):
+        real = sip.in_sip_class
+        monkeypatch.setattr(sip, "in_sip_class",
+                            lambda parts, spec: parts != (1, 5) and real(parts, spec))
+        self.assert_caught_only_by("not_in_class")
+        report = verify_sip(self.SPEC, self.TOTAL)
+        assert report.not_in_class == [(SipDecomposition((1, 3), (0, 2)), (1, 5))]
+        assert report.summary() == (
+            "verify_sip k=2 c=(1, 2) d=(2, 3) total<=14: FAIL "
+            "(60 members, 59 recompositions, 0 collisions, 0 omissions)")
 
 
 def reference_basis_table(spec, max_n, max_h):
@@ -444,6 +466,12 @@ class TestAssembleGf:
     def test_negative_truncation_rejected(self, spec):
         with pytest.raises(ValueError, match="truncation order must be non-negative"):
             class_gf(spec, -1)
+
+    @pytest.mark.parametrize("name", list(SPEC_REGISTRY))
+    def test_assembled_from_shallowest_table(self, name):
+        spec, t = SPEC_REGISTRY[name], 30
+        max_n = next(n for n in count(1) if min_basis_total(spec, n + 1) > t)
+        assert assemble_gf(spec, basis_table(spec, max_n, t), t) == class_gf(spec, t)
 
     def test_shallow_table_rejected(self):
         tbl = basis_table(ROGERS_RAMANUJAN, 2, 30)
