@@ -11,6 +11,7 @@ Text grammars used by the flags:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -150,7 +151,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qsip`` parser, built on the first call and returned by every
+    later one, so a process that runs :func:`main` many times builds it once.
+    It is shared within the process and must not be mutated.  Sharing is
+    safe because each parse fills a fresh namespace, and usage and help
+    text are formatted, and ``sys.stderr`` looked up, only when printed."""
     parser = argparse.ArgumentParser(
         prog="qsip",
         description="Verify q-series identities and inspect separable-class bases.",

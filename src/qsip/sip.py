@@ -33,6 +33,7 @@ that vector, and the rows and their starts stay.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, product, repeat
@@ -98,11 +99,14 @@ def is_basis_element(parts: Partition, spec: SipClassSpec) -> bool:
 
 def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
                     ) -> Iterator[Partition]:
-    """All basis elements with exactly n_parts parts and largest part <= h_max."""
+    """All basis elements with exactly n_parts parts and largest part <= h_max.
+    An n_parts that no tuple can hold raises OverflowError at once."""
     if n_parts < 1:
         raise ValueError("n_parts must be at least 1")
     if h_max < 1:
         raise ValueError(f"h_max must be at least 1, got {h_max}")
+    if n_parts > sys.maxsize:  # fail before the walk grows its tuples toward it
+        raise OverflowError(f"a {n_parts}-part tuple does not fit an index-sized integer")
 
     def successors(parts):
         if len(parts) == n_parts:
@@ -535,11 +539,15 @@ def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
     """Tabulate b(n, h) for n <= max_n, h <= max_h as exact polynomials: the
     rows of :func:`_basis_rows` cut at q^(max_n * max_h), which none exceeds,
     each expanded to a fresh dense int list by q-exponent and handed to the
-    series as it is."""
+    series as it is.  A cut that no list can reach raises OverflowError
+    before the walk."""
     if max_n < 1 or max_h < 1:
         raise ValueError(f"max_n and max_h must be at least 1, got {max_n} and {max_h}")
+    cut = max_n * max_h
+    if cut >= sys.maxsize:  # fail before the walk, as a row through q^cut would
+        raise OverflowError(f"a row through q^{cut} does not fit an index-sized integer")
     g = _stride(spec)
-    rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, max_n * max_h, g))
+    rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, cut, g))
     entries = {(n, h): QSeries._make(_canonical({key: _dense(start, r, g)
                                                  for key, (start, r) in entry.items()},
                                                 None), None, spec.markers)

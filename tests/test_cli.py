@@ -263,15 +263,105 @@ class TestReports:
         assert text_status == json_status == want
 
 
+def python(*args, **kwargs):
+    """Run a fresh interpreter that imports this qsip, capturing its output."""
+    src = str(Path(qsip.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), **kwargs)
+
+
+class TestParserReuse:
+    """``main`` builds the parser once per process, and a call's output does
+    not depend on the calls made before it."""
+
+    def test_built_once_per_process(self, capsys):
+        assert main(["verify", "--identity", "euler-any", "--trunc", "8"]) == 0
+        assert main(["verify-all", "--trunc", "8", "--output", "json"]) == 0
+        assert main(["oracle", "--identity", "slater-46", "--total-max", "8"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", "--identity", "euler-any"])
+        assert exc.value.code == 2
+        assert main(["verify", "--identity", "nope"]) == 2
+        capsys.readouterr()
+        assert build_parser.cache_info().misses <= 1
+
+    # Runs the calls of its JSON argument in order in one interpreter and
+    # prints [stdout, stderr, exit status] per call and the parser builds.
+    SEQUENCE = """if True:
+        import contextlib, io, json, sys
+        from qsip.cli import build_parser, main
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    status = main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+            return [out.getvalue(), err.getvalue(), status]
+
+        runs = [run(argv) for argv in json.loads(sys.argv[1])]
+        print(json.dumps({"runs": runs, "builds": build_parser.cache_info().misses}))
+    """
+
+    # (call, earlier call, the earlier call's exit status)
+    CASES = {
+        "verify-all after verify": (
+            ["verify-all", "--trunc", "12", "--output", "json"],
+            ["verify", "--identity", "rogers-ramanujan", "--trunc", "12"], 0),
+        "after an unrecognized flag": (
+            ["verify", "--identity", "euler-any", "--trunc", "10", "--output", "json"],
+            ["verify", "--identity", "euler-any", "--total-max", "5"], 2),
+        "after an unknown identity": (
+            ["verify", "--identity", "euler-any", "--trunc", "10"],
+            ["verify", "--identity", "nope", "--output", "json"], 2),
+        "help twice": (["verify", "--help"], ["verify", "--help"], 0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_same_output_as_the_first_call(self, case):
+        argv, earlier, earlier_status = self.CASES[case]
+        proc = python("-c", self.SEQUENCE, json.dumps([argv, earlier, argv]), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        first, between, again = report["runs"]
+        assert between[2] == earlier_status
+        assert again == first  # stdout, stderr and exit status
+        assert report["builds"] == 1
+
+
+def cap_address_space():
+    """Limit the calling process to 512 MiB of address space."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+class TestHugeSizes:
+    """A size no list or tuple can hold exits 2 before any walk.  Each case
+    runs in a child capped at 512 MiB of address space and a timeout, so a
+    walk that grows toward the size fails the test instead of taking the
+    machine's memory."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--spec", "glasgow", "--n", str(10**20)],
+        ["table", "--spec", "natural", "--n", str(10**20), "--h-max", "1"],
+        ["basis", "--spec", "natural", "--n", str(10**20)],
+        # rows that run empty exit 2 as well, as verify does at a huge trunc
+        ["table", "--spec", "distinct", "--n", str(10**20), "--output", "json"],
+    ], ids=["table-glasgow", "table-natural", "basis-natural", "table-distinct"])
+    def test_exit_two_at_once(self, argv):
+        proc = python("-m", "qsip", *argv, preexec_fn=cap_address_space, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: sizes too large to allocate (OverflowError")
+
+
 class TestModuleEntryPoint:
     """``python -m qsip`` runs :func:`qsip.cli.main` and exits with its status."""
 
     @staticmethod
     def run(*argv):
-        src = str(Path(qsip.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "qsip", *argv], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=path))
+        return python("-m", "qsip", *argv)
 
     def test_verify(self, capsys):
         argv = ["verify", "--identity", "euler-any", "--trunc", "10"]

@@ -1,5 +1,6 @@
 """Basis enumeration, decomposition uniqueness and assembly contracts."""
 
+import sys
 from itertools import combinations_with_replacement, count
 
 import pytest
@@ -88,6 +89,12 @@ class TestBasisEnumeration:
 
     def test_part_count_beyond_recursion_limit(self):
         assert list(enumerate_basis(NATURAL, 1200, 1)) == [(1,) * 1200]
+
+    def test_part_count_past_index_size(self):
+        # raised at the call, before the walk builds any tuple
+        with pytest.raises(OverflowError, match="part tuple does not fit"):
+            enumerate_basis(NATURAL, sys.maxsize + 1, 1)
+        enumerate_basis(NATURAL, sys.maxsize, 1)  # the largest accepted; not walked
 
     def test_members_are_basis_elements(self):
         for spec in ALL_SPECS:
@@ -375,6 +382,16 @@ class TestBasisTable:
             for h in range(1, h_max + 1):
                 want = grouped.get(h, QSeries.zero(markers=spec.markers))
                 assert tbl.entry(n, h) == want, (spec.c, n, h)
+
+    def test_cut_past_index_size(self):
+        # the rows run to q^(max_n * max_h): a cut no list can index fails
+        # before the walk; the largest accepted cut is walked (one row)
+        with pytest.raises(OverflowError, match=f"q\\^{sys.maxsize} does not fit"):
+            basis_table(NATURAL, 1, sys.maxsize)
+        with pytest.raises(OverflowError):
+            basis_table(DISTINCT, 10**20, 20)
+        assert basis_table(NATURAL, 1, sys.maxsize - 1).entries == {
+            (1, 1): QSeries.monomial(1)}
 
     def test_row_gf_sums_rows(self):
         tbl = basis_table(GLASGOW, 4, 30)
