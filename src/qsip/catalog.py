@@ -3,7 +3,10 @@
 Each identity is one row of data: an id, a source, the series side, the
 product side and, where the identity has a combinatorial reading, a
 brute-force counting oracle; verification is exact integer comparison up
-to the requested truncation order.
+to the requested truncation order.  Each side and oracle is the library
+function that builds it, its data bound by ``functools.partial`` where it
+takes any, so it takes only the truncation order, or the largest total for
+an oracle.
 
 * A series side is a q-hypergeometric sum for
   :func:`~qsip.qfactory.series_sum`: a pair ``(a, b)`` giving
@@ -14,14 +17,14 @@ to the requested truncation order.
   n_1, ..., n_(k-1) of q^(N_1^2 + ... + N_(k-1)^2 + N_i + ... + N_(k-1)) /
   ((q)_n_1 ... (q)_n_(k-1)), N_j = n_j + ... + n_(k-1), which equals the
   product over n not congruent to 0 or +-i (mod 2k + 1) of 1/(1 - q^n).
+* Or it is the class generating function :func:`~qsip.sip.class_gf` of a
+  separable class (schur-refined's weighted class).
 * A product side is a list of ``(PochSpec, power)`` pairs with power +1 or
   -1, for :func:`~qsip.qfactory.poch_product`; a congruence product is the
   list of its admitted residues r, each a factor 1/(q^r; q^modulus).
 
-Two rows carry code, each a hook for what the data cannot say:
-schur-refined's series side is the class generating function
-:func:`~qsip.sip.class_gf`, and glasgow-mod8 gives each summand its extra
-(1 + q^(2n-1)) factor.  Registered identities:
+One row carries code, a hook for what the data cannot say: glasgow-mod8
+gives each summand its extra (1 + q^(2n-1)) factor.  Registered identities:
 
     euler-any            sum q^n/(q;q)_n                = 1/(q;q)
     euler-distinct       sum q^(n(n+1)/2)/(q;q)_n       = (-q;q)
@@ -46,10 +49,12 @@ with N_1 = n_1 + n_2, N_2 = n_2.
 Every oracle enumerates its objects, as a counting walk with one walk
 state per counted object and no memo across states.  A state keeps only
 what the class rule reads and the remaining total, and the states are
-tallied by remaining total (:func:`~qsip.partitions.walk_series`).  The six
+tallied by remaining total (:func:`~qsip.partitions.walk_series`; a
+weighted walk tallies its own states).  The six
 partition oracles are :func:`~qsip.sip.count_class` on their separable
 class, so they visit only the members they count (schur-refined weighted
-by its parts' marker monomials, with one tally per monomial).  The n-copies oracles are the walks of
+by its parts' marker monomials, with one tally per monomial).  The
+n-copies oracles are the walks of
 :func:`~qsip.ncopies.count_ncopies` and
 :func:`~qsip.ncopies.count_even_subscript`.  The slater-6-corrected oracle
 (:func:`~qsip.ncopies.count_ncopies_over`) walks the n-copies partitions
@@ -74,13 +79,14 @@ confirmed periodic through q^120.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import ncopies as nc
-from .partitions import SipClassSpec, count_gordon
+from .partitions import count_gordon
 from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                        poch_infinite, poch_product, series_sum, series_terms)
-from .series import QSeries, binomial_factor
+from .series import QSeries, _shifted, binomial_factor
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                   SCHUR_REFINED, class_gf, count_class)
 
@@ -99,24 +105,10 @@ _ODDS = PochSpec(1, 2)       # (q; q^2)
 _GLASGOW_NUM = (PochSpec(3, 4, sign=-1),)   # (-q^3; q^4)
 
 
-def _sum(quad: tuple[int, int], num=(), den=(), extra=None) -> Callable[[int], QSeries]:
-    return lambda t: series_sum(quad, num, den, t, extra)
-
-
-def _multisum(k: int, i: int) -> Callable[[int], QSeries]:
-    return lambda t: andrews_gordon_sum(k, i, t)
-
-
-def _product(*factors: tuple[PochSpec, int]) -> Callable[[int], QSeries]:
-    return lambda t: poch_product(factors, t)
-
-
 def _parts(modulus: int, residues: set[int], mode: str = "excluded"
            ) -> list[tuple[PochSpec, int]]:
     return CongruenceProductSpec(modulus, frozenset(residues), mode).factors()
 
-
-# -- the hooks ------------------------------------------------------------------
 
 def _glasgow_extra(n: int, coeffs: list) -> list:
     """Summand n >= 1 of the telescoping mod-8 series is
@@ -129,24 +121,13 @@ def _glasgow_extra(n: int, coeffs: list) -> list:
     return coeffs
 
 
-# -- counting oracles ---------------------------------------------------------
-
-def _class_oracle(spec: SipClassSpec) -> Callable[[int], QSeries]:
-    return lambda total: count_class(spec, total)
-
-
-def _ncopies_oracle(r: int) -> Callable[[int], QSeries]:
-    return lambda total: nc.count_ncopies(total, r)
-
-
-def _gordon_oracle(k: int, i: int) -> Callable[[int], QSeries]:
-    return lambda total: count_gordon(k, i, total)
-
-
 # -- the registry -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IdentityEntry:
+    """One identity: each side, and the oracle, maps a truncation order (the
+    largest total for the oracle) to a series."""
+
     id: str
     source: str
     lhs: Callable[[int], QSeries]
@@ -157,59 +138,66 @@ class IdentityEntry:
 REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
     IdentityEntry(
         "euler-any", "Euler's series for unrestricted partitions",
-        _sum((0, 2), den=[_ONES]), _product((_ONES, -1)),
-        _class_oracle(NATURAL)),
+        partial(series_sum, (0, 2), (), [_ONES]), partial(poch_product, [(_ONES, -1)]),
+        partial(count_class, NATURAL)),
     IdentityEntry(
         "euler-distinct", "Euler's series for distinct parts",
-        _sum((1, 1), den=[_ONES]), _product((PochSpec(1, 1, sign=-1), 1)),
-        _class_oracle(DISTINCT)),
+        partial(series_sum, (1, 1), (), [_ONES]),
+        partial(poch_product, [(PochSpec(1, 1, sign=-1), 1)]),
+        partial(count_class, DISTINCT)),
     IdentityEntry(
         "rogers-ramanujan", "first Rogers-Ramanujan identity",
-        _multisum(2, 2), _product((PochSpec(1, 5), -1), (PochSpec(4, 5), -1)),
-        _class_oracle(ROGERS_RAMANUJAN)),
+        partial(andrews_gordon_sum, 2, 2),
+        partial(poch_product, [(PochSpec(1, 5), -1), (PochSpec(4, 5), -1)]),
+        partial(count_class, ROGERS_RAMANUJAN)),
     IdentityEntry(
         "gollnitz-gordon-1", "first Gollnitz-Gordon identity",
-        _sum((2, 0), num=[PochSpec(1, 2, sign=-1)], den=[_EVENS]),
-        _product((PochSpec(1, 8), -1), (PochSpec(4, 8), -1), (PochSpec(7, 8), -1)),
-        _class_oracle(GOLLNITZ_GORDON)),
+        partial(series_sum, (2, 0), [PochSpec(1, 2, sign=-1)], [_EVENS]),
+        partial(poch_product, [(PochSpec(1, 8), -1), (PochSpec(4, 8), -1),
+                               (PochSpec(7, 8), -1)]),
+        partial(count_class, GOLLNITZ_GORDON)),
     IdentityEntry(
         "schur-refined", "refined Schur product with part-class markers",
-        lambda t: class_gf(SCHUR_REFINED, t),
-        _product((PochSpec(1, 3, sign=-1, marker="u"), 1),
-                 (PochSpec(2, 3, sign=-1, marker="v"), 1)),
-        _class_oracle(SCHUR_REFINED)),
+        partial(class_gf, SCHUR_REFINED),
+        partial(poch_product, [(PochSpec(1, 3, sign=-1, marker="u"), 1),
+                               (PochSpec(2, 3, sign=-1, marker="v"), 1)]),
+        partial(count_class, SCHUR_REFINED)),
     IdentityEntry(
         "glasgow-mod8", "Gollnitz mod-8 theorem (Glasgow Math. J. 1967)",
-        _sum((0, 4), num=_GLASGOW_NUM, den=[_EVENS], extra=_glasgow_extra),
-        _product(*_parts(8, {1, 5, 6})),
-        _class_oracle(GLASGOW)),
+        partial(series_sum, (0, 4), _GLASGOW_NUM, [_EVENS], extra=_glasgow_extra),
+        partial(poch_product, _parts(8, {1, 5, 6})),
+        partial(count_class, GLASGOW)),
     IdentityEntry(
         "slater-46", "Slater (46)",
-        _sum((3, -1), den=[_ODDS, _ONES]), _product(*_parts(10, {0, 4, 6})),
-        _ncopies_oracle(1)),
+        partial(series_sum, (3, -1), (), [_ODDS, _ONES]),
+        partial(poch_product, _parts(10, {0, 4, 6})),
+        partial(nc.count_ncopies, min_diff=1)),
     IdentityEntry(
         "slater-61", "Slater (61)",
-        _sum((2, 0), den=[_ODDS, _ONES]), _product(*_parts(14, {0, 6, 8})),
-        _ncopies_oracle(0)),
+        partial(series_sum, (2, 0), (), [_ODDS, _ONES]),
+        partial(poch_product, _parts(14, {0, 6, 8})),
+        partial(nc.count_ncopies, min_diff=0)),
     IdentityEntry(
         "slater-81", "Slater (81), product side corrected",
-        _sum((1, 1), den=[_ODDS, _ONES]),
-        _product(*_parts(14, {0, 6, 8}), (PochSpec(3, 14), -1), (PochSpec(11, 14), -1)),
-        _ncopies_oracle(-1)),
+        partial(series_sum, (1, 1), (), [_ODDS, _ONES]),
+        partial(poch_product, [*_parts(14, {0, 6, 8}), (PochSpec(3, 14), -1),
+                               (PochSpec(11, 14), -1)]),
+        partial(nc.count_ncopies, min_diff=-1)),
     IdentityEntry(
         "slater-6-corrected", "Slater (6), corrected",
-        _sum((2, 0), num=[PochSpec(0, 1, sign=-1)], den=[_ONES, _ODDS]),
-        _product((PochSpec(1, 3, sign=-1), 1), (PochSpec(2, 3, sign=-1), 1),
-                 *_parts(3, {0})),
+        partial(series_sum, (2, 0), [PochSpec(0, 1, sign=-1)], [_ONES, _ODDS]),
+        partial(poch_product, [(PochSpec(1, 3, sign=-1), 1), (PochSpec(2, 3, sign=-1), 1),
+                               *_parts(3, {0})]),
         nc.count_ncopies_over),
     IdentityEntry(
         "slater-86", "Slater (86)",
-        _sum((4, 0), den=[_ODDS, _EVENS]),
-        _product(*_parts(16, {2, 3, 4, 5, 11, 12, 13, 14}, "allowed")),
+        partial(series_sum, (4, 0), (), [_ODDS, _EVENS]),
+        partial(poch_product, _parts(16, {2, 3, 4, 5, 11, 12, 13, 14}, "allowed")),
         nc.count_even_subscript),
     IdentityEntry(
         "mod7-sum", "mod-7 Rogers-Ramanujan analogue",
-        _multisum(3, 3), _product(*_parts(7, {0, 3, 4})), _gordon_oracle(3, 3)),
+        partial(andrews_gordon_sum, 3, 3), partial(poch_product, _parts(7, {0, 3, 4})),
+        partial(count_gordon, 3, 3)),
 )}
 
 
@@ -277,11 +265,6 @@ def oracle_concordance(identity: str, total_max: int) -> ConcordanceResult:
 
 
 # -- the telescoping proof of the mod-8 sum -----------------------------------
-
-def _shifted(exp: int, coeffs: list, trunc: int) -> QSeries:
-    """q^exp times a summand from :func:`series_terms`, exact to trunc."""
-    return QSeries([0] * min(exp, trunc + 1) + coeffs, trunc=trunc)
-
 
 @dataclass(frozen=True)
 class TelescopeResult:

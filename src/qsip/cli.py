@@ -46,8 +46,12 @@ def parse_spec(text: str) -> SipClassSpec:
     for tok in text.split(","):
         if "=" not in tok:
             raise ValueError(f"bad spec fragment {tok!r}: expected key=value")
-        key, _, value = tok.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in tok.partition("="))
+        if key not in ("k", "c", "d"):
+            raise ValueError(f"bad spec {text!r}: unknown key {key!r}, expected k, c and d")
+        if key in fields:
+            raise ValueError(f"bad spec {text!r}: key {key!r} given twice")
+        fields[key] = value
     missing = {"k", "c", "d"} - set(fields)
     if missing:
         raise ValueError(f"spec {text!r} is missing {sorted(missing)}")

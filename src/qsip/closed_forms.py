@@ -13,10 +13,10 @@ implemented here is the one that fits the tables.
 Values are built on plain int rows: a term q^e [a, b] [c, d] ... convolves
 the cached int rows of its Gaussian binomials (:func:`~qsip.qfactory.binomial_row`,
 immutable tuples) and adds the product, shifted by e, into a fresh list for
-its marker monomial u^i v^j.  Those fresh lists go to the trusted
-``QSeries._make`` after ``_canonical`` trims them, with no second type scan
-or copy, so MarkerPoly values appear only where a caller reads them off the
-returned series.
+its marker monomial u^i v^j (``_add_product``; a single shifted row is
+``_shifted``).  Those fresh lists go to ``QSeries._make``, which trims them
+with no second type scan or copy, so MarkerPoly values appear only where a
+caller reads them off the returned series.
 """
 
 from __future__ import annotations
@@ -24,45 +24,15 @@ from __future__ import annotations
 from operator import add
 
 from .qfactory import PochSpec, binomial_row
-from .series import QSeries, _canonical, _convolve_into
+from .series import QSeries, _add_product, _convolve_into, _shifted
 
 SCHUR_MARKERS = ("u", "v")
-
-
-def _add_product(acc: list[int], exp: int, *factors) -> None:
-    """Add q^exp times the product of the int rows ``factors`` (lists or
-    tuples) into acc, growing it as needed."""
-    prod = factors[0]
-    for row in factors[1:]:
-        out = [0] * (len(prod) + len(row) - 1)
-        _convolve_into(out, prod, row)
-        prod = out
-    end = exp + len(prod)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[exp:end] = map(add, acc[exp:end], prod)
 
 
 def _shift_into(acc: dict, rows: dict, u_exp: int, exp: int) -> None:
     """Add u^u_exp q^exp times the marked rows ``rows`` into acc."""
     for (a, b), row in rows.items():
         _add_product(acc.setdefault((a + u_exp, b), []), exp, row)
-
-
-def _polynomial(rows: dict, markers: tuple[str, ...] = ()) -> QSeries:
-    """The exact polynomial over fresh int rows {monomial: row}, taken as they are."""
-    return QSeries._make(_canonical(rows, None), None, markers)
-
-
-def _shifted(exp: int, row) -> QSeries:
-    """q^exp times an int row or tuple, as an exact polynomial.  Zero rows
-    are answered directly: ``_canonical`` would pop their zero prefix one
-    entry at a time."""
-    if not row:
-        return QSeries.zero()
-    shifted = [0] * exp
-    shifted += row
-    return _polynomial({(): shifted})
 
 
 def gollnitz_closed(n: int, h: int) -> QSeries:
@@ -94,7 +64,7 @@ def schur_closed(n: int, h: int, branch: int) -> QSeries:
         _shift_into(rows, _schur_s1(n, h), 1, 1)
     else:
         raise ValueError("branch must be 0, 1 or 2 (largest part mod 3)")
-    return _polynomial(rows, SCHUR_MARKERS)
+    return QSeries._make(rows, None, SCHUR_MARKERS)
 
 
 def _schur_s1(n: int, h: int) -> dict:
@@ -146,7 +116,8 @@ def combined_row_formula(n: int, h: int) -> QSeries:
     if n < 1 or h < -1:
         raise ValueError("requires n >= 1 and h >= -1")
     if h == -1:
-        return _polynomial({(n, 0): [0] * (n * (3 * n - 1) // 2) + [1]}, SCHUR_MARKERS)
+        return QSeries._make({(n, 0): [0] * (n * (3 * n - 1) // 2) + [1]}, None,
+                             SCHUR_MARKERS)
     rows = {}
     for j in range(0, n + 1):
         outer = binomial_row(n - 1 - j, h, base=3)
@@ -159,7 +130,7 @@ def combined_row_formula(n: int, h: int) -> QSeries:
                 exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
                 _add_product(rows.setdefault((j + h - i, n - j), []), exp,
                              outer, mid, inner)
-    return _polynomial(rows, SCHUR_MARKERS)
+    return QSeries._make(rows, None, SCHUR_MARKERS)
 
 
 def glasgow_closed(n: int, largest: int) -> QSeries:

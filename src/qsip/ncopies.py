@@ -13,12 +13,12 @@ them partwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from collections import Counter
+from typing import Iterator, NamedTuple
 
-from .closed_forms import _add_product, _polynomial, _shifted
 from .partitions import grow, powerset, walk_series
 from .qfactory import PochSpec, binomial_row, poch_product, series_sum
-from .series import QSeries
+from .series import QSeries, _add_product, _shifted
 
 _ODDS = PochSpec(offset=1, step=2)  # (q; q^2)
 
@@ -55,15 +55,13 @@ def copy_total(parts: tuple[CopyPart, ...]) -> int:
     return sum([p.value for p in parts])
 
 
-def enumerate_ncopies(total_max: int, min_diff: int | None = None,
-                      predicate: Callable | None = None
+def enumerate_ncopies(total_max: int, min_diff: int | None = None
                       ) -> Iterator[tuple[CopyPart, ...]]:
     """All n-copies partitions of totals 0..total_max, ascending lex order.
 
     With ``min_diff`` set, which must be at least -1, successive parts must
     have weighted difference at least min_diff, which forces strictly
-    increasing parts; without it arbitrary multisets are allowed.  An
-    optional predicate filters the yield.
+    increasing parts; without it arbitrary multisets are allowed.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
@@ -89,8 +87,7 @@ def enumerate_ncopies(total_max: int, min_diff: int | None = None,
                 for v in range(low, remaining + 1)
                 for s in range(1, min(v, v - reach) + 1))
 
-    parts = (parts for parts, _ in grow(((), total_max), successors))
-    return parts if predicate is None else filter(predicate, parts)
+    return (parts for parts, _ in grow(((), total_max), successors))
 
 
 def count_ncopies(total_max: int, min_diff: int) -> QSeries:
@@ -212,7 +209,7 @@ class ExactDiffTable:
         total: list[int] = []
         for row in self.levels[n - 1].values() if 1 <= n <= self.max_n else ():
             _add_product(total, 0, row)
-        return _polynomial({(): total})
+        return QSeries._make({(): total}, None, ())
 
 
 def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
@@ -351,7 +348,10 @@ def count_ncopies_over(total_max: int) -> QSeries:
     A state is (v + s of the last part v_s, remaining total, weight); the
     weight doubles at each carrier, that is at each step but the one at
     weighted difference exactly zero.  The root stands for no part as
-    v + s = -1, from which every v_s steps as a carrier.
+    v + s = -1, from which every v_s steps as a carrier.  The states are
+    tallied by (remaining, weight), and each pair adds its count times its
+    weight; the row is allocated before the walk, as in
+    :func:`~qsip.partitions.walk_series`.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
@@ -367,7 +367,12 @@ def count_ncopies_over(total_max: int) -> QSeries:
                 for v in range(low, remaining + 1)
                 for top in range(v + 1, 2 * v - max(reach, 0) + 1))
 
-    return walk_series(grow((-1, total_max, 1), successors), total_max, lambda w: w)
+    coeffs = [0] * (total_max + 1)
+    tally = Counter((remaining, weight)
+                    for _, remaining, weight in grow((-1, total_max, 1), successors))
+    for (remaining, weight), count in tally.items():
+        coeffs[total_max - remaining] += count * weight
+    return QSeries(coeffs, trunc=total_max)
 
 
 def overline_carriers(parts: tuple[CopyPart, ...]) -> tuple[CopyPart, ...]:

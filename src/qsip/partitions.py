@@ -244,28 +244,19 @@ def counting_series(stream: Iterable, trunc: int,
     return QSeries(coeffs, trunc=trunc, markers=markers)
 
 
-def walk_series(states: Iterable[tuple], total_max: int,
-                weight: Callable | None = None) -> QSeries:
+def walk_series(states: Iterable[tuple], total_max: int) -> QSeries:
     """The generating function of a counting walk over totals 0..total_max.
 
     Each state of the walk is one counted object, and its second entry is
     what is left of total_max, so it counts at q^(total_max - remaining);
-    a ``Counter`` tallies them.  With ``weight``, the third entry of
-    each state is a tag and the state counts ``weight(tag)`` times, an int:
-    the weight is computed once per distinct tag and applied once per
-    distinct (remaining, tag).  A marker-weighted walk tallies its own rows
-    (:func:`~qsip.sip.count_class`).  The row is allocated before the walk
-    starts, so a total too large to hold fails before any state is visited.
+    a ``Counter`` tallies them.  A weighted walk tallies its own states
+    (:func:`~qsip.sip.count_class`, :func:`~qsip.ncopies.count_ncopies_over`).
+    The row is allocated before the walk starts, so a total too large to
+    hold fails before any state is visited.
     """
     coeffs = [0] * (total_max + 1)
-    if weight is None:
-        for remaining, count in Counter(remaining for _, remaining in states).items():
-            coeffs[total_max - remaining] = count
-        return QSeries(coeffs, trunc=total_max)
-    tally = Counter((remaining, tag) for _, remaining, tag in states)
-    weights = {tag: weight(tag) for tag in {tag for _, tag in tally}}
-    for (remaining, tag), count in tally.items():
-        coeffs[total_max - remaining] += count * weights[tag]
+    for remaining, count in Counter(remaining for _, remaining in states).items():
+        coeffs[total_max - remaining] = count
     return QSeries(coeffs, trunc=total_max)
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import add, neg
 from typing import Callable, Iterable, Iterator
 
-from .series import QSeries, _canonical, binomial_factor
+from .series import QSeries, binomial_factor
 
 
 class DivergentProduct(Exception):
@@ -138,7 +138,7 @@ def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
     for spec, count, power in factors:
         if spec.marker is not None:
             rows = _expand(rows, spec, count, power, markers.index(spec.marker), size)
-    return QSeries._make(_canonical(rows, trunc), trunc, markers)
+    return QSeries._make(rows, trunc, markers)
 
 
 def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,

@@ -12,7 +12,10 @@ single int list that never builds a MarkerPoly.  Builders hand over int
 lists, one per monomial (:meth:`QSeries.from_rows`, or the constructor for
 a marker-free list); MarkerPoly values appear only where a caller asks for
 them (:meth:`QSeries.coefficient` and the cached :attr:`QSeries.coeffs`
-view) or passes them to the constructor.
+view) or passes them to the constructor.  This module alone knows the
+canonical row form: the package's builders hand their fresh lists to
+``QSeries._make``, which trims them, and build on the row kernels
+``_convolve_into``, ``_add_product`` and ``_shifted``.
 
 A :class:`QSeries` is either truncated or exact:
 
@@ -312,6 +315,35 @@ def _convolve_into(out: list[int], a: list[int], b: list[int]) -> None:
                 out[i + j] += x * y
 
 
+def _add_product(acc: list[int], exp: int, *factors) -> None:
+    """Add q^exp times the product of the int rows ``factors`` (lists or
+    tuples) into acc, growing it as needed."""
+    prod = factors[0]
+    for row in factors[1:]:
+        out = [0] * (len(prod) + len(row) - 1)
+        _convolve_into(out, prod, row)
+        prod = out
+    end = exp + len(prod)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[exp:end] = map(add, acc[exp:end], prod)
+
+
+def _shifted(exp: int, row, trunc: int | None = None) -> "QSeries":
+    """q^exp times an int row or tuple, marker-free: cut at q^trunc, or an
+    exact polynomial for None.  Zero rows are answered directly, without
+    building a list that ``_canonical`` would pop one entry at a time."""
+    if not row or (trunc is not None and exp > trunc):
+        return QSeries.zero(trunc)
+    shifted = [0] * exp
+    if trunc is None:
+        shifted += row
+    else:
+        shifted += row[:trunc + 1 - exp]
+        shifted += [0] * (trunc + 1 - len(shifted))
+    return QSeries._make({(): shifted}, trunc, ())
+
+
 def _as_series(value) -> "QSeries":
     """A series operand as is; an int or MarkerPoly as a constant polynomial."""
     if isinstance(value, QSeries):
@@ -319,7 +351,7 @@ def _as_series(value) -> "QSeries":
     if isinstance(value, MarkerPoly):
         return QSeries([value], markers=value.markers)
     value = _as_int(value)
-    return QSeries._make({(): [value]} if value else {}, None, ())
+    return QSeries._make({(): [value]}, None, ())
 
 
 def _registry(a: "QSeries", b: "QSeries") -> tuple[str, ...]:
@@ -353,10 +385,9 @@ class QSeries:
         markers = tuple(markers)
         coeffs = list(coeffs)
         zero = (0,) * len(markers)
-        if set(map(type, coeffs)) <= {int}:
-            rows = {zero: coeffs}
-        else:
-            rows = {}
+        rows = {zero: coeffs}
+        if not set(map(type, coeffs)) <= {int}:
+            rows = {zero: [0] * len(coeffs)}
             for n, c in enumerate(coeffs):
                 if type(c) is int and not c:
                     continue
@@ -374,19 +405,8 @@ class QSeries:
                         if key not in rows:
                             rows[key] = [0] * len(coeffs)
                         rows[key][n] = value
-        if trunc is not None:
-            if trunc < 0:
-                raise ValueError("truncation order must be non-negative")
-            if len(coeffs) > trunc + 1:
-                raise ValueError(
-                    f"{len(coeffs)} coefficients exceed truncation order {trunc}"
-                )
-            for row in rows.values():
-                row.extend([0] * (trunc + 1 - len(row)))
-        self.markers = markers
-        self.trunc = trunc
-        self._rows = _canonical(rows, trunc)
-        self._coeffs = None
+        self.markers, self.trunc = markers, trunc
+        self._rows, self._coeffs = QSeries.from_rows(rows, trunc, markers)._rows, None
 
     @classmethod
     def from_rows(cls, rows: Mapping[tuple[int, ...], list[int]], trunc: int | None = None,
@@ -409,13 +429,18 @@ class QSeries:
                 raise ValueError(f"{len(row)} coefficients exceed truncation order {trunc}")
             else:
                 copied[key] = _fit(row, trunc + 1)
-        return cls._make(_canonical(copied, trunc), trunc, markers)
+        return cls._make(copied, trunc, markers)
 
     @classmethod
     def _make(cls, rows: dict, trunc: int | None, markers: tuple[str, ...]) -> "QSeries":
-        """A series over rows already in canonical form, taken as they are."""
+        """A series over fresh int lists, one per monomial, of ``trunc + 1``
+        entries each (any length for a polynomial): the lists are brought to
+        canonical form in place (:func:`_canonical`) and then taken as they
+        are, with no type scan or copy.  The one door by which rows built
+        outside :meth:`from_rows` enter a series; an empty dict costs nothing."""
         out = object.__new__(cls)
-        out.markers, out.trunc, out._rows, out._coeffs = markers, trunc, rows, None
+        out.markers, out.trunc, out._coeffs = markers, trunc, None
+        out._rows = _canonical(rows, trunc) if rows else rows
         return out
 
     def _rows_in(self, markers: tuple[str, ...]) -> dict:
@@ -519,7 +544,7 @@ class QSeries:
             ra, rb = a.get(key, []), b.get(key, [])
             size = trunc + 1 if trunc is not None else max(len(ra), len(rb))
             rows[key] = list(map(add, _fit(ra, size), _fit(rb, size)))
-        return QSeries._make(_canonical(rows, trunc), trunc, markers)
+        return QSeries._make(rows, trunc, markers)
 
     __radd__ = __add__
 
@@ -550,7 +575,7 @@ class QSeries:
                 if row is None:
                     row = rows[key] = [0] * size
                 _convolve_into(row, ra, rb)
-        return QSeries._make(_canonical(rows, trunc), trunc, markers)
+        return QSeries._make(rows, trunc, markers)
 
     __rmul__ = __mul__
 
@@ -594,7 +619,7 @@ class QSeries:
                         if row is None:
                             row = inv[key] = [0] * (eff + 1)
                         row[n] -= acc
-        return QSeries._make(_canonical(inv, eff), eff, self.markers)
+        return QSeries._make(inv, eff, self.markers)
 
     def truncate(self, trunc: int) -> "QSeries":
         """Restrict the guarantee window to 0..trunc."""
@@ -605,7 +630,7 @@ class QSeries:
         if trunc < 0:
             raise ValueError("truncation order must be non-negative")
         rows = {key: _fit(row, trunc + 1) for key, row in self._rows.items()}
-        return QSeries._make(_canonical(rows, trunc), trunc, self.markers)
+        return QSeries._make(rows, trunc, self.markers)
 
     # -- marker operations ---------------------------------------------------
 

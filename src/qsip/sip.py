@@ -41,7 +41,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class, walk_series
-from .series import QSeries, _canonical, binomial_factor
+from .series import QSeries, binomial_factor
 
 
 class NotInClass(Exception):
@@ -268,7 +268,7 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
     monomials = {counts: monomial(counts) for counts in {counts for _, counts in tally}}
     for (remaining, counts), count in tally.items():
         rows.setdefault(monomials[counts], [0] * base)[total_max - remaining] += count
-    return QSeries._make(_canonical(rows, total_max), total_max, spec.markers)
+    return QSeries._make(rows, total_max, spec.markers)
 
 
 @dataclass(frozen=True)
@@ -548,9 +548,8 @@ def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
         raise OverflowError(f"a row through q^{cut} does not fit an index-sized integer")
     g = _stride(spec)
     rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, cut, g))
-    entries = {(n, h): QSeries._make(_canonical({key: _dense(start, r, g)
-                                                 for key, (start, r) in entry.items()},
-                                                None), None, spec.markers)
+    entries = {(n, h): QSeries._make({key: _dense(start, r, g)
+                                      for key, (start, r) in entry.items()}, None, spec.markers)
                for n, row in rows for h, entry in row.items()}
     return BasisTable(spec=spec, max_n=max_n, max_h=max_h, entries=entries)
 
@@ -601,7 +600,7 @@ def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSe
             binomial_factor(acc, -1, n * spec.k // g, -1)
     dense = {key: _dense(start, acc, g, trunc + 1) for key, (start, acc) in total.items()}
     dense.setdefault((0,) * len(spec.markers), unit)[0] = 1
-    return QSeries._make(_canonical(dense, trunc), trunc, spec.markers)
+    return QSeries._make(dense, trunc, spec.markers)
 
 
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:

@@ -38,6 +38,13 @@ class TestGrammars:
         with pytest.raises(ValueError):
             parse_spec("k=2,c=2:2,d=0:0")
 
+    @pytest.mark.parametrize("text, key", [("k=1,c=1,d=2,zz=9", "'zz'"),
+                                           ("k=1,c=1,d=2,k=3", "'k'"),
+                                           ("k=1, c=1, d=2, c=1", "'c'")])
+    def test_spec_unknown_or_repeated_key(self, text, key):
+        with pytest.raises(ValueError, match=key):
+            parse_spec(text)
+
 
 class TestOptions:
     """Each subcommand takes only the flags it reads."""
@@ -129,6 +136,14 @@ class TestCommands:
                      "--h-max", "8"]) == 0
         out = capsys.readouterr().out
         assert "b(2,3) = q^4" in out
+
+    @pytest.mark.parametrize("command", ["table", "basis"])
+    @pytest.mark.parametrize("text, message", [
+        ("k=1,c=1,d=2,zz=9", "unknown key 'zz'"), ("k=1,c=1,d=2,k=3", "key 'k' given twice")])
+    def test_spec_unknown_or_repeated_key_exit_two(self, capsys, command, text, message):
+        assert main([command, "--spec", text, "--n", "1", "--h-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("h_max", ["-4", "0"])
     def test_table_bad_h_max_exit_two(self, capsys, h_max):

@@ -1,0 +1,61 @@
+"""Guard: only qsip.series knows the canonical int-row form of QSeries.
+
+Every other module of the package imports ``_``-prefixed names from
+``qsip.series`` alone, and only ``series.py`` names ``_canonical``: the
+other builders hand their fresh rows to ``QSeries._make``, which trims them.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "qsip"
+SERIES = {".series", "qsip.series"}
+
+
+def private_imports(tree: ast.AST) -> list[tuple[str, str]]:
+    """(module, name) for each ``_``-prefixed name a ``from ... import`` takes."""
+    return [("." * node.level + (node.module or ""), alias.name)
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def names(tree: ast.AST) -> set[str]:
+    """Every identifier the tree names, read, bound, defined or imported."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def sources() -> dict[str, ast.AST]:
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_detector_flags_each_form():
+    tree = ast.parse("from .series import _a, b\nfrom .sip import _c\n"
+                     "from qsip.ncopies import _d as e\nx = s._canonical\n")
+    assert private_imports(tree) == [(".series", "_a"), (".sip", "_c"),
+                                     ("qsip.ncopies", "_d")]
+    assert "_canonical" in names(tree)
+    assert "_canonical" in names(ast.parse("def _canonical(): pass\n"))
+    assert "_canonical" in names(ast.parse("from .series import _canonical as c\n"))
+
+
+def test_private_names_come_only_from_series():
+    found = {name: [(mod, private) for mod, private in private_imports(tree)
+                    if mod not in SERIES]
+             for name, tree in sources().items()}
+    assert found and {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_only_series_names_canonical():
+    assert [name for name, tree in sources().items()
+            if "_canonical" in names(tree)] == ["series.py"]

@@ -11,7 +11,12 @@ import pytest
 
 from qsip import closed_forms as cf
 from qsip import ncopies, sip
-from qsip.series import QSeries
+from qsip.partitions import SipClassSpec
+from qsip.qfactory import PochSpec, poch_finite, poch_product
+from qsip.series import QSeries, _shifted
+
+PLAIN = [PochSpec(1, 1), PochSpec(1, 2, sign=-1), PochSpec(3, 4)]
+MARKED = [PochSpec(1, 3, sign=-1, marker="u"), PochSpec(2, 3, sign=-1, marker="v")]
 
 
 def assert_canonical(series):
@@ -60,3 +65,41 @@ def test_basis_table_and_class_gf(name):
         assert_canonical(entry)
     for trunc in range(61):
         assert_canonical(sip.class_gf(spec, trunc))
+
+
+def test_pochhammer_products():
+    # the cancelling pairs leave all-zero rows that must be dropped
+    products = [[(PLAIN[0], -1), (PLAIN[1], 1)], [(PLAIN[0], 1), (PLAIN[0], -1)],
+                [(spec, 1) for spec in MARKED], [(MARKED[0], -1), (MARKED[1], 1)],
+                [(MARKED[0], 1), (MARKED[0], -1), (PLAIN[2], -1)]]
+    for trunc in range(31):
+        for factors in products:
+            assert_canonical(poch_product(factors, trunc))
+    for n in range(8):
+        for spec in PLAIN + MARKED + [PochSpec(0, 1, sign=-1)]:
+            assert_canonical(poch_finite(spec, n))
+            assert_canonical(poch_finite(spec, n, trunc=12))
+
+
+@pytest.mark.parametrize("spec", [sip.SCHUR_REFINED, sip.GLASGOW,
+                                  SipClassSpec(1, (1,), (2,), markers=("u",)),
+                                  SipClassSpec(2, (1, 2), (2, 3), markers=("u", "v"))],
+                         ids=["weighted", "unmarked", "markers-k1", "markers-k2"])
+def test_count_class(spec):
+    for total in range(21):
+        assert_canonical(sip.count_class(spec, total))
+
+
+@pytest.mark.parametrize("row", [[1, 0, -2, 0], (0, 3, 0), [0, 0], [], None])
+def test_shifted(row):
+    # the 4-entry row at exp 3 fills trunc 6 exactly (exp + len(row) == trunc + 1);
+    # exp > trunc leaves nothing
+    dense = list(row or [])
+    for exp in range(9):
+        poly = _shifted(exp, row)
+        assert_canonical(poly)
+        assert poly == QSeries([0] * exp + dense)
+        for trunc in (0, 2, 3, 5, 6, 7, 12):
+            cut = _shifted(exp, row, trunc)
+            assert_canonical(cut)
+            assert cut == QSeries(([0] * exp + dense)[:trunc + 1], trunc=trunc)
