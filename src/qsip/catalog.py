@@ -40,11 +40,11 @@ gives each summand its extra (1 + q^(2n-1)) factor.  Registered identities:
     slater-86            even-subscript n-copies        = product over +-2..+-5 mod 16
     mod7-sum             Andrews-Gordon (3, 3)          = product over n != 0,3,4 mod 7
 
-The n-copies sums (difference at least r) are sum q^(n^2 + r n(n-1)/2) /
-((q;q^2)_n (q;q)_n), and slater-86 is sum q^(2n^2)/(q;q)_(2n) with
-(q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.  Andrews-Gordon (2, 2) is
-sum q^(n^2)/(q;q)_n, and (3, 3) is sum q^(N_1^2 + N_2^2) / ((q;q)_n_1 (q;q)_n_2)
-with N_1 = n_1 + n_2, N_2 = n_2.
+The n-copies sums (difference at least r) are ``ncopies_gf(r)``, sum
+q^(n^2 + r n(n-1)/2) / ((q;q^2)_n (q;q)_n); slater-86 is sum
+q^(2n^2)/(q;q)_(2n) with (q;q)_(2n) = (q;q^2)_n (q^2;q^2)_n.
+Andrews-Gordon (2, 2) is sum q^(n^2)/(q;q)_n, and (3, 3) is
+sum q^(N_1^2 + N_2^2) / ((q;q)_n_1 (q;q)_n_2) with N_1 = n_1 + n_2, N_2 = n_2.
 
 Every oracle enumerates its objects, as a counting walk with one walk
 state per counted object and no memo across states.  A state keeps only
@@ -169,17 +169,17 @@ REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
         partial(count_class, GLASGOW)),
     IdentityEntry(
         "slater-46", "Slater (46)",
-        partial(series_sum, (3, -1), (), [_ODDS, _ONES]),
+        partial(nc.ncopies_gf, 1),
         partial(poch_product, _parts(10, {0, 4, 6})),
         partial(nc.count_ncopies, min_diff=1)),
     IdentityEntry(
         "slater-61", "Slater (61)",
-        partial(series_sum, (2, 0), (), [_ODDS, _ONES]),
+        partial(nc.ncopies_gf, 0),
         partial(poch_product, _parts(14, {0, 6, 8})),
         partial(nc.count_ncopies, min_diff=0)),
     IdentityEntry(
         "slater-81", "Slater (81), product side corrected",
-        partial(series_sum, (1, 1), (), [_ODDS, _ONES]),
+        partial(nc.ncopies_gf, -1),
         partial(poch_product, [*_parts(14, {0, 6, 8}), (PochSpec(3, 14), -1),
                                (PochSpec(11, 14), -1)]),
         partial(nc.count_ncopies, min_diff=-1)),
@@ -332,4 +332,4 @@ def substitute_neg_q_squared(series: QSeries) -> QSeries:
     out = [0] * (2 * series.trunc + 2)
     for n, c in enumerate(series.int_coefficients(series.trunc)):
         out[2 * n] = -c if n % 2 else c
-    return QSeries(out, trunc=2 * series.trunc + 1)
+    return QSeries._make({(): out}, 2 * series.trunc + 1, ())

@@ -201,7 +201,7 @@ class ExactDiffTable:
         if not (1 <= n <= self.max_n and 1 <= j <= m <= self.max_m):
             return QSeries.zero()
         if n == 1:
-            return QSeries.monomial(m) if m == j else QSeries.zero()
+            return _shifted(m, (1,)) if m == j else QSeries.zero()
         return _shifted(m, self.levels[n - 2].get(m - j - self.r))
 
     def level_gf(self, n: int) -> QSeries:
@@ -263,7 +263,7 @@ def exact_diff_closed(r: int, n: int, m: int, j: int) -> QSeries:
     if n < 1 or not 1 <= j <= m:
         return QSeries.zero()
     if n == 1:
-        return QSeries.monomial(m) if m == j else QSeries.zero()
+        return _shifted(m, (1,)) if m == j else QSeries.zero()
     mixed = r % 2 == 1 and n % 2 == 0
     if (m + j) % 2 != mixed:
         return QSeries.zero()
@@ -290,7 +290,7 @@ def base_gf(parts: int, r: int, trunc: int) -> QSeries:
     if exp > trunc:
         return QSeries.zero(trunc)
     coeffs = [0] * exp + [1] + [0] * (trunc - exp)
-    return QSeries(_ODDS.apply(coeffs, parts, -1), trunc=trunc)
+    return QSeries._make({(): _ODDS.apply(coeffs, parts, -1)}, trunc, ())
 
 
 def ncopies_gf(r: int, trunc: int) -> QSeries:
@@ -372,7 +372,7 @@ def count_ncopies_over(total_max: int) -> QSeries:
                     for _, remaining, weight in grow((-1, total_max, 1), successors))
     for (remaining, weight), count in tally.items():
         coeffs[total_max - remaining] += count * weight
-    return QSeries(coeffs, trunc=total_max)
+    return QSeries._make({(): coeffs}, total_max, ())
 
 
 def overline_carriers(parts: tuple[CopyPart, ...]) -> tuple[CopyPart, ...]:

@@ -235,7 +235,8 @@ def counting_series(stream: Iterable, trunc: int,
     size = size or _default_size
     if weight is None:
         counts = Counter(map(size, stream))
-        return QSeries([counts[n] for n in range(trunc + 1)], trunc=trunc, markers=markers)
+        return QSeries._make({(0,) * len(markers): [counts[n] for n in range(trunc + 1)]},
+                             trunc, tuple(markers))
     coeffs = [0] * (trunc + 1)
     for obj in stream:
         n = size(obj)
@@ -257,7 +258,7 @@ def walk_series(states: Iterable[tuple], total_max: int) -> QSeries:
     coeffs = [0] * (total_max + 1)
     for remaining, count in Counter(remaining for _, remaining in states).items():
         coeffs[total_max - remaining] = count
-    return QSeries(coeffs, trunc=total_max)
+    return QSeries._make({(): coeffs}, total_max, ())
 
 
 def count_gordon(k: int, i: int, total_max: int) -> QSeries:

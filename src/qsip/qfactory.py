@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import add, neg
 from typing import Callable, Iterable, Iterator
 
-from .series import QSeries, binomial_factor
+from .series import QSeries, _shifted, binomial_factor
 
 
 class DivergentProduct(Exception):
@@ -218,7 +218,7 @@ def binomial_row(a: int, b: int, base: int = 1) -> tuple[int, ...]:
 def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
     """Gaussian binomial [a, b] in base q^base as an exact polynomial: the
     series of :func:`binomial_row`, zero whenever b < 0 or b > a."""
-    return QSeries(binomial_row(a, b, base=base))
+    return _shifted(0, binomial_row(a, b, base=base))
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[Poc
         if exp > trunc:
             break
         total[exp:] = map(add, total[exp:], term)
-    return QSeries(total, trunc=trunc)
+    return QSeries._make({(): total}, trunc, ())
 
 
 def andrews_gordon_sum(k: int, i: int, trunc: int) -> QSeries:
@@ -365,7 +365,7 @@ def andrews_gordon_sum(k: int, i: int, trunc: int) -> QSeries:
                         binomial_factor(acc, -1, n - m, -1)
             level.append(acc)
         rows = level
-    return QSeries(out, trunc=trunc)
+    return QSeries._make({(): out}, trunc, ())
 
 
 def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSeries:
@@ -377,6 +377,8 @@ def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSe
     """
     if quad < 1:
         raise ValueError("quadratic coefficient must be at least 1")
+    if trunc < 0:
+        raise ValueError("truncation order must be non-negative")
     coeffs = [0] * (trunc + 1)
     bound = (math.isqrt(lin * lin + 4 * quad * trunc) + abs(lin)) // (2 * quad) + 2
     for n in range(-bound, bound + 1):
@@ -386,4 +388,4 @@ def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSe
         if exp < 0:
             raise ValueError(f"negative exponent {exp} at n={n}; not a power series")
         coeffs[exp] += -1 if (alternating and n % 2) else 1
-    return QSeries(coeffs, trunc=trunc)
+    return QSeries._make({(): coeffs}, trunc, ())

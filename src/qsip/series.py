@@ -8,14 +8,14 @@ then the empty tuple and every coefficient is a plain integer constant.
 A :class:`QSeries` stores its coefficients transposed, as one plain int list
 per marker monomial, so arithmetic is integer list arithmetic: a product
 convolves the rows of every pair of monomials, and a marker-free series is a
-single int list that never builds a MarkerPoly.  Builders hand over int
-lists, one per monomial (:meth:`QSeries.from_rows`, or the constructor for
-a marker-free list); MarkerPoly values appear only where a caller asks for
-them (:meth:`QSeries.coefficient` and the cached :attr:`QSeries.coeffs`
-view) or passes them to the constructor.  This module alone knows the
-canonical row form: the package's builders hand their fresh lists to
-``QSeries._make``, which trims them, and build on the row kernels
-``_convolve_into``, ``_add_product`` and ``_shifted``.
+single int list that never builds a MarkerPoly.  MarkerPoly values appear
+only where a caller asks for them (:meth:`QSeries.coefficient`, the cached
+:attr:`QSeries.coeffs` view) or passes them to the constructor.  Callers
+outside the package use the constructor or :meth:`QSeries.from_rows`, which
+check and copy what they are given; the package's builders hand their fresh
+int lists to ``QSeries._make``, which checks only the truncation order and
+trims the lists in place.  This module alone knows the canonical row form
+and the row kernels ``_convolve_into``, ``_add_product`` and ``_shifted``.
 
 A :class:`QSeries` is either truncated or exact:
 
@@ -302,6 +302,19 @@ def _canonical(rows: dict, trunc: int | None) -> dict:
     return out
 
 
+def _padded(rows: dict, trunc: int | None) -> dict:
+    """Fresh rows zero-padded in place to ``trunc + 1`` entries; a negative
+    ``trunc`` or a longer row raises ValueError."""
+    if trunc is not None:
+        if trunc < 0:
+            raise ValueError("truncation order must be non-negative")
+        for row in rows.values():
+            if len(row) > trunc + 1:
+                raise ValueError(f"{len(row)} coefficients exceed truncation order {trunc}")
+            row += [0] * (trunc + 1 - len(row))
+    return rows
+
+
 def _convolve_into(out: list[int], a: list[int], b: list[int]) -> None:
     """Add the schoolbook product of rows a and b into out, dropping every
     term past its end."""
@@ -406,7 +419,7 @@ class QSeries:
                             rows[key] = [0] * len(coeffs)
                         rows[key][n] = value
         self.markers, self.trunc = markers, trunc
-        self._rows, self._coeffs = QSeries.from_rows(rows, trunc, markers)._rows, None
+        self._rows, self._coeffs = _canonical(_padded(rows, trunc), trunc), None
 
     @classmethod
     def from_rows(cls, rows: Mapping[tuple[int, ...], list[int]], trunc: int | None = None,
@@ -414,8 +427,6 @@ class QSeries:
         """A series from plain int lists, one per marker monomial: the
         coefficient of u^i v^j q^n is ``rows[(i, j)][n]``.  The lists are copied."""
         markers = tuple(markers)
-        if trunc is not None and trunc < 0:
-            raise ValueError("truncation order must be non-negative")
         copied = {}
         for key, row in rows.items():
             key = tuple(key)
@@ -423,21 +434,18 @@ class QSeries:
                 raise ValueError(f"row key {key} is no exponent vector over {markers}")
             if not set(map(type, row)) <= {int}:
                 raise TypeError(f"integer coefficients expected in row {key}")
-            if trunc is None:
-                copied[key] = list(row)
-            elif len(row) > trunc + 1:
-                raise ValueError(f"{len(row)} coefficients exceed truncation order {trunc}")
-            else:
-                copied[key] = _fit(row, trunc + 1)
-        return cls._make(copied, trunc, markers)
+            copied[key] = list(row)
+        return cls._make(_padded(copied, trunc), trunc, markers)
 
     @classmethod
     def _make(cls, rows: dict, trunc: int | None, markers: tuple[str, ...]) -> "QSeries":
         """A series over fresh int lists, one per monomial, of ``trunc + 1``
-        entries each (any length for a polynomial): the lists are brought to
-        canonical form in place (:func:`_canonical`) and then taken as they
-        are, with no type scan or copy.  The one door by which rows built
-        outside :meth:`from_rows` enter a series; an empty dict costs nothing."""
+        entries each (any length for a polynomial), for the package's
+        builders: the one check of their truncation (ValueError below 0),
+        then the lists are trimmed in place (:func:`_canonical`) and taken
+        as they are, with no type scan or copy; an empty dict costs nothing."""
+        if trunc is not None and trunc < 0:
+            raise ValueError("truncation order must be non-negative")
         out = object.__new__(cls)
         out.markers, out.trunc, out._coeffs = markers, trunc, None
         out._rows = _canonical(rows, trunc) if rows else rows
@@ -456,8 +464,6 @@ class QSeries:
 
     @classmethod
     def zero(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
-        if trunc is not None and trunc < 0:
-            raise ValueError("truncation order must be non-negative")
         return cls._make({}, trunc, tuple(markers))
 
     @classmethod
@@ -472,8 +478,7 @@ class QSeries:
             raise ValueError("negative q-exponents are out of scope")
         if trunc is not None and exponent > trunc:
             return cls.zero(trunc=trunc, markers=markers)
-        coeffs = [0] * exponent + [coeff]
-        return cls(coeffs, trunc=trunc, markers=markers)
+        return cls([0] * exponent + [coeff], trunc=trunc, markers=markers)
 
     # -- basic queries -----------------------------------------------------
 
@@ -579,14 +584,6 @@ class QSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "QSeries":
-        if n < 0:
-            raise ValueError("use inverse() for negative powers")
-        out = QSeries.one(markers=self.markers)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def inverse(self, trunc: int | None = None) -> "QSeries":
         """Multiplicative inverse, exact to the effective truncation.
 
@@ -648,7 +645,7 @@ class QSeries:
             weight = math.prod(v**e for v, e in zip(values, key))
             for n, x in enumerate(row):
                 out[n] += weight * x
-        return QSeries(out, trunc=self.trunc)
+        return QSeries._make({(): out}, self.trunc, ())
 
     def marker_coefficient(self, exponents: Mapping[str, int]) -> "QSeries":
         """Extract the marker-free series multiplying a marker monomial.
@@ -657,7 +654,7 @@ class QSeries:
         """
         self._check_assignment(exponents, "exponents")
         key = tuple(exponents[m] for m in self.markers)
-        return QSeries(self._rows.get(key, []), trunc=self.trunc)
+        return QSeries._make({(): self._rows[key]} if key in self._rows else {}, self.trunc, ())
 
     # -- comparison ------------------------------------------------------------
 

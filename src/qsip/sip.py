@@ -242,8 +242,8 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
 
             root = (None, total_max)
         # unweighted, every member weighs the zero monomial over the spec's markers
-        counted = walk_series(grow(root, successors), total_max)
-        return QSeries._make(counted._rows_in(spec.markers), total_max, spec.markers)
+        counted = walk_series(grow(root, successors), total_max).int_coefficients(total_max)
+        return QSeries._make({(0,) * len(spec.markers): counted}, total_max, spec.markers)
 
     base = total_max + 1
     digits = [base ** i for i in range(k)]

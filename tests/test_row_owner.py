@@ -1,8 +1,10 @@
 """Guard: only qsip.series knows the canonical int-row form of QSeries.
 
 Every other module of the package imports ``_``-prefixed names from
-``qsip.series`` alone, and only ``series.py`` names ``_canonical``: the
-other builders hand their fresh rows to ``QSeries._make``, which trims them.
+``qsip.series`` alone, and only ``series.py`` names ``_canonical`` or reads
+a series' rows (``_rows``, ``_rows_in``): the other builders hand their
+fresh rows to ``QSeries._make``, which trims them, and read a series
+through its public methods.
 """
 
 import ast
@@ -59,3 +61,8 @@ def test_private_names_come_only_from_series():
 def test_only_series_names_canonical():
     assert [name for name, tree in sources().items()
             if "_canonical" in names(tree)] == ["series.py"]
+
+
+def test_only_series_reads_rows():
+    assert [name for name, tree in sources().items()
+            if {"_rows", "_rows_in"} & names(tree)] == ["series.py"]
