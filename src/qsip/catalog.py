@@ -80,13 +80,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import add, sub
 from typing import Callable
 
 from . import ncopies as nc
 from .partitions import count_gordon
 from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
-                       poch_infinite, poch_product, series_sum, series_terms)
-from .series import QSeries, _shifted, binomial_factor
+                       poch_infinite, poch_product, series_sum)
+from .series import QSeries, _nested_sum, binomial_factor
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                   SCHUR_REFINED, class_gf, count_class)
 
@@ -284,24 +285,35 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
 
     For each N the partial sum through term N must equal
     (-q^3; q^4)_N / (q^2; q^2)_N, and consecutive closed forms must differ
-    by exactly the N-th summand.  Summands come from the registered row's
-    term stream, closed forms from the same stream with Q = 0 and no hook.
+    by exactly the N-th summand.  Summand N is a one-term
+    :func:`~qsip.series._nested_sum` call: the row's hook piece at q^(2N)
+    under g_0 ... g_(N-1), the factors of (-q^3; q^4) / (q^2; q^2).  The
+    closed form steps by one g per N on its own list.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if trunc < 0:
+        raise ValueError("truncation order must be non-negative")
+    closed = [1] + [0] * trunc   # first, so a size too large to hold fails before any term
+    partial = [0] * (trunc + 1)
+    (num,), den = _GLASGOW_NUM, _EVENS
+    factors = [[(-num.sign, num.factor_exponent(n), 1),
+                (-den.sign, den.factor_exponent(n), -1)] for n in range(n_max)]
     failures: list[str] = []
-    summands = series_terms((0, 4), _GLASGOW_NUM, [_EVENS], trunc, _glasgow_extra)
-    closed_forms = series_terms((0, 0), _GLASGOW_NUM, [_EVENS], trunc)
-    partial = previous = QSeries.zero(trunc)
     for n in range(n_max + 1):
-        term = _shifted(*next(summands), trunc)
-        closed = _shifted(*next(closed_forms), trunc)
-        partial = partial + term
-        if n >= 1 and not partial.agrees_through(closed):
+        piece = _glasgow_extra(n, [1] + [0] * (trunc - 2 * n))
+        start, row = _nested_sum([None] * n + [(2 * n, piece)], factors, trunc)
+        term = [0] * start + row
+        partial[:] = map(add, partial, term)
+        if n == 0:
+            continue
+        previous = closed[:]
+        for c, e, power in factors[n - 1]:
+            binomial_factor(closed, c, e, power)
+        if partial != closed:
             failures.append(f"partial sum N={n} differs from closed form")
-        if n >= 2 and not (closed - previous).agrees_through(term):
+        if n >= 2 and list(map(sub, closed, previous)) != term:
             failures.append(f"closed-form difference at N={n} is not term {n}")
-        previous = closed
     return TelescopeResult(n_max, trunc, not failures, tuple(failures))
 
 

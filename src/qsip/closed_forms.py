@@ -21,10 +21,8 @@ caller reads them off the returned series.
 
 from __future__ import annotations
 
-from operator import add
-
 from .qfactory import PochSpec, binomial_row
-from .series import QSeries, _add_product, _convolve_into, _shifted
+from .series import QSeries, _add_product, _convolve_into, _nested_sum, _shifted
 
 SCHUR_MARKERS = ("u", "v")
 
@@ -206,18 +204,21 @@ def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:
     """Series-level companion summation in base q^3.
 
     Checks sum over m of [r, m] [m+s, r] q^(3m^2 + 3m(s-r)) / (q^3; q^3)_(m+s)
-    against 1 / ((q^3; q^3)_r (q^3; q^3)_s) to the given truncation.
+    against 1 / ((q^3; q^3)_r (q^3; q^3)_s) to the given truncation.  The
+    sum is one :func:`~qsip.series._nested_sum` call: term m + s is
+    [r, m] [m+s, r] at its offset (None where it vanishes), and
+    g_i = 1/(1 - q^(3(i+1))), so term m + s sits under (q^3; q^3)_(m+s).
     """
     if r < 0 or s < 0:
         raise ValueError("requires r, s >= 0")
     cubes = PochSpec(offset=3, step=3)
-    lhs = [0] * (trunc + 1)
-    for m in range(0, r + 1):
-        left = binomial_row(r, m, base=3)
-        right = binomial_row(m + s, r, base=3)
-        if left and right:
-            term = [0] * (trunc + 1)
-            _convolve_into(term, [0] * (3 * m * m + 3 * m * (s - r)) + list(left), right)
-            lhs = list(map(add, lhs, cubes.apply(term, m + s, -1)))
+    # first, so a size too large to hold fails before any term
     rhs = cubes.apply(cubes.apply([1] + [0] * trunc, r, -1), s, -1)
-    return lhs == rhs
+    terms = [None] * (r + s + 1)
+    for m in range(max(r - s, 0), r + 1):   # [m+s, r] vanishes below r - s
+        exp = 3 * m * (m + s - r)
+        row = [0] * (trunc + 1 - exp)
+        _convolve_into(row, binomial_row(r, m, base=3), binomial_row(m + s, r, base=3))
+        terms[m + s] = (exp, row)
+    factors = [[(-1, 3 * i, -1)] for i in range(1, r + s + 1)]
+    return _nested_sum(terms, factors, trunc) == (0, rhs)

@@ -7,9 +7,11 @@ exact integer arithmetic on :class:`~qsip.series.QSeries` values, except
 that Gaussian binomials are cached as immutable int rows
 (:func:`binomial_row`) for the int-row builders; :func:`gaussian_binomial`
 wraps a row as a series.  Every
-product, Gaussian binomials included, and every sum is a loop of one factor
-kernel, :func:`~qsip.series.binomial_factor`, which multiplies or divides
-one int list by a single factor 1 + c*q^e in O(trunc).  A product with a
+product, Gaussian binomials included, is a loop of one factor kernel,
+:func:`~qsip.series.binomial_factor`, which multiplies or divides one int
+list by a single factor 1 + c*q^e in O(trunc); every sum is one or more
+calls of the inside-out sum :func:`~qsip.series._nested_sum`, which runs
+that kernel on the part of the sum already gathered.  A product with a
 marker x is expanded by the q-binomial theorem and Euler's two identities
 (Andrews, *The Theory of Partitions*, 1976, Thm 2.1 and Cor. 2.2): the
 x^k row of a marked Pochhammer product is its x^(k-1) row shifted and run
@@ -24,9 +26,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, neg
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .series import QSeries, _shifted, binomial_factor
+from .series import QSeries, _nested_sum, _shifted, binomial_factor
 
 
 class DivergentProduct(Exception):
@@ -66,9 +68,6 @@ class PochSpec:
         for j in range(count):
             binomial_factor(coeffs, -self.sign, self.factor_exponent(j), power)
         return coeffs
-
-
-_QQ = PochSpec(1, 1)   # (q; q)
 
 
 def _expand(rows: dict[tuple[int, ...], list[int]], spec: PochSpec, count: int | None,
@@ -259,52 +258,37 @@ def congruence_product(spec: CongruenceProductSpec, trunc: int) -> QSeries:
     return poch_product(spec.factors(), trunc)
 
 
-def series_terms(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[PochSpec],
-                 trunc: int, extra: Callable[[int, list], list] | None = None
-                 ) -> Iterator[tuple[int, list]]:
-    """Summands of the sum over n >= 0 of q^Q(n) (num)_n / (den)_n, endless.
+def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[PochSpec],
+               trunc: int, extra: Callable[[int, list], list] | None = None) -> QSeries:
+    """The sum over n >= 0 of q^Q(n) (num)_n / (den)_n exact to ``trunc``, as
+    a marker-free series.
 
-    Q(n) = (a*n^2 + b*n)/2 for ``quad = (a, b)`` must be integral and
-    non-decreasing.  Yields (Q(n), coefficients of summand n over q^Q(n)
-    through q^trunc), a list the caller must not change.  Each step is one
-    shift plus one kernel call per Pochhammer:
-
-        term(n) = term(n-1) * q^(Q(n) - Q(n-1)) * (num factors n-1) / (den factors n-1)
-
-    ``extra(n, coeffs)`` is the hook for an extra piece of a summand: given
-    a copy of a non-empty summand, it returns the summand to use.  Summands
-    are marker-free: a marked spec raises ValueError.
+    Q(n) = (a*n^2 + b*n)/2 for ``quad = (a, b)`` must be integral, grow and
+    never fall.  Summand n is term n of one :func:`~qsip.series._nested_sum`
+    call: the row 1 at q^Q(n), and g_n the n-th factor of every numerator
+    (power 1) and denominator (power -1) spec.  ``extra(n, row)`` is the hook
+    for an extra piece of a summand: given the row 1 of summand n's length
+    (through q^(trunc - Q(n))), it returns that piece, which stands in for
+    the 1.  Summands are marker-free: a marked spec raises ValueError.
     """
+    if not any(quad):
+        raise ValueError("Q(n) must grow for the sum to end")
     num, den = tuple(num), tuple(den)
     if any(spec.marker is not None for spec in num + den):
         raise ValueError("q-hypergeometric sums are marker-free")
     a, b = quad
     if a < 0 or a + b < 0 or (a + b) % 2:
         raise ValueError(f"Q(n) = ({a}n^2 + {b}n)/2 must be integral and non-decreasing")
-    term = [1] + [0] * trunc
+    total = [0] * (trunc + 1)   # first, so a size too large to hold fails before any term
+    terms, factors = [], []
     n = 0
-    while True:
-        exp = (a * n * n + b * n) // 2
-        del term[max(trunc - exp + 1, 0):]
-        if n:
-            for spec in num:
-                binomial_factor(term, -spec.sign, spec.factor_exponent(n - 1))
-            for spec in den:
-                binomial_factor(term, -spec.sign, spec.factor_exponent(n - 1), -1)
-        yield exp, extra(n, term[:]) if extra is not None and term else term
+    while (exp := (a * n * n + b * n) // 2) <= trunc:
+        terms.append((exp, [1] if extra is None else extra(n, [1] + [0] * (trunc - exp))))
+        factors.append([(-spec.sign, spec.factor_exponent(n), 1) for spec in num]
+                       + [(-spec.sign, spec.factor_exponent(n), -1) for spec in den])
         n += 1
-
-
-def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[PochSpec],
-               trunc: int, extra: Callable[[int, list], list] | None = None) -> QSeries:
-    """The sum of :func:`series_terms` exact to ``trunc``, as a marker-free series."""
-    if not any(quad):
-        raise ValueError("Q(n) must grow for the sum to end")
-    total = [0] * (trunc + 1)
-    for exp, term in series_terms(quad, num, den, trunc, extra):
-        if exp > trunc:
-            break
-        total[exp:] = map(add, total[exp:], term)
+    start, row = _nested_sum(terms, factors, trunc)
+    total[start:] = row
     return QSeries._make({(): total}, trunc, ())
 
 
@@ -322,13 +306,13 @@ def andrews_gordon_sum(k: int, i: int, trunc: int) -> QSeries:
 
         F_j(M) = sum over N >= M of q^(N^2 + [i <= j] N) F_(j-1)(N) / (q)_(N - M),
 
-    and the sum is F_(k-1)(0).  F_1(M) is one :func:`series_terms` run
-    with Q(n) = n^2 + 2Mn + [i = 1] n.  A higher level is a Horner pass from
-    the largest N down: add F_(j-1)(N) at its offset, then divide by
-    (1 - q^(N - M)).  Each F_j(M) is a list over q^e, e = jM^2 + #{l <= j :
-    l >= i} M its least exponent, cut where the next level's own factor
-    q^(M^2 + [i <= j+1] M) pushes it past q^trunc; it is computed once per
-    M and read by every outer sum that needs it.
+    and the sum is F_(k-1)(0).  Each F_j(M) is one
+    :func:`~qsip.series._nested_sum` call: term t is F_(j-1)(M + t) at its
+    offset (the kernel drops those past the cut), and g_t = 1/(1 - q^(t+1)),
+    one factor list for every call.  F_j(M) is a list over q^e, e = jM^2 +
+    #{l <= j : l >= i} M its least exponent, cut where the next level's own
+    factor q^(M^2 + [i <= j+1] M) pushes it past q^trunc; it is computed once
+    per M and read by every outer sum that needs it.
     """
     if k < 2 or not 1 <= i <= k:
         raise ValueError(f"Andrews-Gordon sums need k >= 2 and 1 <= i <= k, got ({k}, {i})")
@@ -339,7 +323,9 @@ def andrews_gordon_sum(k: int, i: int, trunc: int) -> QSeries:
     def least(j: int, m: int) -> int:   # the least exponent of F_j(m)
         return j * m * m + max(j - i + 1, 0) * m
 
-    rows: list[list[int]] = []   # F_(j-1)(N) for N = 0, 1, ...
+    # term t of a level sum sits at least t^2 above term 0, so t <= isqrt(trunc)
+    factors = [[(-1, t, -1)] for t in range(1, math.isqrt(trunc) + 1)]
+    rows: list[list[int]] = [[1]] * (math.isqrt(trunc) + 1)   # F_0(N) = 1
     for j in range(1, k):
         level = []
         # the outermost level is F_(k-1)(0) alone
@@ -347,24 +333,10 @@ def andrews_gordon_sum(k: int, i: int, trunc: int) -> QSeries:
             size = trunc + 1 - least(j + 1, m)
             if size <= 0:
                 break
-            acc = out if j == k - 1 else [0] * size
-            if j == 1:
-                for exp, term in series_terms((2, 4 * m + 2 * (i == 1)), (), (_QQ,), size - 1):
-                    if exp >= size:
-                        break
-                    acc[exp:] = map(add, acc[exp:], term)
-            else:
-                base = least(j, m)
-                top = m
-                while top + 1 < len(rows) and least(j, top + 1) - base < size:
-                    top += 1
-                for n in range(top, m - 1, -1):
-                    off = least(j, n) - base
-                    acc[off:] = map(add, acc[off:], rows[n])
-                    if n > m:
-                        binomial_factor(acc, -1, n - m, -1)
-            level.append(acc)
+            terms = [(least(j, n) - least(j, m), rows[n]) for n in range(m, len(rows))]
+            level.append(_nested_sum(terms, factors, size - 1)[1])
         rows = level
+    out[:] = rows[0]
     return QSeries._make({(): out}, trunc, ())
 
 

@@ -15,7 +15,8 @@ outside the package use the constructor or :meth:`QSeries.from_rows`, which
 check and copy what they are given; the package's builders hand their fresh
 int lists to ``QSeries._make``, which checks only the truncation order and
 trims the lists in place.  This module alone knows the canonical row form
-and the row kernels ``_convolve_into``, ``_add_product`` and ``_shifted``.
+and the row kernels ``_convolve_into``, ``_add_product``, ``_shifted`` and
+``_nested_sum``, the inside-out sum under every q-series sum in the package.
 
 A :class:`QSeries` is either truncated or exact:
 
@@ -342,19 +343,39 @@ def _add_product(acc: list[int], exp: int, *factors) -> None:
     acc[exp:end] = map(add, acc[exp:end], prod)
 
 
-def _shifted(exp: int, row, trunc: int | None = None) -> "QSeries":
-    """q^exp times an int row or tuple, marker-free: cut at q^trunc, or an
-    exact polynomial for None.  Zero rows are answered directly, without
-    building a list that ``_canonical`` would pop one entry at a time."""
-    if not row or (trunc is not None and exp > trunc):
-        return QSeries.zero(trunc)
-    shifted = [0] * exp
-    if trunc is None:
-        shifted += row
-    else:
-        shifted += row[:trunc + 1 - exp]
-        shifted += [0] * (trunc + 1 - len(shifted))
-    return QSeries._make({(): shifted}, trunc, ())
+def _nested_sum(terms: list, factors: list, last: int) -> tuple[int, list[int]]:
+    """The sum over i of q^o_i R_i g_0 ... g_(i-1) through q^last, as (start,
+    row), row[j] the coefficient of q^(start + j): (last + 1, []) if no term
+    starts by q^last.  ``terms[i]`` is (o_i, R_i), an int row at q^o_i, or
+    None; ``factors[i]`` is g_i, a sequence of :func:`binomial_factor`
+    (c, e, power) triples, read for i < len(terms) - 1.  Summed inside out,
+    A_i = q^o_i R_i + g_i A_(i+1), on one list from the least offset met so
+    far, so a factor touches only what is already gathered; the rows R_i
+    are only read, and a slice past the list's end adds nothing.
+    """
+    acc, start = [], last + 1
+    for i in range(len(terms) - 1, -1, -1):
+        if acc:
+            for c, e, power in factors[i]:
+                binomial_factor(acc, c, e, power)
+        if terms[i] is None:
+            continue
+        o, row = terms[i]
+        if o < start:
+            acc[:0] = [0] * (start - o)
+            start = o
+        end = o - start + len(row)
+        acc[o - start:end] = map(add, acc[o - start:end], row)
+    return start, acc
+
+
+def _shifted(exp: int, row) -> "QSeries":
+    """q^exp times an int row or tuple, as a marker-free exact polynomial.
+    Zero rows are answered directly, without building a list that
+    ``_canonical`` would pop one entry at a time."""
+    if not row:
+        return QSeries.zero()
+    return QSeries._make({(): [0] * exp + list(row)}, None, ())
 
 
 def _as_series(value) -> "QSeries":

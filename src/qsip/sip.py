@@ -41,7 +41,7 @@ from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
 from .partitions import Partition, SipClassSpec, grow, in_sip_class, walk_series
-from .series import QSeries, binomial_factor
+from .series import QSeries, _nested_sum
 
 
 class NotInClass(Exception):
@@ -210,12 +210,10 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
 
     A state is (last part, remaining total); the k = 1 steps are two
     C-level ranges whose pairs are already the next states.  A weighted
-    class adds to the state its per-residue part counts n_r, packed as the
-    digits of one int in base total_max + 1 (no member has more parts).
-    The states are tallied by (remaining, counts); each distinct counts is
-    decoded once into its monomial, the exponent vector sum of n_r w_r,
-    and the tallies become one int row per monomial.  The exponents are
-    not packed themselves: a weight may raise a marker past the total.
+    class adds to the state its monomial, the exponent vector sum of its
+    parts' weights; each monomial's k successors are built once.  The
+    states are tallied by (remaining, monomial), and the tallies become one
+    int row per monomial.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
@@ -245,29 +243,25 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
         counted = walk_series(grow(root, successors), total_max).int_coefficients(total_max)
         return QSeries._make({(0,) * len(spec.markers): counted}, total_max, spec.markers)
 
-    base = total_max + 1
-    digits = [base ** i for i in range(k)]
+    shifts: dict[tuple, list[tuple]] = {}   # a monomial's successor by residue
 
     def weighted(state):
-        last, remaining, counts = state
+        last, remaining, monomial = state
         steps = nexts(last, remaining)
-        return ((p, remaining - p, counts + digits[(p - 1) % k])
-                for p in steps) if steps else ()
+        if not steps:
+            return ()
+        nxt = shifts.get(monomial)
+        if nxt is None:
+            nxt = shifts[monomial] = [tuple(map(add, monomial, w)) for w in spec.weights]
+        return ((p, remaining - p, nxt[(p - 1) % k]) for p in steps)
 
-    def monomial(counts):
-        out = (0,) * len(spec.markers)
-        for w in spec.weights:
-            counts, n = divmod(counts, base)
-            out = tuple(a + n * e for a, e in zip(out, w))
-        return out
-
+    zero = (0,) * len(spec.markers)
     # the empty member's row comes first, so a total too large to hold fails before the walk
-    rows: dict[tuple, list[int]] = {(0,) * len(spec.markers): [0] * base}
-    tally = Counter((remaining, counts)
-                    for _, remaining, counts in grow((None, total_max, 0), weighted))
-    monomials = {counts: monomial(counts) for counts in {counts for _, counts in tally}}
-    for (remaining, counts), count in tally.items():
-        rows.setdefault(monomials[counts], [0] * base)[total_max - remaining] += count
+    rows: dict[tuple, list[int]] = {zero: [0] * (total_max + 1)}
+    tally = Counter((remaining, monomial)
+                    for _, remaining, monomial in grow((None, total_max, zero), weighted))
+    for (remaining, monomial), count in tally.items():
+        rows.setdefault(monomial, [0] * (total_max + 1))[total_max - remaining] += count
     return QSeries._make(rows, total_max, spec.markers)
 
 
@@ -464,19 +458,16 @@ def _stride(spec: SipClassSpec) -> int:
     return 1
 
 
-def _sum_rows(rows: list[tuple[int, list[int]]], g: int, last: int | None = None
+def _sum_rows(rows: list[tuple[int, list[int]]], g: int, last: int
               ) -> tuple[int, list[int]] | None:
     """The sum of stride-g rows (start, row) whose starts agree mod g, as one
-    (start, row) from the least start, cut at q^last (None: no cut), or None
-    when that start is past ``last``.  Each row is added at its aligned
-    offset.  A single row is returned as it is, or cut: read it, never
-    write."""
+    (start, row) from the least start, cut at q^last, or None when that
+    start is past ``last``.  Each row is added at its aligned offset.  A
+    single row is returned as it is, or cut: read it, never write."""
     start = min(s for s, _ in rows)
-    size = max((s - start) // g + len(row) for s, row in rows)
-    if last is not None:
-        if start > last:
-            return None
-        size = min(size, (last - start) // g + 1)
+    if start > last:
+        return None
+    size = min(max((s - start) // g + len(row) for s, row in rows), (last - start) // g + 1)
     if len(rows) == 1:
         row = rows[0][1]
         return start, row if len(row) <= size else row[:size]
@@ -525,12 +516,10 @@ def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int, g: int
         row = nxt
 
 
-def _dense(start: int, row: list[int], g: int, size: int | None = None) -> list[int]:
-    """A stride-g row (start, row) as a plain int list by q-exponent, of
-    ``size`` entries (default: through its last stored exponent)."""
-    if size is None:
-        size = start + g * (len(row) - 1) + 1
-    out = [0] * size
+def _dense(start: int, row: list[int], g: int) -> list[int]:
+    """A stride-g row (start, row) as a plain int list by q-exponent, through
+    its last stored exponent."""
+    out = [0] * (start + g * (len(row) - 1) + 1)
     out[start::g] = row
     return out
 
@@ -579,27 +568,28 @@ def min_basis_total(spec: SipClassSpec, n: int) -> int:
 
 def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSeries:
     """1 + sum over n of b(n) / (q^k; q^k)_n to ``trunc``, b(n) summing the n-th
-    of ``rows`` ({h: {monomial: (start, row)}}, stride g) per marker monomial;
-    inside out, (b(1) + (b(2) + ...) / (1 - q^2k)) / (1 - q^k).
+    of ``rows`` ({h: {monomial: (start, row)}}, stride g) per marker monomial.
 
-    Each level sum and running total is one stride-g list per monomial,
-    running from its least start to q^trunc, so a division by (1 - q^nk) is
-    one Horner pass by n*k/g steps on it; the totals are expanded to fresh
-    dense rows once, at the end, and handed to the series as they are."""
-    if trunc < 0:
-        raise ValueError("truncation order must be non-negative")
+    Each monomial is one :func:`~qsip.series._nested_sum` call in steps of g
+    from its residue r mod g (all its rows start there): term 0 is the
+    constant 1 of the zero monomial, term n is b(n) or None, and g_n is
+    1/(1 - q^((n+1)k)), one factor list for every call.  Each sum becomes a
+    fresh dense row once, at the end, and goes to the series as it is."""
     unit = [0] * (trunc + 1)   # first, so a size too large to hold fails before any row is built
     sums = [{key: _sum_rows(pairs, g, trunc) for key, pairs in _by_key(row.values()).items()}
             for row in rows]
-    total: dict[tuple, tuple[int, list[int]]] = {}
-    for n in range(len(sums), 0, -1):
-        for key, (start, row) in sums.pop().items():
-            total[key] = _sum_rows([total[key], (start, row)], g) if key in total else \
-                (start, row + [0] * ((trunc - start) // g + 1 - len(row)))
-        for _, acc in total.values():
-            binomial_factor(acc, -1, n * spec.k // g, -1)
-    dense = {key: _dense(start, acc, g, trunc + 1) for key, (start, acc) in total.items()}
-    dense.setdefault((0,) * len(spec.markers), unit)[0] = 1
+    factors = [[(-1, n * spec.k // g, -1)] for n in range(1, len(sums) + 1)]
+    zero = (0,) * len(spec.markers)
+    terms = {zero: (0, [(0, [1])] + [None] * len(sums))}
+    for n, level in enumerate(sums, 1):
+        for key, (start, row) in level.items():
+            steps = terms.setdefault(key, (start % g, [None] * (len(sums) + 1)))[1]
+            steps[n] = (start // g, row)
+    dense = {}
+    for key, (r, steps) in terms.items():
+        start, row = _nested_sum(steps, factors, (trunc - r) // g)
+        dense[key] = out = unit if key == zero else [0] * (trunc + 1)
+        out[r + g * start::g] = row
     return QSeries._make(dense, trunc, spec.markers)
 
 

@@ -1,6 +1,7 @@
 """Identity registry: verification, oracles, telescoping, proof pivots."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -10,13 +11,14 @@ from qsip.catalog import (NoOracle, TelescopeResult, UnknownIdentity,
                           gollnitz_intermediate, oracle_concordance,
                           substitute_neg_q_squared, telescope_check, verify,
                           verify_all)
+from qsip.closed_forms import chu_vandermonde_series_check
 from qsip.partitions import count_gordon, counting_series, enumerate_partitions
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                            congruence_product, gaussian_binomial, poch_finite,
-                           poch_infinite, theta_sum)
-from qsip.series import MarkerPoly, QSeries
+                           poch_infinite, series_sum, theta_sum)
+from qsip.series import MarkerPoly, QSeries, binomial_factor
 from qsip.sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
-                      SCHUR_REFINED, enumerate_class)
+                      SCHUR_REFINED, class_gf, enumerate_class)
 
 ALL_IDS = [
     "euler-any", "euler-distinct", "rogers-ramanujan", "gollnitz-gordon-1",
@@ -354,6 +356,32 @@ class TestTelescoping:
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             telescope_check(0, 10)
+
+    def test_fails_when_the_hook_keeps_its_last_factor(self, monkeypatch):
+        # summand N then keeps (1 + q^(4N-1)): both checks must see it
+        def no_division(n, coeffs):
+            if n:
+                binomial_factor(coeffs, 1, 2 * n - 1)
+            return coeffs
+
+        monkeypatch.setattr(catalog, "_glasgow_extra", no_division)
+        res = telescope_check(8, 30)
+        assert not res.passed
+        assert any(f.startswith("partial sum") for f in res.failures)
+        assert any(f.startswith("closed-form difference") for f in res.failures)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(partial(telescope_check, 3, 10**20), id="telescope_check"),
+    pytest.param(partial(chu_vandermonde_series_check, 2, 2, 10**20), id="chu_series"),
+    pytest.param(partial(andrews_gordon_sum, 4, 2, 10**20), id="andrews_gordon_sum"),
+    pytest.param(partial(class_gf, GLASGOW, 10**20), id="class_gf"),
+    pytest.param(partial(series_sum, (0, 2), (), [PochSpec(1, 1)], 10**20), id="series_sum"),
+])
+def test_huge_sums_fail_before_any_term(build):
+    # each allocates its trunc + 1 output first; a term list would run toward 10**20
+    with pytest.raises(OverflowError):
+        build()
 
 
 class TestGollnitzPivot:

@@ -9,7 +9,7 @@ from qsip.closed_forms import combined_row_formula, schur_closed
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import gaussian_binomial
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
-                         TruncationExceeded, binomial_factor)
+                         TruncationExceeded, _nested_sum, binomial_factor)
 from qsip.sip import SCHUR_REFINED, basis_table, count_class
 
 UV = ("u", "v")
@@ -302,6 +302,60 @@ def test_kernel_takes_only_unit_c(c):
         with pytest.raises(ValueError):
             binomial_factor(coeffs, c, 1, power)
         assert coeffs == [1, 2, 3]
+
+
+# -- the inside-out sum kernel against a prefix-product reference -------------
+
+def nested_sum_reference(terms, factors, last):
+    """Each term times its own prefix product g_0 ... g_(i-1), through q^last,
+    with plain loops: a factor is 1 + c*q^e or, divided, the geometric
+    series of -c*q^e."""
+    total = [0] * (last + 1)
+    prefix = [1] + [0] * last
+    for i, term in enumerate(terms):
+        if term is not None:
+            o, row = term
+            for j, x in enumerate(row):
+                for n, y in enumerate(prefix):
+                    if o + j + n <= last:
+                        total[o + j + n] += x * y
+        for c, e, power in factors[i] if i < len(terms) - 1 else ():
+            if power == 1:
+                pairs = [(0, 1), (e, c)]
+            else:
+                pairs = [(e * k, (-c) ** k) for k in range(last // e + 1)]
+            prefix = [sum(prefix[n - d] * x for d, x in pairs if d <= n)
+                      for n in range(last + 1)]
+    return total
+
+
+_unit = st.sampled_from([1, -1])
+_factor = st.one_of(st.tuples(_unit, st.integers(0, 6), st.just(1)),
+                    st.tuples(_unit, st.integers(1, 6), st.just(-1)))
+
+
+@st.composite
+def nested_case(draw):
+    """(terms, factors, last): None gaps, offsets in any order and past
+    last, and 0-2 factors per step of both powers."""
+    last = draw(st.integers(0, 12))
+    term = st.one_of(st.none(), st.tuples(st.integers(0, last + 3),
+                                          st.lists(coeff_ints, max_size=6)))
+    terms = draw(st.lists(term, max_size=6))
+    factors = [draw(st.lists(_factor, max_size=2)) for _ in terms]
+    return terms, factors, last
+
+
+@given(nested_case())
+@settings(max_examples=150)
+def test_nested_sum_matches_prefix_products(case):
+    terms, factors, last = case
+    before = [None if t is None else (t[0], list(t[1])) for t in terms]
+    start, row = _nested_sum(terms, factors, last)
+    assert terms == before  # the term rows are only read
+    offsets = [t[0] for t in terms if t is not None and t[0] <= last]
+    assert start == min(offsets, default=last + 1) and len(row) == last + 1 - start
+    assert [0] * start + row == nested_sum_reference(terms, factors, last)
 
 
 # -- the int-row core against a MarkerPoly schoolbook reference ---------------
