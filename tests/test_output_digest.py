@@ -1,12 +1,15 @@
 """Recorded digests of the package's outputs, one sha256 per identity id and
-per SIP class.
+two per SIP class.
 
 An identity's digest covers its series and product sides at every
-truncation 0..120 and its oracle at every total 0..20; a class's digest
-covers ``class_gf`` at every truncation 0..60.  Only public read-outs are
-hashed: ``trunc``, ``markers``, ``monomial_rows`` and, through trunc 40,
-``str``.  So any change to the internal row layout keeps the digests, and
-any change to an output breaks one.
+truncation 0..120 and its oracle at every total 0..20; a class's digests
+cover ``class_gf`` at every truncation 0..60 and ``verify_sip`` at every
+total 0..24.  Only public read-outs are hashed: ``trunc``, ``markers``,
+``monomial_rows`` and, through trunc 40, ``str``; of a ``verify_sip``
+report, ``ok``, ``class_count``, ``recomposed_count``, the length of each
+of its four lists and ``summary()``.  So any change to the internal row
+layout or to how the bijection is walked keeps the digests, and any change
+to an output breaks one.
 
 Run this file as a script to print the digests of the current code.
 """
@@ -19,6 +22,7 @@ SIDE_TRUNCS = range(121)
 ORACLE_TOTALS = range(21)
 CLASS_TRUNCS = range(61)
 STR_TRUNC_MAX = 40
+VERIFY_TOTALS = range(25)
 
 RECORDED = {
     "euler-any": "7ebf40393b7460566d57ea55ea85dcf5cad602e6f7327287d8dcd97516352bbb",
@@ -40,6 +44,13 @@ RECORDED = {
     "class_gf:schur": "dd360e7171df1e69bfcf120d82a44bd06d87204365eb620d8072e28ff0981e6e",
     "class_gf:schur-refined": "e0de5b5914e4f34d53ec89ff68950e35beaa49eae31c05df136f9dd0b278db76",
     "class_gf:glasgow": "3a7876845ac081976860ffd2d440ac708f13786d0f4fe529a223e32d2e83874a",
+    "verify_sip:natural": "faa7fd080bff858f4453d838269bca939a42cc0d8d16107bee5f483815205a03",
+    "verify_sip:distinct": "b0e63966f60e388abcbc5b94bd8e9080c1d6f72dd713a0260043b597652b693b",
+    "verify_sip:rogers-ramanujan": "5ca2fa17106e5d977e66f44dbe3bdbf2fa3c55f9f4c61fee1d8d860d00405ac0",
+    "verify_sip:gollnitz": "4d0c0834edb6946be5dde27e8d21690cf26ca0b59765316737c1f3bc3eeb16a6",
+    "verify_sip:schur": "b36b1272027b9167e6055e62d5e523c06c12e13c9dc065fe069c08ee5330f314",
+    "verify_sip:schur-refined": "b36b1272027b9167e6055e62d5e523c06c12e13c9dc065fe069c08ee5330f314",
+    "verify_sip:glasgow": "16eb8a7a6b4e401ec8245bb814a8ea4588b9c546457820a93d2d912ee772131e",
 }
 
 
@@ -65,6 +76,15 @@ def digests() -> dict[str, str]:
         for trunc in CLASS_TRUNCS:
             feed(digest, "class_gf", sip.class_gf(spec, trunc))
         out[f"class_gf:{name}"] = digest.hexdigest()
+    for name, spec in sip.SPEC_REGISTRY.items():
+        digest = hashlib.sha256()
+        for total in VERIFY_TOTALS:
+            report = sip.verify_sip(spec, total)
+            digest.update(repr((
+                total, report.ok, report.class_count, report.recomposed_count,
+                len(report.collisions), len(report.omissions), len(report.not_in_class),
+                len(report.constructive_mismatches), report.summary())).encode())
+        out[f"verify_sip:{name}"] = digest.hexdigest()
     return out
 
 
