@@ -29,6 +29,12 @@ when the weights put every monomial's row in one residue class mod k, and
 1 otherwise.  A weight is a monomial, its exponent vector over the spec's
 markers, so it multiplies an entry as a key shift: every monomial moves by
 that vector, and the rows and their starts stay.
+
+verify_sip checks the split exhaustively without holding the members: it
+merges the member walk, which builds each member's basis by the
+constructive rule, with a walk over every basis element plus padding, both
+in ascending lexicographic order of parts, so each member must meet exactly
+one recomposition, with the same basis.
 """
 
 from __future__ import annotations
@@ -197,12 +203,6 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
     return map(itemgetter(0), _member_walk(spec, total_max))
 
 
-def _members(spec: SipClassSpec, total_max: int) -> dict[Partition, Partition]:
-    """{member: its constructive basis} for every class member of total <=
-    total_max, the empty one included, from one member walk."""
-    return dict(map(itemgetter(0, 1), _member_walk(spec, total_max)))
-
-
 def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
     """The class generating function to q^total_max, counted by a walk with
     one state per member, weighted by the product of its parts' weights
@@ -305,39 +305,50 @@ def recompose(decomp: SipDecomposition) -> Partition:
     return tuple(b + p for b, p in zip(decomp.basis, decomp.padding))
 
 
-def _bases(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
-    """Every basis element of total 1..total_max, each once, from one walk
-    whose successors are cut at the remaining total: parts are positive and
-    basis elements are closed under taking prefixes."""
+def _recompositions(spec: SipClassSpec, total_max: int, collisions: list) -> Iterator[tuple]:
+    """Every basis element plus padding of total <= total_max, the empty one
+    first, in ascending pre-order, as the walk state (parts, basis,
+    remaining total).
+
+    Each step adds one part: a basis part that may follow the last one
+    (:func:`basis_successors`, ascending, looked up once per basis value)
+    plus a padding at least the last one, in steps of k.  A node's children
+    are sorted by part value, so the parts come in strictly ascending
+    lexicographic order.  A child whose part value an earlier sibling
+    already took is appended to ``collisions`` as (the sibling's basis, its
+    basis, parts) and not walked, since its subtree would repeat the
+    sibling's.  Two nodes with equal parts branch at such a pair of
+    children, so this covers every collision.
+    """
+    k = spec.k
     firsts = sorted(set(spec.c))
+    nexts_of: dict[int, list[int]] = {}
 
     def successors(state):
-        parts, remaining = state
-        nexts = basis_successors(spec, parts[-1]) if parts else firsts
-        if nexts[0] > remaining:
+        parts, basis, remaining = state
+        if basis:
+            b = basis[-1]
+            nexts = nexts_of.get(b)
+            if nexts is None:
+                nexts = nexts_of[b] = basis_successors(spec, b)
+            pad = parts[-1] - b
+        else:
+            nexts, pad = firsts, 0
+        low = nexts[0] + pad
+        if low > remaining:
             return ()
-        return ((parts + (p,), remaining - p) for p in nexts if p <= remaining)
+        if len(nexts) == 1:  # one progression is already in order
+            return zip(map(parts.__add__, zip(range(low, remaining + 1, k))),
+                       repeat(basis + (nexts[0],)), range(remaining - low, -1, -k))
+        kids = []
+        for v, b in sorted((v, b) for b in nexts for v in range(b + pad, remaining + 1, k)):
+            if kids and kids[-1][0][-1] == v:
+                collisions.append((kids[-1][1], basis + (b,), parts + (v,)))
+            else:
+                kids.append((parts + (v,), basis + (b,), remaining - v))
+        return kids
 
-    return islice(map(itemgetter(0), grow(((), total_max), successors)), 1, None)
-
-
-def _paddings(n: int, k: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing n-tuples (n >= 1) of non-negative multiples of k summing
-    <= budget: one walk over the (n-1)-prefixes, each followed by every value
-    its last slot can take.  A slot never exceeds the budget left over the
-    slots from it on, so every prefix extends to a full tuple.  A walk state
-    is (prefix, budget left, slots left)."""
-    def successors(state):
-        head, rest, slots = state
-        if slots < 2:
-            return ()
-        return ((head + (p,), rest - p, slots - 1)
-                for p in range(head[-1] if head else 0, rest // slots + 1, k))
-
-    for head, rest, slots in grow(((), budget, n), successors):
-        if slots == 1:
-            for p in range(head[-1] if head else 0, rest + 1, k):
-                yield head + (p,)
+    return grow(((), (), total_max), successors)
 
 
 @dataclass
@@ -359,53 +370,61 @@ class SipVerifyReport:
                     or self.constructive_mismatches)
 
     def summary(self) -> str:
-        verdict = "pass" if self.ok else "FAIL"
+        counts = (f"{self.class_count} members, {self.recomposed_count} recompositions, "
+                  f"{len(self.collisions)} collisions, {len(self.omissions)} omissions")
+        if not self.ok:  # name every reason a check can fail
+            counts += (f", {len(self.not_in_class)} not in class, "
+                       f"{len(self.constructive_mismatches)} constructive mismatches")
         return (f"verify_sip k={self.spec.k} c={self.spec.c} d={self.spec.d} "
-                f"total<={self.total_max}: {verdict} "
-                f"({self.class_count} members, {self.recomposed_count} recompositions, "
-                f"{len(self.collisions)} collisions, {len(self.omissions)} omissions)")
+                f"total<={self.total_max}: {'pass' if self.ok else 'FAIL'} ({counts})")
 
 
 def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
     """Exhaustively confirm unique decomposition for all members <= total_max.
 
-    One walk over the basis elements of total <= total_max (:func:`_bases`)
-    recomposes each with every padding that fits, and the report lists
-    collisions (two decompositions of one partition), omissions (members
-    never produced), escapes from the class, and any disagreement with the
-    constructive split of :func:`decompose`.  The members and their
-    constructive bases come from one member walk (:func:`_members`).  When
-    a member is first produced it leaves that dict for ``seen``, which
-    keeps only its basis; :func:`~qsip.partitions.in_sip_class` confirms
-    it, and its basis must be the constructive one.  Paddings and
-    SipDecomposition objects are rebuilt for report entries only.
+    Two walks in ascending lexicographic order of parts run in lockstep: the
+    member walk (:func:`_member_walk`), which carries each member's
+    constructive basis, and the recomposition walk
+    (:func:`_recompositions`) over every basis element plus padding.  A
+    member head below the recomposition head was never produced (an
+    omission); a recomposition that is not the member head escaped the
+    class; a matched member must pass :func:`~qsip.partitions.in_sip_class`
+    and carry the recomposition's basis; and a collision (two
+    decompositions of one partition) is flagged by the recomposition walk.
+    Only the walks' paths are held, so memory grows with the depth, not the
+    member count.  Paddings and SipDecomposition objects are rebuilt for
+    report entries only.
     """
-    members = _members(spec, total_max)
-    report = SipVerifyReport(spec=spec, total_max=total_max, class_count=len(members))
-    members.pop((), None)  # the empty member has no basis element to recompose
+    def split(basis, parts):
+        return SipDecomposition(basis, tuple(map(sub, parts, basis)))
 
-    seen: dict[Partition, Partition] = {}
-    recomposed = 0
-    for basis in _bases(spec, total_max):
-        for pad in _paddings(len(basis), spec.k, total_max - sum(basis)):
-            parts = tuple(map(add, basis, pad))
-            recomposed += 1
-            built = members.pop(parts, None)
-            if built is not None:
-                seen[parts] = basis
-                if not in_sip_class(parts, spec):
-                    report.not_in_class.append((SipDecomposition(basis, pad), parts))
-                elif built != basis:
-                    report.constructive_mismatches.append(
-                        (parts, SipDecomposition(built, tuple(map(sub, parts, built)))))
-            elif parts in seen:
-                first = seen[parts]
-                report.collisions.append((SipDecomposition(first, tuple(map(sub, parts, first))),
-                                          SipDecomposition(basis, pad), parts))
-            else:
-                report.not_in_class.append((SipDecomposition(basis, pad), parts))
-    report.recomposed_count = recomposed
-    report.omissions = list(members)
+    members = _member_walk(spec, total_max)
+    next(members)  # the empty member has no basis element to recompose
+    report = SipVerifyReport(spec=spec, total_max=total_max)
+    collisions: list[tuple] = []
+    matched = recomposed = 0
+    head = next(members, None)
+    for parts, basis, _ in islice(_recompositions(spec, total_max, collisions), 1, None):
+        recomposed += 1
+        if head is None or head[0] != parts:
+            while head is not None and head[0] < parts:
+                report.omissions.append(head[0])
+                head = next(members, None)
+            if head is None or head[0] != parts:
+                report.not_in_class.append((split(basis, parts), parts))
+                continue
+        matched += 1
+        if not in_sip_class(parts, spec):
+            report.not_in_class.append((split(basis, parts), parts))
+        elif head[1] != basis:
+            report.constructive_mismatches.append((parts, split(head[1], parts)))
+        head = next(members, None)
+    if head is not None:  # members past the last recomposition
+        report.omissions += [head[0], *map(itemgetter(0), members)]
+    report.collisions = [(split(first, parts), split(basis, parts), parts)
+                         for first, basis, parts in collisions]
+    report.class_count = 1 + matched + len(report.omissions)
+    report.recomposed_count = recomposed + len(collisions)
     return report
 
 

@@ -1,6 +1,7 @@
 """Basis enumeration, decomposition uniqueness and assembly contracts."""
 
 import sys
+import tracemalloc
 from itertools import combinations_with_replacement, count
 
 import pytest
@@ -205,34 +206,52 @@ class TestVerifySip:
 
     @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
     def test_member_walk_carries_constructive_basis(self, spec):
-        members = sip._members(spec, 18)
-        assert list(members) == list(enumerate_class(spec, 18))
-        for parts, basis in members.items():
-            assert basis == decompose(parts, spec).basis
+        walked = list(sip._member_walk(spec, 18))
+        assert [parts for parts, _, _ in walked] == list(enumerate_class(spec, 18))
+        for parts, basis, remaining in walked:
+            assert basis == (decompose(parts, spec).basis if parts else ())
+            assert remaining == 18 - sum(parts)
 
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError, match="total_max must be non-negative"):
             verify_sip(NATURAL, -1)
 
     @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
-    def test_pruned_basis_walk_matches_enumerate_basis(self, spec):
-        # every part is at least min(c), so no element of total <= t has
-        # more than t // min(c) parts
-        for t in range(25):
-            walked = list(sip._bases(spec, t))
-            assert len(walked) == len(set(walked))
-            assert set(walked) == {
-                basis for n in range(1, t // min(spec.c) + 1)
-                for basis in enumerate_basis(spec, n, t) if sum(basis) <= t}
+    def test_recomposition_walk_is_basis_times_padding(self, spec):
+        # a padding of n slots with sum <= budget is n - m zeros and then m
+        # positive multiples of k, each at most budget - (m - 1)k; every part
+        # is at least min(c), so no element of total <= 24 has more than
+        # 24 // min(c) parts
+        top, k = 24, spec.k
+        built = []
+        for n in range(1, top // min(spec.c) + 1):
+            for basis in enumerate_basis(spec, n, top):
+                budget = top - sum(basis)
+                for m in range(min(n, budget // k) + 1):
+                    for tail in combinations_with_replacement(
+                            range(k, budget - (m - 1) * k + 1, k), m):
+                        if sum(tail) <= budget:
+                            pad = (0,) * (n - m) + tail
+                            built.append((tuple(b + p for b, p in zip(basis, pad)), basis))
+        for t in range(top + 1):
+            collisions = []
+            walked = list(sip._recompositions(spec, t, collisions))
+            assert walked[0] == ((), (), t) and collisions == []
+            # each pair once, parts strictly ascending: the order verify_sip merges in
+            assert [(parts, basis) for parts, basis, _ in walked[1:]] == sorted(
+                pair for pair in built if sum(pair[0]) <= t)
+            assert all(a[0] < b[0] for a, b in zip(walked, walked[1:]))
+            assert all(remaining == t - sum(parts) for parts, _, remaining in walked)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_paddings_match_sorted_tuples(self, k):
-        # non-decreasing tuples in lexicographic order, filtered by their sum
-        for n in range(1, 5):
-            for budget in range(13):
-                assert list(sip._paddings(n, k, budget)) == [
-                    pad for pad in combinations_with_replacement(range(0, budget + 1, k), n)
-                    if sum(pad) <= budget]
+    def test_memory_does_not_grow_with_member_count(self):
+        # 28,629 members; the two walks hold only their current paths
+        tracemalloc.start()
+        try:
+            assert verify_sip(NATURAL, 30).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_rejects_bad_spec_before_verification(self):
         with pytest.raises(ValueError):
@@ -253,37 +272,44 @@ class TestVerifySipFaults:
             assert bool(getattr(report, other)) == (other == name), other
 
     def test_member_missing_from_class_stream(self, monkeypatch):
-        real = sip._members
-        dropped = next(p for p in real(self.SPEC, self.TOTAL) if len(p) == 2)
-        monkeypatch.setattr(sip, "_members", lambda spec, total_max: {
-            p: b for p, b in real(spec, total_max).items() if p != dropped})
+        real = sip._member_walk
+        dropped = next(p for p, _, _ in real(self.SPEC, self.TOTAL) if len(p) == 2)
+        monkeypatch.setattr(sip, "_member_walk", lambda spec, total_max: (
+            state for state in real(spec, total_max) if state[0] != dropped))
         self.assert_caught_only_by("not_in_class")
 
-    def test_padding_yielded_twice(self, monkeypatch):
-        real = sip._paddings
-
-        def doubled(n, k, budget):
-            pads = list(real(n, k, budget))
-            return pads + pads[:1] if n == 2 else pads
-
-        monkeypatch.setattr(sip, "_paddings", doubled)
+    def test_basis_successor_listed_twice(self, monkeypatch):
+        real = sip.basis_successors
+        monkeypatch.setattr(sip, "basis_successors", lambda spec, value: (
+            real(spec, value) + real(spec, value)[:1]))
         self.assert_caught_only_by("collisions")
 
     def test_basis_element_dropped(self, monkeypatch):
-        real = sip._bases
-        dropped = next(b for b in real(self.SPEC, self.TOTAL) if len(b) == 2)
-        monkeypatch.setattr(sip, "_bases", lambda spec, total_max: (
-            b for b in real(spec, total_max) if b != dropped))
+        # a successor left out drops every basis element that goes through it
+        real = sip.basis_successors
+        monkeypatch.setattr(sip, "basis_successors", lambda spec, value: real(spec, value)[1:])
         self.assert_caught_only_by("omissions")
 
+    def test_last_member_never_recomposed(self, monkeypatch):
+        # a member stream that outlasts the recompositions: its tail is omitted
+        real = sip._recompositions
+        last = list(real(self.SPEC, self.TOTAL, []))[-1][0]
+        monkeypatch.setattr(sip, "_recompositions", lambda spec, total_max, collisions: (
+            state for state in real(spec, total_max, collisions) if state[0] != last))
+        self.assert_caught_only_by("omissions")
+        report = verify_sip(self.SPEC, self.TOTAL)
+        assert (report.omissions, report.class_count) == ([last], 60)
+
     def test_constructive_basis_corrupted(self, monkeypatch):
-        real = sip._members
+        real = sip._member_walk
 
         def corrupted(spec, total_max):
-            return {p: b[:1] + (b[1] + spec.k,) if len(p) == 2 else b
-                    for p, b in real(spec, total_max).items()}
+            for parts, basis, remaining in real(spec, total_max):
+                if len(parts) == 2:
+                    basis = basis[:1] + (basis[1] + spec.k,)
+                yield parts, basis, remaining
 
-        monkeypatch.setattr(sip, "_members", corrupted)
+        monkeypatch.setattr(sip, "_member_walk", corrupted)
         self.assert_caught_only_by("constructive_mismatches")
 
     def test_member_rejected_by_class_test(self, monkeypatch):
@@ -295,7 +321,8 @@ class TestVerifySipFaults:
         assert report.not_in_class == [(SipDecomposition((1, 3), (0, 2)), (1, 5))]
         assert report.summary() == (
             "verify_sip k=2 c=(1, 2) d=(2, 3) total<=14: FAIL "
-            "(60 members, 59 recompositions, 0 collisions, 0 omissions)")
+            "(60 members, 59 recompositions, 0 collisions, 0 omissions, "
+            "1 not in class, 0 constructive mismatches)")
 
 
 def reference_basis_table(spec, max_n, max_h):
