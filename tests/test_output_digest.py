@@ -1,15 +1,23 @@
-"""Recorded digests of the package's outputs, one sha256 per identity id and
-two per SIP class.
+"""Recorded digests of the package's outputs, one sha256 per identity id,
+two per SIP class and one per product builder or check below.
 
 An identity's digest covers its series and product sides at every
 truncation 0..120 and its oracle at every total 0..20; a class's digests
 cover ``class_gf`` at every truncation 0..60 and ``verify_sip`` at every
-total 0..24.  Only public read-outs are hashed: ``trunc``, ``markers``,
-``monomial_rows`` and, through trunc 40, ``str``; of a ``verify_sip``
-report, ``ok``, ``class_count``, ``recomposed_count``, the length of each
-of its four lists and ``summary()``.  So any change to the internal row
-layout or to how the bijection is walked keeps the digests, and any change
-to an output breaks one.
+total 0..24.  The product digests cover ``binomial_row(a, b, base=base)``
+for 0 <= a <= 40, -1 <= b <= a + 1 and base 1..4; ``poch_finite`` for
+every unmarked and marked spec of sign +-1, offset 0..3 and step 1..3 with
+n <= 8 factors, exact and at trunc 30; ``gollnitz_intermediate`` at every
+truncation 0..120; ``telescope_check(n, t)`` for 1 <= n <= 10 and t <= 60;
+and ``glasgow_row_sums``, ``base_gf`` and ``chu_vandermonde_series_check``
+on small grids.  Only public read-outs are hashed: ``trunc``, ``markers``,
+``monomial_rows`` and, through trunc 40 or for an exact polynomial,
+``str``; of a ``verify_sip`` report, ``ok``, ``class_count``,
+``recomposed_count``, the length of each of its four lists and
+``summary()``; of a ``telescope_check`` result, ``passed`` and
+``failures``.  So any change to the internal row layout, to how the
+bijection is walked or to how a product's factors are applied keeps the
+digests, and any change to an output breaks one.
 
 Run this file as a script to print the digests of the current code.
 """
@@ -17,12 +25,21 @@ Run this file as a script to print the digests of the current code.
 import hashlib
 
 from qsip import catalog, sip
+from qsip import closed_forms as cf
+from qsip.ncopies import base_gf
+from qsip.qfactory import PochSpec, binomial_row, poch_finite
 
 SIDE_TRUNCS = range(121)
 ORACLE_TOTALS = range(21)
 CLASS_TRUNCS = range(61)
 STR_TRUNC_MAX = 40
 VERIFY_TOTALS = range(25)
+BINOMIAL_TOPS = range(41)
+BINOMIAL_BASES = range(1, 5)
+POCH_COUNTS = range(9)
+GOLLNITZ_TRUNCS = range(121)
+TELESCOPE_TERMS = range(1, 11)
+TELESCOPE_TRUNCS = range(61)
 
 RECORDED = {
     "euler-any": "7ebf40393b7460566d57ea55ea85dcf5cad602e6f7327287d8dcd97516352bbb",
@@ -51,12 +68,22 @@ RECORDED = {
     "verify_sip:schur": "b36b1272027b9167e6055e62d5e523c06c12e13c9dc065fe069c08ee5330f314",
     "verify_sip:schur-refined": "b36b1272027b9167e6055e62d5e523c06c12e13c9dc065fe069c08ee5330f314",
     "verify_sip:glasgow": "16eb8a7a6b4e401ec8245bb814a8ea4588b9c546457820a93d2d912ee772131e",
+    "binomial_row": "8dfd58e1deac78815148a775377034e779ab384d5ae1d1c7113cfabb44aaf6de",
+    "poch_finite:unmarked": "30c843cc138af5e2731175aca1e4121e38f875638c476670a2d7209fa7d67847",
+    "poch_finite:marked": "231a51fe4b994cdcefd855af521c37adc95c39e37e47effdc9ba5812053a9ca8",
+    "gollnitz_intermediate": "be4d3da95e4ed10f4216d042e0e52afa63df3b59c4f557951b69d796010074c8",
+    "telescope_check": "bad2969f3f6d88512adab1fa8dc954c144a14d5ccbbf22bd22d8127bc48c2126",
+    "glasgow_row_sums": "3de94b51ac575adc07cd8744fcf711ce5081bfdff5c902897e33d4dc02af0214",
+    "base_gf": "5201099c6ec3e4f7514f5a2c239d5a1db82f0e68f5ab6f1b2b31e729c24ef641",
+    "chu_vandermonde_series_check": "b1c24a683a0cef38721a525ad59487a737b3822af1f16670171d3d83f57a6407",
 }
 
 
 def feed(digest, label: str, series) -> None:
-    rows = sorted(series.monomial_rows(series.trunc).items())
-    text = str(series) if series.trunc <= STR_TRUNC_MAX else ""
+    exact = series.trunc is None
+    upto = len(series.coeffs) - 1 if exact else series.trunc
+    rows = sorted(series.monomial_rows(upto).items())
+    text = str(series) if exact or series.trunc <= STR_TRUNC_MAX else ""
     digest.update(repr((label, series.trunc, series.markers, rows, text)).encode())
 
 
@@ -85,6 +112,55 @@ def digests() -> dict[str, str]:
                 len(report.collisions), len(report.omissions), len(report.not_in_class),
                 len(report.constructive_mismatches), report.summary())).encode())
         out[f"verify_sip:{name}"] = digest.hexdigest()
+    out.update(product_digests())
+    return out
+
+
+def product_digests() -> dict[str, str]:
+    out = {}
+    digest = hashlib.sha256()
+    for base in BINOMIAL_BASES:
+        for a in BINOMIAL_TOPS:
+            for b in range(-1, a + 2):
+                digest.update(repr((a, b, base, binomial_row(a, b, base=base))).encode())
+    out["binomial_row"] = digest.hexdigest()
+    for marker in (None, "x"):
+        digest = hashlib.sha256()
+        for sign in (1, -1):
+            for offset in range(4):
+                for step in range(1, 4):
+                    spec = PochSpec(offset, step, sign=sign, marker=marker)
+                    for n in POCH_COUNTS:
+                        for trunc in (None, 30):
+                            feed(digest, repr((spec, n)), poch_finite(spec, n, trunc))
+        out[f"poch_finite:{'marked' if marker else 'unmarked'}"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for trunc in GOLLNITZ_TRUNCS:
+        feed(digest, "gollnitz_intermediate", catalog.gollnitz_intermediate(trunc))
+    out["gollnitz_intermediate"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for n in TELESCOPE_TERMS:
+        for trunc in TELESCOPE_TRUNCS:
+            result = catalog.telescope_check(n, trunc)
+            digest.update(repr((n, trunc, result.passed, result.failures)).encode())
+    out["telescope_check"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for residue, row_sum in sorted(cf.glasgow_row_sums(n).items()):
+            feed(digest, repr((n, residue)), row_sum)
+    out["glasgow_row_sums"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for r in range(-1, 3):
+        for parts in range(9):
+            for trunc in range(41):
+                feed(digest, repr((parts, r)), base_gf(parts, r, trunc))
+    out["base_gf"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for r in range(6):
+        for s in range(6):
+            for trunc in range(41):
+                digest.update(repr((r, s, trunc, cf.chu_vandermonde_series_check(r, s, trunc))).encode())
+    out["chu_vandermonde_series_check"] = digest.hexdigest()
     return out
 
 
