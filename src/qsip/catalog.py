@@ -86,7 +86,7 @@ from typing import Callable
 from . import ncopies as nc
 from .partitions import count_gordon
 from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
-                       poch_infinite, poch_product, series_sum)
+                       poch_product, series_sum)
 from .series import QSeries, _nested_sum, binomial_factor
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                   SCHUR_REFINED, class_gf, count_class)
@@ -288,7 +288,7 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
     by exactly the N-th summand.  Summand N is a one-term
     :func:`~qsip.series._nested_sum` call: the row's hook piece at q^(2N)
     under g_0 ... g_(N-1), the factors of (-q^3; q^4) / (q^2; q^2).  The
-    closed form steps by one g per N on its own list.
+    closed form is rebuilt from its definition for each N, on its own list.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -307,9 +307,7 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
         partial[:] = map(add, partial, term)
         if n == 0:
             continue
-        previous = closed[:]
-        for c, e, power in factors[n - 1]:
-            binomial_factor(closed, c, e, power)
+        previous, closed = closed, den.apply(num.apply([1] + [0] * trunc, n), n, -1)
         if partial != closed:
             failures.append(f"partial sum N={n} differs from closed form")
         if n >= 2 and list(map(sub, closed, previous)) != term:
@@ -324,11 +322,12 @@ def gollnitz_intermediate(trunc: int) -> QSeries:
 
     Equals (-q; q^2)_infinity times the sum over j of
     q^(2 j^2) / ((-q; q^2)_j (q^2; q^2)_j); both of the registered
-    Gollnitz-Gordon sides must agree with it.
+    Gollnitz-Gordon sides must agree with it.  The product is applied to
+    the sum's row, so no two series are multiplied.
     """
     plus_odds = PochSpec(1, 2, sign=-1)
-    return poch_infinite(plus_odds, trunc) \
-        * series_sum((4, 0), (), (plus_odds, _EVENS), trunc)
+    row = series_sum((4, 0), (), (plus_odds, _EVENS), trunc).int_coefficients(trunc)
+    return QSeries._make({(): plus_odds.apply(row, None)}, trunc, ())
 
 
 def substitute_neg_q_squared(series: QSeries) -> QSeries:

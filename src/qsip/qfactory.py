@@ -6,19 +6,19 @@ sums, Andrews-Gordon multisums and two-sided theta sums.  Everything is
 exact integer arithmetic on :class:`~qsip.series.QSeries` values, except
 that Gaussian binomials are cached as immutable int rows
 (:func:`binomial_row`) for the int-row builders; :func:`gaussian_binomial`
-wraps a row as a series.  Every
-product, Gaussian binomials included, is a loop of one factor kernel,
+wraps a row as a series.  Every unmarked product, Gaussian binomials
+included, is one loop, :meth:`PochSpec.apply`, of one factor kernel,
 :func:`~qsip.series.binomial_factor`, which multiplies or divides one int
-list by a single factor 1 + c*q^e in O(trunc); every sum is one or more
+list by a single factor 1 + c*q^e in O(trunc).  Every sum is one or more
 calls of the inside-out sum :func:`~qsip.series._nested_sum`, which runs
 that kernel on the part of the sum already gathered.  A product with a
 marker x is expanded by the q-binomial theorem and Euler's two identities
 (Andrews, *The Theory of Partitions*, 1976, Thm 2.1 and Cor. 2.2): the
 x^k row of a marked Pochhammer product is its x^(k-1) row shifted and run
-through one or two such kernel calls (:func:`_expand`), so no two series
-are multiplied and a product costs O(rows * trunc).  Infinite products are
-cut at the first factor whose minimal exponent exceeds the requested
-truncation, which cannot affect any retained coefficient."""
+through one or two such kernel calls (:func:`_expand`).  So no builder
+multiplies two series, and a product costs O(rows * trunc).  Infinite
+products are cut at the first factor whose minimal exponent exceeds the
+requested truncation, which cannot affect any retained coefficient."""
 
 from __future__ import annotations
 
@@ -59,14 +59,17 @@ class PochSpec:
     def factor_exponent(self, j: int) -> int:
         return self.offset + j * self.step
 
-    def apply(self, coeffs: list, count: int, power: int = 1) -> list:
-        """Multiply (power 1) or divide (power -1) an int coefficient list in
-        place by the first ``count`` factors, one kernel call each; returns it.
-        A marked spec raises ValueError: a plain list has no marker to carry."""
+    def apply(self, coeffs: list, count: int | None, power: int = 1) -> list:
+        """Multiply (power 1) or divide (power -1) an int list in place by the
+        first ``count`` factors (all for None), one kernel call each, skipping
+        those past its end, which cannot change it; returns it.  A negative
+        count or a marked spec (a plain list has no marker) raises ValueError."""
         if self.marker is not None:
             raise ValueError(f"marker {self.marker!r} on a plain coefficient list")
-        for j in range(count):
-            binomial_factor(coeffs, -self.sign, self.factor_exponent(j), power)
+        if count is not None and count < 0:
+            raise ValueError(f"factor count must be non-negative, got {count}")
+        for e in range(self.offset, len(coeffs), self.step)[:count]:
+            binomial_factor(coeffs, -self.sign, e, power)
         return coeffs
 
 
@@ -121,16 +124,15 @@ def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
 
     Every list holds ``size`` coefficients; the result is cut at ``trunc``,
     or is an exact polynomial for None, which the lists must then hold
-    whole.  Unmarked factors run the sparse kernel on one int list, and
-    factors at q-exponents past it cannot change it and are skipped.  Each
-    marked spec then expands every monomial row into its rows by marker
-    degree (:func:`_expand`), so no two series are ever multiplied.
+    whole.  Each unmarked spec is applied to one int list by
+    :meth:`PochSpec.apply`.  Each marked spec then expands every monomial
+    row into its rows by marker degree (:func:`_expand`), so no two series
+    are ever multiplied.
     """
     plain = [1] + [0] * (size - 1)
     for spec, count, power in factors:
         if spec.marker is None:
-            for e in range(spec.offset, size, spec.step)[:count]:
-                binomial_factor(plain, -spec.sign, e, power)
+            spec.apply(plain, count, power)
         elif spec.marker not in markers:
             raise ValueError(f"marker {spec.marker!r} not in registry {markers}")
     rows = {(0,) * len(markers): plain}
@@ -190,27 +192,23 @@ def poch_infinite(spec: PochSpec, trunc: int, markers: Iterable[str] | None = No
 
 
 @lru_cache(maxsize=4096)
-def binomial_row(a: int, b: int, base: int = 1) -> tuple[int, ...]:
+def binomial_row(a: int, b: int, *, base: int = 1) -> tuple[int, ...]:
     """Gaussian binomial [a, b] in base q^base as an immutable int row
     through its degree base*b*(a-b), cached; () where it is zero.
 
     Zero-extended: the row is empty whenever b < 0 or b > a.  With
-    b = min(b, a - b) it is the finite q-binomial product over i < b of
-    (1 - q^(base*(a-i))) / (1 - q^(base*(i+1))), run as two kernel calls per
-    i on one int list cut at the degree base*b*(a-b).  The quotient is that
-    polynomial, so the cut loses nothing.  The cache keys ``base=3`` and a
-    positional 3 apart, so every caller passes ``base`` by keyword.
+    b = min(b, a - b) it is its definition
+    (q^(base*(a-b+1)); q^base)_b / (q^base; q^base)_b on one int list cut
+    at the degree base*b*(a-b): the quotient is that polynomial, so the cut
+    loses nothing.  ``base`` is keyword-only, so each row has one cache key.
     """
     if base < 1:
         raise ValueError("base step must be a positive integer")
     if b < 0 or b > a:
         return ()
     b = min(b, a - b)
-    coeffs = [1] + [0] * (base * b * (a - b))
-    for i in range(b):
-        binomial_factor(coeffs, -1, base * (a - i))
-        binomial_factor(coeffs, -1, base * (i + 1), -1)
-    return tuple(coeffs)
+    coeffs = PochSpec(base * (a - b + 1), base).apply([1] + [0] * (base * b * (a - b)), b)
+    return tuple(PochSpec(base, base).apply(coeffs, b, -1))
 
 
 @lru_cache(maxsize=4096)

@@ -183,13 +183,61 @@ def test_schur_product_matches_knapsack():
     assert got.monomial_rows(300) == distinct_mod3_table(300)
 
 
-def test_marked_product_multiplies_no_series(monkeypatch):
-    def refuse(self, other):
-        raise AssertionError("series multiplication in a product build")
+def reference_apply(coeffs, spec, count, power):
+    """The list times the first ``count`` factors (1 - sign*q^e) of an
+    unmarked spec (all of them for None) to the power 1 or -1, cut at the
+    list's end: a schoolbook product with the factor, or with its geometric
+    series sum over k of (sign*q^e)^k for power -1.  It shares no code with
+    the factor kernel."""
+    size, out, j = len(coeffs), list(coeffs), 0
+    while count is None or j < count:
+        e = spec.factor_exponent(j)
+        if e >= size:
+            break
+        if power == 1:
+            factor = [(0, 1), (e, -spec.sign)]
+        else:
+            factor = [(k * e, spec.sign ** k) for k in range((size - 1) // e + 1)]
+        new = [0] * size
+        for i, x in enumerate(out):
+            for d, c in factor:
+                if i + d < size:
+                    new[i + d] += x * c
+        out, j = new, j + 1
+    return out
 
-    monkeypatch.setattr(QSeries, "__mul__", refuse)
-    assert poch_product([(U3, 1), (V3, 1), (PochSpec(1, 1, marker="u"), -1)], 30).trunc == 30
-    assert poch_finite(U3, 5, None).trunc is None
+
+@st.composite
+def apply_case(draw):
+    """An unmarked spec, a count (None for every factor), a power (division
+    only by factors of q-exponent >= 1) and a list of 0..40 coefficients."""
+    power = draw(st.sampled_from([1, -1]))
+    spec = PochSpec(draw(st.integers(1 if power == -1 else 0, 6)), draw(st.integers(1, 5)),
+                    draw(st.sampled_from([1, -1])))
+    count = draw(st.one_of(st.none(), st.integers(0, 8)))
+    return spec, count, power, draw(st.lists(st.integers(-5, 5), max_size=40))
+
+
+@given(apply_case())
+@settings(max_examples=150, deadline=None)
+# eight factors asked for, three below the list's end: q^3, q^7 and q^11
+@example((PochSpec(3, 4), 8, 1, [1] + [0] * 12))
+@example((PochSpec(3, 4, sign=-1), 8, -1, [1] + [0] * 12))
+@example((PochSpec(0, 2, sign=-1), None, 1, [1, 2, 3]))
+@example((PochSpec(1, 1), None, -1, []))
+def test_apply_matches_plain_polynomial_reference(case):
+    spec, count, power, coeffs = case
+    out = list(coeffs)
+    assert spec.apply(out, count, power) is out
+    assert out == reference_apply(coeffs, spec, count, power)
+
+
+def test_apply_rejects_negative_count():
+    for count in (-1, -5):
+        with pytest.raises(ValueError, match="non-negative"):
+            ONES.apply([1, 0, 0, 0], count)
+    # (1 - q)(1 - q^2)(1 - q^3) cut at q^3; no factor lies past them
+    assert ONES.apply([1, 0, 0, 0], 10) == ONES.apply([1, 0, 0, 0], None) == [1, -1, -1, 0]
 
 
 def test_sums_and_plain_lists_reject_markers():
@@ -298,11 +346,16 @@ class TestBinomialRow:
 
     def test_cache_sizes(self):
         assert binomial_row.cache_info().maxsize == 4096
+
+    def test_base_is_keyword_only(self):
+        # so the cache cannot hold one row under two keys
+        with pytest.raises(TypeError):
+            binomial_row(3, 1, 2)
         assert gaussian_binomial.cache_info().maxsize == 4096
 
     def test_rejects_base_below_one(self):
         with pytest.raises(ValueError):
-            binomial_row(3, 1, 0)
+            binomial_row(3, 1, base=0)
         with pytest.raises(ValueError):
             gaussian_binomial(3, 1, 0)
 
