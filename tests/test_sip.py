@@ -313,16 +313,25 @@ class TestVerifySipFaults:
         self.assert_caught_only_by("constructive_mismatches")
 
     def test_member_rejected_by_class_test(self, monkeypatch):
-        real = sip.in_sip_class
-        monkeypatch.setattr(sip, "in_sip_class",
-                            lambda parts, spec: parts != (1, 5) and real(parts, spec))
+        # both walks follow a looser class (even gaps 2, not 3), so they agree
+        # with each other and only the class test sees the members they add
+        loose = SipClassSpec(2, (1, 2), (2, 2))
+        walk, recompositions = sip._member_walk, sip._recompositions
+        monkeypatch.setattr(sip, "_member_walk", lambda spec, total_max: walk(loose, total_max))
+        monkeypatch.setattr(sip, "_recompositions", lambda spec, total_max, collisions: (
+            recompositions(loose, total_max, collisions)))
         self.assert_caught_only_by("not_in_class")
         report = verify_sip(self.SPEC, self.TOTAL)
-        assert report.not_in_class == [(SipDecomposition((1, 3), (0, 2)), (1, 5))]
+        expected = [(SipDecomposition(basis, tuple(p - b for p, b in zip(parts, basis))), parts)
+                    for parts, basis, _ in walk(loose, self.TOTAL)
+                    if not in_sip_class(parts, self.SPEC)]
+        assert report.not_in_class == expected
+        assert len(expected) == 7
+        assert {(2, 4), (2, 4, 6), (2, 4, 7), (2, 4, 8)} <= {parts for _, parts in expected}
         assert report.summary() == (
             "verify_sip k=2 c=(1, 2) d=(2, 3) total<=14: FAIL "
-            "(60 members, 59 recompositions, 0 collisions, 0 omissions, "
-            "1 not in class, 0 constructive mismatches)")
+            "(67 members, 66 recompositions, 0 collisions, 0 omissions, "
+            "7 not in class, 0 constructive mismatches)")
 
 
 def reference_basis_table(spec, max_n, max_h):
