@@ -212,9 +212,10 @@ def binomial_row(a: int, b: int, *, base: int = 1) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4096)
-def gaussian_binomial(a: int, b: int, base: int = 1) -> QSeries:
+def gaussian_binomial(a: int, b: int, *, base: int = 1) -> QSeries:
     """Gaussian binomial [a, b] in base q^base as an exact polynomial: the
-    series of :func:`binomial_row`, zero whenever b < 0 or b > a."""
+    series of :func:`binomial_row`, zero whenever b < 0 or b > a.  ``base``
+    is keyword-only, so each series has one cache key."""
     return _shifted(0, binomial_row(a, b, base=base))
 
 

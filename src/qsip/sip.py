@@ -34,7 +34,9 @@ verify_sip checks the split exhaustively without holding the members: it
 merges the member walk, which builds each member's basis by the
 constructive rule, with a walk over every basis element plus padding, both
 in ascending lexicographic order of parts, so each member must meet exactly
-one recomposition, with the same basis.
+one recomposition, with the same basis.  Its class test reads each new
+part once along the recomposition path: a recomposition is in the class
+when its parent is and its last part meets its residue threshold and gap.
 """
 
 from __future__ import annotations
@@ -388,9 +390,20 @@ def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
     (:func:`_recompositions`) over every basis element plus padding.  A
     member head below the recomposition head was never produced (an
     omission); a recomposition that is not the member head escaped the
-    class; a matched member must pass :func:`~qsip.partitions.in_sip_class`
-    and carry the recomposition's basis; and a collision (two
-    decompositions of one partition) is flagged by the recomposition walk.
+    class; a matched member must pass the class test and carry the
+    recomposition's basis; and a collision (two decompositions of one
+    partition) is flagged by the recomposition walk.
+
+    The class test gives each recomposition the verdict of
+    :func:`~qsip.partitions.in_sip_class` from its last part alone.  It
+    relies on the recomposition walk being a pre-order walk that adds one
+    part per step, so the last earlier recomposition with one part fewer
+    is ``parts[:-1]``: ``fits[n]`` holds the verdict of the last
+    recomposition with n parts, and a recomposition with n parts fits when
+    ``fits[n - 1]`` does and its last part meets its residue threshold and
+    its gap over the part before.  The test reads only ``spec.c`` and
+    ``spec.d``, none of the member walk's rule.
+
     Only the walks' paths are held, so memory grows with the depth, not the
     member count.  Paddings and SipDecomposition objects are rebuilt for
     report entries only.
@@ -401,11 +414,20 @@ def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
     members = _member_walk(spec, total_max)
     next(members)  # the empty member has no basis element to recompose
     report = SipVerifyReport(spec=spec, total_max=total_max)
+    k, c, d = spec.k, spec.c, spec.d
+    fits = [True]  # fits[n]: the verdict of the last recomposition with n parts
     collisions: list[tuple] = []
     matched = recomposed = 0
     head = next(members, None)
     for parts, basis, _ in islice(_recompositions(spec, total_max, collisions), 1, None):
         recomposed += 1
+        n, p = len(parts), parts[-1]
+        r = (p - 1) % k
+        fit = fits[n - 1] and p >= c[r] and (n == 1 or p - parts[-2] >= d[r])
+        if n < len(fits):
+            fits[n] = fit
+        else:
+            fits.append(fit)
         if head is None or head[0] != parts:
             while head is not None and head[0] < parts:
                 report.omissions.append(head[0])
@@ -414,7 +436,7 @@ def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
                 report.not_in_class.append((split(basis, parts), parts))
                 continue
         matched += 1
-        if not in_sip_class(parts, spec):
+        if not fit:
             report.not_in_class.append((split(basis, parts), parts))
         elif head[1] != basis:
             report.constructive_mismatches.append((parts, split(head[1], parts)))

@@ -52,7 +52,7 @@ def test_products_and_sums(refuse_series_products):
     andrews_gordon_sum(3, 2, 30), theta_sum(1, 0, 30)
     for a in range(8):
         for b in range(a + 1):
-            gaussian_binomial(a, b, 2)
+            gaussian_binomial(a, b, base=2)
 
 
 def test_registry_and_catalog_checks(refuse_series_products):

@@ -288,11 +288,21 @@ class TestGaussianBinomial:
     def test_pascal_recurrences(self, base):
         for a in range(1, 11):
             for b in range(0, a + 1):
-                gb = gaussian_binomial(a, b, base)
-                down_b = gaussian_binomial(a - 1, b - 1, base)
-                keep_b = gaussian_binomial(a - 1, b, base)
+                gb = gaussian_binomial(a, b, base=base)
+                down_b = gaussian_binomial(a - 1, b - 1, base=base)
+                keep_b = gaussian_binomial(a - 1, b, base=base)
                 assert gb == down_b + QSeries.monomial(base * b) * keep_b
                 assert gb == keep_b + QSeries.monomial(base * (a - b)) * down_b
+
+    def test_base_is_keyword_only(self):
+        # so each row has one cache key, as for binomial_row
+        with pytest.raises(TypeError):
+            gaussian_binomial(5, 2, 3)
+        gaussian_binomial.cache_clear()
+        first = gaussian_binomial(5, 2, base=3)
+        assert gaussian_binomial(5, 2, base=3) is first
+        info = gaussian_binomial.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_symmetry(self):
         for a in range(11):
@@ -316,7 +326,7 @@ class TestGaussianBinomial:
         table = pascal_table(24, base)
         for a in range(25):
             for b in range(-1, a + 2):
-                assert gaussian_binomial(a, b, base) == QSeries(table.get((a, b), []))
+                assert gaussian_binomial(a, b, base=base) == QSeries(table.get((a, b), []))
 
     def test_counts_at_one(self):
         # evaluating at q = 1 recovers the ordinary binomial coefficient
@@ -342,7 +352,7 @@ class TestBinomialRow:
                 if row:
                     assert len(row) == base * b * (a - b) + 1
                 assert binomial_row(a, b, base=base) is row
-                assert gaussian_binomial(a, b, base) == QSeries(list(row))
+                assert gaussian_binomial(a, b, base=base) == QSeries(list(row))
 
     def test_cache_sizes(self):
         assert binomial_row.cache_info().maxsize == 4096
@@ -357,7 +367,7 @@ class TestBinomialRow:
         with pytest.raises(ValueError):
             binomial_row(3, 1, base=0)
         with pytest.raises(ValueError):
-            gaussian_binomial(3, 1, 0)
+            gaussian_binomial(3, 1, base=0)
 
 
 class TestCongruenceProduct:

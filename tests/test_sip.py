@@ -243,6 +243,27 @@ class TestVerifySip:
             assert all(a[0] < b[0] for a, b in zip(walked, walked[1:]))
             assert all(remaining == t - sum(parts) for parts, _, remaining in walked)
 
+    @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
+    def test_walks_extend_the_last_state_one_part_shorter(self, spec):
+        # verify_sip's class test takes each state's parent verdict from the
+        # last earlier state with one part fewer, which must be parts[:-1]
+        for t in range(25):
+            for states in (sip._recompositions(spec, t, []), sip._member_walk(spec, t)):
+                last = {}
+                for parts, _, _ in states:
+                    if parts:
+                        assert last[len(parts) - 1] == parts[:-1], parts
+                    last[len(parts)] = parts
+
+    @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
+    def test_class_test_scans_no_member(self, spec, monkeypatch):
+        def scan(parts, spec):
+            raise AssertionError("verify_sip scanned a whole member")
+
+        monkeypatch.setattr(sip, "in_sip_class", scan)
+        report = verify_sip(spec, 20)
+        assert report.ok, report.summary()
+
     def test_memory_does_not_grow_with_member_count(self):
         # 28,629 members; the two walks hold only their current paths
         tracemalloc.start()
@@ -312,19 +333,22 @@ class TestVerifySipFaults:
         monkeypatch.setattr(sip, "_member_walk", corrupted)
         self.assert_caught_only_by("constructive_mismatches")
 
-    def test_member_rejected_by_class_test(self, monkeypatch):
-        # both walks follow a looser class (even gaps 2, not 3), so they agree
-        # with each other and only the class test sees the members they add
-        loose = SipClassSpec(2, (1, 2), (2, 2))
+    def walk_looser_class(self, monkeypatch, loose, spec):
+        """Run both walks on ``loose`` whatever class verify_sip checks, so
+        they agree with each other and only the class test sees the members
+        they add; return the not_in_class list expected for ``spec``."""
         walk, recompositions = sip._member_walk, sip._recompositions
         monkeypatch.setattr(sip, "_member_walk", lambda spec, total_max: walk(loose, total_max))
         monkeypatch.setattr(sip, "_recompositions", lambda spec, total_max, collisions: (
             recompositions(loose, total_max, collisions)))
+        return [(SipDecomposition(basis, tuple(p - b for p, b in zip(parts, basis))), parts)
+                for parts, basis, _ in walk(loose, self.TOTAL) if not in_sip_class(parts, spec)]
+
+    def test_member_rejected_by_class_test(self, monkeypatch):
+        # the walks allow even gaps of 2, not 3
+        expected = self.walk_looser_class(monkeypatch, SipClassSpec(2, (1, 2), (2, 2)), self.SPEC)
         self.assert_caught_only_by("not_in_class")
         report = verify_sip(self.SPEC, self.TOTAL)
-        expected = [(SipDecomposition(basis, tuple(p - b for p, b in zip(parts, basis))), parts)
-                    for parts, basis, _ in walk(loose, self.TOTAL)
-                    if not in_sip_class(parts, self.SPEC)]
         assert report.not_in_class == expected
         assert len(expected) == 7
         assert {(2, 4), (2, 4, 6), (2, 4, 7), (2, 4, 8)} <= {parts for _, parts in expected}
@@ -332,6 +356,16 @@ class TestVerifySipFaults:
             "verify_sip k=2 c=(1, 2) d=(2, 3) total<=14: FAIL "
             "(67 members, 66 recompositions, 0 collisions, 0 omissions, "
             "7 not in class, 0 constructive mismatches)")
+
+    def test_later_part_below_its_threshold(self, monkeypatch):
+        # odd parts from 1 in the walks, from 5 in the checked class; with no
+        # gaps, (2, 3) meets its gap and fails only its threshold
+        spec = SipClassSpec(2, (5, 2), (0, 0))
+        expected = self.walk_looser_class(monkeypatch, SipClassSpec(2, (1, 2), (0, 0)), spec)
+        report = verify_sip(spec, self.TOTAL)
+        assert not (report.collisions or report.omissions or report.constructive_mismatches)
+        assert report.not_in_class == expected
+        assert (SipDecomposition((2, 3), (0, 0)), (2, 3)) in expected
 
 
 def reference_basis_table(spec, max_n, max_h):

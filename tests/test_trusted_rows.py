@@ -114,7 +114,7 @@ def fresh_builds():
     out += [andrews_gordon_sum(k, i, t) for k, i in [(2, 1), (3, 2)] for t in (0, 1, 15)]
     out += [theta_sum(q, lin, t, alt) for q, lin in [(1, 0), (3, 1)] for t in (0, 1, 20)
             for alt in (False, True)]
-    out += [gaussian_binomial(a, b, base) for a in range(6) for b in range(-1, a + 2)
+    out += [gaussian_binomial(a, b, base=base) for a in range(6) for b in range(-1, a + 2)
             for base in (1, 2)]
     out += [ncopies.base_gf(parts, r, t) for parts in range(4) for r in (-1, 0, 2)
             for t in (0, 3, 12)]
