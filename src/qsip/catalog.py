@@ -19,12 +19,15 @@ an oracle.
   product over n not congruent to 0 or +-i (mod 2k + 1) of 1/(1 - q^n).
 * Or it is the class generating function :func:`~qsip.sip.class_gf` of a
   separable class (schur-refined's weighted class).
+* Or it is glasgow-mod8's :func:`mod8_sum`, 1 + the sum over n >= 1 of
+  q^(2n) (1 + q^(2n-1)) (-q^3; q^4)_(n-1) / (q^2; q^2)_n, whose numerator
+  is the sum of the class's n-part basis rows
+  (:func:`~qsip.closed_forms.glasgow_row_sums`).
 * A product side is a list of ``(PochSpec, power)`` pairs with power +1 or
   -1, for :func:`~qsip.qfactory.poch_product`; a congruence product is the
   list of its admitted residues r, each a factor 1/(q^r; q^modulus).
 
-One row carries code, a hook for what the data cannot say: glasgow-mod8
-gives each summand its extra (1 + q^(2n-1)) factor.  Registered identities:
+Registered identities:
 
     euler-any            sum q^n/(q;q)_n                = 1/(q;q)
     euler-distinct       sum q^(n(n+1)/2)/(q;q)_n       = (-q;q)
@@ -87,7 +90,7 @@ from . import ncopies as nc
 from .partitions import count_gordon
 from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                        poch_product, series_sum)
-from .series import QSeries, _nested_sum, binomial_factor
+from .series import QSeries, _nested_sum
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                   SCHUR_REFINED, class_gf, count_class)
 
@@ -103,7 +106,6 @@ class NoOracle(Exception):
 _ONES = PochSpec(1, 1)       # (q; q)
 _EVENS = PochSpec(2, 2)      # (q^2; q^2)
 _ODDS = PochSpec(1, 2)       # (q; q^2)
-_GLASGOW_NUM = (PochSpec(3, 4, sign=-1),)   # (-q^3; q^4)
 
 
 def _parts(modulus: int, residues: set[int], mode: str = "excluded"
@@ -111,15 +113,26 @@ def _parts(modulus: int, residues: set[int], mode: str = "excluded"
     return CongruenceProductSpec(modulus, frozenset(residues), mode).factors()
 
 
-def _glasgow_extra(n: int, coeffs: list) -> list:
-    """Summand n >= 1 of the telescoping mod-8 series is
-    (-q^3; q^4)_(n-1) q^(2n) (1 + q^(2n-1)) / (q^2; q^2)_n: the row's plain
-    summand with its last numerator factor (1 + q^(4n-1)) swapped for
-    (1 + q^(2n-1))."""
-    if n:
-        binomial_factor(coeffs, 1, 2 * n - 1)
-        binomial_factor(coeffs, 1, 4 * n - 1, -1)
-    return coeffs
+def _mod8_summands(trunc: int) -> tuple[list, list]:
+    """The :func:`~qsip.series._nested_sum` terms and factors of the mod-8
+    series through q^trunc.  Term 0 is 1 and term n >= 1 is the row
+    1 + q^(2n-1) at q^(2n) (just 1 where q^(2n-1) falls past the cut);
+    g_0 = 1/(1 - q^2) and g_i = (1 + q^(4i-1))/(1 - q^(2i+2)), so the
+    numerator runs one step behind the denominator."""
+    terms, factors = [(0, [1])], [[(-1, 2, -1)]]
+    for n in range(1, trunc // 2 + 1):
+        terms.append((2 * n, [1] + [0] * (2 * n - 2) + [1] if 4 * n - 1 <= trunc else [1]))
+        factors.append([(1, 4 * n - 1, 1), (-1, 2 * n + 2, -1)])
+    return terms, factors
+
+
+def mod8_sum(trunc: int) -> QSeries:
+    """glasgow-mod8's series side, exact to ``trunc``: one
+    :func:`~qsip.series._nested_sum` call over :func:`_mod8_summands`."""
+    total = [0] * (trunc + 1)   # first, so a size too large to hold fails before any term
+    start, row = _nested_sum(*_mod8_summands(trunc), trunc)
+    total[start:] = row
+    return QSeries._make({(): total}, trunc, ())
 
 
 # -- the registry -------------------------------------------------------------
@@ -165,7 +178,7 @@ REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
         partial(count_class, SCHUR_REFINED)),
     IdentityEntry(
         "glasgow-mod8", "Gollnitz mod-8 theorem (Glasgow Math. J. 1967)",
-        partial(series_sum, (0, 4), _GLASGOW_NUM, [_EVENS], extra=_glasgow_extra),
+        mod8_sum,
         partial(poch_product, _parts(8, {1, 5, 6})),
         partial(count_class, GLASGOW)),
     IdentityEntry(
@@ -286,9 +299,10 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
     For each N the partial sum through term N must equal
     (-q^3; q^4)_N / (q^2; q^2)_N, and consecutive closed forms must differ
     by exactly the N-th summand.  Summand N is a one-term
-    :func:`~qsip.series._nested_sum` call: the row's hook piece at q^(2N)
-    under g_0 ... g_(N-1), the factors of (-q^3; q^4) / (q^2; q^2).  The
-    closed form is rebuilt from its definition for each N, on its own list.
+    :func:`~qsip.series._nested_sum` call on term N of
+    :func:`_mod8_summands` under its g_0 ... g_(N-1); a summand that starts
+    past q^trunc is zero.  The closed form is rebuilt from its definition
+    for each N, on its own list.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -296,13 +310,12 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
         raise ValueError("truncation order must be non-negative")
     closed = [1] + [0] * trunc   # first, so a size too large to hold fails before any term
     partial = [0] * (trunc + 1)
-    (num,), den = _GLASGOW_NUM, _EVENS
-    factors = [[(-num.sign, num.factor_exponent(n), 1),
-                (-den.sign, den.factor_exponent(n), -1)] for n in range(n_max)]
+    terms, factors = _mod8_summands(trunc)
+    num, den = PochSpec(3, 4, sign=-1), _EVENS   # (-q^3; q^4), (q^2; q^2)
     failures: list[str] = []
     for n in range(n_max + 1):
-        piece = _glasgow_extra(n, [1] + [0] * (trunc - 2 * n))
-        start, row = _nested_sum([None] * n + [(2 * n, piece)], factors, trunc)
+        start, row = (_nested_sum([None] * n + [terms[n]], factors, trunc)
+                      if n < len(terms) else (trunc + 1, []))
         term = [0] * start + row
         partial[:] = map(add, partial, term)
         if n == 0:

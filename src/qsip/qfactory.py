@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, neg
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .series import QSeries, _nested_sum, _shifted, binomial_factor
 
@@ -258,17 +258,15 @@ def congruence_product(spec: CongruenceProductSpec, trunc: int) -> QSeries:
 
 
 def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[PochSpec],
-               trunc: int, extra: Callable[[int, list], list] | None = None) -> QSeries:
+               trunc: int) -> QSeries:
     """The sum over n >= 0 of q^Q(n) (num)_n / (den)_n exact to ``trunc``, as
     a marker-free series.
 
     Q(n) = (a*n^2 + b*n)/2 for ``quad = (a, b)`` must be integral, grow and
     never fall.  Summand n is term n of one :func:`~qsip.series._nested_sum`
     call: the row 1 at q^Q(n), and g_n the n-th factor of every numerator
-    (power 1) and denominator (power -1) spec.  ``extra(n, row)`` is the hook
-    for an extra piece of a summand: given the row 1 of summand n's length
-    (through q^(trunc - Q(n))), it returns that piece, which stands in for
-    the 1.  Summands are marker-free: a marked spec raises ValueError.
+    (power 1) and denominator (power -1) spec.  Summands are marker-free: a
+    marked spec raises ValueError.
     """
     if not any(quad):
         raise ValueError("Q(n) must grow for the sum to end")
@@ -282,7 +280,7 @@ def series_sum(quad: tuple[int, int], num: Iterable[PochSpec], den: Iterable[Poc
     terms, factors = [], []
     n = 0
     while (exp := (a * n * n + b * n) // 2) <= trunc:
-        terms.append((exp, [1] if extra is None else extra(n, [1] + [0] * (trunc - exp))))
+        terms.append((exp, [1]))
         factors.append([(-spec.sign, spec.factor_exponent(n), 1) for spec in num]
                        + [(-spec.sign, spec.factor_exponent(n), -1) for spec in den])
         n += 1

@@ -1,5 +1,7 @@
 """Identity registry: verification, oracles, telescoping, proof pivots."""
 
+import inspect
+import sys
 from collections import Counter
 from functools import partial
 
@@ -11,12 +13,12 @@ from qsip.catalog import (NoOracle, TelescopeResult, UnknownIdentity,
                           gollnitz_intermediate, oracle_concordance,
                           substitute_neg_q_squared, telescope_check, verify,
                           verify_all)
-from qsip.closed_forms import chu_vandermonde_series_check
+from qsip.closed_forms import chu_vandermonde_series_check, glasgow_row_sums
 from qsip.partitions import count_gordon, counting_series, enumerate_partitions
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                            congruence_product, gaussian_binomial, poch_finite,
                            poch_infinite, series_sum, theta_sum)
-from qsip.series import MarkerPoly, QSeries, binomial_factor
+from qsip.series import MarkerPoly, QSeries
 from qsip.sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                       SCHUR_REFINED, class_gf, enumerate_class)
 
@@ -357,18 +359,114 @@ class TestTelescoping:
         with pytest.raises(ValueError):
             telescope_check(0, 10)
 
-    def test_fails_when_the_hook_keeps_its_last_factor(self, monkeypatch):
-        # summand N then keeps (1 + q^(4N-1)): both checks must see it
-        def no_division(n, coeffs):
-            if n:
-                binomial_factor(coeffs, 1, 2 * n - 1)
-            return coeffs
+    def test_fails_when_the_numerator_does_not_lag(self, monkeypatch):
+        # a numerator that does not lag, g_i = (1 + q^(4i+3))/(1 - q^(2i+2))
+        # for every i >= 0: summand N carries (-q^3; q^4)_N, not _(N-1)
+        summands = catalog._mod8_summands
 
-        monkeypatch.setattr(catalog, "_glasgow_extra", no_division)
+        def no_lag(trunc):
+            terms, factors = summands(trunc)
+            return terms, [[(1, 4 * i + 3, 1), (-1, 2 * i + 2, -1)]
+                           for i in range(len(factors))]
+
+        monkeypatch.setattr(catalog, "_mod8_summands", no_lag)
         res = telescope_check(8, 30)
         assert not res.passed
         assert any(f.startswith("partial sum") for f in res.failures)
         assert any(f.startswith("closed-form difference") for f in res.failures)
+        # the series side reads the same list, so the registry sees it too
+        assert verify("glasgow-mod8", 30).first_mismatch == 5
+        concord = oracle_concordance("glasgow-mod8", 20)
+        assert not concord.passed and concord.oracle_vs_lhs == 5
+
+    def test_summands_past_the_cut_cost_no_sum(self, monkeypatch):
+        # a summand starting past q^trunc (2N > trunc) is zero: no call for it
+        calls = []
+        nested_sum = catalog._nested_sum
+
+        def counted(*args):
+            calls.append(args)
+            return nested_sum(*args)
+
+        monkeypatch.setattr(catalog, "_nested_sum", counted)
+        assert telescope_check(200, 10).passed
+        assert len(calls) <= 6   # N = 0..5
+
+
+class TestMod8Sum:
+    """The mod-8 series side against a sum that shares no code with
+    ``_nested_sum``: each summand built from its formula by test-side
+    ``QSeries`` arithmetic."""
+
+    @staticmethod
+    def numerator_and_denominator(n):
+        # summand n of the list, split into its numerator q^o R_n times the
+        # power-1 factors of g_0 .. g_(n-1) and the product of its power -1 ones
+        terms, factors = catalog._mod8_summands(4 * n + 2)
+        offset, row = terms[n]
+        num, den = QSeries.monomial(offset) * QSeries(row), QSeries.one()
+        for g in factors[:n]:
+            for c, e, power in g:
+                factor = QSeries([1] + [0] * (e - 1) + [c])
+                if power == 1:
+                    num = num * factor
+                else:
+                    den = den * factor
+        return num, den
+
+    @staticmethod
+    def reference(trunc):
+        total = QSeries.one(trunc)
+        for n in range(1, trunc // 2 + 1):
+            piece = QSeries.monomial(2 * n, trunc=trunc) + QSeries.monomial(4 * n - 1, trunc=trunc)
+            total = total + piece * poch_finite(PochSpec(3, 4, sign=-1), n - 1, trunc=trunc) \
+                * poch_finite(PochSpec(2, 2), n, trunc=trunc).inverse(trunc)
+        return total
+
+    @pytest.mark.parametrize("trunc", [0, 1, 2, 3, 7, 20, 41, 60])
+    def test_matches_summands_built_from_the_formula(self, trunc):
+        assert catalog.mod8_sum(trunc) == self.reference(trunc)
+
+    def test_numerators_are_the_basis_row_sums(self):
+        num, den = self.numerator_and_denominator(1)
+        assert num == QSeries.monomial(2) + QSeries.monomial(3)
+        assert den == poch_finite(PochSpec(2, 2), 1)
+        for n in range(2, 11):
+            num, den = self.numerator_and_denominator(n)
+            assert num == sum(glasgow_row_sums(n).values(), QSeries.zero()), n
+            assert den == poch_finite(PochSpec(2, 2), n), n
+
+    def test_series_equals_class_equals_product(self):
+        series = catalog.mod8_sum(200)
+        assert class_gf(GLASGOW, 200) == series
+        assert catalog.get("glasgow-mod8").rhs(200) == series
+
+
+def test_registry_holds_only_data():
+    # every side and oracle is a library function, or a partial of one
+    # whose bound data holds no callable: no registry row carries code
+    def library_function(f):
+        return (inspect.isfunction(f) and f.__module__.startswith("qsip.")
+                and getattr(sys.modules[f.__module__], f.__name__, None) is f)
+
+    def holds_callable(value):
+        if callable(value):
+            return True
+        if isinstance(value, (list, tuple)):
+            return any(holds_callable(v) for v in value)
+        return False
+
+    for entry in catalog.REGISTRY.values():
+        for build in (entry.lhs, entry.rhs, entry.oracle):
+            if build is None:
+                continue
+            if isinstance(build, partial):
+                assert library_function(build.func), (entry.id, build)
+                assert not holds_callable(list(build.args) + list(build.keywords.values())), \
+                    (entry.id, build)
+            else:
+                assert library_function(build), (entry.id, build)
+    assert "extra" not in inspect.signature(series_sum).parameters
 
 
 @pytest.mark.parametrize("build", [
@@ -377,6 +475,7 @@ class TestTelescoping:
     pytest.param(partial(andrews_gordon_sum, 4, 2, 10**20), id="andrews_gordon_sum"),
     pytest.param(partial(class_gf, GLASGOW, 10**20), id="class_gf"),
     pytest.param(partial(series_sum, (0, 2), (), [PochSpec(1, 1)], 10**20), id="series_sum"),
+    pytest.param(partial(catalog.mod8_sum, 10**20), id="mod8_sum"),
 ])
 def test_huge_sums_fail_before_any_term(build):
     # each allocates its trunc + 1 output first; a term list would run toward 10**20
