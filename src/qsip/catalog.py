@@ -90,7 +90,7 @@ from . import ncopies as nc
 from .partitions import count_gordon
 from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                        poch_product, series_sum)
-from .series import QSeries, _nested_sum
+from .series import QSeries, _convolve_into, _nested_sum
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                   SCHUR_REFINED, class_gf, count_class)
 
@@ -298,29 +298,34 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
 
     For each N the partial sum through term N must equal
     (-q^3; q^4)_N / (q^2; q^2)_N, and consecutive closed forms must differ
-    by exactly the N-th summand.  Summand N is a one-term
-    :func:`~qsip.series._nested_sum` call on term N of
-    :func:`_mod8_summands` under its g_0 ... g_(N-1); a summand that starts
-    past q^trunc is zero.  The closed form is rebuilt from its definition
-    for each N, on its own list.
+    by exactly the N-th summand.  Each side moves one factor per N, in
+    O(n_max * trunc) in all: summand N is term N of :func:`_mod8_summands`
+    times the carried g_0 ... g_(N-1), which then takes g_N by a two-term
+    :func:`~qsip.series._nested_sum` call; the closed form takes
+    (1 + q^(4N-1)) / (1 - q^(2N)) by :meth:`~qsip.qfactory.PochSpec.apply`.
+    A summand that starts past q^trunc is zero and costs no call.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if trunc < 0:
         raise ValueError("truncation order must be non-negative")
     closed = [1] + [0] * trunc   # first, so a size too large to hold fails before any term
-    partial = [0] * (trunc + 1)
+    partial, carried = [0] * (trunc + 1), closed[:]   # carried: g_0 ... g_(N-1)
     terms, factors = _mod8_summands(trunc)
-    num, den = PochSpec(3, 4, sign=-1), _EVENS   # (-q^3; q^4), (q^2; q^2)
     failures: list[str] = []
     for n in range(n_max + 1):
-        start, row = (_nested_sum([None] * n + [terms[n]], factors, trunc)
-                      if n < len(terms) else (trunc + 1, []))
-        term = [0] * start + row
+        term = [0] * (trunc + 1)
+        if n < len(terms):
+            offset, row = terms[n]
+            _convolve_into(term, [0] * offset + row, carried)
+            if n + 1 < len(terms):
+                carried = _nested_sum([None, (0, carried)], [factors[n]], trunc)[1]
         partial[:] = map(add, partial, term)
         if n == 0:
             continue
-        previous, closed = closed, den.apply(num.apply([1] + [0] * trunc, n), n, -1)
+        previous = closed[:]
+        PochSpec(4 * n - 1, 4, sign=-1).apply(closed, 1)   # times 1 + q^(4n-1)
+        PochSpec(2 * n, 2).apply(closed, 1, -1)          # over 1 - q^(2n)
         if partial != closed:
             failures.append(f"partial sum N={n} differs from closed form")
         if n >= 2 and list(map(sub, closed, previous)) != term:

@@ -22,8 +22,11 @@ A :class:`QSeries` is either truncated or exact:
 
 * truncated: ``trunc`` is an integer and the series is guaranteed exact for
   every q-exponent 0..trunc inclusive; nothing is known beyond;
-* exact polynomial: ``trunc`` is None and every coefficient beyond the stored
-  ones is zero.
+* exact polynomial: ``trunc`` is None and every coefficient is known.
+
+Either way each row ends at its last nonzero coefficient.  Only the dense
+read-outs (``coeffs``, ``monomial_rows``, ``int_coefficients``, ``inverse``)
+take time in ``trunc``; each allocates its output first.
 
 Binary operations meet at the weaker guarantee: the result truncation is the
 minimum of the operands' truncations, with None acting as infinity.  This
@@ -291,28 +294,26 @@ def _fit(row: list[int], size: int) -> list[int]:
     return row[:size] + [0] * (size - len(row))
 
 
-def _canonical(rows: dict, trunc: int | None) -> dict:
-    """Drop all-zero rows; trim trailing zeros off polynomial rows in place."""
+def _canonical(rows: dict) -> dict:
+    """Drop all-zero rows; trim trailing zeros off the others in place."""
     out = {}
     for key, row in rows.items():
-        if trunc is None:
-            while row and not row[-1]:
-                row.pop()
         if any(row):
+            while not row[-1]:
+                row.pop()
             out[key] = row
     return out
 
 
-def _padded(rows: dict, trunc: int | None) -> dict:
-    """Fresh rows zero-padded in place to ``trunc + 1`` entries; a negative
-    ``trunc`` or a longer row raises ValueError."""
+def _checked(rows: dict, trunc: int | None) -> dict:
+    """``rows`` as they are; a negative ``trunc`` or a row of more than
+    ``trunc + 1`` entries raises ValueError."""
     if trunc is not None:
         if trunc < 0:
             raise ValueError("truncation order must be non-negative")
         for row in rows.values():
             if len(row) > trunc + 1:
                 raise ValueError(f"{len(row)} coefficients exceed truncation order {trunc}")
-            row += [0] * (trunc + 1 - len(row))
     return rows
 
 
@@ -371,8 +372,8 @@ def _nested_sum(terms: list, factors: list, last: int) -> tuple[int, list[int]]:
 
 def _shifted(exp: int, row) -> "QSeries":
     """q^exp times an int row or tuple, as a marker-free exact polynomial.
-    Zero rows are answered directly, without building a list that
-    ``_canonical`` would pop one entry at a time."""
+    An empty or absent row is answered directly, without building the exp
+    zeros that ``_canonical`` would only drop."""
     if not row:
         return QSeries.zero()
     return QSeries._make({(): [0] * exp + list(row)}, None, ())
@@ -404,9 +405,9 @@ class QSeries:
     exact, or None for an exact polynomial.  Storage is one plain int list
     per marker monomial, indexed by q-exponent: the coefficient of
     u^i v^j q^n is ``_rows[(i, j)][n]``, and a marker-free series has at
-    most the row ``()``.  The form is canonical: a truncated series keeps
-    rows of exactly ``trunc + 1`` entries, a polynomial trims trailing
-    zeros, and all-zero rows are dropped, so equal series have equal rows.
+    most the row ``()``.  The form is canonical: every row ends at its last
+    nonzero entry, truncated or not, and all-zero rows are dropped, so equal
+    series have equal rows; ``trunc`` only says how far they are exact.
     Instances are immutable and never hand out a row, so they may share
     them; all operations return new values.  :attr:`coeffs` is a MarkerPoly
     view of the rows, built on first read.
@@ -440,7 +441,7 @@ class QSeries:
                             rows[key] = [0] * len(coeffs)
                         rows[key][n] = value
         self.markers, self.trunc = markers, trunc
-        self._rows, self._coeffs = _canonical(_padded(rows, trunc), trunc), None
+        self._rows, self._coeffs = _canonical(_checked(rows, trunc)), None
 
     @classmethod
     def from_rows(cls, rows: Mapping[tuple[int, ...], list[int]], trunc: int | None = None,
@@ -456,20 +457,21 @@ class QSeries:
             if not set(map(type, row)) <= {int}:
                 raise TypeError(f"integer coefficients expected in row {key}")
             copied[key] = list(row)
-        return cls._make(_padded(copied, trunc), trunc, markers)
+        return cls._make(_checked(copied, trunc), trunc, markers)
 
     @classmethod
     def _make(cls, rows: dict, trunc: int | None, markers: tuple[str, ...]) -> "QSeries":
-        """A series over fresh int lists, one per monomial, of ``trunc + 1``
-        entries each (any length for a polynomial), for the package's
-        builders: the one check of their truncation (ValueError below 0),
-        then the lists are trimmed in place (:func:`_canonical`) and taken
-        as they are, with no type scan or copy; an empty dict costs nothing."""
+        """A series over fresh int lists, one per monomial, of at most
+        ``trunc + 1`` entries each (any length for a polynomial), for the
+        package's builders: the one check of their truncation (ValueError
+        below 0), then the lists are trimmed in place (:func:`_canonical`)
+        and taken as they are, with no type scan or copy; an empty dict
+        costs nothing."""
         if trunc is not None and trunc < 0:
             raise ValueError("truncation order must be non-negative")
         out = object.__new__(cls)
         out.markers, out.trunc, out._coeffs = markers, trunc, None
-        out._rows = _canonical(rows, trunc) if rows else rows
+        out._rows = _canonical(rows) if rows else rows
         return out
 
     def _rows_in(self, markers: tuple[str, ...]) -> dict:
@@ -510,7 +512,10 @@ class QSeries:
         if self._coeffs is None:
             size = self.trunc + 1 if self.trunc is not None else \
                 max(map(len, self._rows.values()), default=0)
-            self._coeffs = tuple(self._marker_poly(n) for n in range(size))
+            coeffs = [None] * size   # first, so a size too large to hold fails at once
+            for n in range(size):
+                coeffs[n] = self._marker_poly(n)
+            self._coeffs = tuple(coeffs)
         return self._coeffs
 
     def _marker_poly(self, n: int) -> MarkerPoly:
@@ -568,7 +573,7 @@ class QSeries:
         rows = {}
         for key in a.keys() | b.keys():
             ra, rb = a.get(key, []), b.get(key, [])
-            size = trunc + 1 if trunc is not None else max(len(ra), len(rb))
+            size = _min_trunc(max(len(ra), len(rb)) - 1, trunc) + 1
             rows[key] = list(map(add, _fit(ra, size), _fit(rb, size)))
         return QSeries._make(rows, trunc, markers)
 
@@ -589,10 +594,8 @@ class QSeries:
         markers = _registry(self, other)
         a, b = self._rows_in(markers), other._rows_in(markers)
         trunc = _min_trunc(self.trunc, other.trunc)
-        if trunc is not None:
-            size = trunc + 1
-        else:
-            size = max(map(len, a.values()), default=0) + max(map(len, b.values()), default=0) - 1
+        size = _min_trunc(max(map(len, a.values()), default=0)
+                          + max(map(len, b.values()), default=0) - 2, trunc) + 1
         rows: dict[tuple[int, ...], list[int]] = {}
         for ka, ra in a.items():
             for kb, rb in b.items():
@@ -647,7 +650,7 @@ class QSeries:
             )
         if trunc < 0:
             raise ValueError("truncation order must be non-negative")
-        rows = {key: _fit(row, trunc + 1) for key, row in self._rows.items()}
+        rows = {key: row[:trunc + 1] for key, row in self._rows.items()}
         return QSeries._make(rows, trunc, self.markers)
 
     # -- marker operations ---------------------------------------------------
@@ -691,11 +694,12 @@ class QSeries:
         limit = _min_trunc(self.trunc, other.trunc)
         if upto is not None:
             limit = upto if limit is None else min(limit, upto)
-        if limit is None:
-            limit = max(map(len, [*a.values(), *b.values()]), default=0) - 1
-        size, first = max(limit + 1, 0), None
+        first = None
         for key in a.keys() | b.keys():
-            ra, rb = _fit(a.get(key, []), size), _fit(b.get(key, []), size)
+            ra, rb = a.get(key, []), b.get(key, [])
+            # beyond both stored rows both sides are zero
+            size = max(_min_trunc(max(len(ra), len(rb)) - 1, limit) + 1, 0)
+            ra, rb = _fit(ra, size), _fit(rb, size)
             if ra != rb:
                 n = next(n for n, (x, y) in enumerate(zip(ra, rb)) if x != y)
                 first = n if first is None else min(first, n)
@@ -721,9 +725,8 @@ class QSeries:
 
     def __str__(self) -> str:
         pieces = []
-        for n, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
+        for n in sorted({n for row in self._rows.values() for n, x in enumerate(row) if x}):
+            c = self._marker_poly(n)
             if n == 0:
                 pieces.append(str(c))
                 continue

@@ -207,61 +207,50 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
 
 def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
     """The class generating function to q^total_max, counted by a walk with
-    one state per member, weighted by the product of its parts' weights
-    when the class has them.
-
-    A state is (last part, remaining total); the k = 1 steps are two
-    C-level ranges whose pairs are already the next states.  A weighted
-    class adds to the state its monomial, the exponent vector sum of its
-    parts' weights; each monomial's k successors are built once.  The
-    states are tallied by (remaining, monomial), and the tallies become one
-    int row per monomial.
+    one state (last part, remaining total) per member.  A marker-free class
+    with k = 1 steps it by two ranges, tallied by
+    :func:`~qsip.partitions.walk_series`.  Every other class adds its
+    monomial, the exponent vector sum of its parts' weights (zero when
+    unweighted), builds each monomial's k successors once, and tallies the
+    states by (remaining, monomial) into one int row per monomial.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
-    k, c, d = spec.k, spec.c, spec.d
+    k = spec.k
+    if k == 1 and not spec.markers:
+        # Kept for speed: natural's count at total 30 took 8.6 ms on these
+        # C-level ranges and 24 ms on the monomial walk (2-CPU host).
+        gap = spec.d[0]
+
+        def successors(state):
+            last, remaining = state
+            low = last + gap
+            if low > remaining:
+                return ()
+            return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
+
+        # the root's last part sits one gap below c_1, where the first part starts
+        return walk_series(grow((spec.c[0] - gap, total_max), successors), total_max)
+
     nexts = _next_parts(spec)
-    if spec.weights is None:
-        if k == 1:
-            gap = d[0]
-
-            def successors(state):
-                last, remaining = state
-                low = last + gap
-                if low > remaining:
-                    return ()
-                return zip(range(low, remaining + 1), range(remaining - low, -1, -1))
-
-            # the root's last part sits one gap below c_1, where the first part starts
-            root = (c[0] - gap, total_max)
-        else:
-            def successors(state):
-                last, remaining = state
-                steps = nexts(last, remaining)
-                return ((p, remaining - p) for p in steps) if steps else ()
-
-            root = (None, total_max)
-        # unweighted, every member weighs the zero monomial over the spec's markers
-        counted = walk_series(grow(root, successors), total_max).int_coefficients(total_max)
-        return QSeries._make({(0,) * len(spec.markers): counted}, total_max, spec.markers)
-
     shifts: dict[tuple, list[tuple]] = {}   # a monomial's successor by residue
 
-    def weighted(state):
+    def with_monomial(state):
         last, remaining, monomial = state
         steps = nexts(last, remaining)
         if not steps:
             return ()
         nxt = shifts.get(monomial)
         if nxt is None:
-            nxt = shifts[monomial] = [tuple(map(add, monomial, w)) for w in spec.weights]
+            nxt = shifts[monomial] = [tuple(map(add, monomial, spec.weight(r)))
+                                      for r in range(1, k + 1)]
         return ((p, remaining - p, nxt[(p - 1) % k]) for p in steps)
 
     zero = (0,) * len(spec.markers)
     # the empty member's row comes first, so a total too large to hold fails before the walk
     rows: dict[tuple, list[int]] = {zero: [0] * (total_max + 1)}
     tally = Counter((remaining, monomial)
-                    for _, remaining, monomial in grow((None, total_max, zero), weighted))
+                    for _, remaining, monomial in grow((None, total_max, zero), with_monomial))
     for (remaining, monomial), count in tally.items():
         rows.setdefault(monomial, [0] * (total_max + 1))[total_max - remaining] += count
     return QSeries._make(rows, total_max, spec.markers)

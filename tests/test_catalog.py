@@ -7,7 +7,8 @@ from functools import partial
 
 import pytest
 
-from qsip import catalog, partitions
+from qsip import catalog, partitions, qfactory
+from qsip import series as series_module
 from qsip import ncopies as nc
 from qsip.catalog import (NoOracle, TelescopeResult, UnknownIdentity,
                           gollnitz_intermediate, oracle_concordance,
@@ -391,6 +392,20 @@ class TestTelescoping:
         monkeypatch.setattr(catalog, "_nested_sum", counted)
         assert telescope_check(200, 10).passed
         assert len(calls) <= 6   # N = 0..5
+
+    def test_each_side_moves_one_factor_per_term(self, monkeypatch):
+        # O(n_max * trunc): rebuilding both sides for each N took ~7,000 kernel calls here
+        calls = []
+        for module in (series_module, qfactory):
+            kernel = module.binomial_factor
+
+            def counted(*args, kernel=kernel, **kwargs):
+                calls.append(args)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(module, "binomial_factor", counted)
+        assert telescope_check(60, 120).passed
+        assert 0 < len(calls) <= 600
 
 
 class TestMod8Sum:

@@ -410,8 +410,10 @@ def ref_trunc(*cases):
 
 def assert_matches(got, trunc, markers, expected):
     """got has the given trunc and registry, coefficient(n) equals expected[n]
-    through its window, and its stored coefficients are in canonical form."""
+    through its window, and its stored coefficients are in canonical form:
+    every stored row, truncated or not, ends in a nonzero entry."""
     assert got.trunc == trunc and got.markers == markers
+    assert all(row[-1] for row in got._rows.values())
     for n, c in enumerate(expected):
         assert got.coefficient(n) == c, n
     if trunc is None:
@@ -529,6 +531,30 @@ def test_handed_out_lists_are_copies():
         assert rows == {(0, 0): [1, 0, 0, 0], (1, 0): [0, 2, 0, 0]}
         rows[(1, 0)][1] = 9
         assert m == QSeries([1, 2 * U], trunc=trunc, markers=UV)
+
+
+def test_huge_truncation_costs_only_the_stored_rows():
+    # 10**20 fits no index: only a dense read-out may take time in trunc,
+    # and it fails at once, before any coefficient is built
+    t = 10**20
+    one, q7 = QSeries.one(t), QSeries.monomial(7, trunc=t)
+    both = one + q7
+    assert both.trunc == t and both.monomial_rows(20) == {(): [1] + [0] * 6 + [1] + [0] * 13}
+    assert (q7 - one).monomial_rows(8) == {(): [-1] + [0] * 6 + [1, 0]}
+    assert (q7 * both).monomial_rows(15) == {(): [0] * 7 + [1] + [0] * 6 + [1, 0]}
+    assert (q7 * both).trunc == t
+    assert one == QSeries.one(t) and one != q7 and q7 != QSeries.monomial(7, trunc=t - 1)
+    assert both.first_mismatch(one) == 7 and both.first_mismatch(both) is None
+    assert both.first_mismatch(one, upto=6) is None
+    assert q7.coefficient(t) == 0 and q7.coefficient(7) == 1
+    assert q7.truncate(10) == QSeries.monomial(7, trunc=10)
+    assert one.truncate(10) == QSeries.one(10)
+    assert str(both) == f"1 + q^7 + O(q^{t + 1})"
+    assert q7.monomial_rows(20) == {(): [0] * 7 + [1] + [0] * 13}
+    with pytest.raises(OverflowError):
+        q7.coeffs
+    with pytest.raises(OverflowError):
+        one.inverse()
 
 
 @pytest.fixture

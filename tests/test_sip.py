@@ -5,6 +5,8 @@ import tracemalloc
 from itertools import combinations_with_replacement, count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsip import catalog, sip
 from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions,
@@ -52,6 +54,20 @@ def weight_of(spec, parts):
     for p in parts:
         w = w * MarkerPoly(spec.markers, {spec.weight(p): 1})
     return w
+
+
+@st.composite
+def small_specs(draw):
+    """A class with k <= 3, c_r in {r, r + k} and d_r in 0..2k, over zero,
+    one or two markers, weighted or not."""
+    k = draw(st.integers(1, 3))
+    c = tuple(r + draw(st.sampled_from((0, k))) for r in range(1, k + 1))
+    d = tuple(draw(st.integers(0, 2 * k)) for _ in range(k))
+    markers = draw(st.sampled_from(((), ("u",), ("u", "v"))))
+    weights = None
+    if draw(st.booleans()):
+        weights = tuple(tuple(draw(st.integers(0, 2)) for _ in markers) for _ in range(k))
+    return SipClassSpec(k, c, d, markers=markers, weights=weights)
 
 
 # (ok, class_count, recomposed_count) of verify_sip by spec and total, pinned
@@ -523,6 +539,22 @@ class TestAssembleGf:
                                  markers=spec.markers)
         assert class_gf(spec, t) == oracle
         assert count_class(spec, t) == oracle
+
+    @given(small_specs(), st.integers(0, 14))
+    @settings(max_examples=80, deadline=None)
+    def test_count_class_matches_members_on_small_classes(self, spec, t):
+        # both walks of count_class, the range walk and the monomial walk
+        oracle = counting_series(enumerate_class(spec, t), t,
+                                 weight=(lambda parts: weight_of(spec, parts))
+                                 if spec.weights else None,
+                                 markers=spec.markers)
+        counted = count_class(spec, t)
+        assert counted == oracle
+        # class_gf counts basis elements plus paddings, the class only where
+        # each member splits so: k = 3, c = (1, 2, 6), d = (0, 0, 0) is no
+        # such class, since its basis holds (1, 3), which is no member
+        if verify_sip(spec, t).ok:
+            assert counted == class_gf(spec, t)
 
     @pytest.mark.parametrize("spec", [SipClassSpec(1, (1,), (2,), markers=("u",)),
                                       SipClassSpec(2, (1, 2), (2, 3), markers=("u", "v"))],

@@ -2,8 +2,8 @@
 
 Each such series must be exactly what the validating constructor would
 make of the same rows: ``QSeries.from_rows`` rebuilt from the series' own
-rows gives identical rows (list rows, no trailing zeros on a polynomial,
-no all-zero row, tuple keys, a tuple registry), and every coefficient is a
+rows gives identical rows (list rows, no trailing zeros on any row, no
+all-zero row, tuple keys, a tuple registry), and every coefficient is a
 plain int.  No builder of the package enters the validating doors
 (``QSeries.__init__``, ``QSeries.from_rows``), and ``_make`` rejects a
 negative truncation for every builder that ends in it.
@@ -31,6 +31,7 @@ def assert_canonical(series):
     assert (rebuilt.trunc, rebuilt.markers) == (series.trunc, series.markers)
     assert all(type(row) is list for row in series._rows.values())
     assert all(type(c) is int for row in series._rows.values() for c in row)
+    assert all(row[-1] for row in series._rows.values())
 
 
 def test_gollnitz_and_glasgow_closed():
