@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .partitions import grow, powerset, walk_series
@@ -94,27 +96,45 @@ def count_ncopies(total_max: int, min_diff: int) -> QSeries:
     """Generating function of the partitions of :func:`enumerate_ncopies`
     with ``min_diff``, counted by a walk with one state per partition.
 
-    A state is (v + s of the last part v_s, remaining total), all that the
-    difference rule reads; the root stands for no part as v + s = -1 -
-    min_diff, from which every v_s steps.  The next parts v_s with
-    1 <= s <= v - reach, reach = v + s + min_diff of the last part, step to
-    the states (v + s, remaining - v).
+    A state is (t, remaining total), t = v + s of the last part v_s, all
+    that the difference rule reads; the root stands for no part as
+    t = -1 - min_diff, from which every v_s steps.  The next parts v_s with
+    1 <= s <= v - reach, reach = t + min_diff, step to the states
+    (v + s, remaining - v).  Such a state has a next part exactly when
+    v + s + min_diff + 1 <= remaining - v.  Most states have none, so
+    :func:`~qsip.partitions.grow` walks only the states that do, and each
+    of them is tallied followed by its childless next states, built at C
+    level one value v at a time.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
     if min_diff < -1:
         raise ValueError("weighted-difference constant must be at least -1")
 
-    def successors(state):
+    def branching(state):
+        # the next states (t, rest) with t + min_diff + 1 <= rest, so v <= rest - v - min_diff - 2
         top, remaining = state
         reach = top + min_diff
-        low = max(1, reach + 1)
-        if low > remaining:
-            return ()
-        return ((top, remaining - v) for v in range(low, remaining + 1)
-                for top in range(v + 1, 2 * v - max(reach, 0) + 1))
+        cap = max(reach, 0)
+        steps = []
+        for v in range(max(1, reach + 1), (remaining - min_diff) // 2):
+            rest = remaining - v
+            steps += zip(range(v + 1, min(2 * v - cap, rest - min_diff - 1) + 1), repeat(rest))
+        return steps
 
-    return walk_series(grow((-1 - min_diff, total_max), successors), total_max)
+    def with_leaves(state):
+        # the state, then its next states with t >= rest - min_diff
+        top, remaining = state
+        reach = top + min_diff
+        cap = max(reach, 0)
+        out = [state]
+        for v in range(max(1, reach + 1), remaining + 1):
+            rest = remaining - v
+            out += zip(range(max(v + 1, rest - min_diff), 2 * v - cap + 1), repeat(rest))
+        return out
+
+    root = (-1 - min_diff, total_max)
+    return walk_series(chain.from_iterable(map(with_leaves, grow(root, branching))), total_max)
 
 
 # -- minimal chains and the attach/detach bijection -------------------------
@@ -345,32 +365,49 @@ def count_ncopies_over(total_max: int) -> QSeries:
     walk with one state per plain partition of difference >= 0, weighted by
     2^s for its s overline carriers (:func:`overline_carriers`).
 
-    A state is (v + s of the last part v_s, remaining total, weight); the
-    weight doubles at each carrier, that is at each step but the one at
-    weighted difference exactly zero.  The root stands for no part as
-    v + s = -1, from which every v_s steps as a carrier.  The states are
-    tallied by (remaining, weight), and each pair adds its count times its
-    weight; the row is allocated before the walk, as in
+    A state is (t = v + s of the last part v_s, remaining total, weight);
+    the weight doubles at each carrier, that is at each step but the one at
+    weighted difference exactly zero, t = 2v - reach for reach = t of the
+    last part.  The root stands for no part as t = -1, from which every v_s
+    steps as a carrier.  A state has a next part exactly when
+    t + 1 <= remaining, so, as in :func:`count_ncopies`, only those states
+    are walked, and each is tallied followed by its childless next states.
+    The states are tallied by (remaining, weight), and each pair adds its
+    count times its weight; the row is allocated before the walk, as in
     :func:`~qsip.partitions.walk_series`.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def successors(state):
+    # At the root (reach = -1) the zero top 2v + 1 is past every top v + s,
+    # s <= v, so range(lo, zero) holds all of them, each a carrier.
+    def branching(state):
+        # the next states with t + 1 <= rest, so v <= rest - v - 2
         reach, remaining, weight = state
-        low = max(1, reach + 1)
-        if low > remaining:
-            return ()
         doubled = 2 * weight
-        # s = v - reach sits at difference zero, every smaller s is a carrier
-        return ((top, remaining - v, weight if top == 2 * v - reach else doubled)
-                for v in range(low, remaining + 1)
-                for top in range(v + 1, 2 * v - max(reach, 0) + 1))
+        steps = []
+        for v in range(max(1, reach + 1), remaining // 2):
+            rest, zero = remaining - v, 2 * v - reach
+            steps += zip(range(v + 1, min(zero, rest)), repeat(rest), repeat(doubled))
+            if reach >= 0 and zero < rest:
+                steps.append((zero, rest, weight))
+        return steps
+
+    def with_leaves(state):
+        # the state, then its next states with t >= rest
+        reach, remaining, weight = state
+        doubled = 2 * weight
+        out = [state]
+        for v in range(max(1, reach + 1), remaining + 1):
+            rest, zero = remaining - v, 2 * v - reach
+            out += zip(range(max(v + 1, rest), zero), repeat(rest), repeat(doubled))
+            if reach >= 0 and zero >= rest:
+                out.append((zero, rest, weight))
+        return out
 
     coeffs = [0] * (total_max + 1)
-    tally = Counter((remaining, weight)
-                    for _, remaining, weight in grow((-1, total_max, 1), successors))
-    for (remaining, weight), count in tally.items():
+    states = chain.from_iterable(map(with_leaves, grow((-1, total_max, 1), branching)))
+    for (remaining, weight), count in Counter(map(itemgetter(1, 2), states)).items():
         coeffs[total_max - remaining] += count * weight
     return QSeries._make({(): coeffs}, total_max, ())
 
@@ -416,22 +453,37 @@ def count_even_subscript(total_max: int) -> QSeries:
     """Generating function of :func:`enumerate_even_subscript`, counted by a
     walk with one state per partition.
 
-    A state is (v + s of the last part v_s, remaining total), 0 for the
+    A state is (t = v + s of the last part v_s, remaining total), 0 for the
     root.  The rule reads the new part's value only: at difference zero it
     shares its parity with the last part's, so an odd v drops the step
-    s = v - reach.
+    s = v - reach.  A state has a next part exactly when t + 2 <= remaining,
+    so, as in :func:`count_ncopies`, only those states are walked, and each
+    is tallied followed by its childless next states.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def successors(state):
+    def branching(state):
+        # the next states with t + 2 <= rest, so v <= rest - v - 4
         reach, remaining = state
-        if reach + 2 > remaining:
-            return ()
-        return ((top, remaining - v) for v in range(reach + 2, remaining + 1)
-                for top in range(v + 2, 2 * v - reach - (v & 1) + 1, 2))
+        steps = []
+        for v in range(reach + 2, remaining // 2 - 1):
+            rest = remaining - v
+            steps += zip(range(v + 2, min(2 * v - reach - (v & 1), rest - 2) + 1, 2), repeat(rest))
+        return steps
 
-    return walk_series(grow((0, total_max), successors), total_max)
+    def with_leaves(state):
+        # the state, then its next states with t >= rest - 1, t of v's parity
+        reach, remaining = state
+        out = [state]
+        for v in range(reach + 2, remaining + 1):
+            rest = remaining - v
+            lo = max(v + 2, rest - 1)
+            out += zip(range(lo + ((lo - v) & 1), 2 * v - reach - (v & 1) + 1, 2), repeat(rest))
+        return out
+
+    return walk_series(chain.from_iterable(map(with_leaves, grow((0, total_max), branching))),
+                       total_max)
 
 
 def ncopies_overpartition_product(trunc: int) -> QSeries:

@@ -7,7 +7,12 @@ package is a successor rule over states, run by the single pre-order walk
 limited by the interpreter's recursion limit.  An enumerator that yields
 tuples keeps its prefix in its state; a counting walk keeps only what its
 rule reads and the remaining total, and :func:`walk_series` tallies its
-states.  The enumerators are deliberately simple brute force for
+states.  :func:`grow` is still the one walk when most states are leaves:
+a wide counting walk (:func:`~qsip.ncopies.count_ncopies`) gives ``grow``
+a rule that returns only the next states that can step, and chains each
+such state's childless successors after it, so the rule runs only on
+states with a next part and every state is still tallied once.  The
+enumerators are deliberately simple brute force for
 desk-scale totals; they exist to cross-check the generating-function
 machinery.
 """
@@ -17,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .series import QSeries
@@ -250,13 +256,16 @@ def walk_series(states: Iterable[tuple], total_max: int) -> QSeries:
 
     Each state of the walk is one counted object, and its second entry is
     what is left of total_max, so it counts at q^(total_max - remaining);
-    a ``Counter`` tallies them.  A weighted walk tallies its own states
-    (:func:`~qsip.sip.count_class`, :func:`~qsip.ncopies.count_ncopies_over`).
+    a ``Counter`` tallies those entries at C level, in whatever order the
+    states come, so a walk may chain childless states after their parent
+    (:func:`~qsip.ncopies.count_ncopies`).  A weighted walk tallies its own
+    states (:func:`~qsip.sip.count_class`,
+    :func:`~qsip.ncopies.count_ncopies_over`).
     The row is allocated before the walk starts, so a total too large to
     hold fails before any state is visited.
     """
     coeffs = [0] * (total_max + 1)
-    for remaining, count in Counter(remaining for _, remaining in states).items():
+    for remaining, count in Counter(map(itemgetter(1), states)).items():
         coeffs[total_max - remaining] = count
     return QSeries._make({(): coeffs}, total_max, ())
 

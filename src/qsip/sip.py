@@ -8,6 +8,11 @@ with n parts splits uniquely as a basis element plus a non-decreasing
 padding of n non-negative multiples of k, added partwise.  The split is
 constructed left to right: each basis part is the unique value in the
 window above its predecessor that matches the class-member part's residue.
+That basis element is a member only when no basis step falls below its
+residue's threshold; the basis rows, :func:`class_gf`, :func:`basis_table`,
+:func:`enumerate_basis` and :func:`decompose` refuse any other spec with
+ValueError (:func:`_require_separable`), while the member walks,
+:func:`count_class` and :func:`verify_sip` take every spec.
 
 The generating function of the whole class is then
 
@@ -91,6 +96,27 @@ def basis_successors(spec: SipClassSpec, value: int) -> list[int]:
                   for r, lo in enumerate((value + dr for dr in spec.d), 1))
 
 
+def _require_separable(spec: SipClassSpec) -> None:
+    """Raise ValueError unless every basis step lands on its residue's
+    threshold or above it, so that each basis element is a class member.
+
+    The step to residue r above a basis part b is lo + (r - lo) mod k for
+    lo = b + d_r, which does not decrease as b grows.  Every basis part is
+    at least the least threshold, so the step above that threshold is the
+    least step to residue r, and the only one to check.
+    A spec that fails is still a class (:func:`verify_sip` reports it as
+    FAIL), but its basis elements plus paddings are not its members.
+    """
+    k, c, least = spec.k, spec.c, min(spec.c)
+    for r, (cr, dr) in enumerate(zip(c, spec.d), 1):
+        lo = least + dr
+        step = lo + (r - lo) % k
+        if step < cr:
+            raise ValueError(f"class k={k} c={c} d={spec.d} is not separable: the basis "
+                             f"step {step} above the least threshold {least} lies below "
+                             f"c_{r} = {cr}")
+
+
 def is_basis_element(parts: Partition, spec: SipClassSpec) -> bool:
     """True iff the partition is a basis member of the class."""
     if not parts:
@@ -108,7 +134,10 @@ def is_basis_element(parts: Partition, spec: SipClassSpec) -> bool:
 def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
                     ) -> Iterator[Partition]:
     """All basis elements with exactly n_parts parts and largest part <= h_max.
-    An n_parts that no tuple can hold raises OverflowError at once."""
+    An n_parts that no tuple can hold raises OverflowError at once, and a
+    spec that is not separable raises ValueError
+    (:func:`_require_separable`)."""
+    _require_separable(spec)
     if n_parts < 1:
         raise ValueError("n_parts must be at least 1")
     if h_max < 1:
@@ -286,8 +315,10 @@ def decompose(parts: Partition, spec: SipClassSpec) -> SipDecomposition:
 
     Built left to right: the first basis part is the threshold of the first
     part's residue; each later basis part is the unique value congruent to
-    the member part in the window [prev + d_r, prev + d_r + k).
+    the member part in the window [prev + d_r, prev + d_r + k).  A spec
+    that is not separable raises ValueError (:func:`_require_separable`).
     """
+    _require_separable(spec)
     return SipDecomposition(*_split(parts, spec))
 
 
@@ -524,7 +555,10 @@ def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int, g: int
     cut at q^trunc (the single monomial () for an unmarked spec); entries
     zero that far are left out.  Each b(n, h) sums its window once per key,
     at offsets aligned by the starts, shifted by q^h, and the weight of h
-    shifts its keys."""
+    shifts its keys.  The rows count basis elements, so they give the class
+    only for a separable spec; any other raises ValueError
+    (:func:`_require_separable`) when the first row is asked for."""
+    _require_separable(spec)
     k, d = spec.k, spec.d
     weights = [spec.weight(r) for r in range(1, k + 1)]
     row = {cr: {weights[(cr - 1) % k]: (cr, [1])}
@@ -559,7 +593,7 @@ def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
     rows of :func:`_basis_rows` cut at q^(max_n * max_h), which none exceeds,
     each expanded to a fresh dense int list by q-exponent and handed to the
     series as it is.  A cut that no list can reach raises OverflowError
-    before the walk."""
+    before the walk, and a spec that is not separable raises ValueError."""
     if max_n < 1 or max_h < 1:
         raise ValueError(f"max_n and max_h must be at least 1, got {max_n} and {max_h}")
     cut = max_n * max_h
@@ -645,6 +679,7 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
 def class_gf(spec: SipClassSpec, trunc: int) -> QSeries:
     """Class generating function to ``trunc`` from the basis rows cut at q^trunc,
     up to the first empty row: basis elements are closed under taking prefixes.
-    The rows have the spec's stride (:func:`_stride`)."""
+    The rows have the spec's stride (:func:`_stride`).  A spec that is not
+    separable raises ValueError."""
     g = _stride(spec)
     return _gf_from_rows(spec, _basis_rows(spec, trunc, trunc, g), trunc, g)

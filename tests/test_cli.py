@@ -145,6 +145,14 @@ class TestCommands:
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("command", ["table", "basis"])
+    def test_spec_not_separable_exit_two(self, capsys, command):
+        # the basis step 3 over the part 1 lies below c_3 = 6
+        assert main([command, "--spec", "k=3,c=1:2:6,d=0:0:0", "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not separable" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("h_max", ["-4", "0"])
     def test_table_bad_h_max_exit_two(self, capsys, h_max):
         assert main(["table", "--spec", "glasgow", "--n", "2", "--h-max", h_max,

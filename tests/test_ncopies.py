@@ -1,13 +1,15 @@
 """Subscripted partitions: weighted differences, chains, overlined variants."""
 
 from collections import Counter, defaultdict
+from functools import partial
 
 import pytest
 
-from qsip import catalog
+from qsip import catalog, ncopies, partitions
 from qsip.ncopies import (ConstraintViolation, CopyPart, base_decompose,
                           base_gf, base_recompose, copy_total, count_ncopies,
-                          enumerate_base, enumerate_all_copy_overpartitions,
+                          count_even_subscript, count_ncopies_over, enumerate_base,
+                          enumerate_all_copy_overpartitions,
                           enumerate_even_subscript, enumerate_ncopies,
                           enumerate_ncopies_over, exact_diff_closed,
                           exact_diff_table, is_diagonal, ncopies_gf,
@@ -484,3 +486,80 @@ class TestMockThetaInterpretations:
                              size=copy_total)
         assert m1 == m2
         assert m1.coefficient(9) == 4
+
+
+# The counting walks with one rule for every next state, leaf or not, run
+# by an explicit stack: the package's walks skip the rule on childless
+# states, and these references share no code with them.
+def one_rule_states(root, successors):
+    stack = [root]
+    while stack:
+        state = stack.pop()
+        yield state
+        stack.extend(successors(state))
+
+
+def ncopies_rule(min_diff):
+    def successors(state):
+        top, remaining = state
+        reach = top + min_diff
+        return [(top, remaining - v) for v in range(max(1, reach + 1), remaining + 1)
+                for top in range(v + 1, 2 * v - max(reach, 0) + 1)]
+    return successors
+
+
+def over_rule(state):
+    reach, remaining, weight = state
+    # s = v - reach sits at difference zero, every smaller s doubles the weight
+    return [(top, remaining - v, weight if top == 2 * v - reach else 2 * weight)
+            for v in range(max(1, reach + 1), remaining + 1)
+            for top in range(v + 1, 2 * v - max(reach, 0) + 1)]
+
+
+def even_rule(state):
+    reach, remaining = state
+    return [(top, remaining - v) for v in range(reach + 2, remaining + 1)
+            for top in range(v + 2, 2 * v - reach - (v & 1) + 1, 2)]
+
+
+# name -> (the package's walk, its root at a total, its one-rule reference)
+ONE_RULE_WALKS = {
+    **{f"diff{r}": (partial(count_ncopies, min_diff=r), lambda t, r=r: (-1 - r, t),
+                    ncopies_rule(r)) for r in (-1, 0, 1, 2)},
+    "overlined": (count_ncopies_over, lambda t: (-1, t, 1), over_rule),
+    "even-subscript": (count_even_subscript, lambda t: (0, t), even_rule),
+}
+
+
+def one_rule_row(name, t):
+    _, root, rule = ONE_RULE_WALKS[name]
+    row = [0] * (t + 1)
+    for state in one_rule_states(root(t), rule):
+        row[t - state[1]] += state[2] if len(state) == 3 else 1
+    return row
+
+
+class TestCountingWalks:
+    @pytest.mark.parametrize("name", ONE_RULE_WALKS)
+    def test_matches_one_rule_walk(self, name):
+        # the count at q^n does not depend on the total the walk starts from
+        walk, want = ONE_RULE_WALKS[name][0], one_rule_row(name, 40)
+        for t in range(41):
+            assert walk(t).int_coefficients(t) == want[:t + 1], t
+
+    @pytest.mark.parametrize("name", ONE_RULE_WALKS)
+    def test_rule_runs_on_few_states(self, name, monkeypatch):
+        # at total 30 at most one state in 20 has a next part
+        walk, root, rule = ONE_RULE_WALKS[name]
+        calls = []
+
+        def counting_grow(start, successors):
+            def counted(state):
+                calls.append(state)
+                return successors(state)
+            return partitions.grow(start, counted)
+
+        monkeypatch.setattr(ncopies, "grow", counting_grow)
+        walk(30)
+        states = sum(1 for _ in one_rule_states(root(30), rule))
+        assert 0 < len(calls) <= states / 20, (len(calls), states)

@@ -2,7 +2,7 @@
 
 import sys
 import tracemalloc
-from itertools import combinations_with_replacement, count
+from itertools import combinations_with_replacement, count, product
 
 import pytest
 from hypothesis import given, settings
@@ -552,9 +552,15 @@ class TestAssembleGf:
         assert counted == oracle
         # class_gf counts basis elements plus paddings, the class only where
         # each member splits so: k = 3, c = (1, 2, 6), d = (0, 0, 0) is no
-        # such class, since its basis holds (1, 3), which is no member
-        if verify_sip(spec, t).ok:
-            assert counted == class_gf(spec, t)
+        # such class, since its basis holds (1, 3), which is no member.  It
+        # refuses such a spec at every total, and verify_sip fails it at 14.
+        try:
+            assembled = class_gf(spec, t)
+        except ValueError as exc:
+            assert "not separable" in str(exc)
+            assert not verify_sip(spec, 14).ok
+        else:
+            assert counted == assembled
 
     @pytest.mark.parametrize("spec", [SipClassSpec(1, (1,), (2,), markers=("u",)),
                                       SipClassSpec(2, (1, 2), (2, 3), markers=("u", "v"))],
@@ -599,3 +605,52 @@ class TestAssembleGf:
         tbl2 = basis_table(ROGERS_RAMANUJAN, 6, 20)
         with pytest.raises(InsufficientTableDepth):
             assemble_gf(ROGERS_RAMANUJAN, tbl2, 30)  # largest-part bound short
+
+
+# k = 3, c = (1, 2, 6), d = (0, 0, 0): the basis step to residue 0 above the
+# part 1 is 3, below c_3 = 6, so the basis element (1, 3) is no member.
+NOT_SEPARABLE = SipClassSpec(3, (1, 2, 6), (0, 0, 0))
+
+
+def small_box():
+    """Every unmarked class with k <= 3, c_r in {r, r + k} and d_r in 0..2k."""
+    for k in (1, 2, 3):
+        for c in product(*[(r, r + k) for r in range(1, k + 1)]):
+            for d in product(range(2 * k + 1), repeat=k):
+                yield SipClassSpec(k, c, d)
+
+
+class TestNotSeparable:
+    """The basis machinery refuses a class whose basis steps fall below a
+    threshold; the member walks and verify_sip take any class."""
+
+    def test_refused_exactly_where_verify_sip_fails(self):
+        refused = 0
+        for spec in small_box():
+            ok = verify_sip(spec, 14).ok
+            try:
+                assembled = class_gf(spec, 14)
+            except ValueError:
+                assert not ok, spec
+                refused += 1
+            else:
+                assert ok, spec
+                assert assembled == count_class(spec, 14), spec
+        assert refused == 556
+
+    def test_basis_entry_points_raise(self):
+        with pytest.raises(ValueError, match="not separable"):
+            class_gf(NOT_SEPARABLE, 4)
+        with pytest.raises(ValueError, match="not separable"):
+            basis_table(NOT_SEPARABLE, 2, 4)
+        with pytest.raises(ValueError, match="not separable"):
+            enumerate_basis(NOT_SEPARABLE, 2, 4)
+        with pytest.raises(ValueError, match="not separable"):
+            decompose((1, 3), NOT_SEPARABLE)
+
+    def test_class_walks_still_run(self):
+        # 4, 2+2, 1+1+2 and 1+1+1+1 of total 4; 1+3 is a basis element, no member
+        assert count_class(NOT_SEPARABLE, 4).int_coefficients(4) == [1, 1, 2, 2, 4]
+        assert not in_sip_class((1, 3), NOT_SEPARABLE)
+        report = verify_sip(NOT_SEPARABLE, 14)
+        assert not report.ok and report.not_in_class
