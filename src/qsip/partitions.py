@@ -11,10 +11,12 @@ states.  :func:`grow` is still the one walk when most states are leaves:
 a wide counting walk (:func:`~qsip.ncopies.count_ncopies`) gives ``grow``
 a rule that returns only the next states that can step, and chains each
 such state's childless successors after it, so the rule runs only on
-states with a next part and every state is still tallied once.  The
-enumerators are deliberately simple brute force for
-desk-scale totals; they exist to cross-check the generating-function
-machinery.
+states with a next part and every state is still tallied once.
+:func:`~qsip.sip.verify_sip` walks its two trees the same way: each walked
+node lists all of its next parts, and ``grow`` steps only into those with
+a next part of their own.  The enumerators are deliberately simple brute
+force for desk-scale totals; they exist to cross-check the
+generating-function machinery.
 """
 
 from __future__ import annotations

@@ -191,6 +191,11 @@ def poch_infinite(spec: PochSpec, trunc: int, markers: Iterable[str] | None = No
     return poch_product([(spec, 1)], trunc, markers)
 
 
+# binomial_row's two specs, built once each: a spec is immutable, and building
+# one costs more than the lookup
+_poch = lru_cache(maxsize=4096)(PochSpec)
+
+
 @lru_cache(maxsize=4096)
 def binomial_row(a: int, b: int, *, base: int = 1) -> tuple[int, ...]:
     """Gaussian binomial [a, b] in base q^base as an immutable int row
@@ -207,8 +212,8 @@ def binomial_row(a: int, b: int, *, base: int = 1) -> tuple[int, ...]:
     if b < 0 or b > a:
         return ()
     b = min(b, a - b)
-    coeffs = PochSpec(base * (a - b + 1), base).apply([1] + [0] * (base * b * (a - b)), b)
-    return tuple(PochSpec(base, base).apply(coeffs, b, -1))
+    coeffs = _poch(base * (a - b + 1), base).apply([1] + [0] * (base * b * (a - b)), b)
+    return tuple(_poch(base, base).apply(coeffs, b, -1))
 
 
 @lru_cache(maxsize=4096)

@@ -35,21 +35,24 @@ when the weights put every monomial's row in one residue class mod k, and
 markers, so it multiplies an entry as a key shift: every monomial moves by
 that vector, and the rows and their starts stay.
 
-verify_sip checks the split exhaustively without holding the members: it
-merges the member walk, which builds each member's basis by the
-constructive rule, with a walk over every basis element plus padding, both
-in ascending lexicographic order of parts, so each member must meet exactly
-one recomposition, with the same basis.  Its class test reads each new
-part once along the recomposition path: a recomposition is in the class
-when its parent is and its last part meets its residue threshold and gap.
+verify_sip checks the split exhaustively without holding the members.  Two
+rules give a node's next parts as (part, basis part) pairs: the member rule
+builds each member's basis by the constructive split, and the
+recomposition rule adds a basis part and a padding.  One walk steps through
+both trees at once, into the next parts that have a next part of their
+own, and compares each node's two pair lists, so each member must meet
+exactly one recomposition, with the same basis, and no rule runs on a
+childless member.  Its class test reads each new part once along the
+recomposition path: a recomposition is in the class when its parent is and
+its last part meets its residue threshold and gap.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
@@ -184,41 +187,70 @@ def _basis_step(spec: SipClassSpec, b: int | None, p: int) -> int:
     return lo + (p - lo) % k
 
 
-def _member_walk(spec: SipClassSpec, total_max: int) -> Iterator[tuple]:
-    """Every class member of total <= total_max, in ascending pre-order, as
-    the walk state (parts, constructive basis, remaining total).
+def _member_rule(spec: SipClassSpec):
+    """The class rule with the constructive split, as
+    ``rule(parts, basis, remaining)`` for a member and its basis: the next
+    parts that fit in ``remaining``, ascending, each paired with its basis
+    step (:func:`_basis_step`, the rule :func:`decompose` applies), and the
+    pairs whose part has a next part of its own.
 
-    Each step extends the basis by :func:`_basis_step`, the rule
-    :func:`decompose` applies, so the basis of every member is built
-    alongside it.  Siblings share their basis tuples: there is one per
-    residue of the next part.  A class with k = 1 has one threshold and one
-    gap, so its steps are C-level ranges.
+    A next part v has one exactly when the least part that may follow it is
+    at most remaining - v.  The parts that may follow v within
+    remaining - v only shrink as v grows, so those pairs are a prefix.  A
+    class with k = 1 has one threshold and one gap, so its pairs are a
+    C-level range and its prefix ends at (remaining - gap) // 2.
     """
-    if total_max < 0:
-        raise ValueError("total_max must be non-negative")
     k = spec.k
     if k == 1:
         first, gap = spec.c[0], spec.d[0]
 
-        def successors(state):
-            parts, basis, remaining = state
+        def rule(parts, basis, remaining):
             low = parts[-1] + gap if parts else first
             if low > remaining:
-                return ()
+                return [], []
             step = _basis_step(spec, basis[-1] if basis else None, low)
-            return zip(map(parts.__add__, zip(range(low, remaining + 1))),
-                       repeat(basis + (step,)), range(remaining - low, -1, -1))
-    else:
-        nexts = _next_parts(spec)
+            pairs = list(zip(range(low, remaining + 1), repeat(step)))
+            return pairs, pairs[:max(0, (remaining - gap) // 2 - low + 1)]
 
-        def successors(state):
-            parts, basis, remaining = state
-            last, b = (parts[-1], basis[-1]) if parts else (None, None)
-            steps = nexts(last, remaining)
-            if not steps:
-                return ()
-            shared = [basis + (_basis_step(spec, b, r),) for r in range(1, k + 1)]
-            return ((parts + (p,), shared[(p - 1) % k], remaining - p) for p in steps)
+        return rule
+
+    nexts, c, d = _next_parts(spec), spec.c, spec.d
+    reach: dict[int, int] = {}   # v plus the least part that may follow v, by v
+
+    def rule(parts, basis, remaining):
+        last, b = (parts[-1], basis[-1]) if parts else (None, None)
+        steps = nexts(last, remaining)
+        if not steps:
+            return [], []
+        shared = [_basis_step(spec, b, r) for r in range(1, k + 1)]
+        pairs = [(p, shared[(p - 1) % k]) for p in steps]
+        n = 0
+        for p in steps:
+            top = reach.get(p)
+            if top is None:
+                # per residue r, the least part of residue r at least c_r and p + d_r
+                top = reach[p] = p + min(lo + (r - lo) % k for r, lo in
+                                         enumerate(map(max, c, map(p.__add__, d)), 1))
+            if top > remaining:
+                break
+            n += 1
+        return pairs, pairs[:n]
+
+    return rule
+
+
+def _member_walk(spec: SipClassSpec, total_max: int) -> Iterator[tuple]:
+    """Every class member of total <= total_max, in ascending pre-order, as
+    the walk state (parts, constructive basis, remaining total): ``grow``
+    over the pairs of :func:`_member_rule`."""
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+    rule = _member_rule(spec)
+
+    def successors(state):
+        parts, basis, remaining = state
+        return [(parts + (v,), basis + (b,), remaining - v)
+                for v, b in rule(parts, basis, remaining)[0]]
 
     return grow(((), (), total_max), successors)
 
@@ -229,7 +261,8 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
     The pruned generation (next part at least prev + its residue gap, and at
     least its residue threshold) is cross-checked against the unpruned
     filter of enumerate_partitions in the test suite.  These are the parts
-    of the member walk that :func:`verify_sip` reads.
+    of the member walk, stepped by the member rule that :func:`verify_sip`
+    reads.
     """
     return map(itemgetter(0), _member_walk(spec, total_max))
 
@@ -327,50 +360,64 @@ def recompose(decomp: SipDecomposition) -> Partition:
     return tuple(b + p for b, p in zip(decomp.basis, decomp.padding))
 
 
-def _recompositions(spec: SipClassSpec, total_max: int, collisions: list) -> Iterator[tuple]:
-    """Every basis element plus padding of total <= total_max, the empty one
-    first, in ascending pre-order, as the walk state (parts, basis,
-    remaining total).
+def _recomposition_rule(spec: SipClassSpec, collisions: list):
+    """The basis-plus-padding rule, as ``rule(parts, basis, remaining)`` for
+    a basis element plus padding: its next parts that fit in ``remaining``,
+    ascending, each paired with its basis part, and the pairs whose part has
+    a next part of its own.
 
-    Each step adds one part: a basis part that may follow the last one
+    A next part is a basis part b that may follow the last one
     (:func:`basis_successors`, ascending, looked up once per basis value)
-    plus a padding at least the last one, in steps of k.  A node's children
-    are sorted by part value, so the parts come in strictly ascending
-    lexicographic order.  A child whose part value an earlier sibling
-    already took is appended to ``collisions`` as (the sibling's basis, its
-    basis, parts) and not walked, since its subtree would repeat the
-    sibling's.  Two nodes with equal parts branch at such a pair of
-    children, so this covers every collision.
+    plus a padding at least the last one, in steps of k, so the parts over
+    b form the progression range(b + pad, remaining + 1, k).  Sorted by
+    part value, they come in strictly ascending lexicographic order.  A
+    part value that an earlier pair already took is appended to
+    ``collisions`` as (the earlier basis, its basis, parts) and left out,
+    since its subtree would repeat the earlier one's.  Two nodes with equal
+    parts branch at such a pair of next parts, so this covers every
+    collision.  The part v over b has a next part of its own exactly when
+    the least basis successor of b plus its padding v - b is at most
+    remaining - v: one cut per progression.
     """
     k = spec.k
-    firsts = sorted(set(spec.c))
-    nexts_of: dict[int, list[int]] = {}
+    follow: dict[int, list[tuple[int, int]]] = {}
 
-    def successors(state):
-        parts, basis, remaining = state
+    def successors_of(b):
+        # each successor s of b with its lead, its least successor minus s:
+        # the part v over s has a next part iff v + lead <= remaining - v
+        got = follow.get(b)
+        if got is None:
+            got = follow[b] = [(s, basis_successors(spec, s)[0] - s)
+                               for s in basis_successors(spec, b)]
+        return got
+
+    firsts = [(b, basis_successors(spec, b)[0] - b) for b in sorted(set(spec.c))]
+
+    def rule(parts, basis, remaining):
         if basis:
             b = basis[-1]
-            nexts = nexts_of.get(b)
-            if nexts is None:
-                nexts = nexts_of[b] = basis_successors(spec, b)
-            pad = parts[-1] - b
+            nexts, pad = successors_of(b), parts[-1] - b
         else:
             nexts, pad = firsts, 0
-        low = nexts[0] + pad
+        low = nexts[0][0] + pad
         if low > remaining:
-            return ()
+            return [], []
         if len(nexts) == 1:  # one progression is already in order
-            return zip(map(parts.__add__, zip(range(low, remaining + 1, k))),
-                       repeat(basis + (nexts[0],)), range(remaining - low, -1, -k))
-        kids = []
-        for v, b in sorted((v, b) for b in nexts for v in range(b + pad, remaining + 1, k)):
-            if kids and kids[-1][0][-1] == v:
-                collisions.append((kids[-1][1], basis + (b,), parts + (v,)))
-            else:
-                kids.append((parts + (v,), basis + (b,), remaining - v))
-        return kids
+            b, lead = nexts[0]
+            pairs = list(zip(range(low, remaining + 1, k), repeat(b)))
+            return pairs, pairs[:max(0, ((remaining - lead) // 2 - low) // k + 1)]
+        pairs, branching = [], []
+        for v, b, lead in sorted((v, b, lead) for b, lead in nexts
+                                 for v in range(b + pad, remaining + 1, k)):
+            if pairs and pairs[-1][0] == v:
+                collisions.append((basis + (pairs[-1][1],), basis + (b,), parts + (v,)))
+                continue
+            pairs.append((v, b))
+            if 2 * v + lead <= remaining:
+                branching.append((v, b))
+        return pairs, branching
 
-    return grow(((), (), total_max), successors)
+    return rule
 
 
 @dataclass
@@ -404,65 +451,99 @@ class SipVerifyReport:
 def verify_sip(spec: SipClassSpec, total_max: int) -> SipVerifyReport:
     """Exhaustively confirm unique decomposition for all members <= total_max.
 
-    Two walks in ascending lexicographic order of parts run in lockstep: the
-    member walk (:func:`_member_walk`), which carries each member's
-    constructive basis, and the recomposition walk
-    (:func:`_recompositions`) over every basis element plus padding.  A
-    member head below the recomposition head was never produced (an
-    omission); a recomposition that is not the member head escaped the
-    class; a matched member must pass the class test and carry the
+    One walk runs over the union of two trees, both in ascending
+    lexicographic order of parts: the class members, each with the basis the
+    constructive split gives it (:func:`_member_rule`), and every basis
+    element plus padding (:func:`_recomposition_rule`).  A node is one
+    partition with its member basis, its recomposition basis (None for a
+    side it is not on), its remaining total and its fit, the verdict of the
+    class test.  At each node both rules give their next parts as lists of
+    (part, basis part) pairs.  A member part with no recomposition was never
+    produced (an omission); a recomposition with no member escaped the
+    class; a matched part must pass the class test and carry the
     recomposition's basis; and a collision (two decompositions of one
-    partition) is flagged by the recomposition walk.
+    partition) is flagged by the recomposition rule.  Every member is its
+    own pair and is compared once, and only the parts with a next part of
+    their own are walked, so no rule runs on a childless member.
 
-    The class test gives each recomposition the verdict of
-    :func:`~qsip.partitions.in_sip_class` from its last part alone.  It
-    relies on the recomposition walk being a pre-order walk that adds one
-    part per step, so the last earlier recomposition with one part fewer
-    is ``parts[:-1]``: ``fits[n]`` holds the verdict of the last
-    recomposition with n parts, and a recomposition with n parts fits when
-    ``fits[n - 1]`` does and its last part meets its residue threshold and
-    its gap over the part before.  The test reads only ``spec.c`` and
-    ``spec.d``, none of the member walk's rule.
+    When the node fits, both bases are equal and both rules give equal
+    lists, one ``==`` settles them: every pair is matched once the class
+    test passes on every part.  The class test reads only ``spec.c`` and
+    ``spec.d``, none of the member rule: a part fits when its parent
+    recomposition does and it meets its residue threshold and its gap over
+    the part before.  Every part at or above the largest of the k bounds
+    meets its own, so only the parts below it are checked, each against its
+    residue's bound.  Any other node compares its two lists part by part.
+    The lists are sorted by parts at the end, and collisions come in walk
+    order, by parent and then by part.
 
-    Only the walks' paths are held, so memory grows with the depth, not the
+    Only the walk's path is held, so memory grows with the depth, not the
     member count.  Paddings and SipDecomposition objects are rebuilt for
-    report entries only.
+    report entries only.  A negative total raises ValueError, and one past
+    the index size (whose pair lists no list could hold) OverflowError,
+    both before the walk.
     """
+    if total_max < 0:
+        raise ValueError("total_max must be non-negative")
+    if total_max > sys.maxsize:
+        raise OverflowError(f"total {total_max} does not fit an index-sized integer")
+
     def split(basis, parts):
         return SipDecomposition(basis, tuple(map(sub, parts, basis)))
 
-    members = _member_walk(spec, total_max)
-    next(members)  # the empty member has no basis element to recompose
     report = SipVerifyReport(spec=spec, total_max=total_max)
     k, c, d = spec.k, spec.c, spec.d
-    fits = [True]  # fits[n]: the verdict of the last recomposition with n parts
     collisions: list[tuple] = []
+    member, recomposition = _member_rule(spec), _recomposition_rule(spec, collisions)
+    none = ([], [])
     matched = recomposed = 0
-    head = next(members, None)
-    for parts, basis, _ in islice(_recompositions(spec, total_max, collisions), 1, None):
-        recomposed += 1
-        n, p = len(parts), parts[-1]
-        r = (p - 1) % k
-        fit = fits[n - 1] and p >= c[r] and (n == 1 or p - parts[-2] >= d[r])
-        if n < len(fits):
-            fits[n] = fit
-        else:
-            fits.append(fit)
-        if head is None or head[0] != parts:
-            while head is not None and head[0] < parts:
-                report.omissions.append(head[0])
-                head = next(members, None)
-            if head is None or head[0] != parts:
-                report.not_in_class.append((split(basis, parts), parts))
+
+    def all_fit(parts, pairs):
+        # every next part meets its residue's threshold and its gap over the last part
+        bounds = c if not parts else list(map(max, c, map(parts[-1].__add__, d)))
+        top = max(bounds)
+        for v, _ in pairs:
+            if v >= top:
+                return True
+            if v < bounds[(v - 1) % k]:
+                return False
+        return True
+
+    def visit(state):
+        # check a node's next parts; return those with a next part of their own
+        nonlocal matched, recomposed
+        parts, mbasis, rbasis, remaining, fit = state
+        mpairs, mbranch = none if mbasis is None else member(parts, mbasis, remaining)
+        rpairs, rbranch = none if rbasis is None else recomposition(parts, rbasis, remaining)
+        recomposed += len(rpairs)
+        if (fit and mbasis == rbasis and mpairs == rpairs and mbranch == rbranch
+                and all_fit(parts, rpairs)):
+            matched += len(rpairs)
+            return [(parts + (v,), basis, basis, remaining - v, True)
+                    for v, b in rbranch for basis in (rbasis + (b,),)]
+        # part by part, over the union of both lists
+        m, r, fits = dict(mpairs), dict(rpairs), {}
+        for v in sorted(m.keys() | r.keys()):
+            child = parts + (v,)
+            if v not in r:
+                report.omissions.append(child)
                 continue
-        matched += 1
-        if not fit:
-            report.not_in_class.append((split(basis, parts), parts))
-        elif head[1] != basis:
-            report.constructive_mismatches.append((parts, split(head[1], parts)))
-        head = next(members, None)
-    if head is not None:  # members past the last recomposition
-        report.omissions += [head[0], *map(itemgetter(0), members)]
+            basis, i = rbasis + (r[v],), (v - 1) % k
+            fits[v] = fit and v >= c[i] and (not parts or v - parts[-1] >= d[i])
+            matched += v in m
+            if v not in m or not fits[v]:
+                report.not_in_class.append((split(basis, child), child))
+            elif mbasis + (m[v],) != basis:
+                report.constructive_mismatches.append((child, split(mbasis + (m[v],), child)))
+        m, r = dict(mbranch), dict(rbranch)
+        return [(parts + (v,), mbasis + (m[v],) if v in m else None,
+                 rbasis + (r[v],) if v in r else None, remaining - v, fits.get(v, False))
+                for v in sorted(m.keys() | r.keys())]
+
+    deque(grow(((), (), (), total_max, True), visit), 0)  # visit does the work
+    report.omissions.sort()
+    report.not_in_class.sort(key=itemgetter(1))
+    report.constructive_mismatches.sort(key=itemgetter(0))
     report.collisions = [(split(first, parts), split(basis, parts), parts)
                          for first, basis, parts in collisions]
     report.class_count = 1 + matched + len(report.omissions)

@@ -2,14 +2,15 @@
 
 import sys
 import tracemalloc
-from itertools import combinations_with_replacement, count, product
+from collections import Counter
+from itertools import combinations_with_replacement, count, islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsip import catalog, sip
-from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions,
+from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions, grow,
                              in_sip_class)
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, congruence_product, poch_finite,
                            poch_infinite)
@@ -68,6 +69,19 @@ def small_specs(draw):
     if draw(st.booleans()):
         weights = tuple(tuple(draw(st.integers(0, 2)) for _ in markers) for _ in range(k))
     return SipClassSpec(k, c, d, markers=markers, weights=weights)
+
+
+def rule_walk(rule, total_max):
+    """Every state of a rule of verify_sip within total_max, the root first,
+    in pre-order, as (parts, basis, remaining): ``grow`` over its pairs."""
+    return grow(((), (), total_max), lambda state: [
+        (state[0] + (v,), state[1] + (b,), state[2] - v) for v, b in rule(*state)[0]])
+
+
+def recompositions(spec, total_max, collisions):
+    """Every basis element plus padding of total <= total_max, the empty one
+    first, in pre-order."""
+    return rule_walk(sip._recomposition_rule(spec, collisions), total_max)
 
 
 # (ok, class_count, recomposed_count) of verify_sip by spec and total, pinned
@@ -232,6 +246,11 @@ class TestVerifySip:
         with pytest.raises(ValueError, match="total_max must be non-negative"):
             verify_sip(NATURAL, -1)
 
+    def test_total_past_index_size(self):
+        # raised at the call, before the walk builds a pair list toward it
+        with pytest.raises(OverflowError, match="does not fit an index-sized integer"):
+            verify_sip(NATURAL, 10**20)
+
     @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
     def test_recomposition_walk_is_basis_times_padding(self, spec):
         # a padding of n slots with sum <= budget is n - m zeros and then m
@@ -251,7 +270,7 @@ class TestVerifySip:
                             built.append((tuple(b + p for b, p in zip(basis, pad)), basis))
         for t in range(top + 1):
             collisions = []
-            walked = list(sip._recompositions(spec, t, collisions))
+            walked = list(recompositions(spec, t, collisions))
             assert walked[0] == ((), (), t) and collisions == []
             # each pair once, parts strictly ascending: the order verify_sip merges in
             assert [(parts, basis) for parts, basis, _ in walked[1:]] == sorted(
@@ -261,10 +280,10 @@ class TestVerifySip:
 
     @pytest.mark.parametrize("spec", SPEC_REGISTRY.values(), ids=list(SPEC_REGISTRY))
     def test_walks_extend_the_last_state_one_part_shorter(self, spec):
-        # verify_sip's class test takes each state's parent verdict from the
-        # last earlier state with one part fewer, which must be parts[:-1]
+        # verify_sip walks both sets as trees that share their nodes, so the
+        # last earlier state with one part fewer must be parts[:-1]
         for t in range(25):
-            for states in (sip._recompositions(spec, t, []), sip._member_walk(spec, t)):
+            for states in (recompositions(spec, t, []), sip._member_walk(spec, t)):
                 last = {}
                 for parts, _, _ in states:
                     if parts:
@@ -308,11 +327,20 @@ class TestVerifySipFaults:
         for other in self.LISTS:
             assert bool(getattr(report, other)) == (other == name), other
 
+    @staticmethod
+    def edited(factory, edit):
+        """A rule factory like ``factory`` whose rules pass both of their
+        lists, the pairs and the branching pairs, through edit(parts, pairs)."""
+        def make(*args):
+            rule = factory(*args)
+            return lambda parts, basis, remaining: tuple(
+                edit(parts, pairs) for pairs in rule(parts, basis, remaining))
+        return make
+
     def test_member_missing_from_class_stream(self, monkeypatch):
-        real = sip._member_walk
-        dropped = next(p for p, _, _ in real(self.SPEC, self.TOTAL) if len(p) == 2)
-        monkeypatch.setattr(sip, "_member_walk", lambda spec, total_max: (
-            state for state in real(spec, total_max) if state[0] != dropped))
+        dropped = next(p for p, _, _ in sip._member_walk(self.SPEC, self.TOTAL) if len(p) == 2)
+        monkeypatch.setattr(sip, "_member_rule", self.edited(sip._member_rule, lambda parts, pairs: [
+            pair for pair in pairs if parts + pair[:1] != dropped]))
         self.assert_caught_only_by("not_in_class")
 
     def test_basis_successor_listed_twice(self, monkeypatch):
@@ -329,36 +357,33 @@ class TestVerifySipFaults:
 
     def test_last_member_never_recomposed(self, monkeypatch):
         # a member stream that outlasts the recompositions: its tail is omitted
-        real = sip._recompositions
-        last = list(real(self.SPEC, self.TOTAL, []))[-1][0]
-        monkeypatch.setattr(sip, "_recompositions", lambda spec, total_max, collisions: (
-            state for state in real(spec, total_max, collisions) if state[0] != last))
+        last = list(recompositions(self.SPEC, self.TOTAL, []))[-1][0]
+        monkeypatch.setattr(sip, "_recomposition_rule", self.edited(
+            sip._recomposition_rule, lambda parts, pairs: [
+                pair for pair in pairs if parts + pair[:1] != last]))
         self.assert_caught_only_by("omissions")
         report = verify_sip(self.SPEC, self.TOTAL)
         assert (report.omissions, report.class_count) == ([last], 60)
 
     def test_constructive_basis_corrupted(self, monkeypatch):
-        real = sip._member_walk
-
-        def corrupted(spec, total_max):
-            for parts, basis, remaining in real(spec, total_max):
-                if len(parts) == 2:
-                    basis = basis[:1] + (basis[1] + spec.k,)
-                yield parts, basis, remaining
-
-        monkeypatch.setattr(sip, "_member_walk", corrupted)
+        # the basis steps to every 2-part member move up by k
+        k = self.SPEC.k
+        monkeypatch.setattr(sip, "_member_rule", self.edited(sip._member_rule, lambda parts, pairs: [
+            (v, b + k) if len(parts) == 1 else (v, b) for v, b in pairs]))
         self.assert_caught_only_by("constructive_mismatches")
 
     def walk_looser_class(self, monkeypatch, loose, spec):
-        """Run both walks on ``loose`` whatever class verify_sip checks, so
+        """Run both rules on ``loose`` whatever class verify_sip checks, so
         they agree with each other and only the class test sees the members
         they add; return the not_in_class list expected for ``spec``."""
-        walk, recompositions = sip._member_walk, sip._recompositions
-        monkeypatch.setattr(sip, "_member_walk", lambda spec, total_max: walk(loose, total_max))
-        monkeypatch.setattr(sip, "_recompositions", lambda spec, total_max, collisions: (
-            recompositions(loose, total_max, collisions)))
-        return [(SipDecomposition(basis, tuple(p - b for p, b in zip(parts, basis))), parts)
-                for parts, basis, _ in walk(loose, self.TOTAL) if not in_sip_class(parts, spec)]
+        expected = [(SipDecomposition(basis, tuple(p - b for p, b in zip(parts, basis))), parts)
+                    for parts, basis, _ in sip._member_walk(loose, self.TOTAL)
+                    if not in_sip_class(parts, spec)]
+        member, recomposition = sip._member_rule, sip._recomposition_rule
+        monkeypatch.setattr(sip, "_member_rule", lambda spec: member(loose))
+        monkeypatch.setattr(sip, "_recomposition_rule", lambda spec, collisions: (
+            recomposition(loose, collisions)))
+        return expected
 
     def test_member_rejected_by_class_test(self, monkeypatch):
         # the walks allow even gaps of 2, not 3
@@ -654,3 +679,147 @@ class TestNotSeparable:
         assert not in_sip_class((1, 3), NOT_SEPARABLE)
         report = verify_sip(NOT_SEPARABLE, 14)
         assert not report.ok and report.not_in_class
+
+
+def reference_verify_sip(spec, total_max):
+    """verify_sip as a lockstep merge of two ordered walks, each a recursive
+    generator of its own: every member with its constructive basis, and
+    every basis element plus padding (basis successors from
+    ``sip.basis_successors``, so that its seams reach both sides).  A member
+    below the recomposition head is omitted, a recomposition that is not the
+    member head escaped the class, and a matched one must fit and carry the
+    member's basis.  It shares no walk and no rule with sip."""
+    k, c, d = spec.k, spec.c, spec.d
+
+    def members(parts, basis, remaining):
+        yield parts, basis
+        last = parts[-1] if parts else None
+        for p in range(1, remaining + 1):
+            r = (p - 1) % k
+            if p >= c[r] and (last is None or p - last >= d[r]):
+                if basis:
+                    lo = basis[-1] + d[r]
+                    step = lo + (p - lo) % k
+                else:
+                    step = c[r]
+                yield from members(parts + (p,), basis + (step,), remaining - p)
+
+    def recompositions(parts, basis, remaining, collisions):
+        yield parts, basis
+        if basis:
+            nexts, pad = sip.basis_successors(spec, basis[-1]), parts[-1] - basis[-1]
+        else:
+            nexts, pad = sorted(set(c)), 0
+        kids = []
+        for v, b in sorted((v, b) for b in nexts for v in range(b + pad, remaining + 1, k)):
+            if kids and kids[-1][0] == v:
+                collisions.append((basis + (kids[-1][1],), basis + (b,), parts + (v,)))
+            else:
+                kids.append((v, b))
+        for v, b in kids:
+            yield from recompositions(parts + (v,), basis + (b,), remaining - v, collisions)
+
+    def split(basis, parts):
+        return SipDecomposition(basis, tuple(p - b for p, b in zip(parts, basis)))
+
+    report = sip.SipVerifyReport(spec=spec, total_max=total_max)
+    walk = members((), (), total_max)
+    next(walk)
+    collisions, fits = [], [True]
+    matched = recomposed = 0
+    head = next(walk, None)
+    for parts, basis in islice(recompositions((), (), total_max, collisions), 1, None):
+        recomposed += 1
+        n, p = len(parts), parts[-1]
+        r = (p - 1) % k
+        fit = fits[n - 1] and p >= c[r] and (n == 1 or p - parts[-2] >= d[r])
+        fits[n:] = [fit]
+        while head is not None and head[0] < parts:
+            report.omissions.append(head[0])
+            head = next(walk, None)
+        if head is None or head[0] != parts:
+            report.not_in_class.append((split(basis, parts), parts))
+            continue
+        matched += 1
+        if not fit:
+            report.not_in_class.append((split(basis, parts), parts))
+        elif head[1] != basis:
+            report.constructive_mismatches.append((parts, split(head[1], parts)))
+        head = next(walk, None)
+    if head is not None:
+        report.omissions += [head[0]] + [parts for parts, _ in walk]
+    report.collisions = [(split(first, parts), split(basis, parts), parts)
+                         for first, basis, parts in collisions]
+    report.class_count = 1 + matched + len(report.omissions)
+    report.recomposed_count = recomposed + len(collisions)
+    return report
+
+
+class TestVerifySipReference:
+    """verify_sip gives the reference merge's report, entry for entry and in
+    order, FAIL reports included."""
+
+    def assert_same(self, spec, total):
+        got, want = verify_sip(spec, total), reference_verify_sip(spec, total)
+        assert got == want, spec
+        assert got.summary() == want.summary()
+        return got
+
+    @pytest.mark.parametrize("name", list(SPEC_REGISTRY))
+    def test_registry(self, name):
+        for t in range(25):
+            assert self.assert_same(SPEC_REGISTRY[name], t).ok
+
+    def test_small_box(self):
+        failed = sum(not self.assert_same(spec, 14).ok for spec in small_box())
+        assert failed == 556
+
+    @pytest.mark.parametrize("spec", [GOLLNITZ_GORDON, SCHUR, GLASGOW],
+                             ids=["gollnitz", "schur", "glasgow"])
+    @pytest.mark.parametrize("seam", ["twice", "dropped"])
+    def test_basis_successor_seams(self, spec, seam, monkeypatch):
+        real = sip.basis_successors
+        edit = {"twice": lambda got: got + got[:1], "dropped": lambda got: got[1:]}[seam]
+        monkeypatch.setattr(sip, "basis_successors", lambda spec, value: edit(real(spec, value)))
+        report = self.assert_same(spec, 14)
+        assert report.collisions if seam == "twice" else report.omissions
+
+
+class TestRuleCalls:
+    """verify_sip runs its rules only on the nodes with a next part."""
+
+    def test_rules_skip_childless_members(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            factory = getattr(sip, name)
+
+            def make(*args):
+                rule = factory(*args)
+
+                def call(*state):
+                    calls[name] += 1
+                    return rule(*state)
+                return call
+            return make
+
+        members = list(enumerate_class(NATURAL, 30))
+        parents = {parts[:-1] for parts in members if parts}
+        for name in ("_member_rule", "_recomposition_rule"):
+            monkeypatch.setattr(sip, name, counted(name))
+        assert verify_sip(NATURAL, 30).ok
+        # the root and each member with a next part: 5,604 of the 28,629
+        assert (len(members), len(parents)) == (28629, 5604)
+        assert calls == {"_member_rule": 5604, "_recomposition_rule": 5604}
+        assert 5 * len(parents) <= len(members)
+
+    @pytest.mark.parametrize("name", list(SPEC_REGISTRY))
+    def test_branching_pairs_are_the_parents(self, name):
+        # a rule that called a state with a next part a leaf would drop members
+        spec = SPEC_REGISTRY[name]
+        for t in range(25):
+            for rule in (sip._member_rule(spec), sip._recomposition_rule(spec, [])):
+                for parts, basis, remaining in rule_walk(rule, t):
+                    pairs, branching = rule(parts, basis, remaining)
+                    assert branching == [(v, b) for v, b in pairs
+                                         if rule(parts + (v,), basis + (b,), remaining - v)[0]]
