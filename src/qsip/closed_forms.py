@@ -16,10 +16,15 @@ immutable tuples) and adds the product, shifted by e, into a fresh list for
 its marker monomial u^i v^j (``_add_product``; a single shifted row is
 ``_shifted``).  Those fresh lists go to ``QSeries._make``, which trims them
 with no second type scan or copy, so MarkerPoly values appear only where a
-caller reads them off the returned series.
+caller reads them off the returned series.  The Schur double sum S1(n, h)
+feeds all three Schur branches and S2's unrolled levels, so it is built
+once per (n, h) and cached as immutable rows (``_schur_s1``); a caller
+that hands them to ``QSeries._make`` copies them into fresh lists first.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .qfactory import PochSpec, binomial_row
 from .series import QSeries, _add_product, _convolve_into, _nested_sum, _shifted
@@ -27,9 +32,10 @@ from .series import QSeries, _add_product, _convolve_into, _nested_sum, _shifted
 SCHUR_MARKERS = ("u", "v")
 
 
-def _shift_into(acc: dict, rows: dict, u_exp: int, exp: int) -> None:
-    """Add u^u_exp q^exp times the marked rows ``rows`` into acc."""
-    for (a, b), row in rows.items():
+def _shift_into(acc: dict, rows: tuple, u_exp: int, exp: int) -> None:
+    """Add u^u_exp q^exp times the marked rows ``rows``, (monomial, row)
+    pairs, into acc."""
+    for (a, b), row in rows:
         _add_product(acc.setdefault((a + u_exp, b), []), exp, row)
 
 
@@ -54,7 +60,7 @@ def schur_closed(n: int, h: int, branch: int) -> QSeries:
     if n < 1:
         raise ValueError("requires n >= 1")
     if branch == 2:
-        rows = _schur_s1(n, h)
+        rows = {key: list(row) for key, row in _schur_s1(n, h)}
     elif branch == 1:
         rows = _schur_s2(n, h)
     elif branch == 0:  # u q times branch 2
@@ -65,9 +71,13 @@ def schur_closed(n: int, h: int, branch: int) -> QSeries:
     return QSeries._make(rows, None, SCHUR_MARKERS)
 
 
-def _schur_s1(n: int, h: int) -> dict:
+@lru_cache(maxsize=1024)
+def _schur_s1(n: int, h: int) -> tuple:
     """Rows of the double sum for largest part 3n + 3h - 1 (residue 2):
-    u^(j+h-i) v^(n-j) q^e [n-j-1, h] [j+h-i, h] [h, i] in base q^3."""
+    u^(j+h-i) v^(n-j) q^e [n-j-1, h] [j+h-i, h] [h, i] in base q^3.
+
+    Built once per (n, h) and cached, as immutable (monomial, int tuple)
+    pairs; () where every term vanishes."""
     rows: dict = {}
     for j in range(0, n + 1):
         outer = binomial_row(n - j - 1, h, base=3)
@@ -80,7 +90,7 @@ def _schur_s1(n: int, h: int) -> dict:
                 exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
                 _add_product(rows.setdefault((j + h - i, n - j), []), exp,
                              outer, mid, inner)
-    return rows
+    return tuple((key, tuple(row)) for key, row in rows.items())
 
 
 def _schur_s2(n: int, h: int) -> dict:

@@ -10,8 +10,10 @@ rule reads and the remaining total, and :func:`walk_series` tallies its
 states.  :func:`grow` is still the one walk when most states are leaves:
 a wide counting walk (:func:`~qsip.ncopies.count_ncopies`) gives ``grow``
 a rule that returns only the next states that can step, and chains each
-such state's childless successors after it, so the rule runs only on
-states with a next part and every state is still tallied once.
+such state's childless successors after it (in
+:func:`~qsip.sip.count_class`, after the next state walked), so the rule
+runs only on states with a next part and every state is still tallied
+once.
 :func:`~qsip.sip.verify_sip` walks its two trees the same way: each walked
 node lists all of its next parts, and ``grow`` steps only into those with
 a next part of their own.  The enumerators are deliberately simple brute

@@ -37,6 +37,7 @@ it cannot vouch for.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -372,10 +373,10 @@ def _nested_sum(terms: list, factors: list, last: int) -> tuple[int, list[int]]:
 
 def _shifted(exp: int, row) -> "QSeries":
     """q^exp times an int row or tuple, as a marker-free exact polynomial.
-    An empty or absent row is answered directly, without building the exp
+    An empty or absent row is the shared exact zero, with none of the exp
     zeros that ``_canonical`` would only drop."""
     if not row:
-        return QSeries.zero()
+        return _exact_zero(())
     return QSeries._make({(): [0] * exp + list(row)}, None, ())
 
 
@@ -409,8 +410,10 @@ class QSeries:
     nonzero entry, truncated or not, and all-zero rows are dropped, so equal
     series have equal rows; ``trunc`` only says how far they are exact.
     Instances are immutable and never hand out a row, so they may share
-    them; all operations return new values.  :attr:`coeffs` is a MarkerPoly
-    view of the rows, built on first read.
+    them, and each marker registry has one shared exact zero
+    (:meth:`zero`); arithmetic returns new values.  :attr:`coeffs` is a
+    MarkerPoly view of the rows, built on first read.  Two series of one
+    registry compare by ``trunc`` and rows alone.
     """
 
     __slots__ = ("markers", "trunc", "_rows", "_coeffs")
@@ -487,6 +490,10 @@ class QSeries:
 
     @classmethod
     def zero(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
+        """The zero series.  The exact zero (``trunc`` None) is one shared
+        instance per marker registry; a truncated zero is built afresh."""
+        if trunc is None:
+            return _exact_zero(tuple(markers))
         return cls._make({}, trunc, tuple(markers))
 
     @classmethod
@@ -709,6 +716,8 @@ class QSeries:
         return self.first_mismatch(other, upto=upto) is None
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, QSeries) and other.markers == self.markers:
+            return self.trunc == other.trunc and self._rows == other._rows
         if isinstance(other, (int, MarkerPoly)) and not isinstance(other, bool):
             other = _as_series(other)
         if not isinstance(other, QSeries):
@@ -745,3 +754,9 @@ class QSeries:
 
     def __repr__(self) -> str:
         return f"QSeries({self})"
+
+
+@lru_cache(maxsize=256)
+def _exact_zero(markers: tuple[str, ...]) -> QSeries:
+    """The shared exact zero of a marker registry (:meth:`QSeries.zero`)."""
+    return QSeries._make({}, None, markers)

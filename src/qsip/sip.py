@@ -52,7 +52,7 @@ from __future__ import annotations
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
@@ -187,6 +187,24 @@ def _basis_step(spec: SipClassSpec, b: int | None, p: int) -> int:
     return lo + (p - lo) % k
 
 
+class _Reach(dict):
+    """v plus the least part that may follow a part v, by v, filled on first
+    read.  It grows strictly with v, so of any ascending next parts the
+    ones with a next part of their own within a remaining total are a
+    prefix: those v with reach[v] <= remaining."""
+
+    def __init__(self, spec: SipClassSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, v: int) -> int:
+        k, c, d = self.spec.k, self.spec.c, self.spec.d
+        # per residue r, the least part of residue r at least c_r and v + d_r
+        top = self[v] = v + min(lo + (r - lo) % k for r, lo in
+                                enumerate(map(max, c, map(v.__add__, d)), 1))
+        return top
+
+
 def _member_rule(spec: SipClassSpec):
     """The class rule with the constructive split, as
     ``rule(parts, basis, remaining)`` for a member and its basis: the next
@@ -214,8 +232,7 @@ def _member_rule(spec: SipClassSpec):
 
         return rule
 
-    nexts, c, d = _next_parts(spec), spec.c, spec.d
-    reach: dict[int, int] = {}   # v plus the least part that may follow v, by v
+    nexts, reach = _next_parts(spec), _Reach(spec)
 
     def rule(parts, basis, remaining):
         last, b = (parts[-1], basis[-1]) if parts else (None, None)
@@ -226,12 +243,7 @@ def _member_rule(spec: SipClassSpec):
         pairs = [(p, shared[(p - 1) % k]) for p in steps]
         n = 0
         for p in steps:
-            top = reach.get(p)
-            if top is None:
-                # per residue r, the least part of residue r at least c_r and p + d_r
-                top = reach[p] = p + min(lo + (r - lo) % k for r, lo in
-                                         enumerate(map(max, c, map(p.__add__, d)), 1))
-            if top > remaining:
+            if reach[p] > remaining:
                 break
             n += 1
         return pairs, pairs[:n]
@@ -273,8 +285,14 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
     with k = 1 steps it by two ranges, tallied by
     :func:`~qsip.partitions.walk_series`.  Every other class adds its
     monomial, the exponent vector sum of its parts' weights (zero when
-    unweighted), builds each monomial's k successors once, and tallies the
-    states by (remaining, monomial) into one int row per monomial.
+    unweighted), and builds each monomial's k successors once.  Its walk
+    runs the rule only on the members with a next part: per residue the
+    next parts are a progression in steps of k, and those with a next part
+    of their own are a prefix of it (:class:`_Reach`).  The childless rest
+    are chained in after the next walked member, one C-level
+    ``zip(range(...), repeat(...))`` per run, so every member is still its
+    own (remaining, monomial) key, tallied once into one int row per
+    monomial.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
@@ -294,25 +312,41 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
         # the root's last part sits one gap below c_1, where the first part starts
         return walk_series(grow((spec.c[0] - gap, total_max), successors), total_max)
 
-    nexts = _next_parts(spec)
+    c, d, reach = spec.c, spec.d, _Reach(spec)
     shifts: dict[tuple, list[tuple]] = {}   # a monomial's successor by residue
+    pending = []   # leaf runs the rule found, tallied with the next walked member
 
-    def with_monomial(state):
+    def branching(state):
+        # per residue r the next parts are p, p + k, ... through remaining,
+        # and those with a next part of their own are a prefix (_Reach)
         last, remaining, monomial = state
-        steps = nexts(last, remaining)
-        if not steps:
-            return ()
         nxt = shifts.get(monomial)
         if nxt is None:
             nxt = shifts[monomial] = [tuple(map(add, monomial, spec.weight(r)))
                                       for r in range(1, k + 1)]
-        return ((p, remaining - p, nxt[(p - 1) % k]) for p in steps)
+        steps = []
+        for r in range(1, k + 1):
+            lo = c[r - 1] if last is None else max(c[r - 1], last + d[r - 1])
+            p, mono = lo + (r - lo) % k, nxt[r - 1]
+            while reach[p] <= remaining:   # so p < remaining
+                steps.append((p, remaining - p, mono))
+                p += k
+            if p <= remaining:   # the leaves p, p + k, ... through remaining
+                pending.append(zip(range(remaining - p, -1, -k), repeat(mono)))
+        return steps
+
+    def with_leaves(state):
+        # the walked member's key, then every pending leaf's
+        runs = [((state[1], state[2]),), *pending]
+        pending.clear()
+        return chain.from_iterable(runs)
 
     zero = (0,) * len(spec.markers)
     # the empty member's row comes first, so a total too large to hold fails before the walk
     rows: dict[tuple, list[int]] = {zero: [0] * (total_max + 1)}
-    tally = Counter((remaining, monomial)
-                    for _, remaining, monomial in grow((None, total_max, zero), with_monomial))
+    walk = map(with_leaves, grow((None, total_max, zero), branching))
+    tally = Counter(chain.from_iterable(walk))
+    tally.update(chain.from_iterable(pending))   # the last member's leaves
     for (remaining, monomial), count in tally.items():
         rows.setdefault(monomial, [0] * (total_max + 1))[total_max - remaining] += count
     return QSeries._make(rows, total_max, spec.markers)

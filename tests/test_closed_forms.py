@@ -2,6 +2,7 @@
 
 import pytest
 
+from qsip import closed_forms
 from qsip.closed_forms import (chu_vandermonde_check,
                                chu_vandermonde_series_check,
                                combined_row_formula, glasgow_closed,
@@ -107,6 +108,36 @@ class TestReferences:
             want = {1: 2 * n + 3, 0: 4 * n - 1, 3: 4 * n + 2, 2: 2 * n}
             assert glasgow_row_sums(n) == \
                 {rem: QSeries.monomial(exp) * tail for rem, exp in want.items()}, n
+
+
+class TestSchurCache:
+    """S1(n, h) is built once per (n, h) and cached; callers copy its rows."""
+
+    GRID = [(n, h, branch) for n in range(1, 7) for h in range(-1, 6) for branch in (2, 1, 0)]
+
+    def test_cold_then_warm_in_reverse(self):
+        want = {key: ref_schur(*key) for key in self.GRID}
+        closed_forms._schur_s1.cache_clear()
+        for key in self.GRID:
+            assert schur_closed(*key) == want[key], key
+        for key in reversed(self.GRID):
+            assert schur_closed(*key) == want[key], key
+
+    def test_bench_grid_builds_each_s1_once(self, monkeypatch):
+        cached, keys = closed_forms._schur_s1, set()
+
+        def recording(n, h):
+            keys.add((n, h))
+            return cached(n, h)
+
+        cached.cache_clear()
+        monkeypatch.setattr(closed_forms, "_schur_s1", recording)
+        for n in range(1, 9):
+            for h in range(12):
+                for branch in (0, 1, 2):
+                    schur_closed(n, h, branch)
+        info = cached.cache_info()
+        assert info.misses <= len(keys) and info.hits > 0
 
 
 class TestGollnitz:

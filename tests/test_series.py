@@ -9,7 +9,7 @@ from qsip.closed_forms import combined_row_formula, schur_closed
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import gaussian_binomial
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
-                         TruncationExceeded, _nested_sum, binomial_factor)
+                         TruncationExceeded, _nested_sum, _shifted, binomial_factor)
 from qsip.sip import SCHUR_REFINED, basis_table, count_class
 
 UV = ("u", "v")
@@ -507,6 +507,68 @@ def test_cancelled_rows_leave_canonical_form():
     poly = QSeries([1, U, 3 * V], markers=UV) - QSeries([0, U, 3 * V], markers=UV)
     assert poly == QSeries.one(markers=UV) and len(poly.coeffs) == 1
     assert (QSeries([1, 2, 3]) - QSeries([0, 0, 3])).int_coefficients(3) == [1, 2, 0, 0]
+
+
+def test_exact_zero_is_shared_and_unchanged():
+    z = QSeries.zero()
+    assert z is QSeries.zero() and z is _shifted(7, ()) and z is _shifted(3, None)
+    assert QSeries.zero(markers=UV) is QSeries.zero(markers=UV) is not z
+    assert QSeries.zero(3) is not QSeries.zero(3)
+    x = QSeries([1, 2 * U, 3], trunc=6, markers=UV)
+    assert z + x == x and z - x == -x and z * x == QSeries.zero(6, UV)
+    assert z.coeffs == () and z.truncate(5) == QSeries.zero(5)
+    assert str(z) == "0"
+    assert z.monomial_rows(4) == {} and z.trunc is None and z.markers == ()
+    assert z == QSeries([]) and QSeries.zero() is z
+
+
+def reference_eq(a, b):
+    """QSeries.__eq__ by its general path through public reads: an int or
+    MarkerPoly (not a bool) is a constant series, anything else that is no
+    series is NotImplemented, two marked registries that differ are
+    unequal, and a marker-free side is re-keyed into the other's."""
+    if isinstance(b, (int, MarkerPoly)) and not isinstance(b, bool):
+        b = QSeries([b], markers=getattr(b, "markers", ()))
+    if not isinstance(b, QSeries):
+        return NotImplemented
+    if a.markers and b.markers and a.markers != b.markers:
+        return False
+    if a.trunc != b.trunc:
+        return False
+    markers = a.markers or b.markers
+    upto = a.trunc if a.trunc is not None else max(len(a.coeffs), len(b.coeffs), 1) - 1
+
+    def rows(s):
+        return {key if s.markers else (0,) * len(markers): row
+                for key, row in s.monomial_rows(upto).items()}
+    return rows(a) == rows(b)
+
+
+def test_equality_fast_path_matches_general_path():
+    plain = QSeries([1, 2, 0, 3])
+    marked = QSeries([1, 2, 0, 3], markers=UV)
+    pairs = [
+        (plain, QSeries([1, 2, 0, 3])), (plain, QSeries([1, 2])),
+        (QSeries([1, 2], trunc=4), QSeries([1, 2], trunc=4)),
+        (QSeries([1, 2], trunc=4), QSeries([1, 2], trunc=5)),
+        (QSeries([1, 2], trunc=4), QSeries([1, 2])),
+        (plain, marked), (marked, plain), (QSeries([1, U], markers=UV), QSeries([1])),
+        (QSeries.zero(markers=UV), QSeries.zero()), (QSeries.zero(), QSeries.zero(markers=UV)),
+        (QSeries([U], markers=UV), QSeries([MarkerPoly.gens(("u",))[0]], markers=("u",))),
+        (QSeries.zero(markers=("u",)), QSeries.zero(markers=("v",))),
+        (QSeries([3]), 3), (QSeries([3], markers=UV), 3), (QSeries.zero(), 0), (QSeries([3]), 4),
+        (QSeries([1, 2]), 1), (QSeries([U], markers=UV), U), (QSeries([1], markers=UV), 1 + 0 * U),
+        (QSeries([3]), MarkerPoly.const(3)), (QSeries([3], markers=("u",)), U),
+        (QSeries([1]), True), (QSeries.zero(), False), (QSeries([1], trunc=0), True),
+        (plain, "q"), (plain, [1, 2, 0, 3]), (plain, None),
+    ]
+    for a, b in pairs:
+        want = reference_eq(a, b)
+        assert a.__eq__(b) is want, (a, b)
+        assert (a == b) is (want is True) and (a != b) is (want is not True), (a, b)
+    # a bool is no constant: True and False equal no series
+    assert [want for a, b in pairs if isinstance(b, bool)
+            for want in (reference_eq(a, b), a == b)] == [NotImplemented, False] * 3
 
 
 def test_handed_out_lists_are_copies():

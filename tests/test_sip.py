@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, count, islice, product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -823,3 +824,56 @@ class TestRuleCalls:
                     pairs, branching = rule(parts, basis, remaining)
                     assert branching == [(v, b) for v, b in pairs
                                          if rule(parts + (v,), basis + (b,), remaining - v)[0]]
+
+
+def reference_count_class(spec, total_max):
+    """count_class by one rule on every member: an explicit-stack walk over
+    (last part, remaining, monomial) that tries every part from the last
+    one up to the remaining total against the class thresholds and gaps."""
+    k, c, d = spec.k, spec.c, spec.d
+    zero = (0,) * len(spec.markers)
+    tally = Counter()
+    stack = [(None, total_max, zero)]
+    while stack:
+        last, remaining, monomial = stack.pop()
+        tally[remaining, monomial] += 1
+        for p in range(1 if last is None else last, remaining + 1):
+            r = (p - 1) % k
+            if p >= c[r] and (last is None or p - last >= d[r]):
+                stack.append((p, remaining - p, tuple(map(add, monomial, spec.weight(p)))))
+    rows = {}
+    for (remaining, monomial), n in tally.items():
+        rows.setdefault(monomial, [0] * (total_max + 1))[total_max - remaining] += n
+    return QSeries.from_rows(rows, total_max, spec.markers)
+
+
+class TestCountClassWalk:
+    """count_class's monomial walk runs its rule only on the members with a
+    next part, and tallies the childless rest from ranges."""
+
+    @pytest.mark.parametrize("name", ["gollnitz", "schur-refined", "glasgow"])
+    def test_matches_one_rule_walk(self, name):
+        spec = SPEC_REGISTRY[name]
+        for t in range(31):
+            assert count_class(spec, t) == reference_count_class(spec, t), t
+
+    @pytest.mark.parametrize("name, parents, members", [
+        ("gollnitz", 92, 737), ("schur-refined", 60, 500), ("glasgow", 310, 1745)])
+    def test_rule_skips_childless_members(self, name, parents, members, monkeypatch):
+        spec, calls = SPEC_REGISTRY[name], Counter()
+
+        def counting_grow(root, successors):
+            def rule(state):
+                calls["rule"] += 1
+                return successors(state)
+            return grow(root, rule)
+
+        found = list(enumerate_class(spec, 30))
+        assert (len({parts[:-1] for parts in found if parts}), len(found)) == (parents, members)
+        monkeypatch.setattr(sip, "grow", counting_grow)
+        counted = count_class(spec, 30)
+        ones = dict.fromkeys(spec.markers, 1)
+        assert sum(counted.specialize(ones).int_coefficients(30)) == members
+        # the root and each member with a next part
+        assert calls["rule"] == parents
+        assert 4 * calls["rule"] <= members
