@@ -60,14 +60,13 @@ by its parts' marker monomials, with one tally per monomial).  The
 n-copies oracles are the walks of
 :func:`~qsip.ncopies.count_ncopies` and
 :func:`~qsip.ncopies.count_even_subscript`.  Almost all of their states
-have no next part, so :func:`~qsip.partitions.grow` walks only the states
-that have one, and each of those is tallied followed by its childless next
-states; every state is still its own tuple, counted once.  The
-slater-6-corrected oracle
+have no next part, so they run on :func:`~qsip.partitions.grow_leaves`, as
+do the marked and k > 1 class walks; every state is still its own tuple,
+counted once.  The slater-6-corrected oracle
 (:func:`~qsip.ncopies.count_ncopies_over`) walks the n-copies partitions
 with non-negative weighted differences and counts each with weight 2^s,
 s its number of overline carriers (:func:`~qsip.ncopies.overline_carriers`),
-split the same way: that is how many overlined versions
+on the same kernel: that is how many overlined versions
 :func:`~qsip.ncopies.enumerate_ncopies_over` lists one by one.  The
 mod7-sum oracle (:func:`~qsip.partitions.count_gordon`) walks the
 partitions under Gordon's frequency condition for (k, i) = (3, 3): at most

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .partitions import grow, powerset, walk_series
+from .partitions import grow, grow_leaves, powerset, walk_series
 from .qfactory import PochSpec, binomial_row, poch_product, series_sum
 from .series import QSeries, _add_product, _shifted
 
@@ -101,40 +101,33 @@ def count_ncopies(total_max: int, min_diff: int) -> QSeries:
     t = -1 - min_diff, from which every v_s steps.  The next parts v_s with
     1 <= s <= v - reach, reach = t + min_diff, step to the states
     (v + s, remaining - v).  Such a state has a next part exactly when
-    v + s + min_diff + 1 <= remaining - v.  Most states have none, so
-    :func:`~qsip.partitions.grow` walks only the states that do, and each
-    of them is tallied followed by its childless next states, built at C
-    level one value v at a time.
+    v + s + min_diff + 1 <= remaining - v, so the walk runs on
+    :func:`~qsip.partitions.grow_leaves` with the rest as one leaf run per
+    value v.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
     if min_diff < -1:
         raise ValueError("weighted-difference constant must be at least -1")
 
-    def branching(state):
-        # the next states (t, rest) with t + min_diff + 1 <= rest, so v <= rest - v - min_diff - 2
+    def rule(state):
+        # the next states (t, rest) for each v, t from v + 1 to 2v - cap; those
+        # with t + min_diff + 1 <= rest step on, and only a v below the split has any
         top, remaining = state
         reach = top + min_diff
-        cap = max(reach, 0)
-        steps = []
-        for v in range(max(1, reach + 1), (remaining - min_diff) // 2):
+        cap, low, split = max(reach, 0), max(1, reach + 1), (remaining - min_diff) // 2
+        steps, runs = [], []
+        for v in range(low, split):
             rest = remaining - v
-            steps += zip(range(v + 1, min(2 * v - cap, rest - min_diff - 1) + 1), repeat(rest))
-        return steps
+            tops, n = range(v + 1, 2 * v - cap + 1), rest - min_diff - 1 - v
+            steps += zip(tops[:n], repeat(rest))
+            if n < len(tops):
+                runs.append(zip(tops[n:], repeat(rest)))
+        for v in range(max(low, split), remaining + 1):
+            runs.append(zip(range(v + 1, 2 * v - cap + 1), repeat(remaining - v)))
+        return steps, runs
 
-    def with_leaves(state):
-        # the state, then its next states with t >= rest - min_diff
-        top, remaining = state
-        reach = top + min_diff
-        cap = max(reach, 0)
-        out = [state]
-        for v in range(max(1, reach + 1), remaining + 1):
-            rest = remaining - v
-            out += zip(range(max(v + 1, rest - min_diff), 2 * v - cap + 1), repeat(rest))
-        return out
-
-    root = (-1 - min_diff, total_max)
-    return walk_series(chain.from_iterable(map(with_leaves, grow(root, branching))), total_max)
+    return walk_series(grow_leaves((-1 - min_diff, total_max), rule), total_max)
 
 
 # -- minimal chains and the attach/detach bijection -------------------------
@@ -370,8 +363,8 @@ def count_ncopies_over(total_max: int) -> QSeries:
     weighted difference exactly zero, t = 2v - reach for reach = t of the
     last part.  The root stands for no part as t = -1, from which every v_s
     steps as a carrier.  A state has a next part exactly when
-    t + 1 <= remaining, so, as in :func:`count_ncopies`, only those states
-    are walked, and each is tallied followed by its childless next states.
+    t + 1 <= remaining, and the walk runs on
+    :func:`~qsip.partitions.grow_leaves`, as in :func:`count_ncopies`.
     The states are tallied by (remaining, weight), and each pair adds its
     count times its weight; the row is allocated before the walk, as in
     :func:`~qsip.partitions.walk_series`.
@@ -380,33 +373,33 @@ def count_ncopies_over(total_max: int) -> QSeries:
         raise ValueError("total_max must be non-negative")
 
     # At the root (reach = -1) the zero top 2v + 1 is past every top v + s,
-    # s <= v, so range(lo, zero) holds all of them, each a carrier.
-    def branching(state):
-        # the next states with t + 1 <= rest, so v <= rest - v - 2
+    # s <= v, so range(v + 1, zero) holds all of them, each a carrier.
+    def rule(state):
+        # the carriers (t, rest) for each v, t from v + 1 below the zero top
+        # 2v - reach; those with t + 1 <= rest step on, only for a v below the split
         reach, remaining, weight = state
-        doubled = 2 * weight
-        steps = []
-        for v in range(max(1, reach + 1), remaining // 2):
-            rest, zero = remaining - v, 2 * v - reach
-            steps += zip(range(v + 1, min(zero, rest)), repeat(rest), repeat(doubled))
-            if reach >= 0 and zero < rest:
-                steps.append((zero, rest, weight))
-        return steps
-
-    def with_leaves(state):
-        # the state, then its next states with t >= rest
-        reach, remaining, weight = state
-        doubled = 2 * weight
-        out = [state]
-        for v in range(max(1, reach + 1), remaining + 1):
-            rest, zero = remaining - v, 2 * v - reach
-            out += zip(range(max(v + 1, rest), zero), repeat(rest), repeat(doubled))
-            if reach >= 0 and zero >= rest:
-                out.append((zero, rest, weight))
-        return out
+        doubled, low, split = 2 * weight, max(1, reach + 1), remaining // 2
+        steps, runs = [], []
+        for v in range(low, split):
+            rest = remaining - v
+            tops, n = range(v + 1, 2 * v - reach), rest - 1 - v
+            steps += zip(tops[:n], repeat(rest), repeat(doubled))
+            if n < len(tops):
+                runs.append(zip(tops[n:], repeat(rest), repeat(doubled)))
+        for v in range(max(reach + 2, split), remaining + 1):
+            runs.append(zip(range(v + 1, 2 * v - reach), repeat(remaining - v),
+                            repeat(doubled)))
+        if reach >= 0:
+            # the zero states (2v - reach, remaining - v), stepping on while 3v < remaining + reach
+            tops = range(2 * low - reach, 2 * remaining - reach + 1, 2)
+            rests = range(remaining - low, -1, -1)
+            n = max(0, (remaining + reach - 1) // 3 - low + 1)
+            steps += zip(tops[:n], rests[:n], repeat(weight))
+            runs.append(zip(tops[n:], rests[n:], repeat(weight)))
+        return steps, runs
 
     coeffs = [0] * (total_max + 1)
-    states = chain.from_iterable(map(with_leaves, grow((-1, total_max, 1), branching)))
+    states = grow_leaves((-1, total_max, 1), rule)
     for (remaining, weight), count in Counter(map(itemgetter(1, 2), states)).items():
         coeffs[total_max - remaining] += count * weight
     return QSeries._make({(): coeffs}, total_max, ())
@@ -457,33 +450,29 @@ def count_even_subscript(total_max: int) -> QSeries:
     root.  The rule reads the new part's value only: at difference zero it
     shares its parity with the last part's, so an odd v drops the step
     s = v - reach.  A state has a next part exactly when t + 2 <= remaining,
-    so, as in :func:`count_ncopies`, only those states are walked, and each
-    is tallied followed by its childless next states.
+    and the walk runs on :func:`~qsip.partitions.grow_leaves`, as in
+    :func:`count_ncopies`.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
 
-    def branching(state):
-        # the next states with t + 2 <= rest, so v <= rest - v - 4
+    def rule(state):
+        # the next states (t, rest) for each v, t from v + 2 in steps of 2; those
+        # with t + 2 <= rest step on, and only a v below the split has any
         reach, remaining = state
-        steps = []
-        for v in range(reach + 2, remaining // 2 - 1):
+        split = remaining // 2 - 1
+        steps, runs = [], []
+        for v in range(reach + 2, split):
             rest = remaining - v
-            steps += zip(range(v + 2, min(2 * v - reach - (v & 1), rest - 2) + 1, 2), repeat(rest))
-        return steps
+            tops, n = range(v + 2, 2 * v - reach - (v & 1) + 1, 2), (rest - v - 2) // 2
+            steps += zip(tops[:n], repeat(rest))
+            if n < len(tops):
+                runs.append(zip(tops[n:], repeat(rest)))
+        for v in range(max(reach + 2, split), remaining + 1):
+            runs.append(zip(range(v + 2, 2 * v - reach - (v & 1) + 1, 2), repeat(remaining - v)))
+        return steps, runs
 
-    def with_leaves(state):
-        # the state, then its next states with t >= rest - 1, t of v's parity
-        reach, remaining = state
-        out = [state]
-        for v in range(reach + 2, remaining + 1):
-            rest = remaining - v
-            lo = max(v + 2, rest - 1)
-            out += zip(range(lo + ((lo - v) & 1), 2 * v - reach - (v & 1) + 1, 2), repeat(rest))
-        return out
-
-    return walk_series(chain.from_iterable(map(with_leaves, grow((0, total_max), branching))),
-                       total_max)
+    return walk_series(grow_leaves((0, total_max), rule), total_max)
 
 
 def ncopies_overpartition_product(trunc: int) -> QSeries:

@@ -2,19 +2,14 @@
 
 Partitions are ascending tuples of positive integers (non-decreasing,
 smallest part first).  Every enumerator and every counting walk in the
-package is a successor rule over states, run by the single pre-order walk
-:func:`grow`, which keeps its own stack, so the number of parts is not
-limited by the interpreter's recursion limit.  An enumerator that yields
-tuples keeps its prefix in its state; a counting walk keeps only what its
-rule reads and the remaining total, and :func:`walk_series` tallies its
-states.  :func:`grow` is still the one walk when most states are leaves:
-a wide counting walk (:func:`~qsip.ncopies.count_ncopies`) gives ``grow``
-a rule that returns only the next states that can step, and chains each
-such state's childless successors after it (in
-:func:`~qsip.sip.count_class`, after the next state walked), so the rule
-runs only on states with a next part and every state is still tallied
-once.
-:func:`~qsip.sip.verify_sip` walks its two trees the same way: each walked
+package is a successor rule over states, run by one of two walks that keep
+their own stack, so the number of parts is not limited by the
+interpreter's recursion limit: the pre-order walk :func:`grow`, and
+:func:`grow_leaves` for counting walks whose states are mostly leaves.  An
+enumerator that yields tuples keeps its prefix in its state; a counting
+walk keeps only what its rule reads and the remaining total, and
+:func:`walk_series` tallies its states.
+:func:`~qsip.sip.verify_sip` walks its two trees on ``grow``: each walked
 node lists all of its next parts, and ``grow`` steps only into those with
 a next part of their own.  The enumerators are deliberately simple brute
 force for desk-scale totals; they exist to cross-check the
@@ -57,6 +52,32 @@ def grow(root, successors: Callable) -> Iterator:
                 break
         else:
             stack.pop()
+
+
+def grow_leaves(root, rule: Callable) -> Iterator:
+    """Yield ``root`` and every state reachable from it, each exactly once,
+    for a walk whose states are mostly leaves (states with no next state).
+
+    ``rule(state)`` returns ``(steps, runs)``: the next states that have a
+    next state of their own, and iterables, the leaf runs, that hold every
+    other next state.  Only the root and the steps are walked, so the rule
+    runs on nothing else, and each walked state is followed by its runs,
+    chained in at C level.  A run may be empty, and any iterable: a lazy
+    ``zip(range(...), repeat(...))`` builds each leaf only as it is
+    consumed.  A state with a next state put in a run loses its subtree.
+    States do not come in pre-order, and one list holds the steps not yet
+    walked, so the depth is not bounded by the recursion limit.
+    """
+    def walked():
+        stack = [root]
+        while stack:
+            state = stack.pop()
+            steps, runs = rule(state)
+            stack += steps
+            yield (state,)
+            yield from runs
+
+    return chain.from_iterable(walked())
 
 
 def enumerate_partitions(total_max: int,
@@ -261,8 +282,7 @@ def walk_series(states: Iterable[tuple], total_max: int) -> QSeries:
     Each state of the walk is one counted object, and its second entry is
     what is left of total_max, so it counts at q^(total_max - remaining);
     a ``Counter`` tallies those entries at C level, in whatever order the
-    states come, so a walk may chain childless states after their parent
-    (:func:`~qsip.ncopies.count_ncopies`).  A weighted walk tallies its own
+    states come (:func:`grow_leaves`).  A weighted walk tallies its own
     states (:func:`~qsip.sip.count_class`,
     :func:`~qsip.ncopies.count_ncopies_over`).
     The row is allocated before the walk starts, so a total too large to

@@ -52,11 +52,12 @@ from __future__ import annotations
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain, product, repeat
+from itertools import product, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
-from .partitions import Partition, SipClassSpec, grow, in_sip_class, walk_series
+from .partitions import (Partition, SipClassSpec, grow, grow_leaves, in_sip_class,
+                         walk_series)
 from .series import QSeries, _nested_sum
 
 
@@ -282,24 +283,21 @@ def enumerate_class(spec: SipClassSpec, total_max: int) -> Iterator[Partition]:
 def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
     """The class generating function to q^total_max, counted by a walk with
     one state (last part, remaining total) per member.  A marker-free class
-    with k = 1 steps it by two ranges, tallied by
-    :func:`~qsip.partitions.walk_series`.  Every other class adds its
-    monomial, the exponent vector sum of its parts' weights (zero when
-    unweighted), and builds each monomial's k successors once.  Its walk
-    runs the rule only on the members with a next part: per residue the
-    next parts are a progression in steps of k, and those with a next part
-    of their own are a prefix of it (:class:`_Reach`).  The childless rest
-    are chained in after the next walked member, one C-level
-    ``zip(range(...), repeat(...))`` per run, so every member is still its
-    own (remaining, monomial) key, tallied once into one int row per
-    monomial.
+    with k = 1 steps it by two ranges on :func:`~qsip.partitions.grow`,
+    tallied by :func:`~qsip.partitions.walk_series`.  Every other class adds
+    its monomial, the exponent vector sum of its parts' weights (zero when
+    unweighted), to the state and walks on :func:`~qsip.partitions.grow_leaves`:
+    per residue the next parts are a progression in steps of k, and those
+    with a next part of their own are a prefix of it (:class:`_Reach`), so
+    the rest is one leaf run.  Members are tallied into one row per monomial.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
     k = spec.k
     if k == 1 and not spec.markers:
-        # Kept for speed: natural's count at total 30 took 8.6 ms on these
-        # C-level ranges and 24 ms on the monomial walk (2-CPU host).
+        # Kept for speed (natural at total 30, 2-CPU host): 8.3-8.6 ms here, 24 ms on
+        # the monomial walk, 11-25 ms on a grow_leaves rule that walks only the
+        # members with a next part (62 against 77-90 ms at total 40).
         gap = spec.d[0]
 
         def successors(state):
@@ -314,9 +312,8 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
 
     c, d, reach = spec.c, spec.d, _Reach(spec)
     shifts: dict[tuple, list[tuple]] = {}   # a monomial's successor by residue
-    pending = []   # leaf runs the rule found, tallied with the next walked member
 
-    def branching(state):
+    def rule(state):
         # per residue r the next parts are p, p + k, ... through remaining,
         # and those with a next part of their own are a prefix (_Reach)
         last, remaining, monomial = state
@@ -324,30 +321,23 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
         if nxt is None:
             nxt = shifts[monomial] = [tuple(map(add, monomial, spec.weight(r)))
                                       for r in range(1, k + 1)]
-        steps = []
+        steps, runs = [], []
         for r in range(1, k + 1):
             lo = c[r - 1] if last is None else max(c[r - 1], last + d[r - 1])
             p, mono = lo + (r - lo) % k, nxt[r - 1]
             while reach[p] <= remaining:   # so p < remaining
                 steps.append((p, remaining - p, mono))
                 p += k
-            if p <= remaining:   # the leaves p, p + k, ... through remaining
-                pending.append(zip(range(remaining - p, -1, -k), repeat(mono)))
-        return steps
-
-    def with_leaves(state):
-        # the walked member's key, then every pending leaf's
-        runs = [((state[1], state[2]),), *pending]
-        pending.clear()
-        return chain.from_iterable(runs)
+            if p <= remaining:
+                runs.append(zip(range(p, remaining + 1, k), range(remaining - p, -1, -k),
+                                repeat(mono)))
+        return steps, runs
 
     zero = (0,) * len(spec.markers)
     # the empty member's row comes first, so a total too large to hold fails before the walk
     rows: dict[tuple, list[int]] = {zero: [0] * (total_max + 1)}
-    walk = map(with_leaves, grow((None, total_max, zero), branching))
-    tally = Counter(chain.from_iterable(walk))
-    tally.update(chain.from_iterable(pending))   # the last member's leaves
-    for (remaining, monomial), count in tally.items():
+    members = grow_leaves((None, total_max, zero), rule)
+    for (_, remaining, monomial), count in Counter(members).items():
         rows.setdefault(monomial, [0] * (total_max + 1))[total_max - remaining] += count
     return QSeries._make(rows, total_max, spec.markers)
 

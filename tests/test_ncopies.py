@@ -553,13 +553,13 @@ class TestCountingWalks:
         walk, root, rule = ONE_RULE_WALKS[name]
         calls = []
 
-        def counting_grow(start, successors):
+        def counting_kernel(start, rule):
             def counted(state):
                 calls.append(state)
-                return successors(state)
-            return partitions.grow(start, counted)
+                return rule(state)
+            return partitions.grow_leaves(start, counted)
 
-        monkeypatch.setattr(ncopies, "grow", counting_grow)
+        monkeypatch.setattr(ncopies, "grow_leaves", counting_kernel)
         walk(30)
         states = sum(1 for _ in one_rule_states(root(30), rule))
         assert 0 < len(calls) <= states / 20, (len(calls), states)

@@ -7,7 +7,7 @@ import pytest
 
 from qsip.partitions import (Overpartition, SipClassSpec, counting_series,
                              enumerate_overpartitions, enumerate_partitions,
-                             grow, in_sip_class, partition_count)
+                             grow, grow_leaves, in_sip_class, partition_count)
 from qsip.qfactory import PochSpec, poch_infinite
 from qsip.series import MarkerPoly
 from qsip.sip import GLASGOW, GOLLNITZ_GORDON, SCHUR
@@ -74,6 +74,53 @@ class TestGrow:
 
     def test_empty_root(self):
         assert list(grow(((), 0), gaps_at_least_two(()))) == [((), 0)]
+
+
+def gaps_leaf_runs(form):
+    """gaps_at_least_two(None) as a grow_leaves rule: the next states with a
+    next state of their own, (parts + (p,), remaining - p) for
+    2p + 2 <= remaining, and the others as leaf runs in the given form, an
+    empty run among them."""
+    def rule(state):
+        parts, remaining = state
+        low = parts[-1] + 2 if parts else 1
+        cut = max(low, remaining // 2)   # the first p whose state has no next state
+        steps = [(parts + (p,), remaining - p) for p in range(low, cut)]
+        leaves = range(cut, remaining + 1)
+        if form == "zip":
+            return steps, [zip(range(0)), zip(map(parts.__add__, zip(leaves)),
+                                              map(remaining.__sub__, leaves))]
+        runs = [[(parts + (p,), remaining - p)] for p in leaves] + [[]]
+        return steps, (tuple(map(tuple, runs)) if form == "tuple" else runs)
+    return rule
+
+
+class TestGrowLeaves:
+    @pytest.mark.parametrize("form", ["tuple", "list", "zip"])
+    def test_same_states_as_grow(self, form):
+        for total in range(16):
+            root = ((), total)
+            assert (Counter(grow_leaves(root, gaps_leaf_runs(form)))
+                    == Counter(grow(root, gaps_at_least_two(None)))), total
+
+    @pytest.mark.parametrize("form", ["tuple", "list", "zip"])
+    def test_rule_runs_on_root_and_states_with_a_next_state(self, form):
+        one_rule = gaps_at_least_two(())
+        for total in range(16):
+            root, calls = ((), total), []
+
+            def counted(state, rule=gaps_leaf_runs(form)):
+                calls.append(state)
+                return rule(state)
+
+            states = list(grow_leaves(root, counted))
+            assert len(states) == len(set(states))
+            assert sorted(calls) == sorted({root} | {s for s in states if one_rule(s)}), total
+
+    def test_root_with_no_steps(self):
+        assert list(grow_leaves(((), 0), gaps_leaf_runs("list"))) == [((), 0)]
+        assert list(grow_leaves("root", lambda state: ((), ()))) == ["root"]
+        assert list(grow_leaves(0, lambda n: ((), [(1, 2), (), [3]]))) == [0, 1, 2, 3]
 
 
 class TestPartitionCount:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qsip import catalog, sip
 from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions, grow,
-                             in_sip_class)
+                             grow_leaves, in_sip_class)
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, congruence_product, poch_finite,
                            poch_infinite)
 from qsip.series import MarkerPoly, QSeries
@@ -849,7 +849,7 @@ def reference_count_class(spec, total_max):
 
 class TestCountClassWalk:
     """count_class's monomial walk runs its rule only on the members with a
-    next part, and tallies the childless rest from ranges."""
+    next part (:func:`~qsip.partitions.grow_leaves`)."""
 
     @pytest.mark.parametrize("name", ["gollnitz", "schur-refined", "glasgow"])
     def test_matches_one_rule_walk(self, name):
@@ -862,15 +862,15 @@ class TestCountClassWalk:
     def test_rule_skips_childless_members(self, name, parents, members, monkeypatch):
         spec, calls = SPEC_REGISTRY[name], Counter()
 
-        def counting_grow(root, successors):
-            def rule(state):
+        def counting_kernel(root, rule):
+            def counted(state):
                 calls["rule"] += 1
-                return successors(state)
-            return grow(root, rule)
+                return rule(state)
+            return grow_leaves(root, counted)
 
         found = list(enumerate_class(spec, 30))
         assert (len({parts[:-1] for parts in found if parts}), len(found)) == (parents, members)
-        monkeypatch.setattr(sip, "grow", counting_grow)
+        monkeypatch.setattr(sip, "grow_leaves", counting_kernel)
         counted = count_class(spec, 30)
         ones = dict.fromkeys(spec.markers, 1)
         assert sum(counted.specialize(ones).int_coefficients(30)) == members
