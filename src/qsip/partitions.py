@@ -168,13 +168,6 @@ class SipClassSpec:
         """Index into c/d for the residue class of a part value."""
         return (value - 1) % self.k
 
-    def min_value(self, value: int) -> int:
-        return self.c[self.residue_index(value)]
-
-    def min_gap(self, value: int) -> int:
-        """Minimum gap below a part of this value (keyed by its residue)."""
-        return self.d[self.residue_index(value)]
-
     def weight(self, value: int) -> tuple[int, ...]:
         """The exponent vector weighing a part of this value (zero if unweighted)."""
         if self.weights is None:

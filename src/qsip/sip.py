@@ -35,6 +35,12 @@ when the weights put every monomial's row in one residue class mod k, and
 markers, so it multiplies an entry as a key shift: every monomial moves by
 that vector, and the rows and their starts stay.
 
+Both member walks, enumerate_class (with verify_sip) and count_class, read
+the class rule from one table, :class:`_Steps`: after each last part, the
+least next part of every residue.  The next parts are then k progressions
+in steps of k, and those with a next part of their own are a prefix of
+each.
+
 verify_sip checks the split exhaustively without holding the members.  Two
 rules give a node's next parts as (part, basis part) pairs: the member rule
 builds each member's basis by the constructive split, and the
@@ -125,12 +131,12 @@ def is_basis_element(parts: Partition, spec: SipClassSpec) -> bool:
     """True iff the partition is a basis member of the class."""
     if not parts:
         return True
-    if parts[0] != spec.min_value(parts[0]):
+    k, c, d = spec.k, spec.c, spec.d
+    if parts[0] != c[(parts[0] - 1) % k]:
         return False
     for prev, cur in zip(parts, parts[1:]):
-        gap = cur - prev
-        dr = spec.min_gap(cur)
-        if not dr <= gap < dr + spec.k:
+        dr = d[(cur - 1) % k]
+        if not dr <= cur - prev < dr + k:
             return False
     return True
 
@@ -158,24 +164,6 @@ def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
     return (parts for parts in grow((), successors) if len(parts) == n_parts)
 
 
-def _next_parts(spec: SipClassSpec):
-    """The class rule as ``nexts(last, remaining)``: the admissible parts,
-    ascending, after a part ``last`` (None before the first part) that fit
-    in ``remaining``.  A part is at least its residue threshold and at
-    least its residue gap above ``last``."""
-    k, c, d = spec.k, spec.c, spec.d
-    least_c, least_gap = min(c), min(d)
-
-    def nexts(last, remaining):
-        low = least_c if last is None else last + least_gap
-        if low > remaining:
-            return ()
-        return [p for p in range(low, remaining + 1)
-                if p >= c[(p - 1) % k] and (last is None or p - last >= d[(p - 1) % k])]
-
-    return nexts
-
-
 def _basis_step(spec: SipClassSpec, b: int | None, p: int) -> int:
     """The basis part that the constructive split pairs with a member part
     ``p`` over the basis part ``b`` (None for the first part): the
@@ -188,22 +176,26 @@ def _basis_step(spec: SipClassSpec, b: int | None, p: int) -> int:
     return lo + (p - lo) % k
 
 
-class _Reach(dict):
-    """v plus the least part that may follow a part v, by v, filled on first
-    read.  It grows strictly with v, so of any ascending next parts the
-    ones with a next part of their own within a remaining total are a
-    prefix: those v with reach[v] <= remaining."""
+class _Steps(dict):
+    """The class rule after a last part, by that part (None before the
+    first part), filled on first read: (starts, least), where starts[r - 1]
+    is the least part congruent to r mod k that is at least c_r and at least
+    last + d_r, and least is min(starts).  The parts that may follow are the
+    k progressions range(start, remaining + 1, k).  A part p has a next part
+    of its own within a remaining total exactly when p + least after p is at
+    most that total; p + least grows strictly with p, so along each
+    progression those parts are a prefix."""
 
     def __init__(self, spec: SipClassSpec):
         super().__init__()
         self.spec = spec
 
-    def __missing__(self, v: int) -> int:
+    def __missing__(self, last: int | None) -> tuple[list[int], int]:
         k, c, d = self.spec.k, self.spec.c, self.spec.d
-        # per residue r, the least part of residue r at least c_r and v + d_r
-        top = self[v] = v + min(lo + (r - lo) % k for r, lo in
-                                enumerate(map(max, c, map(v.__add__, d)), 1))
-        return top
+        lows = c if last is None else map(max, c, map(last.__add__, d))
+        starts = [lo + (r - lo) % k for r, lo in enumerate(lows, 1)]
+        got = self[last] = (starts, min(starts))
+        return got
 
 
 def _member_rule(spec: SipClassSpec):
@@ -213,9 +205,9 @@ def _member_rule(spec: SipClassSpec):
     step (:func:`_basis_step`, the rule :func:`decompose` applies), and the
     pairs whose part has a next part of its own.
 
-    A next part v has one exactly when the least part that may follow it is
-    at most remaining - v.  The parts that may follow v within
-    remaining - v only shrink as v grows, so those pairs are a prefix.  A
+    The next parts are the k progressions of :class:`_Steps`, one per
+    residue, each paired with that residue's basis step and cut where its
+    parts stop having a next part; the pairs of all k are then sorted.  A
     class with k = 1 has one threshold and one gap, so its pairs are a
     C-level range and its prefix ends at (remaining - gap) // 2.
     """
@@ -233,21 +225,23 @@ def _member_rule(spec: SipClassSpec):
 
         return rule
 
-    nexts, reach = _next_parts(spec), _Reach(spec)
+    table = _Steps(spec)
 
     def rule(parts, basis, remaining):
         last, b = (parts[-1], basis[-1]) if parts else (None, None)
-        steps = nexts(last, remaining)
-        if not steps:
+        starts, least = table[last]
+        if least > remaining:
             return [], []
-        shared = [_basis_step(spec, b, r) for r in range(1, k + 1)]
-        pairs = [(p, shared[(p - 1) % k]) for p in steps]
-        n = 0
-        for p in steps:
-            if reach[p] > remaining:
-                break
-            n += 1
-        return pairs, pairs[:n]
+        pairs, branching = [], []
+        for r, p in enumerate(starts, 1):
+            step = _basis_step(spec, b, r)
+            pairs += zip(range(p, remaining + 1, k), repeat(step))
+            while p + table[p][1] <= remaining:
+                branching.append((p, step))
+                p += k
+        pairs.sort()
+        branching.sort()
+        return pairs, branching
 
     return rule
 
@@ -287,9 +281,9 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
     tallied by :func:`~qsip.partitions.walk_series`.  Every other class adds
     its monomial, the exponent vector sum of its parts' weights (zero when
     unweighted), to the state and walks on :func:`~qsip.partitions.grow_leaves`:
-    per residue the next parts are a progression in steps of k, and those
-    with a next part of their own are a prefix of it (:class:`_Reach`), so
-    the rest is one leaf run.  Members are tallied into one row per monomial.
+    the next parts are the k progressions of :class:`_Steps`, the rule that
+    :func:`_member_rule` reads, and the parts past each one's cut are one
+    leaf run.  Members are tallied into one row per monomial.
     """
     if total_max < 0:
         raise ValueError("total_max must be non-negative")
@@ -310,22 +304,18 @@ def count_class(spec: SipClassSpec, total_max: int) -> QSeries:
         # the root's last part sits one gap below c_1, where the first part starts
         return walk_series(grow((spec.c[0] - gap, total_max), successors), total_max)
 
-    c, d, reach = spec.c, spec.d, _Reach(spec)
+    table = _Steps(spec)
     shifts: dict[tuple, list[tuple]] = {}   # a monomial's successor by residue
 
     def rule(state):
-        # per residue r the next parts are p, p + k, ... through remaining,
-        # and those with a next part of their own are a prefix (_Reach)
         last, remaining, monomial = state
         nxt = shifts.get(monomial)
         if nxt is None:
             nxt = shifts[monomial] = [tuple(map(add, monomial, spec.weight(r)))
                                       for r in range(1, k + 1)]
         steps, runs = [], []
-        for r in range(1, k + 1):
-            lo = c[r - 1] if last is None else max(c[r - 1], last + d[r - 1])
-            p, mono = lo + (r - lo) % k, nxt[r - 1]
-            while reach[p] <= remaining:   # so p < remaining
+        for p, mono in zip(table[last][0], nxt):
+            while p + table[p][1] <= remaining:   # so p < remaining
                 steps.append((p, remaining - p, mono))
                 p += k
             if p <= remaining:

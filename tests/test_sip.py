@@ -682,6 +682,46 @@ class TestNotSeparable:
         assert not report.ok and report.not_in_class
 
 
+def scan_next_parts(spec, last, remaining):
+    """The parts that may follow ``last`` (None before the first part) within
+    ``remaining``, ascending: a filter over every candidate part against its
+    residue's threshold and gap."""
+    k, c, d = spec.k, spec.c, spec.d
+    return [p for p in range(1 if last is None else last, remaining + 1)
+            if p >= c[(p - 1) % k] and (last is None or p - last >= d[(p - 1) % k])]
+
+
+class TestStepsTable:
+    """sip._Steps, the class rule both member walks read, against the scan."""
+
+    SPECS = list(SPEC_REGISTRY.values()) + list(small_box())
+    LASTS = [None, *range(1, 13)]
+
+    def test_starts_are_the_least_parts(self):
+        for spec in self.SPECS:
+            table = sip._Steps(spec)
+            for last in self.LASTS:
+                scanned = scan_next_parts(spec, last, 40)
+                starts, least = table[last]
+                assert starts == [min(p for p in scanned if (p - 1) % spec.k == r)
+                                  for r in range(spec.k)], (spec, last)
+                assert least == min(starts) == scanned[0]
+
+    def test_member_rule_parts_are_the_scan(self):
+        for spec in self.SPECS:
+            rule = sip._member_rule(spec)
+            # the empty member and each one-part member, with its basis
+            for last in self.LASTS:
+                parts = () if last is None else (last,)
+                basis = tuple(sip._basis_step(spec, None, p) for p in parts)
+                if not in_sip_class(parts, spec):
+                    continue
+                for remaining in (0, 7, 23, 40):
+                    pairs, _ = rule(parts, basis, remaining)
+                    assert [v for v, _ in pairs] == scan_next_parts(spec, last, remaining), (
+                        spec, last, remaining)
+
+
 def reference_verify_sip(spec, total_max):
     """verify_sip as a lockstep merge of two ordered walks, each a recursive
     generator of its own: every member with its constructive basis, and
