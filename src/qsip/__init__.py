@@ -9,8 +9,9 @@ series = product identities verified coefficientwise.
 
 from .series import MarkerPoly, NonUnitConstantTerm, QSeries, TruncationExceeded
 from .qfactory import (CongruenceProductSpec, DivergentProduct, PochSpec,
-                       congruence_product, gaussian_binomial, poch_finite,
-                       poch_infinite, poch_product, series_sum, theta_sum)
+                       congruence_product, eta_theta_product, gaussian_binomial,
+                       poch_finite, poch_infinite, poch_product, series_sum,
+                       theta_sum)
 from .partitions import (Overpartition, SipClassSpec, counting_series,
                          enumerate_overpartitions, enumerate_partitions,
                          in_sip_class, partition_count)

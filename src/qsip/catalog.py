@@ -24,8 +24,14 @@ an oracle.
   is the sum of the class's n-part basis rows
   (:func:`~qsip.closed_forms.glasgow_row_sums`).
 * A product side is a list of ``(PochSpec, power)`` pairs with power +1 or
-  -1, for :func:`~qsip.qfactory.poch_product`; a congruence product is the
-  list of its admitted residues r, each a factor 1/(q^r; q^modulus).
+  -1; a congruence product is the list of its admitted residues r, each a
+  factor 1/(q^r; q^modulus).  Where the list is a quotient of theta and eta
+  series (:func:`~qsip.qfactory.eta_theta_quotient` takes it), the side is
+  :func:`~qsip.qfactory.eta_theta_product`, O(trunc^1.5): ten rows.
+  glasgow-mod8, whose excluded residues 1, 5 and 6 mod 8 are not closed
+  under r -> 8 - r, and the marked schur-refined keep the factor loop
+  :func:`~qsip.qfactory.poch_product`, O(trunc^2), which the tests also
+  run against the other ten.
 
 Registered identities:
 
@@ -92,7 +98,7 @@ from typing import Callable
 from . import ncopies as nc
 from .partitions import count_gordon
 from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
-                       poch_product, series_sum)
+                       eta_theta_product, poch_product, series_sum)
 from .series import QSeries, _convolve_into, _nested_sum
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                   SCHUR_REFINED, class_gf, count_class)
@@ -155,23 +161,23 @@ class IdentityEntry:
 REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
     IdentityEntry(
         "euler-any", "Euler's series for unrestricted partitions",
-        partial(series_sum, (0, 2), (), [_ONES]), partial(poch_product, [(_ONES, -1)]),
+        partial(series_sum, (0, 2), (), [_ONES]), partial(eta_theta_product, [(_ONES, -1)]),
         partial(count_class, NATURAL)),
     IdentityEntry(
         "euler-distinct", "Euler's series for distinct parts",
         partial(series_sum, (1, 1), (), [_ONES]),
-        partial(poch_product, [(PochSpec(1, 1, sign=-1), 1)]),
+        partial(eta_theta_product, [(PochSpec(1, 1, sign=-1), 1)]),
         partial(count_class, DISTINCT)),
     IdentityEntry(
         "rogers-ramanujan", "first Rogers-Ramanujan identity",
         partial(andrews_gordon_sum, 2, 2),
-        partial(poch_product, [(PochSpec(1, 5), -1), (PochSpec(4, 5), -1)]),
+        partial(eta_theta_product, [(PochSpec(1, 5), -1), (PochSpec(4, 5), -1)]),
         partial(count_class, ROGERS_RAMANUJAN)),
     IdentityEntry(
         "gollnitz-gordon-1", "first Gollnitz-Gordon identity",
         partial(series_sum, (2, 0), [PochSpec(1, 2, sign=-1)], [_EVENS]),
-        partial(poch_product, [(PochSpec(1, 8), -1), (PochSpec(4, 8), -1),
-                               (PochSpec(7, 8), -1)]),
+        partial(eta_theta_product, [(PochSpec(1, 8), -1), (PochSpec(4, 8), -1),
+                                    (PochSpec(7, 8), -1)]),
         partial(count_class, GOLLNITZ_GORDON)),
     IdentityEntry(
         "schur-refined", "refined Schur product with part-class markers",
@@ -187,33 +193,34 @@ REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
     IdentityEntry(
         "slater-46", "Slater (46)",
         partial(nc.ncopies_gf, 1),
-        partial(poch_product, _parts(10, {0, 4, 6})),
+        partial(eta_theta_product, _parts(10, {0, 4, 6})),
         partial(nc.count_ncopies, min_diff=1)),
     IdentityEntry(
         "slater-61", "Slater (61)",
         partial(nc.ncopies_gf, 0),
-        partial(poch_product, _parts(14, {0, 6, 8})),
+        partial(eta_theta_product, _parts(14, {0, 6, 8})),
         partial(nc.count_ncopies, min_diff=0)),
     IdentityEntry(
         "slater-81", "Slater (81), product side corrected",
         partial(nc.ncopies_gf, -1),
-        partial(poch_product, [*_parts(14, {0, 6, 8}), (PochSpec(3, 14), -1),
-                               (PochSpec(11, 14), -1)]),
+        partial(eta_theta_product, [*_parts(14, {0, 6, 8}), (PochSpec(3, 14), -1),
+                                    (PochSpec(11, 14), -1)]),
         partial(nc.count_ncopies, min_diff=-1)),
     IdentityEntry(
         "slater-6-corrected", "Slater (6), corrected",
         partial(series_sum, (2, 0), [PochSpec(0, 1, sign=-1)], [_ONES, _ODDS]),
-        partial(poch_product, [(PochSpec(1, 3, sign=-1), 1), (PochSpec(2, 3, sign=-1), 1),
-                               *_parts(3, {0})]),
+        partial(eta_theta_product, [(PochSpec(1, 3, sign=-1), 1),
+                                    (PochSpec(2, 3, sign=-1), 1), *_parts(3, {0})]),
         nc.count_ncopies_over),
     IdentityEntry(
         "slater-86", "Slater (86)",
         partial(series_sum, (4, 0), (), [_ODDS, _EVENS]),
-        partial(poch_product, _parts(16, {2, 3, 4, 5, 11, 12, 13, 14}, "allowed")),
+        partial(eta_theta_product, _parts(16, {2, 3, 4, 5, 11, 12, 13, 14}, "allowed")),
         nc.count_even_subscript),
     IdentityEntry(
         "mod7-sum", "mod-7 Rogers-Ramanujan analogue",
-        partial(andrews_gordon_sum, 3, 3), partial(poch_product, _parts(7, {0, 3, 4})),
+        partial(andrews_gordon_sum, 3, 3),
+        partial(eta_theta_product, _parts(7, {0, 3, 4})),
         partial(count_gordon, 3, 3)),
 )}
 

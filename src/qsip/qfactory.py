@@ -6,10 +6,20 @@ sums, Andrews-Gordon multisums and two-sided theta sums.  Everything is
 exact integer arithmetic on :class:`~qsip.series.QSeries` values, except
 that Gaussian binomials are cached as immutable int rows
 (:func:`binomial_row`) for the int-row builders; :func:`gaussian_binomial`
-wraps a row as a series.  Every unmarked product, Gaussian binomials
-included, is one loop, :meth:`PochSpec.apply`, of one factor kernel,
+wraps a row as a series.  The factor loop :func:`poch_product` builds
+every product: each unmarked spec, Gaussian binomials included, is one loop,
+:meth:`PochSpec.apply`, of one factor kernel,
 :func:`~qsip.series.binomial_factor`, which multiplies or divides one int
-list by a single factor 1 + c*q^e in O(trunc).  Every sum is one or more
+list by a single factor 1 + c*q^e in O(trunc), so an infinite product
+costs O(trunc^2).  A product that is a quotient of theta series
+(q^r, q^(m-r), q^m; q^m)_infinity, eta series (q^k; q^k)_infinity among
+them, has a second route, :func:`eta_theta_product`: by the Jacobi triple
+product each such series has about sqrt(trunc) terms
+(:func:`theta_terms`), and one pass of a sparse kernel,
+:func:`~qsip.series.sparse_multiply` or
+:func:`~qsip.series.sparse_divide`, applies it, so the product costs
+O(trunc^1.5).  The two routes share no code, and the factor loop is the
+check on the other.  Every sum is one or more
 calls of the inside-out sum :func:`~qsip.series._nested_sum`, which runs
 that kernel on the part of the sum already gathered.  A product with a
 marker x is expanded by the q-binomial theorem and Euler's two identities
@@ -28,7 +38,8 @@ from functools import lru_cache
 from operator import add, neg
 from typing import Iterable
 
-from .series import QSeries, _nested_sum, _shifted, binomial_factor
+from .series import (QSeries, _nested_sum, _shifted, binomial_factor, sparse_divide,
+                     sparse_multiply)
 
 
 class DivergentProduct(Exception):
@@ -342,23 +353,140 @@ def andrews_gordon_sum(k: int, i: int, trunc: int) -> QSeries:
     return QSeries._make({(): out}, trunc, ())
 
 
+def theta_terms(m: int, r: int, trunc: int) -> list[tuple[int, int]]:
+    """The pairs (n, exponent), n ascending, of the terms
+    (-1)^n q^(m*n(n-1)/2 + r*n) of the theta series theta(m, r) whose
+    exponent is at most ``trunc`` (m >= 1, trunc >= 0).
+
+    By the Jacobi triple product (Andrews, *The Theory of Partitions*, 1976,
+    Thm 2.8), theta(m, r) = (q^r, q^(m-r), q^m; q^m)_infinity for
+    0 < r < m, and theta(3k, k) is (q^k; q^k)_infinity by Euler's
+    pentagonal theorem (Cor. 1.7).  Other r give exponents below zero, which
+    are listed too: the exponents at or below the cut are those of one run
+    of consecutive n, about 2*sqrt(2*trunc/m) of them.
+    """
+    b = 2 * r - m
+    root = math.isqrt(b * b + 8 * m * trunc)
+    return [(n, e) for n in range((-b - root) // (2 * m) - 1, (root - b) // (2 * m) + 2)
+            if (e := (m * n * n + b * n) // 2) <= trunc]
+
+
+def _theta_series(m: int, r: int, trunc: int) -> list[tuple[int, int]]:
+    """theta(m, r) through q^trunc as the (exponent, coefficient) terms that
+    :func:`~qsip.series.sparse_multiply` and
+    :func:`~qsip.series.sparse_divide` take."""
+    return [(e, -1 if n % 2 else 1) for n, e in theta_terms(m, r, trunc)]
+
+
+def eta_theta_quotient(factors: Iterable[tuple[PochSpec, int]]) -> dict[tuple[int, int], int]:
+    """The product of the (spec, power) pairs that :func:`poch_product`
+    takes, as a quotient of theta series: {(m, r): power} for the product
+    of theta(m, r)^power (:func:`theta_terms`), with (q^k; q^k)_infinity
+    written theta(3k, k).
+
+    With M the lcm of the steps, a sign -1 spec being (q^2o; q^2s) /
+    (q^o; q^s), the list is a product of (q^r; q^M)_infinity^(a_r) over
+    r = 1..M.  It takes out (q; q)_infinity^c, the product of all M of
+    them, for the c that leaves the fewest sparse passes (ties go to c = -1,
+    whose 1/(q; q)_infinity is the shared :func:`partition_row`).  Then
+    residues r and M - r pair into theta(M, r) / (q^M; q^M)_infinity,
+    (q^(M/2); q^M)_infinity is (q^(M/2); q^(M/2))_infinity /
+    (q^M; q^M)_infinity and residue M is (q^M; q^M)_infinity itself.
+    A marked spec, an offset outside 1..step, a power other than +-1 and
+    residues r, M - r of unequal exponents raise ValueError; an offset of 0
+    or less raises :class:`DivergentProduct`.
+    """
+    plain = []   # (offset, step, power) of each unsigned (q^o; q^s)^power
+    for spec, power in factors:
+        if spec.marker is not None:
+            raise ValueError(f"marker {spec.marker!r}: theta quotients are marker-free")
+        if spec.offset <= 0:
+            raise DivergentProduct(
+                f"factor q-exponent {spec.offset} <= 0 in an infinite product"
+            )
+        if spec.offset > spec.step:
+            raise ValueError(f"offset {spec.offset} outside 1..{spec.step}")
+        if power not in (1, -1):
+            raise ValueError(f"power must be 1 or -1, got {power}")
+        if spec.sign == 1:
+            plain.append((spec.offset, spec.step, power))
+        else:
+            plain += [(2 * spec.offset, 2 * spec.step, power), (spec.offset, spec.step, -power)]
+    m = math.lcm(*(s for _, s, _ in plain))
+    exps = [0] * (m + 1)   # exps[r] is the power of (q^r; q^m), r = 1..m
+    for o, s, power in plain:
+        for r in range(o, m + 1, s):
+            exps[r] += power
+    for r in range(1, (m + 1) // 2):
+        if exps[r] != exps[m - r]:
+            raise ValueError(f"(q^{r}; q^{m}) to the power {exps[r]} and (q^{m - r}; q^{m}) "
+                             f"to the power {exps[m - r]} do not pair into theta series")
+
+    half = range(1, m // 2 + 1)
+    keys = [(3 * r, r) if 2 * r == m else (m, r) for r in half]
+
+    def quotient(c: int) -> dict[tuple[int, int], int]:
+        out = {(3, 1): c}
+        for key, r in zip(keys, half):
+            out[key] = out.get(key, 0) + exps[r] - c
+        # each theta(m, r) and each (q^(m/2); q^(m/2)) holds one (q^m; q^m) too many
+        top = (3 * m, m)
+        out[top] = out.get(top, 0) + exps[m] - c - sum(exps[r] - c for r in half)
+        return {key: power for key, power in out.items() if power}
+
+    options = [(c, quotient(c)) for c in sorted({-1, *exps[1:]})]
+    _, best = min(options, key=lambda pair: (sum(map(abs, pair[1].values())), abs(pair[0] + 1)))
+    return dict(sorted(best.items()))
+
+
+@lru_cache(maxsize=64)
+def partition_row(trunc: int) -> tuple[int, ...]:
+    """p(0), ..., p(trunc), the row of 1/(q; q)_infinity, cached: Euler's
+    pentagonal recurrence, one :func:`~qsip.series.sparse_divide` pass."""
+    coeffs = [1] + [0] * trunc   # first, so a size too large to hold fails before any term
+    sparse_divide(coeffs, _theta_series(3, 1, trunc))
+    return tuple(coeffs)
+
+
+def eta_theta_product(factors: Iterable[tuple[PochSpec, int]], trunc: int) -> QSeries:
+    """The product that :func:`poch_product` builds from the same (spec,
+    power) pairs, exact to ``trunc``, by its theta quotient
+    (:func:`eta_theta_quotient`, whose ValueError it raises for a list that
+    has none): each numerator is one :func:`~qsip.series.sparse_multiply`
+    pass and each denominator one :func:`~qsip.series.sparse_divide` pass,
+    O(trunc^1.5) in all, and one 1/(q; q)_infinity is the cached
+    :func:`partition_row`.  It shares no code with :func:`poch_product`,
+    which tests it."""
+    quotient = eta_theta_quotient(factors)
+    if trunc < 0:
+        raise ValueError("truncation order must be non-negative")
+    coeffs = [0] * (trunc + 1)   # first, so a size too large to hold fails before any term
+    if quotient.get((3, 1), 0) < 0:
+        coeffs[:] = partition_row(trunc)
+        quotient[3, 1] += 1
+    else:
+        coeffs[0] = 1
+    for (m, r), power in quotient.items():
+        terms = _theta_series(m, r, trunc) if power else ()
+        for _ in range(abs(power)):
+            (sparse_multiply if power > 0 else sparse_divide)(coeffs, terms)
+    return QSeries._make({(): coeffs}, trunc, ())
+
+
 def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSeries:
     """Two-sided theta sum over n of (+-1)^n q^(quad*n^2 + lin*n), truncated.
 
     ``alternating`` selects the (-1)^n sign; the plain sum uses +1.  All
     exponents within the summation window must be non-negative (Laurent
-    tails are out of scope).
+    tails are out of scope).  The terms are those of theta(2*quad,
+    quad + lin) (:func:`theta_terms`).
     """
     if quad < 1:
         raise ValueError("quadratic coefficient must be at least 1")
     if trunc < 0:
         raise ValueError("truncation order must be non-negative")
     coeffs = [0] * (trunc + 1)
-    bound = (math.isqrt(lin * lin + 4 * quad * trunc) + abs(lin)) // (2 * quad) + 2
-    for n in range(-bound, bound + 1):
-        exp = quad * n * n + lin * n
-        if exp > trunc:
-            continue
+    for n, exp in theta_terms(2 * quad, quad + lin, trunc):
         if exp < 0:
             raise ValueError(f"negative exponent {exp} at n={n}; not a power series")
         coeffs[exp] += -1 if (alternating and n % 2) else 1

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Mapping
 
 
@@ -258,9 +259,9 @@ def binomial_factor(coeffs: list[int], c: int, e: int, power: int = 1) -> None:
     """Multiply (power 1) or divide (power -1) coeffs in place by 1 + c*q^e,
     for c = 1 or c = -1: every such factor in the package is (1 +- q^e).
 
-    The sparse kernel under every product and sum: one O(len(coeffs)) pass
-    of adds or subtracts, where the dense ``*`` and :meth:`QSeries.inverse`
-    cost quadratic time.  ``coeffs`` is a plain int list indexed by
+    The kernel under every factor-loop product and every sum: one
+    O(len(coeffs)) pass of adds or subtracts, where the dense ``*`` and
+    :meth:`QSeries.inverse` cost quadratic time.  ``coeffs`` is a plain int list indexed by
     q-exponent, exact through its last index; an exact polynomial must
     already have room for its e new top coefficients.  Multiplication takes
     e >= 0; division needs e >= 1.  Any other c raises ValueError.
@@ -280,6 +281,70 @@ def binomial_factor(coeffs: list[int], c: int, e: int, power: int = 1) -> None:
                 coeffs[i] += src
             else:
                 coeffs[i] -= src
+
+
+def sparse_multiply(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> None:
+    """Multiply coeffs in place by the sparse series sum of c*q^e over the
+    (e, c) ``terms``, cut at the end of coeffs.
+
+    One C-level slice add per term, each reading the row as it was before
+    the call, so the pass is O(len(coeffs) * terms).  The terms may come in
+    any order and repeat an exponent; a negative exponent raises ValueError.
+    """
+    size = len(coeffs)
+    src = coeffs[:]
+    coeffs[:] = [0] * size
+    for e, c in terms:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} in a sparse series")
+        if e >= size or not c:
+            continue
+        head = src[:size - e]
+        if c == 1:
+            coeffs[e:] = map(add, coeffs[e:], head)
+        elif c == -1:
+            coeffs[e:] = map(sub, coeffs[e:], head)
+        else:
+            coeffs[e:] = map(add, coeffs[e:], map(mul, head, repeat(c)))
+
+
+def sparse_divide(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> None:
+    """Divide coeffs in place by the sparse series 1 + sum of c*q^e over the
+    (e, c) ``terms``, exact through the end of coeffs.
+
+    The quotient's entry n is coeffs[n] - sum of c * quotient[n - e] over
+    the terms with 1 <= e <= n, in O(len(coeffs) * terms).  The terms may
+    come in any order and repeat an exponent; the ones at q^0 must sum to 1,
+    and a negative exponent raises ValueError.
+    """
+    merged: dict[int, int] = {}
+    for e, c in terms:
+        if e < 0:
+            raise ValueError(f"negative exponent {e} in a sparse series")
+        merged[e] = merged.get(e, 0) + c
+    constant = merged.pop(0, 0)
+    if constant != 1:
+        raise ValueError(f"a sparse divisor needs constant term 1, got {constant}")
+    tail = sorted((e, c) for e, c in merged.items() if c and e < len(coeffs))
+    # the +-1 terms, all that theta series have, step without a multiply
+    plus = [e for e, c in tail if c == 1]
+    minus = [e for e, c in tail if c == -1]
+    scaled = [(e, c) for e, c in tail if c not in (1, -1)]
+    for n in range(1, len(coeffs)):
+        acc = coeffs[n]
+        for e in plus:
+            if e > n:
+                break
+            acc -= coeffs[n - e]
+        for e in minus:
+            if e > n:
+                break
+            acc += coeffs[n - e]
+        for e, c in scaled:
+            if e > n:
+                break
+            acc -= c * coeffs[n - e]
+        coeffs[n] = acc
 
 
 def _min_trunc(a: int | None, b: int | None) -> int | None:
@@ -390,13 +455,18 @@ def _as_series(value) -> "QSeries":
     return QSeries._make({(): [value]}, None, ())
 
 
-def _registry(a: "QSeries", b: "QSeries") -> tuple[str, ...]:
-    """The registry both operands live in: a marker-free one takes the other's."""
-    if a.markers == b.markers or not b.markers:
-        return a.markers
-    if not a.markers:
-        return b.markers
-    raise ValueError(f"marker registries differ: {a.markers} vs {b.markers}")
+def _aligned(a: "QSeries", b: "QSeries") -> tuple[tuple[str, ...], dict, dict]:
+    """The registry both operands live in and each one's rows keyed in it: a
+    marker-free operand takes the other's registry, its one row re-keyed to
+    the zero exponent vector; two different marked registries raise
+    ValueError."""
+    if a.markers == b.markers:
+        return a.markers, a._rows, b._rows
+    if a.markers and b.markers:
+        raise ValueError(f"marker registries differ: {a.markers} vs {b.markers}")
+    if a.markers:
+        return a.markers, a._rows, {(0,) * len(a.markers): row for row in b._rows.values()}
+    return b.markers, {(0,) * len(b.markers): row for row in a._rows.values()}, b._rows
 
 
 class QSeries:
@@ -476,15 +546,6 @@ class QSeries:
         out.markers, out.trunc, out._coeffs = markers, trunc, None
         out._rows = _canonical(rows) if rows else rows
         return out
-
-    def _rows_in(self, markers: tuple[str, ...]) -> dict:
-        """The rows keyed in ``markers``, re-keying a marker-free series."""
-        if self.markers == markers:
-            return self._rows
-        if self.markers:
-            raise ValueError("only a marker-free series re-keys into another registry")
-        zero = (0,) * len(markers)
-        return {zero: row for row in self._rows.values()}
 
     # -- constructors ------------------------------------------------------
 
@@ -574,8 +635,7 @@ class QSeries:
 
     def __add__(self, other) -> "QSeries":
         other = _as_series(other)
-        markers = _registry(self, other)
-        a, b = self._rows_in(markers), other._rows_in(markers)
+        markers, a, b = _aligned(self, other)
         trunc = _min_trunc(self.trunc, other.trunc)
         rows = {}
         for key in a.keys() | b.keys():
@@ -598,8 +658,7 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         other = _as_series(other)
-        markers = _registry(self, other)
-        a, b = self._rows_in(markers), other._rows_in(markers)
+        markers, a, b = _aligned(self, other)
         trunc = _min_trunc(self.trunc, other.trunc)
         size = _min_trunc(max(map(len, a.values()), default=0)
                           + max(map(len, b.values()), default=0) - 2, trunc) + 1
@@ -696,8 +755,7 @@ class QSeries:
         limited by ``upto`` when given.
         """
         other = _as_series(other)
-        markers = _registry(self, other)
-        a, b = self._rows_in(markers), other._rows_in(markers)
+        _, a, b = _aligned(self, other)
         limit = _min_trunc(self.trunc, other.trunc)
         if upto is not None:
             limit = upto if limit is None else min(limit, upto)
@@ -723,10 +781,10 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         try:
-            markers = _registry(self, other)
+            _, a, b = _aligned(self, other)
         except ValueError:
             return False
-        return self.trunc == other.trunc and self._rows_in(markers) == other._rows_in(markers)
+        return self.trunc == other.trunc and a == b
 
     __hash__ = None
 

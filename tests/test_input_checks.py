@@ -108,8 +108,8 @@ CHECKS = {
                        "integer coefficients expected in row"),
     "QSeries registry": (lambda: QSeries([MarkerPoly(("v",), {(1,): 1})], markers=U),
                          ValueError, "does not match series registry"),
-    "re-key a marked series": (lambda: MARKED._rows_in(("v",)), ValueError,
-                               "only a marker-free series re-keys"),
+    "QSeries registries": (lambda: MARKED + QSeries([1], markers=("v",)), ValueError,
+                           "marker registries differ: ('u',) vs ('v',)"),
     "monomial exponent": (lambda: QSeries.monomial(-1), ValueError,
                           "negative q-exponents are out of scope"),
     "coefficient exponent": (lambda: QSeries([1]).coefficient(-1), ValueError,

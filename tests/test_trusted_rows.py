@@ -17,8 +17,9 @@ from qsip import ncopies, sip
 from qsip.partitions import (SipClassSpec, count_gordon, counting_series,
                              enumerate_partitions)
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
-                           congruence_product, gaussian_binomial, poch_finite,
-                           poch_infinite, poch_product, series_sum, theta_sum)
+                           congruence_product, eta_theta_product, gaussian_binomial,
+                           poch_finite, poch_infinite, poch_product, series_sum,
+                           theta_sum)
 from qsip.series import QSeries, _shifted
 
 PLAIN = [PochSpec(1, 1), PochSpec(1, 2, sign=-1), PochSpec(3, 4)]
@@ -82,6 +83,8 @@ def test_pochhammer_products():
     for trunc in range(31):
         for factors in products:
             assert_canonical(poch_product(factors, trunc))
+        for factors in products[:2]:
+            assert_canonical(eta_theta_product(factors, trunc))
     for n in range(8):
         for spec in PLAIN + MARKED + [PochSpec(0, 1, sign=-1)]:
             assert_canonical(poch_finite(spec, n))
@@ -195,6 +198,7 @@ def test_builders_skip_the_validating_doors(validating_entries):
 
 TRUNC_CHECKED = {
     "poch_product": lambda t: poch_product([(PochSpec(1, 1), -1)], t),
+    "eta_theta_product": lambda t: eta_theta_product([(PochSpec(1, 1), -1)], t),
     "poch_infinite": lambda t: poch_infinite(PochSpec(1, 2, sign=-1), t),
     "congruence_product": lambda t: congruence_product(
         CongruenceProductSpec(5, frozenset({1, 4})), t),
