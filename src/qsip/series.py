@@ -261,10 +261,11 @@ def binomial_factor(coeffs: list[int], c: int, e: int, power: int = 1) -> None:
 
     The kernel under every factor-loop product and every sum: one
     O(len(coeffs)) pass of adds or subtracts, where the dense ``*`` and
-    :meth:`QSeries.inverse` cost quadratic time.  ``coeffs`` is a plain int list indexed by
-    q-exponent, exact through its last index; an exact polynomial must
-    already have room for its e new top coefficients.  Multiplication takes
-    e >= 0; division needs e >= 1.  Any other c raises ValueError.
+    :meth:`QSeries.inverse` cost quadratic time.  ``coeffs`` is a plain
+    int list indexed by q-exponent, exact through its last index; an
+    exact polynomial must already have room for its e new top
+    coefficients.  Multiplication takes e >= 0; division needs e >= 1.
+    Any other c raises ValueError.
     """
     if type(c) is not int or c not in (1, -1):
         raise ValueError(f"binomial_factor takes c = 1 or -1, got {c!r}")
