@@ -1,12 +1,11 @@
 """Registry of series = product identities, verified coefficientwise.
 
 Each identity is one row of data: an id, a source, the series side, the
-product side and, where the identity has a combinatorial reading, a
-brute-force counting oracle; verification is exact integer comparison up
-to the requested truncation order.  Each side and oracle is the library
-function that builds it, its data bound by ``functools.partial`` where it
-takes any, so it takes only the truncation order, or the largest total for
-an oracle.
+product side and a brute-force counting oracle, which every identity
+carries; verification is exact integer comparison up to the requested
+truncation order.  Each side and oracle is the library function that
+builds it, its data bound by ``functools.partial`` where it takes any, so
+it takes only the truncation order, or the largest total for an oracle.
 
 * A series side is a q-hypergeometric sum for
   :func:`~qsip.qfactory.series_sum`: a pair ``(a, b)`` giving
@@ -108,10 +107,6 @@ class UnknownIdentity(Exception):
     """The requested identity id is not registered."""
 
 
-class NoOracle(Exception):
-    """The identity has no combinatorial counting oracle attached."""
-
-
 _ONES = PochSpec(1, 1)       # (q; q)
 _EVENS = PochSpec(2, 2)      # (q^2; q^2)
 _ODDS = PochSpec(1, 2)       # (q; q^2)
@@ -155,7 +150,7 @@ class IdentityEntry:
     source: str
     lhs: Callable[[int], QSeries]
     rhs: Callable[[int], QSeries]
-    oracle: Callable[[int], QSeries] | None = None
+    oracle: Callable[[int], QSeries]
 
 
 REGISTRY: dict[str, IdentityEntry] = {entry.id: entry for entry in (
@@ -279,8 +274,6 @@ class ConcordanceResult:
 def oracle_concordance(identity: str, total_max: int) -> ConcordanceResult:
     """Three-way check: enumeration counts, LHS and RHS coefficients."""
     entry = get(identity)
-    if entry.oracle is None:
-        raise NoOracle(f"{identity} has no counting oracle")
     counted = entry.oracle(total_max)
     vs_lhs = counted.first_mismatch(entry.lhs(total_max))
     vs_rhs = counted.first_mismatch(entry.rhs(total_max))
@@ -338,7 +331,7 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
         PochSpec(2 * n, 2).apply(closed, 1, -1)          # over 1 - q^(2n)
         if partial != closed:
             failures.append(f"partial sum N={n} differs from closed form")
-        if n >= 2 and list(map(sub, closed, previous)) != term:
+        if list(map(sub, closed, previous)) != term:
             failures.append(f"closed-form difference at N={n} is not term {n}")
     return TelescopeResult(n_max, trunc, not failures, tuple(failures))
 

@@ -184,8 +184,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         results = args.handler(args)
-    except (catalog.UnknownIdentity, catalog.NoOracle, ValueError,
-            sip.NotInClass) as exc:
+    except (catalog.UnknownIdentity, ValueError, sip.NotInClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OverflowError, MemoryError) as exc:

@@ -10,10 +10,9 @@ import pytest
 from qsip import catalog, partitions, qfactory
 from qsip import series as series_module
 from qsip import ncopies as nc
-from qsip.catalog import (NoOracle, TelescopeResult, UnknownIdentity,
-                          gollnitz_intermediate, oracle_concordance,
-                          substitute_neg_q_squared, telescope_check, verify,
-                          verify_all)
+from qsip.catalog import (TelescopeResult, UnknownIdentity, gollnitz_intermediate,
+                          oracle_concordance, substitute_neg_q_squared,
+                          telescope_check, verify, verify_all)
 from qsip.closed_forms import chu_vandermonde_series_check, glasgow_row_sums
 from qsip.partitions import count_gordon, counting_series, enumerate_partitions
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
@@ -93,12 +92,10 @@ class TestOracles:
         res = oracle_concordance(identity, 16)
         assert res.passed, res.summary()
 
-    def test_no_oracle(self, monkeypatch):
-        bare = catalog.IdentityEntry("bare", "no combinatorial reading",
-                                     lhs=lambda t: QSeries.one(t), rhs=lambda t: QSeries.one(t))
-        monkeypatch.setitem(catalog.REGISTRY, "bare", bare)
-        with pytest.raises(NoOracle):
-            oracle_concordance("bare", 10)
+    def test_an_entry_needs_an_oracle(self):
+        with pytest.raises(TypeError, match="oracle"):
+            catalog.IdentityEntry("bare", "no oracle",
+                                  lhs=lambda t: QSeries.one(t), rhs=lambda t: QSeries.one(t))
 
     def test_mod8_listed_partitions(self):
         allowed = CongruenceProductSpec(8, frozenset({0, 2, 3, 4, 7}), "allowed")

@@ -171,15 +171,13 @@ class TestCommands:
                      "--total-max", "12"]) == 0
         assert "oracle = lhs = rhs" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("identity", [i for i in catalog.identity_ids()
-                                          if catalog.get(i).oracle is not None])
+    @pytest.mark.parametrize("identity", catalog.identity_ids())
     def test_oracle_negative_total_exit_two(self, capsys, identity):
         assert main(["oracle", "--identity", identity, "--total-max", "-3"]) == 2
         captured = capsys.readouterr()
         assert "total_max must be non-negative" in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("identity", [i for i in catalog.identity_ids()
-                                          if catalog.get(i).oracle is not None])
+    @pytest.mark.parametrize("identity", catalog.identity_ids())
     def test_oracle_huge_total_exit_two(self, capsys, identity):
         # the oracle allocates its row before its walk visits any state
         assert main(["oracle", "--identity", identity, "--total-max", str(10**20)]) == 2
@@ -233,7 +231,8 @@ class TestCommands:
         broken = catalog.IdentityEntry(
             "broken", "synthetic failure",
             lhs=lambda t: catalog.QSeries.one(t),
-            rhs=lambda t: catalog.QSeries.zero(t))
+            rhs=lambda t: catalog.QSeries.zero(t),
+            oracle=lambda t: catalog.QSeries.one(t))
         monkeypatch.setitem(catalog.REGISTRY, "broken", broken)
         assert main(["verify", "--identity", "broken", "--trunc", "10"]) == 1
         out = capsys.readouterr().out
@@ -270,7 +269,8 @@ class TestReports:
         broken = catalog.IdentityEntry(
             "broken", "synthetic failure",
             lhs=lambda t: catalog.QSeries.one(t),
-            rhs=lambda t: catalog.QSeries.zero(t))
+            rhs=lambda t: catalog.QSeries.zero(t),
+            oracle=lambda t: catalog.QSeries.one(t))
         monkeypatch.setitem(catalog.REGISTRY, "broken", broken)
         flags, keys = self.CASES[command]
         text_status = main([command, *flags])

@@ -54,15 +54,9 @@ def test_route_is_chosen_by_the_data():
 
 @pytest.mark.parametrize("identity", ROUTE_IDS)
 def test_route_equals_factor_loop(identity):
-    for trunc in range(201):
+    for trunc in [*range(201), 3000]:
         assert eta_theta_product(factors(identity), trunc) == \
             poch_product(factors(identity), trunc), trunc
-
-
-@pytest.mark.deep
-@pytest.mark.parametrize("identity", ROUTE_IDS)
-def test_route_equals_factor_loop_deep(identity):
-    assert eta_theta_product(factors(identity), 3000) == poch_product(factors(identity), 3000)
 
 
 def test_quotients_of_the_registry():

@@ -94,9 +94,8 @@ def digests() -> dict[str, str]:
         for trunc in SIDE_TRUNCS:
             feed(digest, "lhs", entry.lhs(trunc))
             feed(digest, "rhs", entry.rhs(trunc))
-        if entry.oracle is not None:
-            for total in ORACLE_TOTALS:
-                feed(digest, "oracle", entry.oracle(total))
+        for total in ORACLE_TOTALS:
+            feed(digest, "oracle", entry.oracle(total))
         out[identity] = digest.hexdigest()
     for name, spec in sip.SPEC_REGISTRY.items():
         digest = hashlib.sha256()

@@ -2,7 +2,7 @@
 
 Every other module of the package imports ``_``-prefixed names from
 ``qsip.series`` alone, and only ``series.py`` names ``_canonical`` or reads
-a series' rows (``_rows``, ``_rows_in``): the other builders hand their
+a series' rows (``_rows``): the other builders hand their
 fresh rows to ``QSeries._make``, which trims them, and read a series
 through its public methods.
 """
@@ -65,4 +65,4 @@ def test_only_series_names_canonical():
 
 def test_only_series_reads_rows():
     assert [name for name, tree in sources().items()
-            if {"_rows", "_rows_in"} & names(tree)] == ["series.py"]
+            if "_rows" in names(tree)] == ["series.py"]

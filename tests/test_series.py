@@ -24,6 +24,7 @@ class TestMarkerPoly:
     def test_zero_terms_dropped(self):
         p = MarkerPoly(UV, {(1, 0): 2, (0, 1): 0})
         assert p.terms == {(1, 0): 2}
+        assert (bool(MarkerPoly(UV)), bool(U - U), bool(p)) == (False, False, True)
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):
@@ -33,6 +34,7 @@ class TestMarkerPoly:
         assert (U + V) * (U - V) == U * U - V * V
         assert (U + 1) * (U + 1) == U**2 + 2 * U + 1
         assert U - U == 0
+        assert (5 - (U + 2)).terms == {(0, 0): 3, (1, 0): -1}
 
     def test_specialize(self):
         p = 3 * U * V + 2 * U + 1
@@ -42,6 +44,7 @@ class TestMarkerPoly:
 
     def test_str(self):
         assert str(2 * U * V**2 - 1) in ("-1 + 2*u*v^2", "2*u*v^2 - 1")
+        assert str(MarkerPoly(UV)) == str(U - U) == "0"
 
 
 class TestAdd:
@@ -49,6 +52,7 @@ class TestAdd:
         s = QSeries([1, 2, 3], trunc=2)
         assert QSeries.zero() + s == s
         assert s + 0 == s
+        assert 5 - s == QSeries([4, -2, -3], trunc=2)
 
     def test_min_trunc(self):
         a = QSeries([1, 1, 0, 0, 0, 0], trunc=5)

@@ -130,6 +130,7 @@ class TestBasisEnumeration:
 
     def test_members_are_basis_elements(self):
         for spec in ALL_SPECS:
+            assert is_basis_element((), spec)
             for n in range(1, 5):
                 for parts in enumerate_basis(spec, n, 25):
                     assert is_basis_element(parts, spec)
@@ -515,7 +516,7 @@ class TestBasisTable:
 
 class TestMinBasisTotal:
     def test_known_growth(self):
-        for n in range(1, 9):
+        for n in range(9):
             assert min_basis_total(NATURAL, n) == n
             assert min_basis_total(DISTINCT, n) == n * (n + 1) // 2
             assert min_basis_total(ROGERS_RAMANUJAN, n) == n * n
