@@ -2,19 +2,17 @@
 
 The package builds every object with arbitrary-precision integer
 arithmetic: truncated power series over a marker-polynomial ring, the
-standard q-products and Gaussian binomials, brute-force partition oracles,
-the separable-class decomposition machinery, and a catalog of
-series = product identities verified coefficientwise.
+standard q-products, sums and Gaussian binomials, partition enumerators
+and counting walks, the separable-class decomposition machinery, and a
+catalog of series = product identities verified coefficientwise.
 """
 
 from .series import MarkerPoly, NonUnitConstantTerm, QSeries, TruncationExceeded
 from .qfactory import (CongruenceProductSpec, DivergentProduct, PochSpec,
                        congruence_product, eta_theta_product, gaussian_binomial,
-                       poch_finite, poch_infinite, poch_product, series_sum,
-                       theta_sum)
-from .partitions import (Overpartition, SipClassSpec, counting_series,
-                         enumerate_overpartitions, enumerate_partitions,
-                         in_sip_class, partition_count)
+                       poch_finite, poch_infinite, poch_product, series_sum)
+from .partitions import (SipClassSpec, counting_series, enumerate_partitions,
+                         in_sip_class)
 from .sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
                   ROGERS_RAMANUJAN, SCHUR, SCHUR_REFINED, SPEC_REGISTRY,
                   BasisTable, InsufficientTableDepth, NotInClass,
@@ -26,7 +24,6 @@ from .ncopies import (ConstraintViolation, CopyPart, OverCopyPartition,
                       enumerate_base, enumerate_even_subscript,
                       enumerate_ncopies, enumerate_ncopies_over,
                       exact_diff_closed, exact_diff_table, is_diagonal,
-                      ncopies_gf, ncopies_overpartition_product,
-                      weighted_difference)
+                      ncopies_gf, weighted_difference)
 
 __version__ = "0.1.0"

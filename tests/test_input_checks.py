@@ -7,8 +7,7 @@ import pytest
 from qsip import catalog, closed_forms, ncopies, qfactory, sip
 from qsip.catalog import ConcordanceResult, TelescopeResult
 from qsip.ncopies import CopyPart, OverCopyPartition
-from qsip.partitions import (Overpartition, SipClassSpec, counting_series,
-                             enumerate_partitions)
+from qsip.partitions import SipClassSpec, counting_series, enumerate_partitions
 from qsip.qfactory import CongruenceProductSpec, PochSpec
 from qsip.series import MarkerPoly, QSeries
 
@@ -64,10 +63,6 @@ CHECKS = {
                        "modulus k must be a positive integer"),
     "SipClassSpec c": (lambda: SipClassSpec(1, (0,), (0,)), ValueError,
                        "threshold c_1 = 0 must be positive"),
-    "Overpartition positive": (lambda: Overpartition((0,), ()), ValueError,
-                               "parts must be positive"),
-    "Overpartition ascending": (lambda: Overpartition((2, 1), ()), ValueError,
-                                "parts must be ascending"),
     "counting_series size": (lambda: counting_series([[1]], 3), TypeError,
                              "cannot infer a size"),
     "PochSpec step": (lambda: PochSpec(1, 0), ValueError, "step must be a positive integer"),
@@ -84,10 +79,6 @@ CHECKS = {
                             "Q(n) must grow"),
     "series_sum integral": (lambda: qfactory.series_sum((1, 0), (), (), 5), ValueError,
                             "must be integral and non-decreasing"),
-    "theta_sum quad": (lambda: qfactory.theta_sum(0, 0, 5), ValueError,
-                       "quadratic coefficient must be at least 1"),
-    "theta_sum negative": (lambda: qfactory.theta_sum(1, 5, 10), ValueError,
-                           "negative exponent -4 at n=-4; not a power series"),
     "_as_int float": (lambda: QSeries([1.5]), TypeError,
                       "integer coefficient expected, got 1.5"),
     "_as_int bool": (lambda: MarkerPoly.const(True), TypeError,

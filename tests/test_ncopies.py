@@ -5,17 +5,17 @@ from functools import partial
 
 import pytest
 
+import reference
 from qsip import catalog, ncopies, partitions
 from qsip.ncopies import (ConstraintViolation, CopyPart, base_decompose,
                           base_gf, base_recompose, copy_total, count_ncopies,
                           count_even_subscript, count_ncopies_over, enumerate_base,
-                          enumerate_all_copy_overpartitions,
                           enumerate_even_subscript, enumerate_ncopies,
                           enumerate_ncopies_over, exact_diff_closed,
                           exact_diff_table, is_diagonal, ncopies_gf,
-                          ncopies_overpartition_product, weighted_difference)
+                          weighted_difference)
 from qsip.partitions import counting_series
-from qsip.qfactory import PochSpec, poch_finite
+from qsip.qfactory import PochSpec, poch_finite, poch_product
 from qsip.series import QSeries
 
 
@@ -399,20 +399,18 @@ class TestOverlined:
     def test_weighted_oracle_counts_filtered_overpartitions(self):
         # the chain-minimum rule read straight off its statement, applied to
         # every unrestricted overlined n-copies partition
-        def admitted(over):
-            parts = over.parts
-            diffs = [hi.value - lo.value - hi.sub - lo.sub
-                     for lo, hi in zip(parts, parts[1:])]
+        def admitted(parts, overlined):
+            diffs = [hv - lv - hs - ls for (lv, ls), (hv, hs) in zip(parts, parts[1:])]
             if any(diff < 0 for diff in diffs):
                 return False
             return all(idx == 0 or diffs[idx - 1] != 0
-                       for idx, part in enumerate(parts) if part in over.overlined)
+                       for idx, part in enumerate(parts) if part in overlined)
 
         t_max = 12
         counts = [0] * (t_max + 1)
-        for over in enumerate_all_copy_overpartitions(t_max):
-            if admitted(over):
-                counts[sum(part.value for part in over.parts)] += 1
+        for parts, overlined in reference.copy_overpartitions(t_max):
+            if admitted(parts, overlined):
+                counts[sum(value for value, _ in parts)] += 1
         oracle = catalog.get("slater-6-corrected").oracle
         for t in range(t_max + 1):
             assert oracle(t).int_coefficients(t) == counts[:t + 1], t
@@ -420,9 +418,13 @@ class TestOverlined:
                 == counts[:t + 1], t
 
     def test_unrestricted_product_sequence(self):
-        prod = ncopies_overpartition_product(6)
+        # n species of each n, each (1 + q^n)/(1 - q^n): (-q^j; q) / (q^j; q) over j >= 1
+        prod = poch_product([(spec, power) for j in range(1, 7)
+                             for spec, power in ((PochSpec(j, 1, sign=-1), 1),
+                                                 (PochSpec(j, 1), -1))], 6)
         assert prod.int_coefficients(4) == [1, 2, 6, 16, 38]
-        counted = counting_series(enumerate_all_copy_overpartitions(6), 6)
+        counted = counting_series(reference.copy_overpartitions(6), 6,
+                                  size=lambda over: sum(value for value, _ in over[0]))
         assert counted == prod
 
 

@@ -13,7 +13,7 @@ from qsip import catalog, cli, ncopies, sip
 from qsip import closed_forms as cf
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                            congruence_product, gaussian_binomial, poch_finite,
-                           poch_infinite, poch_product, series_sum, theta_sum)
+                           poch_infinite, poch_product, series_sum)
 from qsip.series import QSeries
 
 U3 = PochSpec(1, 3, sign=-1, marker="u")
@@ -49,7 +49,7 @@ def test_products_and_sums(refuse_series_products):
     poch_infinite(PochSpec(1, 2, sign=-1), 30)
     congruence_product(CongruenceProductSpec(5, frozenset({1, 4})), 30)
     series_sum((2, 0), [PochSpec(1, 2, sign=-1)], [PochSpec(2, 2)], 30)
-    andrews_gordon_sum(3, 2, 30), theta_sum(1, 0, 30)
+    andrews_gordon_sum(3, 2, 30)
     for a in range(8):
         for b in range(a + 1):
             gaussian_binomial(a, b, base=2)

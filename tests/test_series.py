@@ -24,6 +24,9 @@ class TestMarkerPoly:
     def test_zero_terms_dropped(self):
         p = MarkerPoly(UV, {(1, 0): 2, (0, 1): 0})
         assert p.terms == {(1, 0): 2}
+        # keys that are equal as tuples merge, and cancel when their sum is zero
+        assert MarkerPoly(UV, {(1, 0): 2, range(1, -1, -1): 3}).terms == {(1, 0): 5}
+        assert MarkerPoly(UV, {(1, 0): 2, range(1, -1, -1): -2}).terms == {}
         assert (bool(MarkerPoly(UV)), bool(U - U), bool(p)) == (False, False, True)
 
     def test_arity_checked(self):

@@ -18,8 +18,7 @@ from qsip.partitions import (SipClassSpec, count_gordon, counting_series,
                              enumerate_partitions)
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                            congruence_product, eta_theta_product, gaussian_binomial,
-                           poch_finite, poch_infinite, poch_product, series_sum,
-                           theta_sum)
+                           poch_finite, poch_infinite, poch_product, series_sum)
 from qsip.series import QSeries, _shifted
 
 PLAIN = [PochSpec(1, 1), PochSpec(1, 2, sign=-1), PochSpec(3, 4)]
@@ -116,8 +115,6 @@ def fresh_builds():
     table = ncopies.exact_diff_table(1, 4, 8)
     out = [series_sum((0, 2), (), [PochSpec(1, 1)], t) for t in (0, 1, 9)]
     out += [andrews_gordon_sum(k, i, t) for k, i in [(2, 1), (3, 2)] for t in (0, 1, 15)]
-    out += [theta_sum(q, lin, t, alt) for q, lin in [(1, 0), (3, 1)] for t in (0, 1, 20)
-            for alt in (False, True)]
     out += [gaussian_binomial(a, b, base=base) for a in range(6) for b in range(-1, a + 2)
             for base in (1, 2)]
     out += [ncopies.base_gf(parts, r, t) for parts in range(4) for r in (-1, 0, 2)
@@ -206,8 +203,6 @@ TRUNC_CHECKED = {
     "schur-refined product": lambda t: catalog.get("schur-refined").rhs(t),
     "series_sum": lambda t: series_sum((0, 2), (), [PochSpec(1, 1)], t),
     "andrews_gordon_sum": lambda t: andrews_gordon_sum(3, 3, t),
-    "theta_sum": lambda t: theta_sum(1, 0, t),
-    "theta_sum, negative isqrt argument": lambda t: theta_sum(2, 2, 5 * t),
     "base_gf": lambda t: ncopies.base_gf(2, 0, t),
     "class_gf": lambda t: sip.class_gf(sip.NATURAL, t),
     "_make": lambda t: QSeries._make({(): [1]}, t, ()),
