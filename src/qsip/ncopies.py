@@ -134,25 +134,12 @@ def count_ncopies(total_max: int, min_diff: int) -> QSeries:
 
 def enumerate_base(total_max: int, r: int) -> Iterator[tuple[CopyPart, ...]]:
     """Chains with diagonal smallest part and successive weighted difference
-    exactly r, over all totals 0..total_max."""
-    if total_max < 0:
-        raise ValueError("total_max must be non-negative")
-    if r < -1:
-        raise ValueError("weighted-difference constant must be at least -1")
-
-    def successors(state):
-        parts, remaining = state
-        if not parts:
-            return (((CopyPart(i, i),), remaining - i) for i in range(1, remaining + 1))
-        # the next part j_s has j = last.value + last.sub + s + r <= remaining
-        last = parts[-1]
-        reach = last.value + last.sub + r
-        if reach >= remaining:
-            return ()
-        return ((parts + (CopyPart(reach + s, s),), remaining - reach - s)
-                for s in range(1, remaining - reach + 1))
-
-    return (parts for parts, _ in grow(((), total_max), successors))
+    exactly r, over all totals 0..total_max: the partitions of
+    :func:`enumerate_ncopies` with ``min_diff=r`` that are such chains."""
+    return (parts for parts in enumerate_ncopies(total_max, min_diff=r)
+            if (not parts or is_diagonal(parts[0]))
+            and all(weighted_difference(upper, lower) == r
+                    for lower, upper in zip(parts, parts[1:])))
 
 
 def base_decompose(parts: tuple[CopyPart, ...], r: int
@@ -416,23 +403,15 @@ def overline_carriers(parts: tuple[CopyPart, ...]) -> tuple[CopyPart, ...]:
 
 def enumerate_even_subscript(total_max: int) -> Iterator[tuple[CopyPart, ...]]:
     """n-copies partitions with even subscripts, non-negative successive
-    weighted differences, and no adjacent odd-value pair at difference zero."""
-    if total_max < 0:
-        raise ValueError("total_max must be non-negative")
-
-    def successors(state):
-        # ((v_s - last)) >= 0  <=>  s <= v - reach; with even subscripts a
-        # difference of zero makes v and last.value share their parity
-        parts, remaining = state
-        reach = parts[-1].value + parts[-1].sub if parts else 0
-        if reach + 2 > remaining:
-            return ()
-        return ((parts + (CopyPart(v, s),), remaining - v)
-                for v in range(reach + 2, remaining + 1)
-                for s in range(2, v - reach + 1, 2)
-                if s < v - reach or not v % 2)
-
-    return (parts for parts, _ in grow(((), total_max), successors))
+    weighted differences, and no adjacent odd-value pair at difference zero:
+    the partitions of :func:`enumerate_ncopies` with ``min_diff=0`` whose
+    subscripts are all even and in which no pair at difference zero has an
+    odd upper value; with even subscripts, such a pair's values share their
+    parity."""
+    return (parts for parts in enumerate_ncopies(total_max, min_diff=0)
+            if not any(p.sub % 2 for p in parts)
+            and not any(upper.value % 2 and weighted_difference(upper, lower) == 0
+                        for lower, upper in zip(parts, parts[1:])))
 
 
 def count_even_subscript(total_max: int) -> QSeries:

@@ -149,15 +149,12 @@ class SipClassSpec:
                         and all(type(e) is int and e >= 0 for e in w)):
                     raise ValueError(f"weight {w!r} is no exponent vector over {self.markers}")
 
-    def residue_index(self, value: int) -> int:
-        """Index into c/d for the residue class of a part value."""
-        return (value - 1) % self.k
-
     def weight(self, value: int) -> tuple[int, ...]:
-        """The exponent vector weighing a part of this value (zero if unweighted)."""
+        """The exponent vector weighing a part of this value (zero if
+        unweighted), read at its residue class's index (value - 1) mod k."""
         if self.weights is None:
             return (0,) * len(self.markers)
-        return self.weights[self.residue_index(value)]
+        return self.weights[(value - 1) % self.k]
 
 
 def in_sip_class(parts: Partition, spec: SipClassSpec) -> bool:

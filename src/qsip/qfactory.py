@@ -129,9 +129,10 @@ def _expand(rows: dict[tuple[int, ...], list[int]], spec: PochSpec, count: int |
 
 
 def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
-             trunc: int | None, markers: tuple[str, ...]) -> QSeries:
+             trunc: int | None) -> QSeries:
     """Product over (spec, count, power) triples of the first ``count``
-    factors of spec (all of them for None) to the power 1 or -1.
+    factors of spec (all of them for None) to the power 1 or -1, over the
+    sorted markers of the specs.
 
     Every list holds ``size`` coefficients; the result is cut at ``trunc``,
     or is an exact polynomial for None, which the lists must then hold
@@ -140,12 +141,11 @@ def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
     row into its rows by marker degree (:func:`_expand`), so no two series
     are ever multiplied.
     """
+    markers = tuple(sorted({spec.marker for spec, _, _ in factors} - {None}))
     plain = [1] + [0] * (size - 1)
     for spec, count, power in factors:
         if spec.marker is None:
             spec.apply(plain, count, power)
-        elif spec.marker not in markers:
-            raise ValueError(f"marker {spec.marker!r} not in registry {markers}")
     rows = {(0,) * len(markers): plain}
     for spec, count, power in factors:
         if spec.marker is not None:
@@ -153,33 +153,29 @@ def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
     return QSeries._make(rows, trunc, markers)
 
 
-def poch_finite(spec: PochSpec, n: int, trunc: int | None = None,
-                markers: Iterable[str] | None = None) -> QSeries:
+def poch_finite(spec: PochSpec, n: int, trunc: int | None = None) -> QSeries:
     """The n-factor Pochhammer product for ``spec``; n = 0 is the empty product.
 
     Without ``trunc`` the result is an exact polynomial.  The marker
-    registry defaults to the spec's marker, if any.
+    registry is the spec's marker, if any.
     """
     if n < 0:
         raise ValueError("factor count must be non-negative")
     if n and spec.offset < 0:
         raise ValueError(f"factor q-exponent {spec.offset} < 0")
-    if markers is None:
-        markers = () if spec.marker is None else (spec.marker,)
     degree = n * spec.offset + spec.step * (n * (n - 1) // 2)
     size = degree + 1 if trunc is None else trunc + 1
-    return _product([(spec, n, 1)], size, trunc, tuple(markers))
+    return _product([(spec, n, 1)], size, trunc)
 
 
-def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
-                 markers: Iterable[str] | None = None) -> QSeries:
+def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int) -> QSeries:
     """Product of infinite Pochhammers (spec; .)^power over (spec, power) pairs.
 
     ``power`` is 1 or -1.  Exact to ``trunc``: factors whose q-exponent
     exceeds ``trunc`` are dropped (they cannot change any retained
     coefficient, since each contributes only exponents >= its own).  Every
-    factor needs q-exponent at least 1.  The marker registry defaults to the
-    sorted markers of the specs.  Unmarked specs step one int list; each
+    factor needs q-exponent at least 1.  The marker registry is the sorted
+    markers of the specs.  Unmarked specs step one int list; each
     marked spec then expands every monomial row into its rows by marker
     degree with the q-binomial theorem (see :func:`_expand`).
     """
@@ -191,20 +187,12 @@ def poch_product(factors: Iterable[tuple[PochSpec, int]], trunc: int,
             )
         if power not in (1, -1):
             raise ValueError(f"power must be 1 or -1, got {power}")
-    if markers is None:
-        markers = sorted({spec.marker for spec, _ in factors} - {None})
-    return _product([(spec, None, power) for spec, power in factors],
-                    trunc + 1, trunc, tuple(markers))
+    return _product([(spec, None, power) for spec, power in factors], trunc + 1, trunc)
 
 
-def poch_infinite(spec: PochSpec, trunc: int, markers: Iterable[str] | None = None) -> QSeries:
+def poch_infinite(spec: PochSpec, trunc: int) -> QSeries:
     """The infinite Pochhammer product, exact to ``trunc``."""
-    return poch_product([(spec, 1)], trunc, markers)
-
-
-# binomial_row's two specs, built once each: a spec is immutable, and building
-# one costs more than the lookup
-_poch = lru_cache(maxsize=4096)(PochSpec)
+    return poch_product([(spec, 1)], trunc)
 
 
 @lru_cache(maxsize=4096)
@@ -213,18 +201,23 @@ def binomial_row(a: int, b: int, *, base: int = 1) -> tuple[int, ...]:
     through its degree base*b*(a-b), cached; () where it is zero.
 
     Zero-extended: the row is empty whenever b < 0 or b > a.  With
-    b = min(b, a - b) it is its definition
-    (q^(base*(a-b+1)); q^base)_b / (q^base; q^base)_b on one int list cut
-    at the degree base*b*(a-b): the quotient is that polynomial, so the cut
-    loses nothing.  ``base`` is keyword-only, so each row has one cache key.
+    b = min(b, a - b) it is its definition, the product over j = 1..b of
+    (1 - q^(base*(a-b+j))) / (1 - q^(base*j)), one pair of
+    :func:`~qsip.series.binomial_factor` calls per j on one int list cut at
+    the degree base*b*(a-b): the product through j is the polynomial
+    [a-b+j, j], so the cut loses nothing.  ``base`` is keyword-only, so each
+    row has one cache key.
     """
     if base < 1:
         raise ValueError("base step must be a positive integer")
     if b < 0 or b > a:
         return ()
     b = min(b, a - b)
-    coeffs = _poch(base * (a - b + 1), base).apply([1] + [0] * (base * b * (a - b)), b)
-    return tuple(_poch(base, base).apply(coeffs, b, -1))
+    coeffs = [1] + [0] * (base * b * (a - b))
+    for j in range(1, b + 1):
+        binomial_factor(coeffs, -1, base * (a - b + j))
+        binomial_factor(coeffs, -1, base * j, -1)
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=4096)

@@ -749,17 +749,14 @@ class QSeries:
 
     # -- comparison ------------------------------------------------------------
 
-    def first_mismatch(self, other: "QSeries", upto: int | None = None) -> int | None:
+    def first_mismatch(self, other: "QSeries") -> int | None:
         """Smallest exponent where the two series differ, or None.
 
-        Comparison runs over the overlap of the guarantee windows, further
-        limited by ``upto`` when given.
+        Comparison runs over the overlap of the guarantee windows.
         """
         other = _as_series(other)
         _, a, b = _aligned(self, other)
         limit = _min_trunc(self.trunc, other.trunc)
-        if upto is not None:
-            limit = upto if limit is None else min(limit, upto)
         first = None
         for key in a.keys() | b.keys():
             ra, rb = a.get(key, []), b.get(key, [])
@@ -770,9 +767,6 @@ class QSeries:
                 n = next(n for n, (x, y) in enumerate(zip(ra, rb)) if x != y)
                 first = n if first is None else min(first, n)
         return first
-
-    def agrees_through(self, other: "QSeries", upto: int | None = None) -> bool:
-        return self.first_mismatch(other, upto=upto) is None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QSeries) and other.markers == self.markers:

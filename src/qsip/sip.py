@@ -344,9 +344,16 @@ class SipDecomposition:
             raise ValueError("basis and padding lengths differ")
 
 
-def _split(parts: Partition, spec: SipClassSpec) -> tuple[Partition, tuple[int, ...]]:
-    """The (basis, padding) tuples of a class member, built left to right by
-    :func:`_basis_step`; raises NotInClass for a non-member."""
+def decompose(parts: Partition, spec: SipClassSpec) -> SipDecomposition:
+    """Split a class member into its unique basis element and padding.
+
+    Built left to right by :func:`_basis_step`: the first basis part is the
+    threshold of the first part's residue; each later basis part is the
+    unique value congruent to the member part in the window
+    [prev + d_r, prev + d_r + k).  A spec that is not separable raises
+    ValueError (:func:`_require_separable`), a non-member NotInClass.
+    """
+    _require_separable(spec)
     if not in_sip_class(parts, spec):
         raise NotInClass(f"{parts} is not in the class {spec.c}/{spec.d} mod {spec.k}")
     basis = []
@@ -354,19 +361,7 @@ def _split(parts: Partition, spec: SipClassSpec) -> tuple[Partition, tuple[int, 
     for p in parts:
         b = _basis_step(spec, b, p)
         basis.append(b)
-    return tuple(basis), tuple(map(sub, parts, basis))
-
-
-def decompose(parts: Partition, spec: SipClassSpec) -> SipDecomposition:
-    """Split a class member into its unique basis element and padding.
-
-    Built left to right: the first basis part is the threshold of the first
-    part's residue; each later basis part is the unique value congruent to
-    the member part in the window [prev + d_r, prev + d_r + k).  A spec
-    that is not separable raises ValueError (:func:`_require_separable`).
-    """
-    _require_separable(spec)
-    return SipDecomposition(*_split(parts, spec))
+    return SipDecomposition(tuple(basis), tuple(map(sub, parts, basis)))
 
 
 def recompose(decomp: SipDecomposition) -> Partition:

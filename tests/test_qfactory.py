@@ -93,16 +93,13 @@ def reference_product(factors, trunc, markers, count=None):
 
 @st.composite
 def product_case(draw):
-    """Factor lists over a registry of up to three markers, w never used; the
-    registry is passed explicitly or left to default to the used markers."""
-    registry = draw(st.sampled_from([(), ("u",), ("u", "v"), ("u", "v", "w")]))
+    """Factor lists over the markers u and v, or over u alone, or unmarked."""
+    used = draw(st.sampled_from([(), ("u",), ("u", "v")]))
     spec = st.builds(PochSpec, st.one_of(st.integers(1, 5), st.integers(6, 45)),
                      st.integers(1, 4), st.sampled_from([1, -1]),
-                     st.sampled_from((None,) + registry[:2]))
+                     st.sampled_from((None,) + used))
     factors = draw(st.lists(st.tuples(spec, st.sampled_from([1, -1])), max_size=4))
-    trunc = draw(st.sampled_from([0, 1, 2, 3, 40]))
-    markers = registry if draw(st.booleans()) else None
-    return factors, trunc, markers
+    return factors, draw(st.sampled_from([0, 1, 2, 3, 40]))
 
 
 U3, V3 = PochSpec(1, 3, sign=-1, marker="u"), PochSpec(2, 3, sign=-1, marker="v")
@@ -110,35 +107,31 @@ U3, V3 = PochSpec(1, 3, sign=-1, marker="u"), PochSpec(2, 3, sign=-1, marker="v"
 
 @given(product_case())
 @settings(max_examples=60, deadline=None)
-@example(([(U3, 1), (PochSpec(2, 2, marker="u"), -1)], 40, None))
-@example(([(U3, 1), (V3, -1), (ONES, -1), (PochSpec(2, 3, sign=-1), 1)], 40, None))
-@example(([(U3, -1), (PochSpec(1, 1, marker="u"), 1)], 40, ("u", "v", "w")))
-@example(([(U3, 1), (V3, 1)], 3, ("u", "v")))
-@example(([(PochSpec(1, 2, marker="u"), -1), (PochSpec(2, 3, sign=-1, marker="u"), -1)],
-          40, None))
+@example(([(U3, 1), (PochSpec(2, 2, marker="u"), -1)], 40))
+@example(([(U3, 1), (V3, -1), (ONES, -1), (PochSpec(2, 3, sign=-1), 1)], 40))
+@example(([(U3, -1), (PochSpec(1, 1, marker="u"), 1)], 40))
+@example(([(U3, 1), (V3, 1)], 3))
+@example(([(PochSpec(1, 2, marker="u"), -1), (PochSpec(2, 3, sign=-1, marker="u"), -1)], 40))
 def test_grouped_product_matches_reference(case):
-    factors, trunc, markers = case
-    got = poch_product(factors, trunc, markers)
-    registry = markers if markers is not None else \
-        tuple(sorted({spec.marker for spec, _ in factors} - {None}))
+    factors, trunc = case
+    got = poch_product(factors, trunc)
+    registry = tuple(sorted({spec.marker for spec, _ in factors} - {None}))
     assert got.trunc == trunc and got.markers == registry
     expected = reference_product(factors, trunc, registry)
     assert [got.coefficient(n) for n in range(trunc + 1)] == expected
 
 
 @pytest.mark.parametrize("trunc", [None, 0, 3, 12])
-@pytest.mark.parametrize("markers", [None, ("u", "v"), ("u", "v", "w")])
-def test_marked_finite_product_matches_reference(trunc, markers):
+def test_marked_finite_product_matches_reference(trunc):
     # offsets 5 and 9 put factor exponents past the cuts 0, 3 and 12
     for n, offset, step, sign, marker in itertools.product(
             range(7), (0, 1, 5, 9), (1, 3), (1, -1), ("u", "v")):
         spec = PochSpec(offset, step, sign, marker)
-        got = poch_finite(spec, n, trunc, markers)
-        registry = markers or (marker,)
+        got = poch_finite(spec, n, trunc)
         degree = n * offset + step * n * (n - 1) // 2
         cut = degree if trunc is None else trunc
-        assert got.trunc == trunc and got.markers == registry
-        expected = reference_product([(spec, 1)], cut, registry, count=n)
+        assert got.trunc == trunc and got.markers == (marker,)
+        expected = reference_product([(spec, 1)], cut, (marker,), count=n)
         assert [got.coefficient(k) for k in range(cut + 1)] == expected
 
 
@@ -253,8 +246,6 @@ def test_sums_and_plain_lists_reject_markers():
 def test_product_rejects_bad_factors():
     with pytest.raises(DivergentProduct):
         poch_product([(PochSpec(0, 3, sign=-1, marker="u"), 1)], 10)
-    with pytest.raises(ValueError):
-        poch_product([(PochSpec(1, 3, marker="w"), 1)], 10, markers=("u", "v"))
     with pytest.raises(ValueError):
         poch_product([(PochSpec(1, 3, marker="u"), 2)], 10)
 

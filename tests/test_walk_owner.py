@@ -5,7 +5,8 @@ Every enumerator and counting walk is a rule handed to ``grow`` or
 ``while stack:`` loop that pops or peeks at the stack it tests), and no
 function outside ``partitions.py`` both calls ``grow`` and chains
 iterables: a walk whose states are mostly leaves chains its leaf runs
-through ``grow_leaves``, not around ``grow``.
+through ``grow_leaves``, not around ``grow``.  In ``ncopies.py`` one
+function walks the n-copies tuples; the other tuple enumerators filter it.
 """
 
 import ast
@@ -108,3 +109,10 @@ def test_no_leaf_runs_chained_around_grow():
     found = {name: chains_around_grow(tree) for name, tree in sources().items()
              if name != OWNER}
     assert found and {name: funcs for name, funcs in found.items() if funcs} == {}
+
+
+def test_one_ncopies_tuple_walk():
+    tree = sources()["ncopies.py"]
+    callers = [func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+               and "grow" in {called_name(node) for node in ast.walk(func)}]
+    assert callers == ["enumerate_ncopies"]
