@@ -84,10 +84,13 @@ class PochSpec:
         return coeffs
 
 
-def _expand(rows: dict[tuple[int, ...], list[int]], spec: PochSpec, count: int | None,
-            power: int, i: int, size: int) -> dict[tuple[int, ...], list[int]]:
+def _expand(rows: dict[tuple[int, ...], tuple[int, list[int]]], spec: PochSpec,
+            count: int | None, power: int, i: int, size: int
+            ) -> dict[tuple[int, ...], tuple[int, list[int]]]:
     """The rows times the first ``count`` factors of marked spec (all of them
-    for None) to the power 1 or -1, x the marker at key index i.
+    for None) to the power 1 or -1, x the marker at key index i.  Each row
+    is (start, tail): tail[j] is the coefficient of q^(start + j), through
+    q^(size - 1).
 
     By the q-binomial theorem (Andrews 1976, Thm 2.1 and Cor. 2.2), with
     sign s, offset o, step d and count n, the x^k row of the product comes
@@ -98,30 +101,38 @@ def _expand(rows: dict[tuple[int, ...], list[int]], spec: PochSpec, count: int |
 
     with no numerator factor for n = None and no row past k = n; a divided
     spec is infinite (no caller divides by a finite product).  Each step
-    is one shift cut at ``size``, a negation when the sign asks for one and
-    one or two :func:`~qsip.series.binomial_factor` calls, so every row stays
-    exact.  Every row of ``rows`` starts a chain of such rows at key + k*e_i;
-    rows that land on one key add.  A chain ends when its shift passes the
-    cut or its row is zero.
+    moves the start by the shift and cuts the tail to match, negates it
+    when the sign asks for it and runs one or two
+    :func:`~qsip.series.binomial_factor` calls on the tail alone, so no
+    kernel walks the zeros below a row's start and every row stays exact.
+    Every row of ``rows`` starts a chain of such rows at key + k*e_i; rows
+    that land on one key add at aligned offsets.  A chain ends when its
+    start passes the cut or its row is zero.
     """
     o, d = spec.offset, spec.step
     negate = spec.sign == power
-    out: dict[tuple[int, ...], list[int]] = {}
-    for key, row in rows.items():
+    out: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    for key, (start, row) in rows.items():
         k = 0
         while True:
             target = key[:i] + (key[i] + k,) + key[i + 1:]
             have = out.get(target)
             if have is None:
-                out[target] = row
-            else:
-                have[:] = map(add, have, row)
+                out[target] = start, row
+            elif have[0] <= start:   # the stored row is no chain's to read again
+                tail = have[1]
+                tail[start - have[0]:] = map(add, tail[start - have[0]:], row)
+            else:                    # the chain reads its row on: add into a copy
+                tail = row[:]
+                tail[have[0] - start:] = map(add, tail[have[0] - start:], have[1])
+                out[target] = start, tail
             k += 1
             shift = o + d * (k - 1) if power == 1 else o
-            if (count is not None and k > count) or shift >= size or not any(row):
+            if (count is not None and k > count) or start + shift >= size or not any(row):
                 break
-            tail = row[:size - shift]
-            row = [0] * shift + (list(map(neg, tail)) if negate else tail)
+            tail = row[:len(row) - shift]
+            start += shift
+            row = list(map(neg, tail)) if negate else tail
             if power == 1 and count is not None:
                 binomial_factor(row, -1, d * (count - k + 1))
             binomial_factor(row, -1, d * k, -1)
@@ -146,11 +157,12 @@ def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
     for spec, count, power in factors:
         if spec.marker is None:
             spec.apply(plain, count, power)
-    rows = {(0,) * len(markers): plain}
+    rows = {(0,) * len(markers): (0, plain)}
     for spec, count, power in factors:
         if spec.marker is not None:
             rows = _expand(rows, spec, count, power, markers.index(spec.marker), size)
-    return QSeries._make(rows, trunc, markers)
+    return QSeries._make({key: [0] * start + row if start else row
+                          for key, (start, row) in rows.items()}, trunc, markers)
 
 
 def poch_finite(spec: PochSpec, n: int, trunc: int | None = None) -> QSeries:
@@ -433,6 +445,13 @@ def eta_theta_quotient(factors: Iterable[tuple[PochSpec, int]]) -> dict[tuple[in
 
 
 @lru_cache(maxsize=64)
+def _quotient_of(factors: tuple[tuple[PochSpec, int], ...]) -> tuple:
+    """:func:`eta_theta_quotient` once per factor tuple, cached as its
+    immutable ((m, r), power) items."""
+    return tuple(eta_theta_quotient(factors).items())
+
+
+@lru_cache(maxsize=64)
 def partition_row(trunc: int) -> tuple[int, ...]:
     """p(0), ..., p(trunc), the row of 1/(q; q)_infinity, cached: Euler's
     pentagonal recurrence, one :func:`~qsip.series.sparse_divide` pass."""
@@ -448,9 +467,10 @@ def eta_theta_product(factors: Iterable[tuple[PochSpec, int]], trunc: int) -> QS
     has none): each numerator is one :func:`~qsip.series.sparse_multiply`
     pass and each denominator one :func:`~qsip.series.sparse_divide` pass,
     O(trunc^1.5) in all, and one 1/(q; q)_infinity is the cached
-    :func:`partition_row`.  It shares no code with :func:`poch_product`,
-    which tests it."""
-    quotient = eta_theta_quotient(factors)
+    :func:`partition_row`.  The quotient is computed once per factor list
+    (:func:`_quotient_of`), and each call edits a dict of its own.  It
+    shares no code with :func:`poch_product`, which tests it."""
+    quotient = dict(_quotient_of(tuple((spec, power) for spec, power in factors)))
     if trunc < 0:
         raise ValueError("truncation order must be non-negative")
     coeffs = [0] * (trunc + 1)   # first, so a size too large to hold fails before any term

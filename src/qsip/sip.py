@@ -18,22 +18,41 @@ The generating function of the whole class is then
 
     sum over n of  b(n) / ((q^k; q^k) sub n)
 
-where b(n) sums the n-part basis elements.  By largest part h,
-b(1, c_r) = weight(c_r) q^c_r, and b(n, h) = weight(h) q^h times the sum of
-b(n-1, g) over h - g in [d_r, d_r + k), r the residue of h.  class_gf cuts
-these rows at q^trunc and stops at the first empty one, since basis
-elements are closed under taking prefixes; basis_table keeps them exact.
+where b(n) sums the n-part basis elements.  :func:`class_gf` sums them by
+residue sequence.  The basis step from a part of residue s to the next
+part, of residue r, is gap(s, r) = d_r + ((r - s - d_r) mod k), so the
+element with residues r_1..r_n has total n c_(r_1) plus the sum over
+j >= 2 of (n - j + 1) gap(r_(j-1), r_j), and b(n) is a k-state transfer:
+with F_n(s) the n-part elements whose first part is c_s,
 
-Each b(n, h) is held as {marker monomial: (start, row)}, the single
-monomial () for an unmarked class, so marked and unmarked classes run one
-path.  ``row[i]`` is the coefficient of q^(start + g*i) and the row is cut
-at q^trunc; ``row[0]`` is nonzero, since the recurrence starts each row at
-the least start of its window and adds only positive counts, so no row is
-ever scanned for its first nonzero.  The stride g (:func:`_stride`) is k
-when the weights put every monomial's row in one residue class mod k, and
-1 otherwise.  A weight is a monomial, its exponent vector over the spec's
-markers, so it multiplies an entry as a key shift: every monomial moves by
-that vector, and the rows and their starts stay.
+    F_1(s) = w_s q^c_s,
+    F_(n+1)(s) = w_s  sum over r of  q^(c_s + n lift(s, r)) F_n(r),
+    b(n) = sum over s of F_n(s),
+
+where lift(s, r) = c_s + gap(s, r) - c_r: a first part c_s put before an
+element that starts at c_r raises each of its n parts by that much
+(equivalently, G_n(s) = q^(-n c_s) F_n(s) has G_(n+1)(s) = w_s times the
+sum over r of q^(n gap(s, r)) G_n(r)).  The levels are cut at q^trunc and
+stop at the first empty one, since basis elements are closed under taking
+prefixes (:func:`_class_levels`).  The rows by largest part h,
+b(1, c_r) = weight(c_r) q^c_r and b(n, h) = weight(h) q^h times the sum of
+b(n-1, g) over h - g in [d_r, d_r + k), r the residue of h
+(:func:`_basis_rows`), serve :func:`basis_table` only, which keeps them
+exact; :func:`assemble_gf` sums a table's rows over h, so it checks
+class_gf through the largest-part recurrence.
+
+Each state and level of the transfer, and each b(n, h), is held as
+{marker monomial: (start, row)},
+the single monomial () for an unmarked class, so marked and unmarked
+classes run one path.  ``row[i]`` is the coefficient of q^(start + g*i)
+and the row is cut at q^trunc; ``row[0]`` is nonzero, since every row
+starts at the least start of the rows it sums and adds only positive
+counts, so no row is ever scanned for its first nonzero.  The stride g
+(:func:`_stride`) is k when the weights put every monomial's row in one
+residue class mod k, and 1 otherwise.  A weight is a monomial, its
+exponent vector over the spec's markers, so it multiplies an entry as a
+key shift: every monomial moves by that vector, and the rows and their
+starts stay.
 
 Both member walks, enumerate_class (with verify_sip) and count_class, read
 the class rule from one table, :class:`_Steps`: after each last part, the
@@ -614,18 +633,23 @@ def _sum_rows(rows: list[tuple[int, list[int]]], g: int, last: int
     """The sum of stride-g rows (start, row) whose starts agree mod g, as one
     (start, row) from the least start, cut at q^last, or None when that
     start is past ``last``.  Each row is added at its aligned offset.  A
-    single row is returned as it is, or cut: read it, never write."""
-    start = min(s for s, _ in rows)
+    single row is returned as it is, or cut: read it, never write.  Else
+    the sum starts as a copy of a row at the least start."""
+    first = min(rows, key=itemgetter(0))
+    start = first[0]
     if start > last:
         return None
     size = min(max((s - start) // g + len(row) for s, row in rows), (last - start) // g + 1)
     if len(rows) == 1:
-        row = rows[0][1]
+        row = first[1]
         return start, row if len(row) <= size else row[:size]
-    out = [0] * size
-    for s, row in rows:
-        off = (s - start) // g
-        out[off:off + len(row)] = map(add, out[off:off + len(row)], row)
+    out = first[1][:size]
+    out += repeat(0, size - len(out))
+    for pair in rows:
+        if pair is not first:
+            s, row = pair
+            off = (s - start) // g
+            out[off:off + len(row)] = map(add, out[off:off + len(row)], row)
     return start, out
 
 
@@ -720,18 +744,17 @@ def min_basis_total(spec: SipClassSpec, n: int) -> int:
     return min(total for _, total in frontier)
 
 
-def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSeries:
-    """1 + sum over n of b(n) / (q^k; q^k)_n to ``trunc``, b(n) summing the n-th
-    of ``rows`` ({h: {monomial: (start, row)}}, stride g) per marker monomial.
+def _gf_from_rows(spec: SipClassSpec, levels: Iterable, trunc: int, g: int) -> QSeries:
+    """1 + sum over n of b(n) / (q^k; q^k)_n to ``trunc``, b(n) the n-th of
+    ``levels``, one stride-g row {monomial: (start, row)} per marker monomial.
 
     Each monomial is one :func:`~qsip.series._nested_sum` call in steps of g
     from its residue r mod g (all its rows start there): term 0 is the
     constant 1 of the zero monomial, term n is b(n) or None, and g_n is
     1/(1 - q^((n+1)k)), one factor list for every call.  Each sum becomes a
     fresh dense row once, at the end, and goes to the series as it is."""
-    unit = [0] * (trunc + 1)   # first, so a size too large to hold fails before any row is built
-    sums = [{key: _sum_rows(pairs, g, trunc) for key, pairs in _by_key(row.values()).items()}
-            for row in rows]
+    unit = [0] * (trunc + 1)   # first, so a size too large to hold fails before any level
+    sums = list(levels)
     factors = [[(-1, n * spec.k // g, -1)] for n in range(1, len(sums) + 1)]
     zero = (0,) * len(spec.markers)
     terms = {zero: (0, [(0, [1])] + [None] * len(sums))}
@@ -748,7 +771,10 @@ def _gf_from_rows(spec: SipClassSpec, rows: Iterable, trunc: int, g: int) -> QSe
 
 
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
-    """Class generating function to ``trunc`` from a basis table.
+    """Class generating function to ``trunc`` from a basis table: b(n) sums
+    the table's entries b(n, h) over h, one dense row per monomial cut at
+    q^trunc, so it reads the largest-part rows that :func:`class_gf` does
+    not build, and the two share the Horner pass.
 
     Requires the table to be deep enough that every basis element ignored
     (more than max_n parts, or largest part beyond max_h) has total > trunc.
@@ -761,15 +787,72 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
         raise InsufficientTableDepth(
             f"basis elements with {table.max_n + 1} parts still reach total <= {trunc}"
         )
-    rows = ({h: {key: (0, r) for key, r in e.monomial_rows(trunc).items()}
-             for h, e in table.row(n).items()} for n in range(1, table.max_n + 1))
-    return _gf_from_rows(spec, rows, trunc, 1)
+    levels: list[dict] = [{} for _ in range(table.max_n)]
+    for (n, _), entry in table.entries.items():
+        for key, r in entry.monomial_rows(trunc).items():
+            acc = levels[n - 1].setdefault(key, (0, [0] * (trunc + 1)))[1]
+            acc[:] = map(add, acc, r)
+    return _gf_from_rows(spec, levels, trunc, 1)
+
+
+def _class_levels(spec: SipClassSpec, trunc: int, g: int
+                  ) -> Iterator[dict[tuple, tuple[int, list[int]]]]:
+    """b(n) for n = 1, 2, ... by the residue transfer in the module
+    docstring, each {marker monomial: (start, row)} of stride g cut at
+    q^trunc, up to the first empty level.
+
+    Only the current states F_n(s) are held.  The states r that share a
+    lift under s are summed once per level (:func:`_sum_rows`), and each
+    sum is shared by every s that reads it, b(n) among them: a class whose
+    lifts depend on s alone (k = 1, Göllnitz–Gordon) takes each next state
+    from b(n) by a shift, with no add.  A spec that is not separable raises
+    ValueError (:func:`_require_separable`) when the first level is asked
+    for."""
+    _require_separable(spec)
+    k, c, d = spec.k, spec.c, spec.d
+    weights = [spec.weight(r) for r in range(1, k + 1)]
+    # by s, the residues r (0-based) grouped by lift(s, r) = c_s + gap(s, r) - c_r,
+    # as (lift, residues) pairs; separability makes every lift non-negative
+    reads = []
+    for i, cs in enumerate(c):
+        by_lift: dict[int, tuple] = {}
+        for j in range(k):
+            lift = cs + d[j] + (j - i - d[j]) % k - c[j]
+            by_lift[lift] = by_lift.get(lift, ()) + (j,)
+        reads.append(sorted(by_lift.items()))
+    every = tuple(range(k))
+    # the sets of two or more states that are read together, all k of them for b(n)
+    merged = {residues for read in reads for _, residues in read} | {every}
+    merged -= {(j,) for j in every}
+    states = [{w: (cs, [1])} if cs <= trunc else {} for cs, w in zip(c, weights)]
+    n = 1
+    while any(states):
+        sums = {(j,): state for j, state in enumerate(states)}
+        for residues in merged:
+            sums[residues] = {key: _sum_rows(pairs, g, trunc)
+                              for key, pairs in _by_key(states[j] for j in residues).items()}
+        yield sums[every]
+        nxt = []
+        for cs, w, read in zip(c, weights, reads):
+            groups: dict[tuple, list] = {}
+            for lift, residues in read:
+                shift = cs + n * lift
+                for key, (start, row) in sums[residues].items():
+                    if start + shift <= trunc:
+                        groups.setdefault(key, []).append((start + shift, row))
+            nxt.append({tuple(map(add, key, w)): _sum_rows(pairs, g, trunc)
+                        for key, pairs in groups.items()})
+        states = nxt
+        n += 1
 
 
 def class_gf(spec: SipClassSpec, trunc: int) -> QSeries:
-    """Class generating function to ``trunc`` from the basis rows cut at q^trunc,
-    up to the first empty row: basis elements are closed under taking prefixes.
-    The rows have the spec's stride (:func:`_stride`).  A spec that is not
-    separable raises ValueError."""
+    """Class generating function to ``trunc``: the levels b(n) of the residue
+    transfer (:func:`_class_levels`), cut at q^trunc and summed up to the
+    first empty one, since basis elements are closed under taking
+    prefixes, over (q^k; q^k)_n (:func:`_gf_from_rows`).  The rows have the
+    spec's stride (:func:`_stride`).  The output is allocated before the
+    first level, so a trunc too large to hold raises at once; a spec that
+    is not separable raises ValueError."""
     g = _stride(spec)
-    return _gf_from_rows(spec, _basis_rows(spec, trunc, trunc, g), trunc, g)
+    return _gf_from_rows(spec, _class_levels(spec, trunc, g), trunc, g)

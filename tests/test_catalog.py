@@ -487,6 +487,7 @@ def test_registry_holds_only_data():
     pytest.param(partial(chu_vandermonde_series_check, 2, 2, 10**20), id="chu_series"),
     pytest.param(partial(andrews_gordon_sum, 4, 2, 10**20), id="andrews_gordon_sum"),
     pytest.param(partial(class_gf, GLASGOW, 10**20), id="class_gf"),
+    pytest.param(partial(class_gf, SCHUR_REFINED, 10**20), id="class_gf_marked"),
     pytest.param(partial(series_sum, (0, 2), (), [PochSpec(1, 1)], 10**20), id="series_sum"),
     pytest.param(partial(catalog.mod8_sum, 10**20), id="mod8_sum"),
 ])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsip import catalog
+from qsip import catalog, qfactory
 from qsip.qfactory import (DivergentProduct, PochSpec, eta_theta_product,
                            eta_theta_quotient, partition_row, poch_product,
                            theta_terms)
@@ -116,6 +116,23 @@ def test_converter_refuses(bad, error, fragment):
     for call in (partial(eta_theta_quotient, bad), partial(eta_theta_product, bad, 10)):
         with pytest.raises(error, match=fragment):
             call()
+
+
+def test_quotient_once_per_list(monkeypatch):
+    # each factor list is converted once per process, and every call edits
+    # its own copy of the quotient, so a repeated call builds the same side
+    calls = []
+    monkeypatch.setattr(qfactory, "eta_theta_quotient",
+                        lambda pairs: calls.append(pairs) or eta_theta_quotient(pairs))
+    qfactory._quotient_of.cache_clear()
+    try:
+        for identity in ROUTE_IDS * 2:
+            for trunc in (30, 31):
+                assert eta_theta_product(factors(identity), trunc) == \
+                    poch_product(factors(identity), trunc), (identity, trunc)
+    finally:
+        qfactory._quotient_of.cache_clear()
+    assert len(calls) == len({tuple(factors(identity)) for identity in ROUTE_IDS})
 
 
 def test_negative_truncation_rejected():

@@ -1,10 +1,12 @@
 """Basis enumeration, decomposition uniqueness and assembly contracts."""
 
+import ast
 import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, count, islice, product
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -597,11 +599,23 @@ class TestAssembleGf:
         assert counted.markers == assembled.markers == spec.markers
         assert counted.monomial_rows(5) == assembled.monomial_rows(5)
 
+    @pytest.mark.parametrize("spec", list(SPEC_REGISTRY.values())
+                             + [MIXED_WEIGHTS, GOLLNITZ_UV, SCHUR_UUU],
+                             ids=list(SPEC_REGISTRY) + ["mixed-weights", "gollnitz-uv",
+                                                        "schur-uuu"])
+    def test_transfer_matches_largest_part_rows(self, spec):
+        # class_gf sums basis elements by residue sequence, assemble_gf the
+        # table's b(n, h) rows by largest part, through the same Horner pass
+        for t in [*range(61), 120]:
+            max_n = next(n for n in count(1) if min_basis_total(spec, n + 1) > t)
+            table = basis_table(spec, max_n, max(t, 1))
+            assert assemble_gf(spec, table, t) == class_gf(spec, t), t
+
     @pytest.mark.parametrize("name", list(SPEC_REGISTRY))
     def test_deep_matches_product(self, name):
         # Schur's theorem: parts congruent to +-1 mod 6; the others have an
         # identity whose product side is the class generating function
-        t = 300
+        t = 1000
         identities = {"natural": "euler-any", "distinct": "euler-distinct",
                       "rogers-ramanujan": "rogers-ramanujan",
                       "gollnitz": "gollnitz-gordon-1", "schur-refined": "schur-refined",
@@ -613,6 +627,25 @@ class TestAssembleGf:
             want = catalog.get(identities[name]).rhs(t)
         assert got.trunc == t
         assert got.first_mismatch(want) is None
+
+    def test_class_gf_reads_no_largest_part_rows(self):
+        # the b(n, h) rows serve basis_table alone, so assemble_gf checks class_gf
+        tree = ast.parse(Path(sip.__file__).read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+        def reached(root):
+            seen, todo = set(), [root]
+            while todo:
+                name = todo.pop()
+                if name in defs and name not in seen:
+                    seen.add(name)
+                    todo += [node.id for node in ast.walk(defs[name])
+                             if isinstance(node, ast.Name)]
+            return seen
+
+        assert "_basis_rows" in reached("basis_table")
+        assert "_basis_rows" not in reached("class_gf")
+        assert "_class_levels" in reached("class_gf")
 
     @pytest.mark.parametrize("spec", [NATURAL, SCHUR_REFINED], ids=["natural", "schur-refined"])
     def test_negative_truncation_rejected(self, spec):
