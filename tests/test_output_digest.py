@@ -1,10 +1,13 @@
 """Recorded digests of the package's outputs, one sha256 per identity id,
-two per SIP class and one per product builder or check below.
+three per SIP class and one per product builder or check below.
 
 An identity's digest covers its series and product sides at every
 truncation 0..120 and its oracle at every total 0..20; a class's digests
-cover ``class_gf`` at every truncation 0..60 and ``verify_sip`` at every
-total 0..24.  The product digests cover ``binomial_row(a, b, base=base)``
+cover ``class_gf`` at every truncation 0..60, ``verify_sip`` at every
+total 0..24, and its basis: every entry of ``basis_table(spec, 6, 30)``,
+``enumerate_basis(spec, n, 30)`` for 1 <= n <= 5, ``min_basis_total(spec,
+n)`` for 0 <= n <= 12 and the ``decompose`` split of every member of
+total <= 20.  The product digests cover ``binomial_row(a, b, base=base)``
 for 0 <= a <= 40, -1 <= b <= a + 1 and base 1..4; ``poch_finite`` for
 every unmarked and marked spec of sign +-1, offset 0..3 and step 1..3 with
 n <= 8 factors, exact and at trunc 30; ``gollnitz_intermediate`` at every
@@ -34,6 +37,11 @@ ORACLE_TOTALS = range(21)
 CLASS_TRUNCS = range(61)
 STR_TRUNC_MAX = 40
 VERIFY_TOTALS = range(25)
+BASIS_TABLE_SIZE = (6, 30)
+BASIS_PARTS = range(1, 6)
+BASIS_H_MAX = 30
+MIN_BASIS_PARTS = range(13)
+DECOMPOSE_TOTAL = 20
 BINOMIAL_TOPS = range(41)
 BINOMIAL_BASES = range(1, 5)
 POCH_COUNTS = range(9)
@@ -68,6 +76,13 @@ RECORDED = {
     "verify_sip:schur": "b36b1272027b9167e6055e62d5e523c06c12e13c9dc065fe069c08ee5330f314",
     "verify_sip:schur-refined": "b36b1272027b9167e6055e62d5e523c06c12e13c9dc065fe069c08ee5330f314",
     "verify_sip:glasgow": "16eb8a7a6b4e401ec8245bb814a8ea4588b9c546457820a93d2d912ee772131e",
+    "basis:natural": "c2eecf164f49886374d0ad08960221e9aa7dddf5143a3f3b67be3e02c471958c",
+    "basis:distinct": "0f5166bd6ef11fecc6a523e6d28f3e2b2eb1cc096440fae8cfed06975ccf70f2",
+    "basis:rogers-ramanujan": "e7e0910ae295734c2c2a4a34e6c621ec146192673e377221550a4c93624862da",
+    "basis:gollnitz": "ab2d48b148f6af352e4291dd97dcde1e5324c1d8b69ddcc773a3d81350fcf625",
+    "basis:schur": "0901c9ec9a84a07b49e95198539513f97554046f2800761b91f927148a8049f4",
+    "basis:schur-refined": "4ae0b4edb0204178f5bc49ff5c90375f0d2930d393b2b8bfebbde4a074bff9cc",
+    "basis:glasgow": "ce9bda32dfdc3d4bc961e31f019257cea9916e71708e0368d8526e69183a8f06",
     "binomial_row": "8dfd58e1deac78815148a775377034e779ab384d5ae1d1c7113cfabb44aaf6de",
     "poch_finite:unmarked": "30c843cc138af5e2731175aca1e4121e38f875638c476670a2d7209fa7d67847",
     "poch_finite:marked": "231a51fe4b994cdcefd855af521c37adc95c39e37e47effdc9ba5812053a9ca8",
@@ -111,6 +126,18 @@ def digests() -> dict[str, str]:
                 len(report.collisions), len(report.omissions), len(report.not_in_class),
                 len(report.constructive_mismatches), report.summary())).encode())
         out[f"verify_sip:{name}"] = digest.hexdigest()
+    for name, spec in sip.SPEC_REGISTRY.items():
+        digest = hashlib.sha256()
+        table = sip.basis_table(spec, *BASIS_TABLE_SIZE)
+        for (n, h), entry in sorted(table.entries.items()):
+            feed(digest, repr((n, h)), entry)
+        for n in BASIS_PARTS:
+            digest.update(repr((n, list(sip.enumerate_basis(spec, n, BASIS_H_MAX)))).encode())
+        digest.update(repr([sip.min_basis_total(spec, n) for n in MIN_BASIS_PARTS]).encode())
+        for parts in sip.enumerate_class(spec, DECOMPOSE_TOTAL):
+            split = sip.decompose(parts, spec)
+            digest.update(repr((parts, split.basis, split.padding)).encode())
+        out[f"basis:{name}"] = digest.hexdigest()
     out.update(product_digests())
     return out
 
