@@ -2,41 +2,41 @@
 
 A SIP class of modulus k (see :class:`~qsip.partitions.SipClassSpec`) has a
 basis of minimal members: the first part sits exactly at its residue
-threshold and every later gap lies in the half-open window
-[d_r, d_r + k) keyed by the residue of the upper part.  Every class member
-with n parts splits uniquely as a basis element plus a non-decreasing
-padding of n non-negative multiples of k, added partwise.  The split is
-constructed left to right: each basis part is the unique value in the
-window above its predecessor that matches the class-member part's residue.
-That basis element is a member only when no basis step falls below its
-residue's threshold; the basis rows, :func:`class_gf`, :func:`basis_table`,
-:func:`enumerate_basis` and :func:`decompose` refuse any other spec with
-ValueError (:func:`_require_separable`), while the member walks,
-:func:`count_class` and :func:`verify_sip` take every spec.
+threshold and every later gap lies in the half-open window [d_r, d_r + k)
+keyed by the residue of the upper part.  That window holds one basis step
+from residue s to residue r, gap(s, r) = d_r + ((r - s - d_r) mod k), the
+entry [s][r] of the one table every basis reader reads, :func:`_basis_gaps`.
+Every class member with n parts splits uniquely as a basis element plus a
+non-decreasing padding of n non-negative multiples of k, added partwise.
+The split is constructed left to right: each basis part is the basis step
+above its predecessor to the member part's residue.  That basis element is
+a member only when no lift(s, r) = c_s + gap(s, r) - c_r, the rise of each
+part of an element at c_r when c_s is put before it, is negative; the basis
+rows, :func:`class_gf`, :func:`basis_table`, :func:`enumerate_basis` and
+:func:`decompose` refuse any other spec with ValueError
+(:func:`_require_separable`), while the member walks, :func:`count_class`
+and :func:`verify_sip` take every spec.
 
 The generating function of the whole class is then
 
     sum over n of  b(n) / ((q^k; q^k) sub n)
 
 where b(n) sums the n-part basis elements.  :func:`class_gf` sums them by
-residue sequence.  The basis step from a part of residue s to the next
-part, of residue r, is gap(s, r) = d_r + ((r - s - d_r) mod k), so the
-element with residues r_1..r_n has total n c_(r_1) plus the sum over
-j >= 2 of (n - j + 1) gap(r_(j-1), r_j), and b(n) is a k-state transfer:
-with F_n(s) the n-part elements whose first part is c_s,
+residue sequence: the element with residues r_1..r_n has total n c_(r_1)
+plus the sum over j >= 2 of (n - j + 1) gap(r_(j-1), r_j), and b(n) is a
+k-state transfer: with F_n(s) the n-part elements whose first part is c_s,
 
     F_1(s) = w_s q^c_s,
     F_(n+1)(s) = w_s  sum over r of  q^(c_s + n lift(s, r)) F_n(r),
-    b(n) = sum over s of F_n(s),
+    b(n) = sum over s of F_n(s)
 
-where lift(s, r) = c_s + gap(s, r) - c_r: a first part c_s put before an
-element that starts at c_r raises each of its n parts by that much
 (equivalently, G_n(s) = q^(-n c_s) F_n(s) has G_(n+1)(s) = w_s times the
 sum over r of q^(n gap(s, r)) G_n(r)).  The levels are cut at q^trunc and
 stop at the first empty one, since basis elements are closed under taking
-prefixes (:func:`_class_levels`).  The rows by largest part h,
-b(1, c_r) = weight(c_r) q^c_r and b(n, h) = weight(h) q^h times the sum of
-b(n-1, g) over h - g in [d_r, d_r + k), r the residue of h
+prefixes (:func:`_class_levels`); :func:`min_basis_total` is the min-plus
+form of the same transfer.  The rows by largest part h,
+b(1, c_r) = weight(c_r) q^c_r and b(n, h) = weight(h) q^h times the sum
+over the residues s of b(n-1, h - gap(s, r)), r the residue of h
 (:func:`_basis_rows`), serve :func:`basis_table` only, which keeps them
 exact; :func:`assemble_gf` sums a table's rows over h, so it checks
 class_gf through the largest-part recurrence.
@@ -55,10 +55,10 @@ key shift: every monomial moves by that vector, and the rows and their
 starts stay.
 
 Both member walks, enumerate_class (with verify_sip) and count_class, read
-the class rule from one table, :class:`_Steps`: after each last part, the
-least next part of every residue.  The next parts are then k progressions
-in steps of k, and those with a next part of their own are a prefix of
-each.
+the class rule from one table on c and d, :class:`_Steps`: after each last
+part, the least next part of every residue.  The next parts are then k
+progressions in steps of k, and those with a next part of their own are a
+prefix of each.
 
 verify_sip checks the split exhaustively without holding the members.  Two
 rules give a node's next parts as (part, basis part) pairs: the member rule
@@ -77,6 +77,7 @@ from __future__ import annotations
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Iterable, Iterator
@@ -118,44 +119,47 @@ SPEC_REGISTRY: dict[str, SipClassSpec] = {
 }
 
 
+@lru_cache(maxsize=1024)
+def _basis_gaps(spec: SipClassSpec) -> tuple[tuple[int, ...], ...]:
+    """The basis step table: entry [s - 1][r - 1] is gap(s, r), the step
+    from a basis part of residue s to the next one, of residue r: the one
+    value in the window [d_r, d_r + k) congruent to r - s mod k.  The only
+    basis code that reads ``spec.d``."""
+    k, d = spec.k, spec.d
+    return tuple(tuple(dr + (r - s - dr) % k for r, dr in enumerate(d)) for s in range(k))
+
+
 def basis_successors(spec: SipClassSpec, value: int) -> list[int]:
     """The k possible next basis parts above ``value``, one per residue."""
-    k = spec.k
-    return sorted(lo + (r - lo) % k
-                  for r, lo in enumerate((value + dr for dr in spec.d), 1))
+    return sorted(value + gap for gap in _basis_gaps(spec)[(value - 1) % spec.k])
 
 
 def _require_separable(spec: SipClassSpec) -> None:
-    """Raise ValueError unless every basis step lands on its residue's
-    threshold or above it, so that each basis element is a class member.
+    """Raise ValueError unless every lift(s, r) = c_s + gap(s, r) - c_r is
+    at least 0, so that each basis element is a class member.
 
-    The step to residue r above a basis part b is lo + (r - lo) mod k for
-    lo = b + d_r, which does not decrease as b grows.  Every basis part is
-    at least the least threshold, so the step above that threshold is the
-    least step to residue r, and the only one to check.
-    A spec that fails is still a class (:func:`verify_sip` reports it as
-    FAIL), but its basis elements plus paddings are not its members.
+    A basis part b of residue s is at least c_s, and the step above it to
+    residue r is b + gap(s, r), so every such step lands on c_r or above it
+    exactly when the lifts are.  A spec that fails is still a class
+    (:func:`verify_sip` reports it as FAIL), but its basis elements plus
+    paddings are not its members.
     """
-    k, c, least = spec.k, spec.c, min(spec.c)
-    for r, (cr, dr) in enumerate(zip(c, spec.d), 1):
-        lo = least + dr
-        step = lo + (r - lo) % k
-        if step < cr:
-            raise ValueError(f"class k={k} c={c} d={spec.d} is not separable: the basis "
-                             f"step {step} above the least threshold {least} lies below "
-                             f"c_{r} = {cr}")
+    k, c, gaps = spec.k, spec.c, _basis_gaps(spec)
+    for (s, cs), (r, cr) in product(enumerate(c, 1), repeat=2):
+        if (step := cs + gaps[s - 1][r - 1]) < cr:
+            raise ValueError(f"class k={k} c={c} is not separable: the basis step {step} "
+                             f"above c_{s} = {cs} lies below c_{r} = {cr}")
 
 
 def is_basis_element(parts: Partition, spec: SipClassSpec) -> bool:
     """True iff the partition is a basis member of the class."""
     if not parts:
         return True
-    k, c, d = spec.k, spec.c, spec.d
+    k, c, gaps = spec.k, spec.c, _basis_gaps(spec)
     if parts[0] != c[(parts[0] - 1) % k]:
         return False
     for prev, cur in zip(parts, parts[1:]):
-        dr = d[(cur - 1) % k]
-        if not dr <= cur - prev < dr + k:
+        if cur - prev != gaps[(prev - 1) % k][(cur - 1) % k]:
             return False
     return True
 
@@ -177,7 +181,7 @@ def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
     def successors(parts):
         if len(parts) == n_parts:
             return ()
-        nexts = sorted(set(spec.c)) if not parts else basis_successors(spec, parts[-1])
+        nexts = sorted(spec.c) if not parts else basis_successors(spec, parts[-1])
         return (parts + (p,) for p in nexts if p <= h_max)
 
     return (parts for parts in grow((), successors) if len(parts) == n_parts)
@@ -186,13 +190,12 @@ def enumerate_basis(spec: SipClassSpec, n_parts: int, h_max: int
 def _basis_step(spec: SipClassSpec, b: int | None, p: int) -> int:
     """The basis part that the constructive split pairs with a member part
     ``p`` over the basis part ``b`` (None for the first part): the
-    threshold of p's residue first, then the unique value congruent to p in
-    the window [b + d_r, b + d_r + k).  It reads p only modulo k."""
+    threshold of p's residue first, then b + gap(s, r) (:func:`_basis_gaps`)
+    for the residues s of b and r of p.  It reads p only modulo k."""
     k = spec.k
     if b is None:
         return spec.c[(p - 1) % k]
-    lo = b + spec.d[(p - 1) % k]
-    return lo + (p - lo) % k
+    return b + _basis_gaps(spec)[(b - 1) % k][(p - 1) % k]
 
 
 class _Steps(dict):
@@ -226,20 +229,21 @@ def _member_rule(spec: SipClassSpec):
 
     The next parts are the k progressions of :class:`_Steps`, one per
     residue, each paired with that residue's basis step and cut where its
-    parts stop having a next part; the pairs of all k are then sorted.  A
-    class with k = 1 has one threshold and one gap, so its pairs are a
-    C-level range and its prefix ends at (remaining - gap) // 2.
+    parts stop having a next part; the pairs of all k are then sorted.  The
+    steps, :func:`_basis_step`'s, are read from :func:`_basis_gaps` once per
+    rule.  A class with k = 1 has one threshold and one gap, so its pairs
+    are a C-level range and its prefix ends at (remaining - gap) // 2.
     """
-    k = spec.k
+    k, c, gaps = spec.k, spec.c, _basis_gaps(spec)
     if k == 1:
-        first, gap = spec.c[0], spec.d[0]
+        first, gap, step = c[0], spec.d[0], gaps[0][0]
 
         def rule(parts, basis, remaining):
             low = parts[-1] + gap if parts else first
             if low > remaining:
                 return [], []
-            step = _basis_step(spec, basis[-1] if basis else None, low)
-            pairs = list(zip(range(low, remaining + 1), repeat(step)))
+            b = basis[-1] + step if basis else first
+            pairs = list(zip(range(low, remaining + 1), repeat(b)))
             return pairs, pairs[:max(0, (remaining - gap) // 2 - low + 1)]
 
         return rule
@@ -247,13 +251,13 @@ def _member_rule(spec: SipClassSpec):
     table = _Steps(spec)
 
     def rule(parts, basis, remaining):
-        last, b = (parts[-1], basis[-1]) if parts else (None, None)
+        last = parts[-1] if parts else None
         starts, least = table[last]
         if least > remaining:
             return [], []
+        steps = c if not basis else [basis[-1] + gap for gap in gaps[(basis[-1] - 1) % k]]
         pairs, branching = [], []
-        for r, p in enumerate(starts, 1):
-            step = _basis_step(spec, b, r)
+        for p, step in zip(starts, steps):
             pairs += zip(range(p, remaining + 1, k), repeat(step))
             while p + table[p][1] <= remaining:
                 branching.append((p, step))
@@ -419,7 +423,7 @@ def _recomposition_rule(spec: SipClassSpec, collisions: list):
                                for s in basis_successors(spec, b)]
         return got
 
-    firsts = [(b, basis_successors(spec, b)[0] - b) for b in sorted(set(spec.c))]
+    firsts = [(b, basis_successors(spec, b)[0] - b) for b in sorted(spec.c)]
 
     def rule(parts, basis, remaining):
         if basis:
@@ -667,23 +671,26 @@ def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int, g: int
     """Rows n = 1, 2, ... of the recurrence in the module docstring, {h: b(n, h)}
     for h <= h_max, each entry {marker monomial: (start, row)} of stride g
     cut at q^trunc (the single monomial () for an unmarked spec); entries
-    zero that far are left out.  Each b(n, h) sums its window once per key,
-    at offsets aligned by the starts, shifted by q^h, and the weight of h
-    shifts its keys.  The rows count basis elements, so they give the class
-    only for a separable spec; any other raises ValueError
-    (:func:`_require_separable`) when the first row is asked for."""
+    zero that far are left out.  Each b(n, h) sums its window, b(n - 1,
+    h - gap(s, r)) over the residues s for the residue r of h (read from
+    :func:`_basis_gaps`), once per key, at offsets aligned by the starts,
+    shifted by q^h, and the weight of h shifts its keys.  The rows count
+    basis elements, so they give the class only for a separable spec; any
+    other raises ValueError (:func:`_require_separable`) when the first row
+    is asked for."""
     _require_separable(spec)
-    k, d = spec.k, spec.d
+    k = spec.k
+    # by residue r, the gaps (s, r) over the residues s of the part below
+    into = list(zip(*_basis_gaps(spec)))
+    least, most = min(map(min, into)), max(map(max, into))
     weights = [spec.weight(r) for r in range(1, k + 1)]
     row = {cr: {weights[(cr - 1) % k]: (cr, [1])}
-           for cr in set(spec.c) if cr <= min(h_max, trunc)}
+           for cr in spec.c if cr <= min(h_max, trunc)}
     while row:
         yield row
         nxt = {}
-        # b(n, h) reads b(n - 1, b) for b in [h - d_r - k + 1, h - d_r] only
-        for h in range(min(row) + min(d), min(h_max, max(row) + max(d) + k - 1) + 1):
-            top = h - d[(h - 1) % k]
-            window = [row[b] for b in range(top - k + 1, top + 1) if b in row]
+        for h in range(min(row) + least, min(h_max, max(row) + most) + 1):
+            window = [row[h - gap] for gap in into[(h - 1) % k] if h - gap in row]
             weight, acc = weights[(h - 1) % k], {}
             for key, pairs in _by_key(window).items():
                 summed = _sum_rows(pairs, g, trunc - h)
@@ -722,26 +729,18 @@ def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
 
 
 def min_basis_total(spec: SipClassSpec, n: int) -> int:
-    """Exact minimal total of an n-part basis element.
-
-    Tracks a Pareto frontier of (last part, total) per step, since the
-    cheapest continuation may hang off a larger last part.
-    """
+    """Exact minimal total of an n-part basis element of any spec, by the
+    min-plus form of the residue transfer in the module docstring: the
+    least total M_j(s) of a j-part element that starts at c_s has
+    M_1(s) = c_s and M_(j+1)(s) = c_s + min over r of (j lift(s, r) + M_j(r))."""
     if n <= 0:
         return 0
-    frontier: set[tuple[int, int]] = {(c, c) for c in set(spec.c)}
-    for _ in range(n - 1):
-        nxt: set[tuple[int, int]] = set()
-        for last, total in frontier:
-            for succ in basis_successors(spec, last):
-                nxt.add((succ, total + succ))
-        frontier = {
-            (last, total) for last, total in nxt
-            if not any(o_last <= last and o_total < total
-                       or (o_last < last and o_total <= total)
-                       for o_last, o_total in nxt)
-        }
-    return min(total for _, total in frontier)
+    c, gaps = spec.c, _basis_gaps(spec)
+    least = c
+    for j in range(1, n):
+        least = [cs + min(j * (cs + gap - cr) + m for gap, cr, m in zip(row, c, least))
+                 for cs, row in zip(c, gaps)]
+    return min(least)
 
 
 def _gf_from_rows(spec: SipClassSpec, levels: Iterable, trunc: int, g: int) -> QSeries:
@@ -809,15 +808,15 @@ def _class_levels(spec: SipClassSpec, trunc: int, g: int
     ValueError (:func:`_require_separable`) when the first level is asked
     for."""
     _require_separable(spec)
-    k, c, d = spec.k, spec.c, spec.d
+    k, c = spec.k, spec.c
     weights = [spec.weight(r) for r in range(1, k + 1)]
     # by s, the residues r (0-based) grouped by lift(s, r) = c_s + gap(s, r) - c_r,
     # as (lift, residues) pairs; separability makes every lift non-negative
     reads = []
-    for i, cs in enumerate(c):
+    for cs, gaps in zip(c, _basis_gaps(spec)):
         by_lift: dict[int, tuple] = {}
-        for j in range(k):
-            lift = cs + d[j] + (j - i - d[j]) % k - c[j]
+        for j, (gap, cr) in enumerate(zip(gaps, c)):
+            lift = cs + gap - cr
             by_lift[lift] = by_lift.get(lift, ()) + (j,)
         reads.append(sorted(by_lift.items()))
     every = tuple(range(k))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsip import catalog, sip
+from qsip import catalog, partitions, sip
 from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions, grow,
                              grow_leaves, in_sip_class)
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, congruence_product, poch_finite,
@@ -50,6 +50,24 @@ MEMBER_COUNT_CASES = (
     + [pytest.param(GOLLNITZ_UV, t, id=f"gollnitz-uv-t{t}") for t in (0, 1, 2, 3, 30)]
     + [pytest.param(SCHUR_UUU, t, id=f"schur-uuu-t{t}") for t in (0, 1, 2, 3, 30)]
     + [pytest.param(NATURAL_U3, t, id=f"natural-u3-t{t}") for t in (0, 1, 2, 3, 30)])
+
+
+# The top-level functions and classes of sip.py and partitions.py, by name.
+SIP_DEFS = {node.name: node for module in (sip, partitions)
+            for node in ast.parse(Path(module.__file__).read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def reached(root):
+    """``root`` and every definition of SIP_DEFS that it reaches through
+    the names its code reads."""
+    seen, todo = set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in SIP_DEFS and name not in seen:
+            seen.add(name)
+            todo += [node.id for node in ast.walk(SIP_DEFS[name]) if isinstance(node, ast.Name)]
+    return seen
 
 
 def weight_of(spec, parts):
@@ -529,6 +547,39 @@ class TestMinBasisTotal:
             for n in range(1, 6):
                 best = min(sum(b) for b in enumerate_basis(spec, n, 60))
                 assert min_basis_total(spec, n) == best
+        # every small class, separable or not, against all k^n residue
+        # sequences, each stepped from c_(r_1) by lo + (r - lo) mod k, lo = last + d_r
+        for spec in small_box():
+            k, c, d = spec.k, spec.c, spec.d
+            elements = [(cr, cr) for cr in c]   # (last part, total)
+            for n in range(1, 6):
+                if n > 1:
+                    elements = [(step, total + step) for last, total in elements
+                                for r in range(1, k + 1) for lo in [last + d[r - 1]]
+                                for step in [lo + (r - lo) % k]]
+                assert min_basis_total(spec, n) == min(t for _, t in elements), (spec, n)
+
+
+class TestBasisGapTable:
+    """sip._basis_gaps is the one basis step: every basis reader reads it,
+    and the member rule's class steps do not."""
+
+    READERS = ("basis_successors", "_basis_step", "is_basis_element", "_require_separable",
+               "_basis_rows", "_class_levels", "min_basis_total")
+
+    def test_basis_readers_reach_the_table_and_not_d(self):
+        def names_d(name):
+            return any(isinstance(node, ast.Attribute) and node.attr == "d"
+                       for node in ast.walk(SIP_DEFS[name]))
+
+        assert names_d("_basis_gaps")
+        for name in self.READERS + ("_member_rule",):
+            assert "_basis_gaps" in reached(name), name
+        for name in self.READERS:
+            assert not names_d(name), name
+        # the class rule stays on c and d, so a wrong table shows in verify_sip
+        for name in ("_Steps", "count_class", "in_sip_class"):
+            assert "_basis_gaps" not in reached(name), name
 
 
 class TestAssembleGf:
@@ -630,19 +681,6 @@ class TestAssembleGf:
 
     def test_class_gf_reads_no_largest_part_rows(self):
         # the b(n, h) rows serve basis_table alone, so assemble_gf checks class_gf
-        tree = ast.parse(Path(sip.__file__).read_text())
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-        def reached(root):
-            seen, todo = set(), [root]
-            while todo:
-                name = todo.pop()
-                if name in defs and name not in seen:
-                    seen.add(name)
-                    todo += [node.id for node in ast.walk(defs[name])
-                             if isinstance(node, ast.Name)]
-            return seen
-
         assert "_basis_rows" in reached("basis_table")
         assert "_basis_rows" not in reached("class_gf")
         assert "_class_levels" in reached("class_gf")
@@ -858,6 +896,19 @@ class TestVerifySipReference:
         monkeypatch.setattr(sip, "basis_successors", lambda spec, value: edit(real(spec, value)))
         report = self.assert_same(spec, 14)
         assert report.collisions if seam == "twice" else report.omissions
+
+    @pytest.mark.parametrize("spec", [GOLLNITZ_GORDON, SCHUR, GLASGOW],
+                             ids=["gollnitz", "schur", "glasgow"])
+    def test_basis_gap_fault(self, spec, monkeypatch):
+        # any one step of the table raised by k: the member walk, on c and d,
+        # meets members that no basis element plus padding gives
+        real = sip._basis_gaps
+        for s, r in product(range(spec.k), repeat=2):
+            table = [list(row) for row in real(spec)]
+            table[s][r] += spec.k
+            monkeypatch.setattr(sip, "_basis_gaps", lambda spec, table=table: table)
+            report = verify_sip(spec, 14)
+            assert not report.ok and report.omissions, (s, r)
 
 
 class TestRuleCalls:
