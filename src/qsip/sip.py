@@ -140,7 +140,7 @@ def _require_separable(spec: SipClassSpec) -> None:
 
     A basis part b of residue s is at least c_s, and the step above it to
     residue r is b + gap(s, r), so every such step lands on c_r or above it
-    exactly when the lifts are.  A spec that fails is still a class
+    exactly when no lift is negative.  A spec that fails is still a class
     (:func:`verify_sip` reports it as FAIL), but its basis elements plus
     paddings are not its members.
     """
