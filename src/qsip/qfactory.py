@@ -15,8 +15,8 @@ costs O(trunc^2).  A product that is a quotient of theta series
 (q^r, q^(m-r), q^m; q^m)_infinity, eta series (q^k; q^k)_infinity among
 them, has a second route, :func:`eta_theta_product`: by the Jacobi triple
 product each such series has about sqrt(trunc) terms
-(:func:`theta_terms`), and one pass of a sparse kernel,
-:func:`~qsip.series.sparse_multiply` or
+(:func:`theta_terms`), all +-1 after the 1, and one pass of a sparse
+kernel, :func:`~qsip.series.sparse_multiply` or
 :func:`~qsip.series.sparse_divide`, applies it, so the product costs
 O(trunc^1.5).  The two routes share no code, and the factor loop is the
 check on the other.  Every sum is one or more
@@ -35,11 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, neg
+from operator import neg
 from typing import Iterable
 
-from .series import (QSeries, _nested_sum, _shifted, binomial_factor, sparse_divide,
-                     sparse_multiply)
+from .series import (QSeries, _nested_sum, _shifted, _sum_rows, binomial_factor,
+                     sparse_divide, sparse_multiply)
 
 
 class DivergentProduct(Exception):
@@ -105,27 +105,17 @@ def _expand(rows: dict[tuple[int, ...], tuple[int, list[int]]], spec: PochSpec,
     when the sign asks for it and runs one or two
     :func:`~qsip.series.binomial_factor` calls on the tail alone, so no
     kernel walks the zeros below a row's start and every row stays exact.
-    Every row of ``rows`` starts a chain of such rows at key + k*e_i; rows
-    that land on one key add at aligned offsets.  A chain ends when its
-    start passes the cut or its row is zero.
+    Every row of ``rows`` starts a chain of such rows at key + k*e_i, and
+    a chain ends when its start passes the cut or its row is zero; the
+    rows that land on one key are summed by :func:`~qsip.series._sum_rows`.
     """
     o, d = spec.offset, spec.step
     negate = spec.sign == power
-    out: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    chains: dict[tuple[int, ...], list[tuple[int, list[int]]]] = {}
     for key, (start, row) in rows.items():
         k = 0
         while True:
-            target = key[:i] + (key[i] + k,) + key[i + 1:]
-            have = out.get(target)
-            if have is None:
-                out[target] = start, row
-            elif have[0] <= start:   # the stored row is no chain's to read again
-                tail = have[1]
-                tail[start - have[0]:] = map(add, tail[start - have[0]:], row)
-            else:                    # the chain reads its row on: add into a copy
-                tail = row[:]
-                tail[have[0] - start:] = map(add, tail[have[0] - start:], have[1])
-                out[target] = start, tail
+            chains.setdefault(key[:i] + (key[i] + k,) + key[i + 1:], []).append((start, row))
             k += 1
             shift = o + d * (k - 1) if power == 1 else o
             if (count is not None and k > count) or start + shift >= size or not any(row):
@@ -136,7 +126,8 @@ def _expand(rows: dict[tuple[int, ...], tuple[int, list[int]]], spec: PochSpec,
             if power == 1 and count is not None:
                 binomial_factor(row, -1, d * (count - k + 1))
             binomial_factor(row, -1, d * k, -1)
-    return out
+    return {key: summed for key, pairs in chains.items()
+            if (summed := _sum_rows(pairs, 1, size - 1)) is not None}
 
 
 def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
@@ -376,11 +367,13 @@ def theta_terms(m: int, r: int, trunc: int) -> list[tuple[int, int]]:
             if (e := (m * n * n + b * n) // 2) <= trunc]
 
 
-def _theta_series(m: int, r: int, trunc: int) -> list[tuple[int, int]]:
-    """theta(m, r) through q^trunc as the (exponent, coefficient) terms that
+def _theta_series(m: int, r: int, trunc: int) -> tuple[list[int], list[int]]:
+    """theta(m, r) through q^trunc as the exponents (plus, minus) of its terms
+    of even n != 0 and of odd n, the lists that
     :func:`~qsip.series.sparse_multiply` and
     :func:`~qsip.series.sparse_divide` take."""
-    return [(e, -1 if n % 2 else 1) for n, e in theta_terms(m, r, trunc)]
+    terms = theta_terms(m, r, trunc)
+    return [e for n, e in terms if n and not n % 2], [e for n, e in terms if n % 2]
 
 
 def eta_theta_quotient(factors: Iterable[tuple[PochSpec, int]]) -> dict[tuple[int, int], int]:
@@ -456,7 +449,7 @@ def partition_row(trunc: int) -> tuple[int, ...]:
     """p(0), ..., p(trunc), the row of 1/(q; q)_infinity, cached: Euler's
     pentagonal recurrence, one :func:`~qsip.series.sparse_divide` pass."""
     coeffs = [1] + [0] * trunc   # first, so a size too large to hold fails before any term
-    sparse_divide(coeffs, _theta_series(3, 1, trunc))
+    sparse_divide(coeffs, *_theta_series(3, 1, trunc))
     return tuple(coeffs)
 
 
@@ -482,5 +475,5 @@ def eta_theta_product(factors: Iterable[tuple[PochSpec, int]], trunc: int) -> QS
     for (m, r), power in quotient.items():
         terms = _theta_series(m, r, trunc) if power else ()
         for _ in range(abs(power)):
-            (sparse_multiply if power > 0 else sparse_divide)(coeffs, terms)
+            (sparse_multiply if power > 0 else sparse_divide)(coeffs, *terms)
     return QSeries._make({(): coeffs}, trunc, ())

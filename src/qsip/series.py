@@ -15,8 +15,9 @@ outside the package use the constructor or :meth:`QSeries.from_rows`, which
 check and copy what they are given; the package's builders hand their fresh
 int lists to ``QSeries._make``, which checks only the truncation order and
 trims the lists in place.  This module alone knows the canonical row form
-and the row kernels ``_convolve_into``, ``_add_product``, ``_shifted`` and
-``_nested_sum``, the inside-out sum under every q-series sum in the package.
+and the row kernels ``_convolve_into``, ``_add_product``, ``_shifted``,
+``_sum_rows`` (every other add of int rows) and ``_nested_sum``, the
+inside-out sum under every q-series sum in the package.
 
 A :class:`QSeries` is either truncated or exact:
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping
 
 
@@ -284,53 +285,35 @@ def binomial_factor(coeffs: list[int], c: int, e: int, power: int = 1) -> None:
                 coeffs[i] -= src
 
 
-def sparse_multiply(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> None:
-    """Multiply coeffs in place by the sparse series sum of c*q^e over the
-    (e, c) ``terms``, cut at the end of coeffs.
+def _exponents(exponents: Iterable[int]) -> list[int]:
+    """Exponents of a sparse factor's terms, sorted; one below 1 raises ValueError."""
+    out = sorted(exponents)
+    if out and out[0] < 1:
+        raise ValueError(f"exponent {out[0]} < 1 in a sparse series 1 + ...")
+    return out
 
-    One C-level slice add per term, each reading the row as it was before
-    the call, so the pass is O(len(coeffs) * terms).  The terms may come in
-    any order and repeat an exponent; a negative exponent raises ValueError.
-    """
+
+def sparse_multiply(coeffs: list[int], plus: Iterable[int], minus: Iterable[int]) -> None:
+    """Multiply coeffs in place by 1 + sum of q^e over ``plus`` - sum of q^e
+    over ``minus`` (every e >= 1), the form of every theta and eta series,
+    cut at the end of coeffs: one C-level slice add or subtract per
+    exponent, each reading the row as it was, O(len(coeffs) * terms)."""
+    plus, minus = _exponents(plus), _exponents(minus)
     size = len(coeffs)
     src = coeffs[:]
-    coeffs[:] = [0] * size
-    for e, c in terms:
-        if e < 0:
-            raise ValueError(f"negative exponent {e} in a sparse series")
-        if e >= size or not c:
-            continue
-        head = src[:size - e]
-        if c == 1:
-            coeffs[e:] = map(add, coeffs[e:], head)
-        elif c == -1:
-            coeffs[e:] = map(sub, coeffs[e:], head)
-        else:
-            coeffs[e:] = map(add, coeffs[e:], map(mul, head, repeat(c)))
+    for exps, op in ((plus, add), (minus, sub)):
+        for e in exps:
+            if e >= size:
+                break
+            coeffs[e:] = map(op, coeffs[e:], src[:size - e])
 
 
-def sparse_divide(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> None:
-    """Divide coeffs in place by the sparse series 1 + sum of c*q^e over the
-    (e, c) ``terms``, exact through the end of coeffs.
-
-    The quotient's entry n is coeffs[n] - sum of c * quotient[n - e] over
-    the terms with 1 <= e <= n, in O(len(coeffs) * terms).  The terms may
-    come in any order and repeat an exponent; the ones at q^0 must sum to 1,
-    and a negative exponent raises ValueError.
-    """
-    merged: dict[int, int] = {}
-    for e, c in terms:
-        if e < 0:
-            raise ValueError(f"negative exponent {e} in a sparse series")
-        merged[e] = merged.get(e, 0) + c
-    constant = merged.pop(0, 0)
-    if constant != 1:
-        raise ValueError(f"a sparse divisor needs constant term 1, got {constant}")
-    tail = sorted((e, c) for e, c in merged.items() if c and e < len(coeffs))
-    # the +-1 terms, all that theta series have, step without a multiply
-    plus = [e for e, c in tail if c == 1]
-    minus = [e for e, c in tail if c == -1]
-    scaled = [(e, c) for e, c in tail if c not in (1, -1)]
+def sparse_divide(coeffs: list[int], plus: Iterable[int], minus: Iterable[int]) -> None:
+    """Divide coeffs in place by 1 + sum of q^e over ``plus`` - sum of q^e
+    over ``minus`` (every e >= 1), exact through the end of coeffs:
+    quotient[n] = coeffs[n] - sum over plus of quotient[n - e] + sum over
+    minus of quotient[n - e], e <= n, O(len(coeffs) * terms)."""
+    plus, minus = _exponents(plus), _exponents(minus)
     for n in range(1, len(coeffs)):
         acc = coeffs[n]
         for e in plus:
@@ -341,10 +324,6 @@ def sparse_divide(coeffs: list[int], terms: Iterable[tuple[int, int]]) -> None:
             if e > n:
                 break
             acc += coeffs[n - e]
-        for e, c in scaled:
-            if e > n:
-                break
-            acc -= c * coeffs[n - e]
         coeffs[n] = acc
 
 
@@ -409,6 +388,32 @@ def _add_product(acc: list[int], exp: int, *factors) -> None:
     if len(acc) < end:
         acc.extend([0] * (end - len(acc)))
     acc[exp:end] = map(add, acc[exp:end], prod)
+
+
+def _sum_rows(rows: list[tuple[int, list[int]]], g: int, last: int
+              ) -> tuple[int, list[int]] | None:
+    """The sum of stride-g rows (start, row) whose starts agree mod g, as one
+    (start, row) from the least start, cut at q^last, or None when that
+    start is past ``last``; ``row[i]`` is the coefficient of
+    q^(start + g*i).  Each row is added at its aligned offset.  A single
+    row is returned as it is, or cut: read it, never write.  Else the sum
+    starts as a copy of a row at the least start."""
+    first = rows[0] if len(rows) == 1 else min(rows, key=itemgetter(0))
+    start, row = first
+    if start > last:
+        return None
+    size = (last - start) // g + 1
+    if len(rows) == 1:
+        return first if len(row) <= size else (start, row[:size])
+    size = min(max((s - start) // g + len(r) for s, r in rows), size)
+    out = row[:size]
+    out += repeat(0, size - len(out))
+    for pair in rows:
+        if pair is not first:
+            s, r = pair
+            off = (s - start) // g
+            out[off:off + len(r)] = map(add, out[off:off + len(r)], r)
+    return start, out
 
 
 def _nested_sum(terms: list, factors: list, last: int) -> tuple[int, list[int]]:

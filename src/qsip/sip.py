@@ -47,9 +47,10 @@ the single monomial () for an unmarked class, so marked and unmarked
 classes run one path.  ``row[i]`` is the coefficient of q^(start + g*i)
 and the row is cut at q^trunc; ``row[0]`` is nonzero, since every row
 starts at the least start of the rows it sums and adds only positive
-counts, so no row is ever scanned for its first nonzero.  The stride g
-(:func:`_stride`) is k when the weights put every monomial's row in one
-residue class mod k, and 1 otherwise.  A weight is a monomial, its
+counts, so no row is ever scanned for its first nonzero; rows add at
+offsets aligned by their starts (:func:`~qsip.series._sum_rows`).  The
+stride g (:func:`_stride`) is k when the weights put every monomial's row
+in one residue class mod k, and 1 otherwise.  A weight is a monomial, its
 exponent vector over the spec's markers, so it multiplies an entry as a
 key shift: every monomial moves by that vector, and the rows and their
 starts stay.
@@ -84,7 +85,7 @@ from typing import Iterable, Iterator
 
 from .partitions import (Partition, SipClassSpec, grow, grow_leaves, in_sip_class,
                          walk_series)
-from .series import QSeries, _nested_sum
+from .series import QSeries, _nested_sum, _sum_rows
 
 
 class NotInClass(Exception):
@@ -632,31 +633,6 @@ def _stride(spec: SipClassSpec) -> int:
     return 1
 
 
-def _sum_rows(rows: list[tuple[int, list[int]]], g: int, last: int
-              ) -> tuple[int, list[int]] | None:
-    """The sum of stride-g rows (start, row) whose starts agree mod g, as one
-    (start, row) from the least start, cut at q^last, or None when that
-    start is past ``last``.  Each row is added at its aligned offset.  A
-    single row is returned as it is, or cut: read it, never write.  Else
-    the sum starts as a copy of a row at the least start."""
-    first = min(rows, key=itemgetter(0))
-    start = first[0]
-    if start > last:
-        return None
-    size = min(max((s - start) // g + len(row) for s, row in rows), (last - start) // g + 1)
-    if len(rows) == 1:
-        row = first[1]
-        return start, row if len(row) <= size else row[:size]
-    out = first[1][:size]
-    out += repeat(0, size - len(out))
-    for pair in rows:
-        if pair is not first:
-            s, row = pair
-            off = (s - start) // g
-            out[off:off + len(row)] = map(add, out[off:off + len(row)], row)
-    return start, out
-
-
 def _by_key(entries: Iterable[dict]) -> dict[tuple, list[tuple[int, list[int]]]]:
     """The (start, row) pairs of some entries, grouped by marker monomial."""
     groups: dict[tuple, list] = {}
@@ -771,9 +747,10 @@ def _gf_from_rows(spec: SipClassSpec, levels: Iterable, trunc: int, g: int) -> Q
 
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
     """Class generating function to ``trunc`` from a basis table: b(n) sums
-    the table's entries b(n, h) over h, one dense row per monomial cut at
-    q^trunc, so it reads the largest-part rows that :func:`class_gf` does
-    not build, and the two share the Horner pass.
+    the table's entries b(n, h) over h (:func:`~qsip.series._sum_rows`),
+    one dense row per monomial cut at q^trunc, so it reads the largest-part
+    rows that :func:`class_gf` does not build, and the two share the Horner
+    pass.
 
     Requires the table to be deep enough that every basis element ignored
     (more than max_n parts, or largest part beyond max_h) has total > trunc.
@@ -786,11 +763,12 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
         raise InsufficientTableDepth(
             f"basis elements with {table.max_n + 1} parts still reach total <= {trunc}"
         )
-    levels: list[dict] = [{} for _ in range(table.max_n)]
+    groups: list[dict] = [{} for _ in range(table.max_n)]
     for (n, _), entry in table.entries.items():
         for key, r in entry.monomial_rows(trunc).items():
-            acc = levels[n - 1].setdefault(key, (0, [0] * (trunc + 1)))[1]
-            acc[:] = map(add, acc, r)
+            groups[n - 1].setdefault(key, []).append((0, r))
+    levels = [{key: _sum_rows(pairs, 1, trunc) for key, pairs in group.items()}
+              for group in groups]
     return _gf_from_rows(spec, levels, trunc, 1)
 
 
@@ -801,12 +779,12 @@ def _class_levels(spec: SipClassSpec, trunc: int, g: int
     q^trunc, up to the first empty level.
 
     Only the current states F_n(s) are held.  The states r that share a
-    lift under s are summed once per level (:func:`_sum_rows`), and each
-    sum is shared by every s that reads it, b(n) among them: a class whose
-    lifts depend on s alone (k = 1, Göllnitz–Gordon) takes each next state
-    from b(n) by a shift, with no add.  A spec that is not separable raises
-    ValueError (:func:`_require_separable`) when the first level is asked
-    for."""
+    lift under s are summed once per level (:func:`~qsip.series._sum_rows`),
+    and each sum is shared by every s that reads it, b(n) among them: a
+    class whose lifts depend on s alone (k = 1, Göllnitz–Gordon) takes each
+    next state from b(n) by a shift, with no add.  A spec that is not
+    separable raises ValueError (:func:`_require_separable`) when the first
+    level is asked for."""
     _require_separable(spec)
     k, c = spec.k, spec.c
     weights = [spec.weight(r) for r in range(1, k + 1)]

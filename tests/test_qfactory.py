@@ -112,6 +112,8 @@ U3, V3 = PochSpec(1, 3, sign=-1, marker="u"), PochSpec(2, 3, sign=-1, marker="v"
 @example(([(U3, -1), (PochSpec(1, 1, marker="u"), 1)], 40))
 @example(([(U3, 1), (V3, 1)], 3))
 @example(([(PochSpec(1, 2, marker="u"), -1), (PochSpec(2, 3, sign=-1, marker="u"), -1)], 40))
+# a repeated marker at the cut: each chain of the second u spec stops at its first row
+@example(([(U3, 1), (PochSpec(1, 1, marker="u"), -1), (V3, -1)], 0))
 def test_grouped_product_matches_reference(case):
     factors, trunc = case
     got = poch_product(factors, trunc)

@@ -4,7 +4,9 @@ Every other module of the package imports ``_``-prefixed names from
 ``qsip.series`` alone, and only ``series.py`` names ``_canonical`` or reads
 a series' rows (``_rows``): the other builders hand their
 fresh rows to ``QSeries._make``, which trims them, and read a series
-through its public methods.
+through its public methods.  Nor does any other module add one int row
+into another in place (a slice assigned from a ``map(...)`` call); it
+calls the row kernels of ``series.py`` (``_sum_rows``, ``_add_product``).
 """
 
 import ast
@@ -36,6 +38,17 @@ def names(tree: ast.AST) -> set[str]:
     return out
 
 
+def row_adds(tree: ast.AST) -> list[int]:
+    """The line of each assignment of a ``map(...)`` call to a slice, the form
+    of an in-place row add such as ``acc[i:j] = map(add, acc[i:j], row)``."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "map"
+            and any(isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice)
+                    for target in node.targets)]
+
+
 def sources() -> dict[str, ast.AST]:
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted(SRC.glob("*.py"))}
@@ -49,6 +62,10 @@ def test_detector_flags_each_form():
     assert "_canonical" in names(tree)
     assert "_canonical" in names(ast.parse("def _canonical(): pass\n"))
     assert "_canonical" in names(ast.parse("from .series import _canonical as c\n"))
+    tree = ast.parse("acc[:] = map(add, acc, r)\nt[i:] = map(sub, t[i:], r)\n"
+                     "x = y[a:b] = map(add, y[a:b], r)\nacc[0] = map(add, a, b)\n"
+                     "acc[:] = list(map(add, acc, r))\nrow = map(neg, tail)\n")
+    assert row_adds(tree) == [1, 2, 3]
 
 
 def test_private_names_come_only_from_series():
@@ -66,3 +83,9 @@ def test_only_series_names_canonical():
 def test_only_series_reads_rows():
     assert [name for name, tree in sources().items()
             if "_rows" in names(tree)] == ["series.py"]
+
+
+def test_only_series_adds_rows_in_place():
+    found = {name: row_adds(tree) for name, tree in sources().items()}
+    assert found["series.py"]
+    assert {name: lines for name, lines in found.items() if lines and name != "series.py"} == {}

@@ -9,7 +9,8 @@ from qsip.closed_forms import combined_row_formula, schur_closed
 from qsip.partitions import counting_series, enumerate_partitions
 from qsip.qfactory import gaussian_binomial
 from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
-                         TruncationExceeded, _nested_sum, _shifted, binomial_factor)
+                         TruncationExceeded, _nested_sum, _shifted, _sum_rows,
+                         binomial_factor)
 from qsip.sip import SCHUR_REFINED, basis_table, count_class
 
 UV = ("u", "v")
@@ -363,6 +364,58 @@ def test_nested_sum_matches_prefix_products(case):
     offsets = [t[0] for t in terms if t is not None and t[0] <= last]
     assert start == min(offsets, default=last + 1) and len(row) == last + 1 - start
     assert [0] * start + row == nested_sum_reference(terms, factors, last)
+
+
+class TestSumRows:
+    def test_single_row_is_returned_or_cut(self):
+        row = [4, 0, -2, 7]
+        pair = (3, row)
+        assert _sum_rows([pair], 2, 9) is pair
+        assert _sum_rows([pair], 2, 7) == (3, [4, 0, -2])
+        assert _sum_rows([pair], 1, 3) == (3, [4])
+        assert row == [4, 0, -2, 7]
+
+    def test_none_past_last(self):
+        assert _sum_rows([(5, [1])], 1, 4) is None
+        assert _sum_rows([(8, [2]), (5, [1, 1])], 3, 4) is None
+        assert _sum_rows([(0, [1])], 1, -1) is None
+
+
+@st.composite
+def sum_rows_case(draw):
+    """(rows, g, last): one to four stride-g rows at starts that agree mod g,
+    in any order, some reaching or starting past q^last."""
+    g = draw(st.integers(1, 4))
+    r = draw(st.integers(0, g - 1))
+    row = st.tuples(st.integers(0, 6).map(lambda j: r + g * j),
+                    st.lists(coeff_ints, min_size=1, max_size=6))
+    return draw(st.lists(row, min_size=1, max_size=4)), g, draw(st.integers(-1, 20))
+
+
+@given(sum_rows_case())
+@settings(max_examples=150)
+def test_sum_rows_matches_dense_sum(case):
+    rows, g, last = case
+    before = [(s, list(row)) for s, row in rows]
+    got = _sum_rows(rows, g, last)
+    assert rows == before  # no input row is written
+    want = [0] * (last + 1)
+    for s, row in rows:
+        for i, x in enumerate(row):
+            if s + g * i <= last:
+                want[s + g * i] += x
+    start = min(s for s, _ in rows)
+    if start > last:
+        assert got is None
+        return
+    assert got[0] == start
+    out = got[1]
+    assert len(out) <= (last - start) // g + 1
+    dense = [0] * (last + 1)
+    dense[start:start + g * len(out):g] = out
+    assert dense == want
+    if len(rows) > 1:
+        assert all(out is not row for _, row in rows)
 
 
 # -- the int-row core against a MarkerPoly schoolbook reference ---------------
