@@ -162,7 +162,7 @@ def sparse_case(draw):
 
 def dense(plus, minus, size):
     """1 + sum of q^e over plus - sum of q^e over minus, through size entries."""
-    out = [1] + [0] * (size - 1) if size else []
+    out = [1] + [0] * (size - 1)
     for e in plus:
         if e < size:
             out[e] += 1
