@@ -320,7 +320,7 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
         term = [0] * (trunc + 1)
         if n < len(terms):
             offset, row = terms[n]
-            _convolve_into(term, [0] * offset + row, carried)
+            _convolve_into(term, row, carried, offset)
             if n + 1 < len(terms):
                 carried = _nested_sum([None, (0, carried)], [factors[n]], trunc)[1]
         _add_product(partial, 0, term)

@@ -10,16 +10,19 @@ is validated coefficientwise against the recurrence-built tables in the
 test suite; where several transcriptions of a formula circulate, the one
 implemented here is the one that fits the tables.
 
-Values are built on plain int rows: a term q^e [a, b] [c, d] ... convolves
-the cached int rows of its Gaussian binomials (:func:`~qsip.qfactory.binomial_row`,
-immutable tuples) and adds the product, shifted by e, into a fresh list for
-its marker monomial u^i v^j (``_add_product``; a single shifted row is
-``_shifted``).  Those fresh lists go to ``QSeries._make``, which trims them
-with no second type scan or copy, so MarkerPoly values appear only where a
+Values are built on plain int rows that start at their first nonzero: a
+term q^e [a, b] [c, d] ... convolves the cached int rows of its Gaussian
+binomials (:func:`~qsip.qfactory.binomial_row`, immutable tuples) into one
+product row (``_product_row``) that starts at q^e, and the terms of each
+marker monomial u^i v^j are summed once at their exponents (``_sum_exact``;
+a single shifted row is ``_shifted``).  Those (start, row) pairs go to
+``QSeries._make``, which trims them with no second type scan or copy, so
+no row carries a zero prefix and MarkerPoly values appear only where a
 caller reads them off the returned series.  The Schur double sum S1(n, h)
 feeds all three Schur branches and S2's unrolled levels, so it is built
-once per (n, h) and cached as immutable rows (``_schur_s1``); a caller
-that hands them to ``QSeries._make`` copies them into fresh lists first.
+once per (n, h) and cached as immutable (start, tuple) rows
+(``_schur_s1``); a caller that hands them to ``QSeries._make`` copies them
+into fresh lists first.
 """
 
 from __future__ import annotations
@@ -27,16 +30,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qfactory import PochSpec, binomial_row
-from .series import QSeries, _add_product, _convolve_into, _nested_sum, _shifted
+from .series import (QSeries, _add_product, _convolve_into, _nested_sum, _product_row,
+                     _shifted, _sum_exact)
 
 SCHUR_MARKERS = ("u", "v")
-
-
-def _shift_into(acc: dict, rows: tuple, u_exp: int, exp: int) -> None:
-    """Add u^u_exp q^exp times the marked rows ``rows``, (monomial, row)
-    pairs, into acc."""
-    for (a, b), row in rows:
-        _add_product(acc.setdefault((a + u_exp, b), []), exp, row)
 
 
 def gollnitz_closed(n: int, h: int) -> QSeries:
@@ -60,12 +57,11 @@ def schur_closed(n: int, h: int, branch: int) -> QSeries:
     if n < 1:
         raise ValueError("requires n >= 1")
     if branch == 2:
-        rows = {key: list(row) for key, row in _schur_s1(n, h)}
+        rows = {key: (start, list(row)) for key, (start, row) in _schur_s1(n, h)}
     elif branch == 1:
         rows = _schur_s2(n, h)
     elif branch == 0:  # u q times branch 2
-        rows = {}
-        _shift_into(rows, _schur_s1(n, h), 1, 1)
+        rows = {(a + 1, b): (start + 1, list(row)) for (a, b), (start, row) in _schur_s1(n, h)}
     else:
         raise ValueError("branch must be 0, 1 or 2 (largest part mod 3)")
     return QSeries._make(rows, None, SCHUR_MARKERS)
@@ -76,9 +72,10 @@ def _schur_s1(n: int, h: int) -> tuple:
     """Rows of the double sum for largest part 3n + 3h - 1 (residue 2):
     u^(j+h-i) v^(n-j) q^e [n-j-1, h] [j+h-i, h] [h, i] in base q^3.
 
-    Built once per (n, h) and cached, as immutable (monomial, int tuple)
-    pairs; () where every term vanishes."""
-    rows: dict = {}
+    Built once per (n, h) and cached, as immutable (monomial, (start, int
+    tuple)) pairs, each row from its first nonzero; () where every term
+    vanishes."""
+    groups: dict = {}
     for j in range(0, n + 1):
         outer = binomial_row(n - j - 1, h, base=3)
         if not outer:
@@ -88,9 +85,9 @@ def _schur_s1(n: int, h: int) -> tuple:
             inner = binomial_row(h, i, base=3)
             if mid and inner:
                 exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
-                _add_product(rows.setdefault((j + h - i, n - j), []), exp,
-                             outer, mid, inner)
-    return tuple((key, tuple(row)) for key, row in rows.items())
+                groups.setdefault((j + h - i, n - j), []).append(
+                    (exp, _product_row(outer, mid, inner)))
+    return tuple((key, (start, tuple(row))) for key, (start, row) in _sum_exact(groups).items())
 
 
 def _schur_s2(n: int, h: int) -> dict:
@@ -102,16 +99,19 @@ def _schur_s2(n: int, h: int) -> dict:
 
         (1 + u q) * sum over t >= 1 of
             u^t q^(t(3n + 3h - 2) - 3 t (t - 1) / 2) * S1(n - t, h - 1).
+
+    Each monomial's terms are summed once, at their exponents.
     """
-    rows: dict = {}
+    groups: dict = {}
     if h == 0:
-        rows[(n, 0)] = [0] * (n * (3 * n - 1) // 2) + [1]
+        groups[(n, 0)] = [(n * (3 * n - 1) // 2, [1])]
     for t in range(1, n):
-        tail = _schur_s1(n - t, h - 1)
+        tail = [(a, b, start, list(row)) for (a, b), (start, row) in _schur_s1(n - t, h - 1)]
         exp = t * (3 * n + 3 * h - 2) - 3 * t * (t - 1) // 2
-        _shift_into(rows, tail, t, exp)
-        _shift_into(rows, tail, t + 1, exp + 1)
-    return rows
+        for u_exp, shift in ((t, exp), (t + 1, exp + 1)):
+            for a, b, start, row in tail:
+                groups.setdefault((a + u_exp, b), []).append((start + shift, row))
+    return _sum_exact(groups)
 
 
 def combined_row_formula(n: int, h: int) -> QSeries:
@@ -124,9 +124,8 @@ def combined_row_formula(n: int, h: int) -> QSeries:
     if n < 1 or h < -1:
         raise ValueError("requires n >= 1 and h >= -1")
     if h == -1:
-        return QSeries._make({(n, 0): [0] * (n * (3 * n - 1) // 2) + [1]}, None,
-                             SCHUR_MARKERS)
-    rows = {}
+        return QSeries._make({(n, 0): (n * (3 * n - 1) // 2, [1])}, None, SCHUR_MARKERS)
+    groups: dict = {}
     for j in range(0, n + 1):
         outer = binomial_row(n - 1 - j, h, base=3)
         if not outer:
@@ -136,9 +135,9 @@ def combined_row_formula(n: int, h: int) -> QSeries:
             inner = binomial_row(j + 1, i + 1, base=3)
             if mid and inner:
                 exp = (n * (3 * n + 1) + h * (3 * h + 5) + i * (3 * i + 1)) // 2 - j
-                _add_product(rows.setdefault((j + h - i, n - j), []), exp,
-                             outer, mid, inner)
-    return QSeries._make(rows, None, SCHUR_MARKERS)
+                groups.setdefault((j + h - i, n - j), []).append(
+                    (exp, _product_row(outer, mid, inner)))
+    return QSeries._make(_sum_exact(groups), None, SCHUR_MARKERS)
 
 
 def glasgow_closed(n: int, largest: int) -> QSeries:

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 
 from .partitions import grow, grow_leaves, powerset, walk_series
 from .qfactory import PochSpec, binomial_row, series_sum
-from .series import QSeries, _add_product, _shifted
+from .series import QSeries, _shifted, _sum_exact
 
 _ODDS = PochSpec(offset=1, step=2)  # (q; q^2)
 
@@ -184,16 +184,17 @@ def base_recompose(base: tuple[CopyPart, ...], attached: tuple[int, ...]
 class ExactDiffTable:
     """Exact-difference-r chains by part count n and top part m_j, m <= max_m.
 
-    ``levels[n - 1][t]`` is the int row of H(n, t), the generating function
-    of the n-part chains whose top part m_j has m + j = t; a t with no such
-    chain has no row (:func:`exact_diff_table`).  The entries
-    g(n, m, j) = q^m H(n - 1, m - j - r) are built on read.
+    ``levels[n - 1][t]`` is H(n, t), the generating function of the n-part
+    chains whose top part m_j has m + j = t, as (start, row), ``row[i]``
+    the coefficient of q^(start + i) from the first nonzero to the last; a
+    t with no such chain has no row (:func:`exact_diff_table`).  The
+    entries g(n, m, j) = q^m H(n - 1, m - j - r) are built on read.
     """
 
     r: int
     max_n: int
     max_m: int
-    levels: tuple[dict[int, list[int]], ...]
+    levels: tuple[dict[int, tuple[int, list[int]]], ...]
 
     def entry(self, n: int, m: int, j: int) -> QSeries:
         """g(n, m, j): q^m on the diagonal for n = 1, q^m H(n - 1, m - j - r)
@@ -202,14 +203,13 @@ class ExactDiffTable:
             return QSeries.zero()
         if n == 1:
             return _shifted(m, (1,)) if m == j else QSeries.zero()
-        return _shifted(m, self.levels[n - 2].get(m - j - self.r))
+        start, row = self.levels[n - 2].get(m - j - self.r, (0, None))
+        return _shifted(m + start, row)
 
     def level_gf(self, n: int) -> QSeries:
         """All n-part chains: the sum over t of H(n, t)."""
-        total: list[int] = []
-        for row in self.levels[n - 1].values() if 1 <= n <= self.max_n else ():
-            _add_product(total, 0, row)
-        return QSeries._make({(): total}, None, ())
+        rows = list(self.levels[n - 1].values()) if 1 <= n <= self.max_n else []
+        return QSeries._make(_sum_exact({(): rows}) if rows else {}, None, ())
 
 
 def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
@@ -223,7 +223,8 @@ def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
         H(n, t) = sum over m + j = t of q^m H(n - 1, m - j - r),
 
     seeded by the diagonal one-part chains g(1, m, m) = q^m, so
-    H(1, 2m) = q^m.  Each level is stepped once from the one below it.
+    H(1, 2m) = q^m.  Each level is stepped once from the one below it, each
+    H(n, t) one sum of its terms at their starts.
     """
     if r < -1:
         raise ValueError("weighted-difference constant must be at least -1")
@@ -231,15 +232,15 @@ def exact_diff_table(r: int, max_n: int, max_m: int) -> ExactDiffTable:
         raise ValueError("max_n must be at least 1")
     if max_m < 1:
         raise ValueError("max_m must be at least 1")
-    levels = [{2 * m: [0] * m + [1] for m in range(1, max_m + 1)}]
+    levels = [{2 * m: (m, [1]) for m in range(1, max_m + 1)}]
     for _ in range(1, max_n):
-        prev, level = levels[-1], {}
+        prev, terms = levels[-1], {}
         for m in range(1, max_m + 1):
             for j in range(1, m + 1):
                 src = prev.get(m - j - r)
                 if src is not None:
-                    _add_product(level.setdefault(m + j, []), m, src)
-        levels.append(level)
+                    terms.setdefault(m + j, []).append((m + src[0], src[1]))
+        levels.append(_sum_exact(terms))
     return ExactDiffTable(r=r, max_n=max_n, max_m=max_m, levels=tuple(levels))
 
 
@@ -289,8 +290,8 @@ def base_gf(parts: int, r: int, trunc: int) -> QSeries:
     exp = parts * parts + r * (parts * (parts - 1) // 2)
     if exp > trunc:
         return QSeries.zero(trunc)
-    coeffs = [0] * exp + [1] + [0] * (trunc - exp)
-    return QSeries._make({(): _ODDS.apply(coeffs, parts, -1)}, trunc, ())
+    row = [1] + [0] * (trunc - exp)
+    return QSeries._make({(): (exp, _ODDS.apply(row, parts, -1))}, trunc, ())
 
 
 def ncopies_gf(r: int, trunc: int) -> QSeries:

@@ -152,8 +152,7 @@ def _product(factors: list[tuple[PochSpec, int | None, int]], size: int,
     for spec, count, power in factors:
         if spec.marker is not None:
             rows = _expand(rows, spec, count, power, markers.index(spec.marker), size)
-    return QSeries._make({key: [0] * start + row if start else row
-                          for key, (start, row) in rows.items()}, trunc, markers)
+    return QSeries._make(rows, trunc, markers)
 
 
 def poch_finite(spec: PochSpec, n: int, trunc: int | None = None) -> QSeries:

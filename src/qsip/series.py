@@ -5,19 +5,24 @@ arbitrary-precision integer coefficients in a fixed tuple of named markers
 (such as ``u``, ``v``).  Most series carry no markers at all; the registry is
 then the empty tuple and every coefficient is a plain integer constant.
 
-A :class:`QSeries` stores its coefficients transposed, as one plain int list
-per marker monomial, so arithmetic is integer list arithmetic: a product
-convolves the rows of every pair of monomials, and a marker-free series is a
-single int list that never builds a MarkerPoly.  MarkerPoly values appear
-only where a caller asks for them (:meth:`QSeries.coefficient`, the cached
+A :class:`QSeries` stores its coefficients transposed, one row per marker
+monomial, so arithmetic is integer list arithmetic: a product convolves the
+rows of every pair of monomials, and a marker-free series is a single row
+that never builds a MarkerPoly.  A row is a pair (start, row), ``row`` a
+plain int list from the first nonzero coefficient, at q^start, to the last,
+so no row stores or scans a zero prefix.  MarkerPoly values appear only
+where a caller asks for them (:meth:`QSeries.coefficient`, the cached
 :attr:`QSeries.coeffs` view) or passes them to the constructor.  Callers
 outside the package use the constructor or :meth:`QSeries.from_rows`, which
-check and copy what they are given; the package's builders hand their fresh
-int lists to ``QSeries._make``, which checks only the truncation order and
-trims the lists in place.  This module alone knows the canonical row form
-and the row kernels ``_convolve_into``, ``_add_product``, ``_shifted``,
-``_sum_rows`` (every other add of int rows) and ``_nested_sum``, the
-inside-out sum under every q-series sum in the package.
+check and copy lists indexed from q^0; the package's builders hand their
+fresh rows to ``QSeries._make``, either as lists from q^0, whose leading
+zeros it moves into the start, or as (start, row) pairs, and it checks only
+the truncation order and trims the lists in place.  This module alone
+knows the canonical row form and the row kernels ``_convolve_into``,
+``_add_product``, ``_shifted``, ``_sum_rows`` (every other add of int rows,
+with ``_sum_exact`` for exact polynomials and ``_rows_through``, the one
+read-out of stored rows) and ``_nested_sum``, the inside-out sum under every
+q-series sum in the package.
 
 A :class:`QSeries` is either truncated or exact:
 
@@ -25,8 +30,8 @@ A :class:`QSeries` is either truncated or exact:
   every q-exponent 0..trunc inclusive; nothing is known beyond;
 * exact polynomial: ``trunc`` is None and every coefficient is known.
 
-Either way each row ends at its last nonzero coefficient.  Only the dense
-read-outs (``coeffs``, ``monomial_rows``, ``int_coefficients``, ``inverse``)
+Either way each row starts at its first nonzero coefficient and ends at
+its last.  Only the dense read-outs (``coeffs``, ``monomial_rows``, ``int_coefficients``, ``inverse``)
 take time in ``trunc``; each allocates its output first.
 
 Binary operations meet at the weaker guarantee: the result truncation is the
@@ -39,8 +44,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
-from operator import add, itemgetter, mul, sub
+from itertools import compress, count, repeat
+from operator import add, itemgetter, mul, ne, neg, sub
 from typing import Iterable, Mapping
 
 
@@ -335,19 +340,35 @@ def _min_trunc(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _fit(row: list[int], size: int) -> list[int]:
-    """A fresh copy of ``row`` cut or zero-padded to ``size`` entries."""
-    return row[:size] + [0] * (size - len(row))
+def _fit(start: int, row: list[int], size: int) -> list[int]:
+    """The row (start, row) as a fresh dense list of the coefficients of
+    q^0 .. q^(size - 1), cut or zero-padded to ``size`` entries."""
+    out = [0] * min(start, size) + row[:max(size - start, 0)]
+    out += repeat(0, size - len(out))
+    return out
 
 
 def _canonical(rows: dict) -> dict:
-    """Drop all-zero rows; trim trailing zeros off the others in place."""
+    """Drop all-zero rows; every other row, a fresh list indexed from q^0 or
+    a (start, row) pair, becomes (start, row) with ``row[0]`` its first
+    nonzero and ``row[-1]`` its last, trimmed in place; a row already in
+    that form is kept as it is."""
     out = {}
     for key, row in rows.items():
-        if any(row):
-            while not row[-1]:
-                row.pop()
-            out[key] = row
+        start = 0
+        if type(row) is tuple:
+            start, row = row
+        if not row:
+            continue
+        if not row[0]:
+            first = next(compress(count(), row), None)
+            if first is None:
+                continue
+            del row[:first]
+            start += first
+        if not row[-1]:
+            del row[len(row) - next(compress(count(), reversed(row))):]
+        out[key] = (start, row)
     return out
 
 
@@ -363,27 +384,34 @@ def _checked(rows: dict, trunc: int | None) -> dict:
     return rows
 
 
-def _convolve_into(out: list[int], a: list[int], b: list[int]) -> None:
-    """Add the schoolbook product of rows a and b into out, dropping every
-    term past its end."""
-    size = len(out)
-    nonzero_b = [(j, y) for j, y in enumerate(b[:size]) if y]
-    for i, x in enumerate(a[:size]):
+def _convolve_into(out: list[int], a: list[int], b: list[int], off: int = 0) -> None:
+    """Add the schoolbook product of rows a and b into out from out[off],
+    dropping every term past its end."""
+    end = len(out)
+    nonzero_b = [(j, y) for j, y in enumerate(b[:end - off]) if y]
+    for i, x in enumerate(a[:end - off], off):
         if x:
             for j, y in nonzero_b:
-                if i + j >= size:
+                if i + j >= end:
                     break
                 out[i + j] += x * y
+
+
+def _product_row(*factors) -> list[int]:
+    """The product of the int rows ``factors`` (lists or tuples, none empty),
+    as a fresh list through its degree."""
+    prod = list(factors[0])
+    for row in factors[1:]:
+        out = [0] * (len(prod) + len(row) - 1)
+        _convolve_into(out, prod, row)
+        prod = out
+    return prod
 
 
 def _add_product(acc: list[int], exp: int, *factors) -> None:
     """Add q^exp times the product of the int rows ``factors`` (lists or
     tuples) into acc, growing it as needed."""
-    prod = factors[0]
-    for row in factors[1:]:
-        out = [0] * (len(prod) + len(row) - 1)
-        _convolve_into(out, prod, row)
-        prod = out
+    prod = _product_row(*factors)
     end = exp + len(prod)
     if len(acc) < end:
         acc.extend([0] * (end - len(acc)))
@@ -443,12 +471,32 @@ def _nested_sum(terms: list, factors: list, last: int) -> tuple[int, list[int]]:
 
 
 def _shifted(exp: int, row) -> "QSeries":
-    """q^exp times an int row or tuple, as a marker-free exact polynomial.
-    An empty or absent row is the shared exact zero, with none of the exp
-    zeros that ``_canonical`` would only drop."""
+    """q^exp times an int row or tuple, as a marker-free exact polynomial
+    that starts at q^exp.  An empty or absent row is the shared exact zero."""
     if not row:
         return _exact_zero(())
-    return QSeries._make({(): [0] * exp + list(row)}, None, ())
+    return QSeries._make({(): (exp, list(row))}, None, ())
+
+
+def _sum_exact(groups: dict) -> dict:
+    """{key: the sum of its (start, row) pairs, uncut}, for the rows of an
+    exact polynomial (:func:`_sum_rows`); a single pair is its own sum."""
+    return {key: pairs[0] if len(pairs) == 1 else
+            _sum_rows(pairs, 1, max(s + len(r) for s, r in pairs) - 1)
+            for key, pairs in groups.items()}
+
+
+def _rows_through(series: "QSeries", last: int) -> dict:
+    """The stored rows of a series as {key: (start, row)} cut at q^last,
+    leaving out the rows that start past it: the rows themselves where no
+    cut is needed, to be read and never written (the input of
+    :func:`_sum_rows`)."""
+    out = {}
+    for key, pair in series._rows.items():
+        start, row = pair
+        if start <= last:
+            out[key] = pair if start + len(row) <= last + 1 else (start, row[:last + 1 - start])
+    return out
 
 
 def _as_series(value) -> "QSeries":
@@ -479,12 +527,14 @@ class QSeries:
     """A formal power series in q with MarkerPoly coefficients.
 
     ``trunc`` is the largest q-exponent at which the series is guaranteed
-    exact, or None for an exact polynomial.  Storage is one plain int list
-    per marker monomial, indexed by q-exponent: the coefficient of
-    u^i v^j q^n is ``_rows[(i, j)][n]``, and a marker-free series has at
-    most the row ``()``.  The form is canonical: every row ends at its last
-    nonzero entry, truncated or not, and all-zero rows are dropped, so equal
-    series have equal rows; ``trunc`` only says how far they are exact.
+    exact, or None for an exact polynomial.  Storage is one pair
+    (start, row) per marker monomial, row a plain int list: the coefficient
+    of u^i v^j q^n is ``row[n - start]`` for ``_rows[(i, j)] == (start,
+    row)``, and zero outside the row; a marker-free series has at most the
+    row ``()``.  The form is canonical: ``row[0]`` is the first nonzero
+    coefficient and ``row[-1]`` the last, truncated or not, and all-zero
+    rows are dropped, so equal series have equal rows; ``trunc`` only says
+    how far they are exact.
     Instances are immutable and never hand out a row, so they may share
     them, and each marker registry has one shared exact zero
     (:meth:`zero`); arithmetic returns new values.  :attr:`coeffs` is a
@@ -540,12 +590,15 @@ class QSeries:
 
     @classmethod
     def _make(cls, rows: dict, trunc: int | None, markers: tuple[str, ...]) -> "QSeries":
-        """A series over fresh int lists, one per monomial, of at most
-        ``trunc + 1`` entries each (any length for a polynomial), for the
-        package's builders: the one check of their truncation (ValueError
-        below 0), then the lists are trimmed in place (:func:`_canonical`)
-        and taken as they are, with no type scan or copy; an empty dict
-        costs nothing."""
+        """A series over fresh int rows, one per monomial, for the package's
+        builders.  A row is either a list indexed from q^0, whose leading
+        zeros move into its start, or a pair (start, row), row[i] the
+        coefficient of q^(start + i); either way it reaches at most q^trunc
+        (any length for a polynomial).  The one check is of the truncation
+        (ValueError below 0); then the lists are trimmed in place
+        (:func:`_canonical`) and taken as they are, with no type scan or
+        copy, so a row already canonical may be another series' own; an
+        empty dict costs nothing."""
         if trunc is not None and trunc < 0:
             raise ValueError("truncation order must be non-negative")
         out = object.__new__(cls)
@@ -575,7 +628,9 @@ class QSeries:
             raise ValueError("negative q-exponents are out of scope")
         if trunc is not None and exponent > trunc:
             return cls.zero(trunc=trunc, markers=markers)
-        return cls([0] * exponent + [coeff], trunc=trunc, markers=markers)
+        constant = cls([coeff], trunc=trunc, markers=markers)
+        return cls._make({key: (exponent, row) for key, (_, row) in constant._rows.items()},
+                         trunc, constant.markers)
 
     # -- basic queries -----------------------------------------------------
 
@@ -585,7 +640,7 @@ class QSeries:
         or through the degree of a polynomial; built on first read, then cached."""
         if self._coeffs is None:
             size = self.trunc + 1 if self.trunc is not None else \
-                max(map(len, self._rows.values()), default=0)
+                max((start + len(row) for start, row in self._rows.values()), default=0)
             coeffs = [None] * size   # first, so a size too large to hold fails at once
             for n in range(size):
                 coeffs[n] = self._marker_poly(n)
@@ -593,8 +648,9 @@ class QSeries:
         return self._coeffs
 
     def _marker_poly(self, n: int) -> MarkerPoly:
-        return MarkerPoly(self.markers, {key: row[n] for key, row in self._rows.items()
-                                         if n < len(row) and row[n]})
+        return MarkerPoly(self.markers, {key: row[n - start]
+                                         for key, (start, row) in self._rows.items()
+                                         if start <= n < start + len(row) and row[n - start]})
 
     def _check_window(self, n: int) -> None:
         if self.trunc is not None and n > self.trunc:
@@ -616,23 +672,21 @@ class QSeries:
         """Coefficients of q^0..q^upto as fresh int lists, one per marker
         monomial with a nonzero coefficient there: the inverse of from_rows."""
         self._check_window(upto)
-        size = max(upto + 1, 0)
-        return {key: _fit(row, size) for key, row in self._rows.items()
-                if any(row[:size])}
+        return {key: _fit(start, row, upto + 1) for key, (start, row) in self._rows.items()
+                if start <= upto}
 
     def int_coefficients(self, upto: int) -> list[int]:
         """Coefficients of q^0..q^upto as a fresh list of plain integers: the
         marker-free case of :meth:`monomial_rows`."""
         self._check_window(upto)
-        size = max(upto + 1, 0)
         zero = (0,) * len(self.markers)
-        if any(any(row[:size]) for key, row in self._rows.items() if key != zero):
+        if any(start <= upto for key, (start, _) in self._rows.items() if key != zero):
             raise ValueError("series has marker terms; use coefficients()")
-        return _fit(self._rows.get(zero, []), size)
+        return _fit(*self._rows.get(zero, (0, [])), max(upto + 1, 0))
 
     def is_zero_through(self, upto: int) -> bool:
-        size = max(upto + 1 if self.trunc is None else min(upto, self.trunc) + 1, 0)
-        if any(any(row[:size]) for row in self._rows.values()):
+        top = upto if self.trunc is None else min(upto, self.trunc)
+        if any(start <= top for start, _ in self._rows.values()):
             return False
         self._check_window(upto)
         return True
@@ -645,15 +699,18 @@ class QSeries:
         trunc = _min_trunc(self.trunc, other.trunc)
         rows = {}
         for key in a.keys() | b.keys():
-            ra, rb = a.get(key, []), b.get(key, [])
-            size = _min_trunc(max(len(ra), len(rb)) - 1, trunc) + 1
-            rows[key] = list(map(add, _fit(ra, size), _fit(rb, size)))
+            pairs = [pair for pair in (a.get(key), b.get(key)) if pair]
+            last = max(start + len(row) for start, row in pairs) - 1
+            summed = _sum_rows(pairs, 1, _min_trunc(last, trunc))
+            if summed is not None:
+                rows[key] = summed
         return QSeries._make(rows, trunc, markers)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries._make({key: [-x for x in row] for key, row in self._rows.items()},
+        return QSeries._make({key: (start, list(map(neg, row)))
+                              for key, (start, row) in self._rows.items()},
                              self.trunc, self.markers)
 
     def __sub__(self, other) -> "QSeries":
@@ -666,16 +723,23 @@ class QSeries:
         other = _as_series(other)
         markers, a, b = _aligned(self, other)
         trunc = _min_trunc(self.trunc, other.trunc)
-        size = _min_trunc(max(map(len, a.values()), default=0)
-                          + max(map(len, b.values()), default=0) - 2, trunc) + 1
-        rows: dict[tuple[int, ...], list[int]] = {}
-        for ka, ra in a.items():
-            for kb, rb in b.items():
-                key = tuple(map(add, ka, kb))
-                row = rows.get(key)
-                if row is None:
-                    row = rows[key] = [0] * size
-                _convolve_into(row, ra, rb)
+        # by key, the products that land on it: (start, a row, b row)
+        terms: dict[tuple[int, ...], list] = {}
+        for ka, (sa, ra) in a.items():
+            for kb, (sb, rb) in b.items():
+                products = terms.setdefault(tuple(map(add, ka, kb)), [])
+                if trunc is None or sa + sb <= trunc:
+                    products.append((sa + sb, ra, rb))
+        rows = {}
+        for key, products in terms.items():
+            if not products:
+                continue
+            start = min(s for s, _, _ in products)
+            last = _min_trunc(max(s + len(ra) + len(rb) for s, ra, rb in products) - 2, trunc)
+            row = [0] * (last + 1 - start)
+            for s, ra, rb in products:
+                _convolve_into(row, ra, rb, s - start)
+            rows[key] = (start, row)
         return QSeries._make(rows, trunc, markers)
 
     __rmul__ = __mul__
@@ -695,15 +759,16 @@ class QSeries:
         if self.trunc is not None and trunc is not None:
             eff = min(eff, trunc)
         zero = (0,) * len(self.markers)
-        if {key: row[0] for key, row in self._rows.items() if row[0]} != {zero: 1}:
+        if {key: row[0] for key, (start, row) in self._rows.items() if not start} != {zero: 1}:
             raise NonUnitConstantTerm(
                 f"constant term is {self.coefficient(0)}, expected 1"
             )
         # inv[n] = -(sum over i = 1..n of a[i] * inv[n - i]), per pair of monomials;
         # a row first reached at step n is zero below n, so a snapshot suffices.
         inv = {zero: [1] + [0] * eff}
+        rows = {key: _fit(start, row, eff + 1) for key, (start, row) in self._rows.items()}
         for n in range(1, eff + 1):
-            for ka, ra in self._rows.items():
+            for ka, ra in rows.items():
                 for kb, rb in list(inv.items()):
                     acc = sum(map(mul, ra[1:n + 1], rb[n - 1::-1]))
                     if acc:
@@ -722,7 +787,8 @@ class QSeries:
             )
         if trunc < 0:
             raise ValueError("truncation order must be non-negative")
-        rows = {key: row[:trunc + 1] for key, row in self._rows.items()}
+        rows = {key: (start, row[:trunc + 1 - start])
+                for key, (start, row) in self._rows.items() if start <= trunc}
         return QSeries._make(rows, trunc, self.markers)
 
     # -- marker operations ---------------------------------------------------
@@ -736,12 +802,15 @@ class QSeries:
         """Substitute integers for all markers; coefficients become constants."""
         self._check_assignment(assignment, "assignment")
         values = [assignment[m] for m in self.markers]
-        out = [0] * max(map(len, self._rows.values()), default=0)
-        for key, row in self._rows.items():
+        if not self._rows:
+            return QSeries._make({}, self.trunc, ())
+        least = min(start for start, _ in self._rows.values())
+        out = [0] * max(start + len(row) - least for start, row in self._rows.values())
+        for key, (start, row) in self._rows.items():
             weight = math.prod(v**e for v, e in zip(values, key))
-            for n, x in enumerate(row):
+            for n, x in enumerate(row, start - least):
                 out[n] += weight * x
-        return QSeries._make({(): out}, self.trunc, ())
+        return QSeries._make({(): (least, out)}, self.trunc, ())
 
     def marker_coefficient(self, exponents: Mapping[str, int]) -> "QSeries":
         """Extract the marker-free series multiplying a marker monomial.
@@ -764,12 +833,21 @@ class QSeries:
         limit = _min_trunc(self.trunc, other.trunc)
         first = None
         for key in a.keys() | b.keys():
-            ra, rb = a.get(key, []), b.get(key, [])
-            # beyond both stored rows both sides are zero
-            size = max(_min_trunc(max(len(ra), len(rb)) - 1, limit) + 1, 0)
-            ra, rb = _fit(ra, size), _fit(rb, size)
-            if ra != rb:
-                n = next(n for n, (x, y) in enumerate(zip(ra, rb)) if x != y)
+            pa, pb = a.get(key), b.get(key)
+            if pa == pb:
+                continue
+            if pa is None or pb is None or pa[0] != pb[0]:
+                # a row is nonzero at its start, where the other is zero
+                n = min(pair[0] for pair in (pa, pb) if pair)
+            else:
+                (n, ra), (_, rb) = pa, pb
+                i = next(compress(count(), map(ne, ra, rb)), None)
+                if i is None:   # one row runs on past the other's end
+                    i = min(len(ra), len(rb))
+                    longer = ra if len(ra) > len(rb) else rb
+                    i = next(compress(count(i), longer[i:]))
+                n += i
+            if limit is None or n <= limit:
                 first = n if first is None else min(first, n)
         return first
 
@@ -792,7 +870,8 @@ class QSeries:
 
     def __str__(self) -> str:
         pieces = []
-        for n in sorted({n for row in self._rows.values() for n, x in enumerate(row) if x}):
+        for n in sorted({n for start, row in self._rows.values()
+                         for n, x in enumerate(row, start) if x}):
             c = self._marker_poly(n)
             if n == 0:
                 pieces.append(str(c))

@@ -50,7 +50,10 @@ starts at the least start of the rows it sums and adds only positive
 counts, so no row is ever scanned for its first nonzero; rows add at
 offsets aligned by their starts (:func:`~qsip.series._sum_rows`).  The
 stride g (:func:`_stride`) is k when the weights put every monomial's row
-in one residue class mod k, and 1 otherwise.  A weight is a monomial, its
+in one residue class mod k, and 1 otherwise.  A row reaches a series at
+its start, as the series stores it, expanded from stride g to one entry per
+q-exponent (:func:`_unstrided`), and :func:`assemble_gf` reads the table's
+rows back at their starts, so no row is padded from q^0.  A weight is a monomial, its
 exponent vector over the spec's markers, so it multiplies an entry as a
 key shift: every monomial moves by that vector, and the rows and their
 starts stay.
@@ -85,7 +88,7 @@ from typing import Iterable, Iterator
 
 from .partitions import (Partition, SipClassSpec, grow, grow_leaves, in_sip_class,
                          walk_series)
-from .series import QSeries, _nested_sum, _sum_rows
+from .series import QSeries, _nested_sum, _rows_through, _sum_rows
 
 
 class NotInClass(Exception):
@@ -677,20 +680,23 @@ def _basis_rows(spec: SipClassSpec, h_max: int, trunc: int, g: int
         row = nxt
 
 
-def _dense(start: int, row: list[int], g: int) -> list[int]:
-    """A stride-g row (start, row) as a plain int list by q-exponent, through
-    its last stored exponent."""
-    out = [0] * (start + g * (len(row) - 1) + 1)
-    out[start::g] = row
+def _unstrided(row: list[int], g: int) -> list[int]:
+    """A stride-g row as a plain int list with one entry per q-exponent,
+    from its first entry through its last: ``row`` itself for g = 1."""
+    if g == 1:
+        return row
+    out = [0] * (g * (len(row) - 1) + 1)
+    out[::g] = row
     return out
 
 
 def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
     """Tabulate b(n, h) for n <= max_n, h <= max_h as exact polynomials: the
     rows of :func:`_basis_rows` cut at q^(max_n * max_h), which none exceeds,
-    each expanded to a fresh dense int list by q-exponent and handed to the
-    series as it is.  A cut that no list can reach raises OverflowError
-    before the walk, and a spec that is not separable raises ValueError."""
+    each handed to the series at its start, expanded from stride g to one
+    entry per q-exponent (:func:`_unstrided`).  A cut that no list can reach
+    raises OverflowError before the walk, and a spec that is not separable
+    raises ValueError."""
     if max_n < 1 or max_h < 1:
         raise ValueError(f"max_n and max_h must be at least 1, got {max_n} and {max_h}")
     cut = max_n * max_h
@@ -698,7 +704,7 @@ def basis_table(spec: SipClassSpec, max_n: int, max_h: int) -> BasisTable:
         raise OverflowError(f"a row through q^{cut} does not fit an index-sized integer")
     g = _stride(spec)
     rows = zip(range(1, max_n + 1), _basis_rows(spec, max_h, cut, g))
-    entries = {(n, h): QSeries._make({key: _dense(start, r, g)
+    entries = {(n, h): QSeries._make({key: (start, _unstrided(r, g))
                                       for key, (start, r) in entry.items()}, None, spec.markers)
                for n, row in rows for h, entry in row.items()}
     return BasisTable(spec=spec, max_n=max_n, max_h=max_h, entries=entries)
@@ -726,8 +732,10 @@ def _gf_from_rows(spec: SipClassSpec, levels: Iterable, trunc: int, g: int) -> Q
     Each monomial is one :func:`~qsip.series._nested_sum` call in steps of g
     from its residue r mod g (all its rows start there): term 0 is the
     constant 1 of the zero monomial, term n is b(n) or None, and g_n is
-    1/(1 - q^((n+1)k)), one factor list for every call.  Each sum becomes a
-    fresh dense row once, at the end, and goes to the series as it is."""
+    1/(1 - q^((n+1)k)), one factor list for every call.  Each sum goes to
+    the series at its start, expanded from stride g once, at the end; the
+    zero monomial's sum starts at the constant 1 and fills the output row
+    allocated first."""
     unit = [0] * (trunc + 1)   # first, so a size too large to hold fails before any level
     sums = list(levels)
     factors = [[(-1, n * spec.k // g, -1)] for n in range(1, len(sums) + 1)]
@@ -737,18 +745,22 @@ def _gf_from_rows(spec: SipClassSpec, levels: Iterable, trunc: int, g: int) -> Q
         for key, (start, row) in level.items():
             steps = terms.setdefault(key, (start % g, [None] * (len(sums) + 1)))[1]
             steps[n] = (start // g, row)
-    dense = {}
+    rows = {}
     for key, (r, steps) in terms.items():
         start, row = _nested_sum(steps, factors, (trunc - r) // g)
-        dense[key] = out = unit if key == zero else [0] * (trunc + 1)
-        out[r + g * start::g] = row
-    return QSeries._make(dense, trunc, spec.markers)
+        if key == zero:
+            unit[::g] = row
+            rows[key] = unit
+        else:
+            rows[key] = (r + g * start, _unstrided(row, g))
+    return QSeries._make(rows, trunc, spec.markers)
 
 
 def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
     """Class generating function to ``trunc`` from a basis table: b(n) sums
     the table's entries b(n, h) over h (:func:`~qsip.series._sum_rows`),
-    one dense row per monomial cut at q^trunc, so it reads the largest-part
+    each stored row at its start, cut at q^trunc
+    (:func:`~qsip.series._rows_through`), so it reads the largest-part
     rows that :func:`class_gf` does not build, and the two share the Horner
     pass.
 
@@ -765,8 +777,8 @@ def assemble_gf(spec: SipClassSpec, table: BasisTable, trunc: int) -> QSeries:
         )
     groups: list[dict] = [{} for _ in range(table.max_n)]
     for (n, _), entry in table.entries.items():
-        for key, r in entry.monomial_rows(trunc).items():
-            groups[n - 1].setdefault(key, []).append((0, r))
+        for key, pair in _rows_through(entry, trunc).items():
+            groups[n - 1].setdefault(key, []).append(pair)
     levels = [{key: _sum_rows(pairs, 1, trunc) for key, pairs in group.items()}
               for group in groups]
     return _gf_from_rows(spec, levels, trunc, 1)

@@ -7,6 +7,9 @@ fresh rows to ``QSeries._make``, which trims them, and read a series
 through its public methods.  Nor does any other module add one int row
 into another in place (a slice assigned from a ``map(...)`` call); it
 calls the row kernels of ``series.py`` (``_sum_rows``, ``_add_product``).
+Nor does any other module put zeros before a row (``[0] * n + row``): a
+stored row starts at its first nonzero, so a builder hands ``_make`` the
+pair (start, row) instead.
 """
 
 import ast
@@ -49,6 +52,18 @@ def row_adds(tree: ast.AST) -> list[int]:
                     for target in node.targets)]
 
 
+def zero_prefixes(tree: ast.AST) -> list[int]:
+    """The line of each ``[0] * n + ...`` (or ``n * [0] + ...``): a row of
+    zeros put before a row."""
+    def zeros(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and any(isinstance(side, ast.List) and len(side.elts) == 1
+                        and isinstance(side.elts[0], ast.Constant) and side.elts[0].value == 0
+                        for side in (node.left, node.right)))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and zeros(node.left)]
+
+
 def sources() -> dict[str, ast.AST]:
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted(SRC.glob("*.py"))}
@@ -66,6 +81,10 @@ def test_detector_flags_each_form():
                      "x = y[a:b] = map(add, y[a:b], r)\nacc[0] = map(add, a, b)\n"
                      "acc[:] = list(map(add, acc, r))\nrow = map(neg, tail)\n")
     assert row_adds(tree) == [1, 2, 3]
+    tree = ast.parse("a = [0] * n + row\nb = [0] * (e - 1) + [1] + [0] * t\nc = k * [0] + r\n"
+                     "d = [1] + [0] * n\ne = [0] * n\nacc[:0] = [0] * k\nf = [0, 0] + r\n"
+                     "g = [1] * n + r\nh = row + [0] * n + [1]\n")
+    assert sorted(zero_prefixes(tree)) == [1, 2, 3]
 
 
 def test_private_names_come_only_from_series():
@@ -87,5 +106,11 @@ def test_only_series_reads_rows():
 
 def test_only_series_adds_rows_in_place():
     found = {name: row_adds(tree) for name, tree in sources().items()}
+    assert found["series.py"]
+    assert {name: lines for name, lines in found.items() if lines and name != "series.py"} == {}
+
+
+def test_only_series_builds_zero_prefixes():
+    found = {name: zero_prefixes(tree) for name, tree in sources().items()}
     assert found["series.py"]
     assert {name: lines for name, lines in found.items() if lines and name != "series.py"} == {}

@@ -1,5 +1,8 @@
 """Core series arithmetic: examples, error contracts, ring properties."""
 
+import math
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -471,9 +474,9 @@ def ref_trunc(*cases):
 def assert_matches(got, trunc, markers, expected):
     """got has the given trunc and registry, coefficient(n) equals expected[n]
     through its window, and its stored coefficients are in canonical form:
-    every stored row, truncated or not, ends in a nonzero entry."""
+    every stored row, truncated or not, starts and ends in a nonzero entry."""
     assert got.trunc == trunc and got.markers == markers
-    assert all(row[-1] for row in got._rows.values())
+    assert all(row[0] and row[-1] for _, row in got._rows.values())
     for n, c in enumerate(expected):
         assert got.coefficient(n) == c, n
     if trunc is None:
@@ -713,3 +716,188 @@ def test_marked_builders_build_no_marker_poly(marker_polys_built):
     assert all(row.markers == UV for row in rows)
     assert table.entry(1, 3) == QSeries.monomial(3, U * V, markers=UV)
     assert counted.markers == UV and counted.trunc == 30
+
+
+# -- rows that start at their first nonzero ------------------------------------
+#
+# A drawn case is (pairs, dense, trunc, markers): each row is a start and a
+# list with leading and trailing zeros, ``pairs`` holds it as (start, row) and
+# ``dense`` as the list zero-padded from q^0, both cut at q^trunc.  The
+# reference reads ``dense`` alone.
+
+@st.composite
+def placed_case(draw, markers=None, trunc=False):
+    if markers is None:
+        markers = draw(st.sampled_from([(), ("u",), UV]))
+    if trunc is False:
+        trunc = draw(st.one_of(st.none(), st.integers(0, 12)))
+    keys = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(markers)),
+                         max_size=3, unique=True))
+    pairs, dense = {}, {}
+    for key in keys:
+        start = draw(st.integers(0, 8))
+        row = ([0] * draw(st.integers(0, 3)) + draw(st.lists(coeff_ints, max_size=5))
+               + [0] * draw(st.integers(0, 3)))
+        if trunc is not None:
+            row = row[:max(trunc + 1 - start, 0)]
+        pairs[key] = (start, row)
+        dense[key] = ([0] * start + row)[:None if trunc is None else trunc + 1]
+    return pairs, dense, trunc, markers
+
+
+def three_ways(case):
+    """The case built from its pairs, from its padded lists and by from_rows."""
+    pairs, dense, trunc, markers = case
+    return [QSeries._make({key: (start, list(row)) for key, (start, row) in pairs.items()},
+                          trunc, markers),
+            QSeries._make({key: list(row) for key, row in dense.items()}, trunc, markers),
+            QSeries.from_rows(dense, trunc, markers)]
+
+
+def ref_at(dense, n, markers):
+    return MarkerPoly(markers, {key: row[n] for key, row in dense.items()
+                                if n < len(row) and row[n]})
+
+
+def ref_top(*denses):
+    """One past the last stored exponent of the dense rows."""
+    return max((len(row) for dense in denses for row in dense.values()), default=0)
+
+
+def ref_str(dense, trunc, markers):
+    pieces = []
+    for n in range(ref_top(dense)):
+        c = ref_at(dense, n, markers)
+        text = str(c)
+        if c.is_zero():
+            continue
+        q = "q" if n == 1 else f"q^{n}"
+        if n == 0:
+            pieces.append(text)
+        elif text in ("1", "-1"):
+            pieces.append(q if text == "1" else f"-{q}")
+        else:
+            pieces.append(f"{text}*{q}" if len(c.terms) == 1 else f"({text})*{q}")
+    body = " + ".join(pieces).replace("+ -", "- ") or "0"
+    return body if trunc is None else f"{body} + O(q^{trunc + 1})"
+
+
+def ref_combine(a, b, trunc, op):
+    """Dense rows of a op b (+, - or *), cut at q^trunc."""
+    out = {}
+    for ka, ra in a.items():
+        for kb, rb in b.items():
+            if op == "*":
+                key = tuple(map(sum, zip(ka, kb)))
+                row = out.setdefault(key, [])
+                for i, x in enumerate(ra):
+                    for j, y in enumerate(rb):
+                        row.extend([0] * (i + j + 1 - len(row)))
+                        row[i + j] += x * y
+    if op != "*":
+        sign = 1 if op == "+" else -1
+        for key in a.keys() | b.keys():
+            ra, rb = a.get(key, []), b.get(key, [])
+            size = max(len(ra), len(rb))
+            out[key] = [(ra[n] if n < len(ra) else 0) + sign * (rb[n] if n < len(rb) else 0)
+                        for n in range(size)]
+    return {key: row[:None if trunc is None else trunc + 1] for key, row in out.items()}
+
+
+def assert_dense(got, dense, trunc, markers):
+    """got is canonical, has the trunc and registry, and the coefficients of
+    dense, with none stored past q^trunc."""
+    assert (got.trunc, got.markers) == (trunc, markers)
+    assert all(type(start) is int and row[0] and row[-1] for start, row in got._rows.values())
+    assert trunc is None or all(start + len(row) <= trunc + 1
+                                for start, row in got._rows.values())
+    top = trunc if trunc is not None else ref_top(dense) + 2
+    assert [got.coefficient(n) for n in range(top + 1)] == \
+        [ref_at(dense, n, markers) for n in range(top + 1)]
+
+
+@given(placed_case(), st.integers(-1, 14))
+@settings(max_examples=150)
+def test_placed_rows_match_dense_reference(case, upto):
+    pairs, dense, trunc, markers = case
+    built = three_ways(case)
+    assert built[0] == built[1] == built[2]
+    if trunc is not None:
+        upto = min(upto, trunc)
+    size = max(upto + 1, 0)
+    rows = {key: (row + [0] * size)[:size] for key, row in dense.items() if any(row[:size])}
+    nonzero = [n for n in range(ref_top(dense)) if not ref_at(dense, n, markers).is_zero()]
+    for s in built:
+        assert_dense(s, dense, trunc, markers)
+        assert [s.coefficient(n) for n in range(size)] == \
+            [ref_at(dense, n, markers) for n in range(size)]
+        assert s.monomial_rows(upto) == rows
+        zero = (0,) * len(markers)
+        with pytest.raises(ValueError) if rows.keys() - {zero} else nullcontext():
+            assert s.int_coefficients(upto) == rows.get(zero, [0] * size)
+        assert s.is_zero_through(upto) == (not nonzero or nonzero[0] > upto)
+        assert str(s) == ref_str(dense, trunc, markers)
+        weights = {m: w for m, w in zip(markers, (2, -3))}
+        special = {(): [sum(row[n] * math.prod(weights[m] ** e for m, e in zip(markers, key))
+                            for key, row in dense.items() if n < len(row))
+                        for n in range(ref_top(dense))]}
+        assert_dense(s.specialize(weights), special, trunc, ())
+        if upto >= 0:
+            assert_dense(s.truncate(upto), {key: row[:upto + 1] for key, row in dense.items()},
+                         upto, markers)
+
+
+@st.composite
+def placed_pair(draw):
+    """Two cases of one registry; half the time the second is the first with
+    one coefficient changed at or below some row's start."""
+    a = draw(placed_case())
+    markers = a[3]
+    if draw(st.booleans()):
+        return a, draw(placed_case(markers=markers))
+    pairs, dense, trunc, _ = a
+    dense = {key: list(row) for key, row in dense.items()}
+    key = draw(st.tuples(*[st.integers(0, 2)] * len(markers)))
+    n = draw(st.integers(0, 8 if trunc is None else trunc))
+    row = dense.setdefault(key, [])
+    row.extend([0] * (n + 1 - len(row)))
+    row[n] += draw(st.sampled_from([1, -1, 5]))
+    trunc_b = draw(st.sampled_from([trunc, None, 12]))
+    if trunc_b is not None:
+        dense = {k: r[:trunc_b + 1] for k, r in dense.items()}
+    pairs = {k: (0, list(r)) for k, r in dense.items()}
+    return a, (pairs, dense, trunc_b, markers)
+
+
+@given(placed_pair())
+@settings(max_examples=150)
+def test_placed_arithmetic_matches_dense_reference(pair):
+    (_, da, ta, markers), (_, db, tb, _) = pair
+    trunc = ta if tb is None else tb if ta is None else min(ta, tb)
+    limit = trunc if trunc is not None else max(ref_top(da, db) - 1, 0)
+    first = next((n for n in range(limit + 1)
+                  if ref_at(da, n, markers) != ref_at(db, n, markers)), None)
+    same = ta == tb and all(ref_at(da, n, markers) == ref_at(db, n, markers)
+                            for n in range(ref_top(da, db)))
+    for a, b in zip(three_ways(pair[0]), reversed(three_ways(pair[1]))):
+        assert a.first_mismatch(b) == first and b.first_mismatch(a) == first
+        assert (a == b) is same and (b == a) is same
+        for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+            assert_dense(got, ref_combine(da, db, trunc, op), trunc, markers)
+
+
+def test_first_mismatch_below_the_other_start():
+    late = QSeries._make({(): (5, [1, 2])}, None, ())
+    early = QSeries._make({(): [0, 0, 7, 0, 0, 1, 2]}, None, ())
+    assert late.first_mismatch(early) == early.first_mismatch(late) == 2
+    shifted = QSeries._make({(): (3, [1, 2])}, None, ())
+    assert late.first_mismatch(shifted) == 3 and late != shifted
+    assert late.truncate(4).first_mismatch(shifted.truncate(2)) is None
+    marked = QSeries._make({(1, 0): (6, [1]), (0, 1): (2, [3])}, 6, UV)
+    assert marked.first_mismatch(QSeries._make({(1, 0): (6, [1])}, 9, UV)) == 2
+
+
+def test_stored_rows_start_at_their_first_nonzero():
+    built = [schur_closed(8, 11, 1)] + list(basis_table(SCHUR_REFINED, 8, 80).entries.values())
+    assert all(row[0] and row[-1] for s in built for _, row in s._rows.values())
+    assert all(start > 0 for s in built for start, _ in s._rows.values())

@@ -2,9 +2,9 @@
 
 Each such series must be exactly what the validating constructor would
 make of the same rows: ``QSeries.from_rows`` rebuilt from the series' own
-rows gives identical rows (list rows, no trailing zeros on any row, no
-all-zero row, tuple keys, a tuple registry), and every coefficient is a
-plain int.  No builder of the package enters the validating doors
+rows, zero-padded from q^0, gives identical rows ((start, list) pairs, each
+list from its first nonzero to its last, no all-zero row, tuple keys, a
+tuple registry), and every coefficient is a plain int.  No builder of the package enters the validating doors
 (``QSeries.__init__``, ``QSeries.from_rows``), and ``_make`` rejects a
 negative truncation for every builder that ends in it.
 """
@@ -26,12 +26,15 @@ MARKED = [PochSpec(1, 3, sign=-1, marker="u"), PochSpec(2, 3, sign=-1, marker="v
 
 
 def assert_canonical(series):
-    rebuilt = QSeries.from_rows(series._rows, series.trunc, series.markers)
+    dense = {key: [0] * start + row for key, (start, row) in series._rows.items()}
+    rebuilt = QSeries.from_rows(dense, series.trunc, series.markers)
     assert rebuilt._rows == series._rows
     assert (rebuilt.trunc, rebuilt.markers) == (series.trunc, series.markers)
-    assert all(type(row) is list for row in series._rows.values())
-    assert all(type(c) is int for row in series._rows.values() for c in row)
-    assert all(row[-1] for row in series._rows.values())
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in series._rows.values())
+    assert all(type(start) is int and start >= 0 and type(row) is list
+               for start, row in series._rows.values())
+    assert all(type(c) is int for _, row in series._rows.values() for c in row)
+    assert all(row[0] and row[-1] for _, row in series._rows.values())
 
 
 def test_gollnitz_and_glasgow_closed():
