@@ -726,11 +726,10 @@ def test_marked_builders_build_no_marker_poly(marker_polys_built):
 # reference reads ``dense`` alone.
 
 @st.composite
-def placed_case(draw, markers=None, trunc=False):
+def placed_case(draw, markers=None):
     if markers is None:
         markers = draw(st.sampled_from([(), ("u",), UV]))
-    if trunc is False:
-        trunc = draw(st.one_of(st.none(), st.integers(0, 12)))
+    trunc = draw(st.one_of(st.none(), st.integers(0, 12)))
     keys = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(markers)),
                          max_size=3, unique=True))
     pairs, dense = {}, {}
@@ -785,22 +784,20 @@ def ref_str(dense, trunc, markers):
 def ref_combine(a, b, trunc, op):
     """Dense rows of a op b (+, - or *), cut at q^trunc."""
     out = {}
-    for ka, ra in a.items():
-        for kb, rb in b.items():
-            if op == "*":
-                key = tuple(map(sum, zip(ka, kb)))
-                row = out.setdefault(key, [])
+    if op == "*":
+        for ka, ra in a.items():
+            for kb, rb in b.items():
+                row = out.setdefault(tuple(map(sum, zip(ka, kb))), [])
                 for i, x in enumerate(ra):
                     for j, y in enumerate(rb):
                         row.extend([0] * (i + j + 1 - len(row)))
                         row[i + j] += x * y
-    if op != "*":
+    else:
         sign = 1 if op == "+" else -1
         for key in a.keys() | b.keys():
             ra, rb = a.get(key, []), b.get(key, [])
-            size = max(len(ra), len(rb))
             out[key] = [(ra[n] if n < len(ra) else 0) + sign * (rb[n] if n < len(rb) else 0)
-                        for n in range(size)]
+                        for n in range(max(len(ra), len(rb)))]
     return {key: row[:None if trunc is None else trunc + 1] for key, row in out.items()}
 
 
