@@ -1,13 +1,13 @@
 """qsip: exact q-series arithmetic and separable-partition identity checks.
 
 The package builds every object with arbitrary-precision integer
-arithmetic: truncated power series over a marker-polynomial ring, the
+arithmetic: truncated power series with marker-refined coefficients, the
 standard q-products, sums and Gaussian binomials, partition enumerators
 and counting walks, the separable-class decomposition machinery, and a
 catalog of series = product identities verified coefficientwise.
 """
 
-from .series import MarkerPoly, NonUnitConstantTerm, QSeries, TruncationExceeded
+from .series import NonUnitConstantTerm, QSeries, TruncationExceeded
 from .qfactory import (CongruenceProductSpec, DivergentProduct, PochSpec,
                        congruence_product, eta_theta_product, gaussian_binomial,
                        poch_finite, poch_infinite, poch_product, series_sum)

@@ -17,12 +17,12 @@ product row (``_product_row``) that starts at q^e, and the terms of each
 marker monomial u^i v^j are summed once at their exponents (``_sum_exact``;
 a single shifted row is ``_shifted``).  Those (start, row) pairs go to
 ``QSeries._make``, which trims them with no second type scan or copy, so
-no row carries a zero prefix and MarkerPoly values appear only where a
-caller reads them off the returned series.  The Schur double sum S1(n, h)
-feeds all three Schur branches and S2's unrolled levels, so it is built
-once per (n, h) and cached as immutable (start, tuple) rows
-(``_schur_s1``); a caller that hands them to ``QSeries._make`` copies them
-into fresh lists first.
+no row carries a zero prefix, and a coefficient becomes a polynomial only
+where a caller reads one off the returned series.  The Schur double sum
+S1(n, h) feeds all three Schur branches and S2's unrolled levels, so it is
+built once per (n, h) and cached as immutable (start, tuple) rows
+(``_schur_s1``); a caller that hands them to ``QSeries._make`` copies
+them into fresh lists first.
 """
 
 from __future__ import annotations

@@ -185,22 +185,23 @@ def counting_series(stream: Iterable, trunc: int,
     """Accumulate a stream of combinatorial objects into sum(count(n) q^n).
 
     ``size`` maps an object to its total (defaults to .total or tuple sum).
-    ``weight`` optionally maps an object to what it counts for: an int
-    (several objects counted at once) or a MarkerPoly, turning the count
-    into a marker-refined generating function.  Without a weight each
-    object counts once, tallied at C level.
+    ``weight`` optionally maps an object to the exponent vector over
+    ``markers`` of the monomial it weighs, as :meth:`SipClassSpec.weight`
+    does for a part, turning the count into a marker-refined generating
+    function; each object then counts once in its monomial's int row, and
+    the rows go through the checking :meth:`QSeries.from_rows`.  Without a
+    weight each object counts once at the zero monomial, tallied at C level.
     """
     size = size or _default_size
     if weight is None:
         counts = Counter(map(size, stream))
         return QSeries._make({(0,) * len(markers): [counts[n] for n in range(trunc + 1)]},
                              trunc, tuple(markers))
-    coeffs = [0] * (trunc + 1)
-    for obj in stream:
-        n = size(obj)
+    rows: dict[tuple, list[int]] = {}
+    for (n, key), count in Counter((size(obj), weight(obj)) for obj in stream).items():
         if n <= trunc:
-            coeffs[n] += weight(obj)
-    return QSeries(coeffs, trunc=trunc, markers=markers)
+            rows.setdefault(key, [0] * (trunc + 1))[n] = count
+    return QSeries.from_rows(rows, trunc, markers)
 
 
 def walk_series(states: Iterable[tuple], total_max: int) -> QSeries:

@@ -1,24 +1,25 @@
-"""Exact truncated power series in q over a marker-polynomial coefficient ring.
+"""Exact truncated power series in q with marker-refined integer coefficients.
 
-The coefficient ring is :class:`MarkerPoly`: polynomials with
-arbitrary-precision integer coefficients in a fixed tuple of named markers
-(such as ``u``, ``v``).  Most series carry no markers at all; the registry is
-then the empty tuple and every coefficient is a plain integer constant.
+A coefficient is a polynomial with arbitrary-precision integer coefficients
+in a fixed tuple of named markers (such as ``u``, ``v``).  Most series carry
+no markers at all; the registry is then the empty tuple and every
+coefficient is a plain integer constant.
 
 A :class:`QSeries` stores its coefficients transposed, one row per marker
 monomial, so arithmetic is integer list arithmetic: a product convolves the
-rows of every pair of monomials, and a marker-free series is a single row
-that never builds a MarkerPoly.  A row is a pair (start, row), ``row`` a
-plain int list from the first nonzero coefficient, at q^start, to the last,
-so no row stores or scans a zero prefix.  MarkerPoly values appear only
-where a caller asks for them (:meth:`QSeries.coefficient`, the cached
-:attr:`QSeries.coeffs` view) or passes them to the constructor.  Callers
-outside the package use the constructor or :meth:`QSeries.from_rows`, which
-check and copy lists indexed from q^0; the package's builders hand their
-fresh rows to ``QSeries._make``, either as lists from q^0, whose leading
-zeros it moves into the start, or as (start, row) pairs, and it checks only
-the truncation order and trims the lists in place.  This module alone
-knows the canonical row form and the row kernels ``_convolve_into``,
+rows of every pair of monomials, and a marker-free series is a single row.
+A row is a pair (start, row), ``row`` a plain int list from the first
+nonzero coefficient, at q^start, to the last, so no row stores or scans a
+zero prefix.  :class:`MarkerPoly` is a read-only view of one coefficient,
+built only where a caller asks for one (:meth:`QSeries.coefficient`, the
+cached :attr:`QSeries.coeffs` view, display).  Callers outside the package
+use the constructor, which takes int coefficients, or
+:meth:`QSeries.from_rows`, the one door for marked series; both check and
+copy lists indexed from q^0.  The package's builders hand their fresh rows
+to ``QSeries._make``, either as lists from q^0, whose leading zeros it
+moves into the start, or as (start, row) pairs, and it checks only the
+truncation order and trims the lists in place.  This module alone knows
+the canonical row form and the row kernels ``_convolve_into``,
 ``_add_product``, ``_shifted``, ``_sum_rows`` (every other add of int rows,
 with ``_sum_exact`` for exact polynomials and ``_rows_through``, the one
 read-out of stored rows) and ``_nested_sum``, the inside-out sum under every
@@ -58,20 +59,20 @@ class NonUnitConstantTerm(Exception):
 
 
 def _as_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise TypeError(f"integer coefficient expected, got {value!r}")
     return value
 
 
 class MarkerPoly:
-    """Polynomial in named markers with integer coefficients.
+    """One coefficient of a marked :class:`QSeries`, read off its rows: a
+    polynomial in named markers with integer coefficients.
 
     The marker registry is fixed at construction; exponent vectors have one
-    non-negative entry per registered marker.  Arithmetic stays in one
-    registry: the other operand is a MarkerPoly of the same registry or an
-    int, which counts as a constant.  Terms with coefficient zero
-    are never stored, so the zero polynomial has an empty term map.
-    Instances are immutable by convention: no method mutates ``terms``.
+    non-negative entry per registered marker.  Terms with coefficient zero
+    are never stored, so the zero polynomial has an empty term map.  It is
+    a read-only view with no arithmetic: marked series are computed on the
+    int rows of :class:`QSeries`, and no method mutates ``terms``.
     """
 
     __slots__ = ("markers", "terms")
@@ -99,108 +100,12 @@ class MarkerPoly:
         self.markers = markers
         self.terms = clean
 
-    @classmethod
-    def const(cls, value: int, markers: Iterable[str] = ()) -> "MarkerPoly":
-        markers = tuple(markers)
-        return cls(markers, {(0,) * len(markers): value})
-
-    @classmethod
-    def unit(cls, markers: Iterable[str] = ()) -> "MarkerPoly":
-        return cls.const(1, markers)
-
-    @classmethod
-    def gens(cls, markers: Iterable[str]) -> tuple["MarkerPoly", ...]:
-        """One generator polynomial per marker, in registry order."""
-        markers = tuple(markers)
-        out = []
-        for i in range(len(markers)):
-            exps = tuple(1 if j == i else 0 for j in range(len(markers)))
-            out.append(cls(markers, {exps: 1}))
-        return tuple(out)
-
-    # -- predicates ------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def is_one(self) -> bool:
-        zero = (0,) * len(self.markers)
-        return self.terms == {zero: 1}
-
-    def constant_value(self) -> int:
-        """The coefficient of the marker-free monomial."""
-        return self.terms.get((0,) * len(self.markers), 0)
-
-    # -- coercion --------------------------------------------------------
-
-    def _coerce(self, other) -> "MarkerPoly":
-        """An operand in this registry: an int becomes a constant."""
-        if isinstance(other, MarkerPoly):
-            if other.markers != self.markers:
-                raise ValueError(
-                    f"marker registries differ: {self.markers} vs {other.markers}"
-                )
-            return other
-        return MarkerPoly.const(_as_int(other), self.markers)
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other) -> "MarkerPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = out.get(exps, 0) + coeff
-            if total:
-                out[exps] = total
-            else:
-                out.pop(exps, None)
-        return MarkerPoly(self.markers, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MarkerPoly":
-        return MarkerPoly(self.markers, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + -self._coerce(other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "MarkerPoly":
-        other = self._coerce(other)
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                total = out.get(key, 0) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return MarkerPoly(self.markers, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MarkerPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for MarkerPoly")
-        out = MarkerPoly.unit(self.markers)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    # -- specialization --------------------------------------------------
-
     def specialize(self, assignment: Mapping[str, int]) -> int:
         """Substitute integers for every marker, collapsing to an int."""
         missing = [m for m in self.markers if m not in assignment]
         if missing:
             raise ValueError(f"assignment missing markers {missing}")
-        values = [assignment[m] for m in self.markers]
+        values = [_as_int(assignment[m]) for m in self.markers]
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff
@@ -209,28 +114,14 @@ class MarkerPoly:
             total += term
         return total
 
-    # -- comparison / display ---------------------------------------------
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int) and not isinstance(other, bool):
-            if not other:
-                return self.is_zero()
-            return self.terms == {(0,) * len(self.markers): other}
+        """Equal terms in the same registry, or the constant ``other`` of an
+        int (a bool is none); two registries never compare equal."""
         if isinstance(other, MarkerPoly):
-            if self.markers == other.markers:
-                return self.terms == other.terms
-            if not self.markers or not other.markers:
-                # Constants compare across registries.
-                if self.is_zero() and other.is_zero():
-                    return True
-                a, b = self.terms, other.terms
-                if len(a) == len(b) == 1:
-                    (ea, ca), (eb, cb) = next(iter(a.items())), next(iter(b.items()))
-                    return ca == cb and not any(ea) and not any(eb)
-            return False
+            return self.markers == other.markers and self.terms == other.terms
+        if type(other) is int:
+            return self.terms == ({(0,) * len(self.markers): other} if other else {})
         return NotImplemented
-
-    __hash__ = None  # mutable mapping inside; not intended as a dict key
 
     def _term_str(self, exps: tuple[int, ...], coeff: int) -> str:
         parts = []
@@ -500,13 +391,10 @@ def _rows_through(series: "QSeries", last: int) -> dict:
 
 
 def _as_series(value) -> "QSeries":
-    """A series operand as is; an int or MarkerPoly as a constant polynomial."""
+    """A series operand as is; an int as a constant polynomial."""
     if isinstance(value, QSeries):
         return value
-    if isinstance(value, MarkerPoly):
-        return QSeries([value], markers=value.markers)
-    value = _as_int(value)
-    return QSeries._make({(): [value]}, None, ())
+    return QSeries._make({(): [_as_int(value)]}, None, ())
 
 
 def _aligned(a: "QSeries", b: "QSeries") -> tuple[tuple[str, ...], dict, dict]:
@@ -524,7 +412,7 @@ def _aligned(a: "QSeries", b: "QSeries") -> tuple[tuple[str, ...], dict, dict]:
 
 
 class QSeries:
-    """A formal power series in q with MarkerPoly coefficients.
+    """A formal power series in q with marker-polynomial coefficients.
 
     ``trunc`` is the largest q-exponent at which the series is guaranteed
     exact, or None for an exact polynomial.  Storage is one pair
@@ -544,33 +432,14 @@ class QSeries:
 
     __slots__ = ("markers", "trunc", "_rows", "_coeffs")
 
-    def __init__(self, coeffs: Iterable = (), trunc: int | None = None,
+    def __init__(self, coeffs: Iterable[int] = (), trunc: int | None = None,
                  markers: Iterable[str] = ()):
-        markers = tuple(markers)
-        coeffs = list(coeffs)
-        zero = (0,) * len(markers)
-        rows = {zero: coeffs}
-        if not set(map(type, coeffs)) <= {int}:
-            rows = {zero: [0] * len(coeffs)}
-            for n, c in enumerate(coeffs):
-                if type(c) is int and not c:
-                    continue
-                if isinstance(c, MarkerPoly):
-                    if c.markers and c.markers != markers:
-                        raise ValueError(
-                            f"coefficient registry {c.markers} does not match "
-                            f"series registry {markers}"
-                        )
-                    terms = c.terms.items() if c.markers else [(zero, c.constant_value())]
-                else:
-                    terms = [(zero, _as_int(c))]
-                for key, value in terms:
-                    if value:
-                        if key not in rows:
-                            rows[key] = [0] * len(coeffs)
-                        rows[key][n] = value
+        """The series sum(coeffs[n] q^n), every coefficient an int (TypeError
+        otherwise) at the zero monomial of ``markers``; a series with
+        marker terms is built by :meth:`from_rows`."""
+        markers, coeffs = tuple(markers), list(map(_as_int, coeffs))
         self.markers, self.trunc = markers, trunc
-        self._rows, self._coeffs = _canonical(_checked(rows, trunc)), None
+        self._rows, self._coeffs = _canonical(_checked({(0,) * len(markers): coeffs}, trunc)), None
 
     @classmethod
     def from_rows(cls, rows: Mapping[tuple[int, ...], list[int]], trunc: int | None = None,
@@ -581,7 +450,7 @@ class QSeries:
         copied = {}
         for key, row in rows.items():
             key = tuple(key)
-            if len(key) != len(markers) or min(key, default=0) < 0:
+            if len(key) != len(markers) or not all(type(e) is int and e >= 0 for e in key):
                 raise ValueError(f"row key {key} is no exponent vector over {markers}")
             if not set(map(type, row)) <= {int}:
                 raise TypeError(f"integer coefficients expected in row {key}")
@@ -665,9 +534,6 @@ class QSeries:
         self._check_window(n)
         return self._marker_poly(n)
 
-    def coefficients(self, upto: int) -> list[MarkerPoly]:
-        return [self.coefficient(n) for n in range(upto + 1)]
-
     def monomial_rows(self, upto: int) -> dict[tuple[int, ...], list[int]]:
         """Coefficients of q^0..q^upto as fresh int lists, one per marker
         monomial with a nonzero coefficient there: the inverse of from_rows."""
@@ -681,7 +547,7 @@ class QSeries:
         self._check_window(upto)
         zero = (0,) * len(self.markers)
         if any(start <= upto for key, (start, _) in self._rows.items() if key != zero):
-            raise ValueError("series has marker terms; use coefficients()")
+            raise ValueError("series has marker terms; use monomial_rows()")
         return _fit(*self._rows.get(zero, (0, [])), max(upto + 1, 0))
 
     def is_zero_through(self, upto: int) -> bool:
@@ -801,7 +667,7 @@ class QSeries:
     def specialize(self, assignment: Mapping[str, int]) -> "QSeries":
         """Substitute integers for all markers; coefficients become constants."""
         self._check_assignment(assignment, "assignment")
-        values = [assignment[m] for m in self.markers]
+        values = [_as_int(assignment[m]) for m in self.markers]
         if not self._rows:
             return QSeries._make({}, self.trunc, ())
         least = min(start for start, _ in self._rows.values())
@@ -854,7 +720,7 @@ class QSeries:
     def __eq__(self, other) -> bool:
         if isinstance(other, QSeries) and other.markers == self.markers:
             return self.trunc == other.trunc and self._rows == other._rows
-        if isinstance(other, (int, MarkerPoly)) and not isinstance(other, bool):
+        if type(other) is int:
             other = _as_series(other)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -876,14 +742,13 @@ class QSeries:
             if n == 0:
                 pieces.append(str(c))
                 continue
-            qpart = "q" if n == 1 else f"q^{n}"
-            if c.is_one():
-                pieces.append(qpart)
-            elif len(c.terms) == 1:
-                s = str(c)
-                pieces.append(f"-{qpart}" if s == "-1" else f"{s}*{qpart}")
+            qpart, s = "q" if n == 1 else f"q^{n}", str(c)
+            if len(c.terms) > 1:
+                pieces.append(f"({s})*{qpart}")
+            elif s in ("1", "-1"):
+                pieces.append(qpart if s == "1" else f"-{qpart}")
             else:
-                pieces.append(f"({c})*{qpart}")
+                pieces.append(f"{s}*{qpart}")
         body = " + ".join(pieces).replace("+ -", "- ") if pieces else "0"
         if self.trunc is None:
             return body

@@ -56,3 +56,40 @@ def theta_sum(quad, lin, trunc, alternating=False):
         if e <= trunc:
             coeffs[e] += -1 if alternating and n % 2 else 1
     return coeffs
+
+
+# -- polynomials in markers: {exponent tuple: int} dicts with no zero entry --
+
+def poly_add(*polys):
+    """The sum of the polynomials."""
+    out = {}
+    for poly in polys:
+        for exps, c in poly.items():
+            out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def poly_mul(a, b):
+    """The product of two polynomials of one registry."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            out[exps] = out.get(exps, 0) + ca * cb
+    return poly_add(out)
+
+
+def poly_scale(poly, c):
+    """The polynomial times the int c."""
+    return poly_add({exps: c * x for exps, x in poly.items()})
+
+
+def poly_rows(coeffs):
+    """{exponent tuple: int list} for a list of polynomials, the one at index
+    n the coefficient of q^n: one row per monomial, as ``QSeries.from_rows``
+    reads them."""
+    rows = {}
+    for n, poly in enumerate(coeffs):
+        for exps, c in poly.items():
+            rows.setdefault(exps, [0] * len(coeffs))[n] = c
+    return rows

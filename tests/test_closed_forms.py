@@ -8,19 +8,18 @@ from qsip.closed_forms import (chu_vandermonde_check,
                                combined_row_formula, glasgow_closed,
                                glasgow_row_sums, gollnitz_closed, schur_closed)
 from qsip.qfactory import PochSpec, gaussian_binomial, poch_finite
-from qsip.series import MarkerPoly, QSeries
+from qsip.series import QSeries
 from qsip.sip import GLASGOW, GOLLNITZ_GORDON, SCHUR_REFINED, basis_table
 
 UV = ("u", "v")
-U, V = MarkerPoly.gens(UV)
 
 
 def um(exp, u_exp=0, v_exp=0, coeff=1):
-    return QSeries.monomial(exp, MarkerPoly(UV, {(u_exp, v_exp): coeff}),
-                            markers=UV)
+    """The exact monomial coeff u^u_exp v^v_exp q^exp."""
+    return QSeries.from_rows({(u_exp, v_exp): [0] * exp + [coeff]}, markers=UV)
 
 
-# -- references: the double sums as QSeries products of MarkerPoly terms ------
+# -- references: the double sums as QSeries products of monomial terms -------
 # They share no code with the int-row builders of qsip.closed_forms.
 
 def ref_shifted_binomial(exp, a, b, base):

@@ -12,7 +12,7 @@ from qsip.qfactory import CongruenceProductSpec, PochSpec
 from qsip.series import MarkerPoly, QSeries
 
 U = ("u",)
-MARKED = QSeries([MarkerPoly(U, {(1,): 1})], trunc=2, markers=U)
+MARKED = QSeries.from_rows({(1,): [1]}, trunc=2, markers=U)
 
 # (call, exception type, a fragment of its message)
 CHECKS = {
@@ -81,24 +81,30 @@ CHECKS = {
                             "must be integral and non-decreasing"),
     "_as_int float": (lambda: QSeries([1.5]), TypeError,
                       "integer coefficient expected, got 1.5"),
-    "_as_int bool": (lambda: MarkerPoly.const(True), TypeError,
+    "_as_int bool": (lambda: MarkerPoly(U, {(0,): True}), TypeError,
                      "integer coefficient expected, got True"),
     "MarkerPoly exponent": (lambda: MarkerPoly(U, {(-1,): 1}), ValueError,
                             "negative marker exponent"),
-    "MarkerPoly registries": (lambda: MarkerPoly(U) + MarkerPoly(("v",)), ValueError,
-                              "marker registries differ"),
-    "MarkerPoly power": (lambda: MarkerPoly(U) ** -1, ValueError,
-                         "negative powers are not defined"),
+    "MarkerPoly specialize float": (lambda: MarkerPoly(U, {(1,): 1}).specialize({"u": 0.5}),
+                                    TypeError, "integer coefficient expected, got 0.5"),
+    "MarkerPoly specialize bool": (lambda: MarkerPoly(U, {(1,): 1}).specialize({"u": True}),
+                                   TypeError, "integer coefficient expected, got True"),
     "from_rows trunc": (lambda: QSeries.from_rows({(): [1]}, trunc=-1), ValueError,
                         "truncation order must be non-negative"),
     "from_rows length": (lambda: QSeries.from_rows({(): [1, 2, 3]}, trunc=1), ValueError,
                          "3 coefficients exceed truncation order 1"),
     "from_rows key": (lambda: QSeries.from_rows({(1,): [1]}), ValueError,
                       "row key (1,) is no exponent vector"),
+    "from_rows key float": (lambda: QSeries.from_rows({(2.0,): [0, 1]}, markers=U), ValueError,
+                            "row key (2.0,) is no exponent vector"),
+    "from_rows key bool": (lambda: QSeries.from_rows({(True,): [1]}, markers=U), ValueError,
+                           "row key (True,) is no exponent vector"),
+    "from_rows key str": (lambda: QSeries.from_rows({("a",): [1]}, markers=U), ValueError,
+                          "row key ('a',) is no exponent vector"),
     "from_rows ints": (lambda: QSeries.from_rows({(): [1.5]}), TypeError,
                        "integer coefficients expected in row"),
-    "QSeries registry": (lambda: QSeries([MarkerPoly(("v",), {(1,): 1})], markers=U),
-                         ValueError, "does not match series registry"),
+    "QSeries registry": (lambda: QSeries([MarkerPoly(U, {(1,): 1})], markers=U),
+                         TypeError, "integer coefficient expected, got MarkerPoly(u)"),
     "QSeries registries": (lambda: MARKED + QSeries([1], markers=("v",)), ValueError,
                            "marker registries differ: ('u',) vs ('v',)"),
     "monomial exponent": (lambda: QSeries.monomial(-1), ValueError,
@@ -111,6 +117,11 @@ CHECKS = {
                  "truncation order must be non-negative"),
     "specialize": (lambda: MARKED.specialize({}), ValueError,
                    "assignment missing markers ['u']"),
+    "specialize float": (
+        lambda: QSeries.from_rows({(1,): [0, 1, 2]}, 4, U).specialize({"u": 0.5}),
+        TypeError, "integer coefficient expected, got 0.5"),
+    "specialize bool": (lambda: MARKED.specialize({"u": True}), TypeError,
+                        "integer coefficient expected, got True"),
     "enumerate_basis n_parts": (lambda: sip.enumerate_basis(sip.NATURAL, 0, 5), ValueError,
                                 "n_parts must be at least 1"),
     "SipDecomposition": (lambda: sip.SipDecomposition((1,), ()), ValueError,
@@ -134,10 +145,13 @@ def test_failure_reports_and_odd_operands():
     assert ConcordanceResult("x", 5, False, 3, None).summary() == (
         "x (totals <= 5): FAIL (vs lhs at 3, vs rhs at None)")
     assert not QSeries([0, 1]).is_zero_through(1)
-    # constants compare across marker registries; anything else does not
-    assert MarkerPoly.const(2, U) == MarkerPoly.const(2)
-    assert MarkerPoly(U) == MarkerPoly()
-    assert MarkerPoly.const(2, U) != MarkerPoly.const(3)
-    assert MarkerPoly(U, {(1,): 2}) != MarkerPoly.const(2)
-    assert MarkerPoly.const(1, U) != MarkerPoly.const(1, ("v",))
-    assert MarkerPoly.const(1) != "1"
+    # a coefficient equals one of its own registry with its terms, or the
+    # int that is its constant; no two registries compare equal
+    assert MarkerPoly(U, {(0,): 2}) == 2 and MarkerPoly(U) == 0 and MarkerPoly() == 0
+    assert MarkerPoly(U, {(0,): 2}) != MarkerPoly((), {(): 2})
+    assert MarkerPoly(U) != MarkerPoly()
+    assert MarkerPoly(U, {(0,): 2}) != 3
+    assert MarkerPoly(U, {(1,): 2}) != 2
+    assert MarkerPoly(U, {(0,): 1}) != MarkerPoly(("v",), {(0,): 1})
+    assert MarkerPoly((), {(): 1}) != "1"
+    assert MarkerPoly((), {(): 1}).__eq__(True) is NotImplemented

@@ -107,7 +107,7 @@ class TestEnumerate:
         # forced out, partitions of 9 are counted by the min_diff=1 class
         hits = [p for p in enumerate_ncopies(9, min_diff=1) if copy_total(p) == 9]
         series = ncopies_gf(1, 9)
-        assert len(hits) == series.coefficient(9).constant_value()
+        assert len(hits) == series.int_coefficients(9)[9]
 
 
 class TestBaseChains:

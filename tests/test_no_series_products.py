@@ -1,10 +1,11 @@
 """No builder of the package multiplies or inverts a series.
 
-Every product is applied factor by factor to int lists, so the dense
-``QSeries.__mul__`` and ``QSeries.inverse`` stay public API and the tests'
-references only.  With both refused, every registry side and oracle, every
-SIP table and generating function, the closed forms, the lemma checks, the
-chain tables, ``verify_sip`` and each CLI subcommand must still run.
+Every product, marked or not, is applied factor by factor to int lists,
+so the dense ``QSeries.__mul__`` and ``QSeries.inverse`` stay public API,
+read only by the tests' references and the benchmark's span counters.
+With both refused, every registry side and oracle, every SIP table and
+generating function, the closed forms, the lemma checks, the chain tables,
+``verify_sip`` and each CLI subcommand must still run.
 """
 
 import pytest

@@ -12,7 +12,6 @@ import reference
 from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions,
                              grow, grow_leaves, in_sip_class)
 from qsip.qfactory import PochSpec, poch_infinite
-from qsip.series import MarkerPoly
 from qsip.sip import GLASGOW, GOLLNITZ_GORDON, SCHUR
 
 UV = ("u", "v")
@@ -216,7 +215,7 @@ class TestSipPredicate:
         ((1,), (0, 1)),                 # an exponent vector of the wrong arity
         ((1, 0), (0, 1, 0)),
         ((1, -1), (0, 1)),              # a negative exponent
-        (MarkerPoly.gens(UV)[0], (0, 1)),  # a polynomial, not its exponents
+        ({(1, 0): 1}, (0, 1)),          # a polynomial, not its exponents
         ((True, 0), (0, 1)),            # a bool is no exponent
         ((1.0, 0), (0, 1)),             # nor is a float
         ([1, 0], (0, 1)),               # a vector is a tuple

@@ -9,7 +9,9 @@ into another in place (a slice assigned from a ``map(...)`` call); it
 calls the row kernels of ``series.py`` (``_sum_rows``, ``_add_product``).
 Nor does any other module put zeros before a row (``[0] * n + row``): a
 stored row starts at its first nonzero, so a builder hands ``_make`` the
-pair (start, row) instead.
+pair (start, row) instead.  Nor does any other module name ``MarkerPoly``:
+it is a read-only view of one coefficient, built in ``series.py`` by
+``QSeries._marker_poly`` alone, with no arithmetic of its own.
 """
 
 import ast
@@ -64,6 +66,36 @@ def zero_prefixes(tree: ast.AST) -> list[int]:
             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and zeros(node.left)]
 
 
+def marker_poly_calls(tree: ast.AST) -> list[str]:
+    """Where each ``MarkerPoly(...)`` call sits: the dotted names of the
+    classes and functions around it, "" at module level."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Call) and "MarkerPoly" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def members(cls: ast.ClassDef) -> set[str]:
+    """Every name a class body defines or assigns."""
+    out = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {target.id for target in targets if isinstance(target, ast.Name)}
+    return out
+
+
 def sources() -> dict[str, ast.AST]:
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted(SRC.glob("*.py"))}
@@ -85,6 +117,11 @@ def test_detector_flags_each_form():
                      "d = [1] + [0] * n\ne = [0] * n\nacc[:0] = [0] * k\nf = [0, 0] + r\n"
                      "g = [1] * n + r\nh = row + [0] * n + [1]\n")
     assert sorted(zero_prefixes(tree)) == [1, 2, 3]
+    tree = ast.parse("class A:\n    x = MarkerPoly(m)\n    __radd__ = __add__\n"
+                     "    def f(self):\n        return series.MarkerPoly(m, t)\n"
+                     "def g(p):\n    return MarkerPoly.specialize(p, {})\nMarkerPoly()\n")
+    assert marker_poly_calls(tree) == ["A", "A.f", ""]
+    assert members(tree.body[0]) == {"x", "__radd__", "f"}
 
 
 def test_private_names_come_only_from_series():
@@ -114,3 +151,14 @@ def test_only_series_builds_zero_prefixes():
     found = {name: zero_prefixes(tree) for name, tree in sources().items()}
     assert found["series.py"]
     assert {name: lines for name, lines in found.items() if lines and name != "series.py"} == {}
+
+
+def test_marker_poly_is_a_read_only_view():
+    trees = sources()
+    assert [name for name, tree in trees.items() if "MarkerPoly" in names(tree)] == ["series.py"]
+    assert marker_poly_calls(trees["series.py"]) == ["QSeries._marker_poly"]
+    (cls,) = [node for node in trees["series.py"].body
+              if isinstance(node, ast.ClassDef) and node.name == "MarkerPoly"]
+    # no arithmetic: no __add__, __mul__, __sub__, __neg__ or __pow__
+    assert members(cls) == {"__slots__", "__init__", "specialize", "__eq__",
+                            "_term_str", "__str__", "__repr__"}

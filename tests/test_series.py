@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from qsip import catalog
 from qsip.closed_forms import combined_row_formula, schur_closed
 from qsip.partitions import counting_series, enumerate_partitions
@@ -17,7 +18,12 @@ from qsip.series import (MarkerPoly, NonUnitConstantTerm, QSeries,
 from qsip.sip import SCHUR_REFINED, basis_table, count_class
 
 UV = ("u", "v")
-U, V = MarkerPoly.gens(UV)
+ONE, U, V = {(0, 0): 1}, {(1, 0): 1}, {(0, 1): 1}
+
+
+def marked(coeffs, trunc=None):
+    """The (u, v) series whose coefficient of q^n is the polynomial coeffs[n]."""
+    return QSeries.from_rows(reference.poly_rows(coeffs), trunc, UV)
 
 
 def geometric(trunc):
@@ -31,27 +37,21 @@ class TestMarkerPoly:
         # keys that are equal as tuples merge, and cancel when their sum is zero
         assert MarkerPoly(UV, {(1, 0): 2, range(1, -1, -1): 3}).terms == {(1, 0): 5}
         assert MarkerPoly(UV, {(1, 0): 2, range(1, -1, -1): -2}).terms == {}
-        assert (bool(MarkerPoly(UV)), bool(U - U), bool(p)) == (False, False, True)
+        assert MarkerPoly(UV).terms == {}
 
     def test_arity_checked(self):
         with pytest.raises(ValueError):
             MarkerPoly(UV, {(1,): 1})
 
-    def test_arithmetic(self):
-        assert (U + V) * (U - V) == U * U - V * V
-        assert (U + 1) * (U + 1) == U**2 + 2 * U + 1
-        assert U - U == 0
-        assert (5 - (U + 2)).terms == {(0, 0): 3, (1, 0): -1}
-
     def test_specialize(self):
-        p = 3 * U * V + 2 * U + 1
+        p = MarkerPoly(UV, {(1, 1): 3, (1, 0): 2, (0, 0): 1})
         assert p.specialize({"u": 2, "v": 5}) == 30 + 4 + 1
         with pytest.raises(ValueError):
             p.specialize({"u": 2})
 
     def test_str(self):
-        assert str(2 * U * V**2 - 1) in ("-1 + 2*u*v^2", "2*u*v^2 - 1")
-        assert str(MarkerPoly(UV)) == str(U - U) == "0"
+        assert str(MarkerPoly(UV, {(1, 2): 2, (0, 0): -1})) in ("-1 + 2*u*v^2", "2*u*v^2 - 1")
+        assert str(MarkerPoly(UV)) == "0"
 
 
 class TestAdd:
@@ -93,13 +93,13 @@ class TestMul:
             assert one_minus_q * geometric(t) == QSeries.one(t)
 
     def test_bivariate_expansion(self):
-        a = QSeries.one(markers=UV) + QSeries.monomial(1, U, markers=UV)
-        b = QSeries.one(markers=UV) + QSeries.monomial(2, V, markers=UV)
+        a = QSeries.one(markers=UV) + marked([{}, U])
+        b = QSeries.one(markers=UV) + marked([{}, {}, V])
         prod = a * b
         assert prod.coefficient(0) == 1
-        assert prod.coefficient(1) == U
-        assert prod.coefficient(2) == V
-        assert prod.coefficient(3) == U * V
+        assert prod.coefficient(1).terms == U
+        assert prod.coefficient(2).terms == V
+        assert prod.coefficient(3).terms == {(1, 1): 1}
 
     def test_polynomial_does_not_clip(self):
         poly = QSeries([1, 1])  # exact 1 + q
@@ -162,18 +162,15 @@ class TestCoefficient:
 
 class TestSpecialize:
     def test_kill_marker(self):
-        s = QSeries.one(3, markers=("u",)) + QSeries.monomial(1, MarkerPoly.gens(("u",))[0],
-                                                              markers=("u",))
+        s = QSeries.one(3, markers=("u",)) + QSeries.from_rows({(1,): [0, 1]}, markers=("u",))
         assert s.specialize({"u": 1}) == QSeries([1, 1, 0, 0], trunc=3)
 
     def test_partial_kill(self):
-        s = (QSeries.monomial(1, U, markers=UV)
-             + QSeries.monomial(2, V, markers=UV)
-             + QSeries.monomial(3, U * V, markers=UV))
+        s = marked([{}, U]) + marked([{}, {}, V]) + marked([{}, {}, {}, {(1, 1): 1}])
         assert s.specialize({"u": 1, "v": 0}) == QSeries.monomial(1)
 
     def test_marker_coefficient(self):
-        s = QSeries.monomial(3, 2 * U * V + V, markers=UV, trunc=4)
+        s = marked([{}, {}, {}, {(1, 1): 2, (0, 1): 1}], 4)
         assert s.marker_coefficient({"u": 1, "v": 1}) == QSeries.monomial(3, 2, trunc=4)
 
     def test_registry_mismatch_rejected(self):
@@ -191,7 +188,7 @@ class TestDisplay:
         assert str(QSeries.zero(3)) == "0 + O(q^4)"
 
     def test_marked_coefficients(self):
-        s = QSeries([0, -U, 2 * U, V + U], trunc=4, markers=UV)
+        s = marked([{}, {(1, 0): -1}, {(1, 0): 2}, {(0, 1): 1, (1, 0): 1}], 4)
         assert str(s) == "-u*q + 2*u*q^2 + (v + u)*q^3 + O(q^5)"
 
 
@@ -239,7 +236,7 @@ def test_ring_axioms(triple):
 def test_identities_and_inverse(s):
     assert QSeries.one() * s == s
     assert QSeries.zero() + s == s
-    unit = QSeries([1] + list(s.coeffs[1:]), trunc=s.trunc)
+    unit = QSeries([1] + s.int_coefficients(s.trunc)[1:], trunc=s.trunc)
     assert unit * unit.inverse() == QSeries.one(s.trunc)
 
 
@@ -248,10 +245,9 @@ def test_identities_and_inverse(s):
 def test_convolution_matches_schoolbook(triple):
     a, b, _ = triple
     prod = a * b
+    ca, cb = a.int_coefficients(a.trunc), b.int_coefficients(b.trunc)
     for n in range(prod.trunc + 1):
-        direct = sum(
-            (a.coefficient(i) * b.coefficient(n - i)).constant_value()
-            for i in range(n + 1))
+        direct = sum(ca[i] * cb[n - i] for i in range(n + 1))
         assert prod.coefficient(n) == direct
 
 
@@ -271,8 +267,8 @@ def kernel_case(draw, polynomials=True):
     c = 1 or -1; truncated or, if allowed, an exact polynomial."""
     base = draw(small_series())
     trunc = None if polynomials and draw(st.booleans()) else base.trunc
-    series = QSeries(base.coeffs, trunc=trunc)
-    return series, draw(st.sampled_from([1, -1])), series.int_coefficients(len(base.coeffs) - 1)
+    coeffs = base.int_coefficients(base.trunc)
+    return QSeries(coeffs, trunc=trunc), draw(st.sampled_from([1, -1])), coeffs
 
 
 def two_term(series, c, e):
@@ -306,7 +302,7 @@ def test_kernel_rejects_non_unit_division():
             binomial_factor([1, 0, 0], 1, e, power)
 
 
-@pytest.mark.parametrize("c", [0, 2, -3, True, 1.0, U, MarkerPoly.unit()])
+@pytest.mark.parametrize("c", [0, 2, -3, True, 1.0, MarkerPoly(UV, U), MarkerPoly((), {(): 1})])
 def test_kernel_takes_only_unit_c(c):
     for power in (1, -1):
         coeffs = [1, 2, 3]
@@ -421,12 +417,16 @@ def test_sum_rows_matches_dense_sum(case):
         assert all(out is not row for _, row in rows)
 
 
-# -- the int-row core against a MarkerPoly schoolbook reference ---------------
+# -- the int-row core against a polynomial schoolbook reference --------------
 #
-# A drawn operand is (coefficient list, trunc, markers): the list holds ints
-# and, in the (u, v) registry, MarkerPoly values; it may be shorter than
-# trunc + 1 and a polynomial's may end in zeros.  The reference reads the list
-# directly and computes with MarkerPoly + and * only.
+# A drawn operand is (coefficient list, trunc, markers): each coefficient is
+# a polynomial keyed by (u, v) exponents, marker-free in the registry (); the
+# list may be shorter than trunc + 1 and a polynomial's may end in zeros.
+# The reference reads the list directly and computes with the polynomial
+# helpers of tests/reference.py only.
+
+MONOMIALS = [ONE, U, V, {(1, 1): 1}, {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}]
+
 
 @st.composite
 def operand(draw):
@@ -434,8 +434,8 @@ def operand(draw):
     trunc = draw(st.one_of(st.none(), st.integers(0, 8)))
     size = draw(st.integers(0, 9 if trunc is None else trunc + 1))
     ints = st.one_of(st.just(0), coeff_ints)
-    monomials = st.sampled_from([1, U, V, U * V, U + V, U - V] if markers else [1])
-    coeffs = [draw(ints) * draw(monomials) for _ in range(size)]
+    monomials = st.sampled_from(MONOMIALS if markers else [ONE])
+    coeffs = [reference.poly_scale(draw(monomials), draw(ints)) for _ in range(size)]
     return coeffs, trunc, markers
 
 
@@ -449,21 +449,23 @@ def operand_pair(draw):
     coeffs, trunc, markers = a
     coeffs = list(coeffs)
     if coeffs and draw(st.booleans()):
-        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(st.sampled_from([1, -1, U]))
-    markers = UV if any(isinstance(c, MarkerPoly) for c in coeffs) else markers
+        n = draw(st.integers(0, len(coeffs) - 1))
+        coeffs[n] = reference.poly_add(coeffs[n], draw(st.sampled_from([ONE, {(0, 0): -1}, U])))
+    markers = UV if any(exps != (0, 0) for c in coeffs for exps in c) else markers
     return a, (coeffs, draw(st.one_of(st.none(), st.just(trunc))), markers)
 
 
 def build(case):
     coeffs, trunc, markers = case
-    return QSeries(coeffs, trunc=trunc, markers=markers)
+    polys = [ref_coeff(case, n, markers) for n in range(len(coeffs))]
+    return QSeries.from_rows(reference.poly_rows(polys), trunc, markers)
 
 
 def ref_coeff(case, n, markers):
-    """The coefficient of q^n as a MarkerPoly in ``markers``, the registry of
-    the operands compared or combined; an int becomes a constant there."""
-    c = case[0][n] if n < len(case[0]) else 0
-    return c if isinstance(c, MarkerPoly) else MarkerPoly.const(c, markers)
+    """The coefficient of q^n as a polynomial in ``markers``, the registry of
+    the operands compared or combined: keyed by () when marker-free."""
+    c = case[0][n] if n < len(case[0]) else {}
+    return c if markers else {(): x for x in c.values()}
 
 
 def ref_trunc(*cases):
@@ -472,16 +474,17 @@ def ref_trunc(*cases):
 
 
 def assert_matches(got, trunc, markers, expected):
-    """got has the given trunc and registry, coefficient(n) equals expected[n]
-    through its window, and its stored coefficients are in canonical form:
-    every stored row, truncated or not, starts and ends in a nonzero entry."""
+    """got has the given trunc and registry, coefficient(n) has the terms
+    expected[n] through its window, and its stored coefficients are in
+    canonical form: every stored row, truncated or not, starts and ends in a
+    nonzero entry."""
     assert got.trunc == trunc and got.markers == markers
     assert all(row[0] and row[-1] for _, row in got._rows.values())
     for n, c in enumerate(expected):
-        assert got.coefficient(n) == c, n
+        assert got.coefficient(n).terms == c, n
     if trunc is None:
         assert all(got.coefficient(n) == 0 for n in range(len(expected), len(expected) + 3))
-        assert not got.coeffs or not got.coeffs[-1].is_zero()
+        assert not got.coeffs or got.coeffs[-1].terms
     else:
         assert len(expected) == len(got.coeffs) == trunc + 1
         with pytest.raises(TruncationExceeded):
@@ -499,10 +502,12 @@ def test_add_sub_match_reference(pair):
     trunc = ref_trunc(a, b)
     top = trunc if trunc is not None else max(len(a[0]), len(b[0])) - 1
     reg = registry(a, b)
+    add, scale = reference.poly_add, reference.poly_scale
     assert_matches(build(a) + build(b), trunc, reg,
-                   [ref_coeff(a, n, reg) + ref_coeff(b, n, reg) for n in range(top + 1)])
+                   [add(ref_coeff(a, n, reg), ref_coeff(b, n, reg)) for n in range(top + 1)])
     assert_matches(build(a) - build(b), trunc, reg,
-                   [ref_coeff(a, n, reg) - ref_coeff(b, n, reg) for n in range(top + 1)])
+                   [add(ref_coeff(a, n, reg), scale(ref_coeff(b, n, reg), -1))
+                    for n in range(top + 1)])
 
 
 @given(operand_pair())
@@ -514,10 +519,9 @@ def test_mul_matches_reference(pair):
     reg = registry(a, b)
     expected = []
     for n in range(top + 1):
-        total = MarkerPoly.const(0, reg)
-        for i in range(n + 1):
-            total = total + ref_coeff(a, i, reg) * ref_coeff(b, n - i, reg)
-        expected.append(total)
+        expected.append(reference.poly_add(*(
+            reference.poly_mul(ref_coeff(a, i, reg), ref_coeff(b, n - i, reg))
+            for i in range(n + 1))))
     assert_matches(build(a) * build(b), trunc, reg, expected)
 
 
@@ -525,14 +529,13 @@ def test_mul_matches_reference(pair):
 @settings(max_examples=100)
 def test_inverse_matches_reference(case, t):
     coeffs, trunc, markers = case
-    case = ([1] + coeffs[1:], trunc, markers)
+    case = ([ONE] + coeffs[1:], trunc, markers)
     eff = t if trunc is None else min(trunc, t)
-    inv = [MarkerPoly.unit(markers)]
+    inv = [ref_coeff(case, 0, markers)]
     for n in range(1, eff + 1):
-        acc = MarkerPoly(markers)
-        for i in range(1, n + 1):
-            acc = acc + ref_coeff(case, i, markers) * inv[n - i]
-        inv.append(-acc)
+        acc = reference.poly_add(*(reference.poly_mul(ref_coeff(case, i, markers), inv[n - i])
+                                   for i in range(1, n + 1)))
+        inv.append(reference.poly_scale(acc, -1))
     assert_matches(build(case).inverse(t), eff, markers, inv)
 
 
@@ -562,10 +565,10 @@ def test_difference_with_itself_is_zero(case):
 
 
 def test_cancelled_rows_leave_canonical_form():
-    uq = QSeries.monomial(1, U, markers=UV)
+    uq = marked([{}, U])
     assert uq - uq == QSeries.zero(markers=UV)
     assert str(uq - uq) == "0" and (uq - uq).coeffs == ()
-    poly = QSeries([1, U, 3 * V], markers=UV) - QSeries([0, U, 3 * V], markers=UV)
+    poly = marked([ONE, U, {(0, 1): 3}]) - marked([{}, U, {(0, 1): 3}])
     assert poly == QSeries.one(markers=UV) and len(poly.coeffs) == 1
     assert (QSeries([1, 2, 3]) - QSeries([0, 0, 3])).int_coefficients(3) == [1, 2, 0, 0]
 
@@ -575,7 +578,7 @@ def test_exact_zero_is_shared_and_unchanged():
     assert z is QSeries.zero() and z is _shifted(7, ()) and z is _shifted(3, None)
     assert QSeries.zero(markers=UV) is QSeries.zero(markers=UV) is not z
     assert QSeries.zero(3) is not QSeries.zero(3)
-    x = QSeries([1, 2 * U, 3], trunc=6, markers=UV)
+    x = marked([ONE, {(1, 0): 2}, {(0, 0): 3}], 6)
     assert z + x == x and z - x == -x and z * x == QSeries.zero(6, UV)
     assert z.coeffs == () and z.truncate(5) == QSeries.zero(5)
     assert str(z) == "0"
@@ -584,12 +587,12 @@ def test_exact_zero_is_shared_and_unchanged():
 
 
 def reference_eq(a, b):
-    """QSeries.__eq__ by its general path through public reads: an int or
-    MarkerPoly (not a bool) is a constant series, anything else that is no
-    series is NotImplemented, two marked registries that differ are
+    """QSeries.__eq__ by its general path through public reads: an int (not
+    a bool) is a constant series, anything else that is no series, a
+    MarkerPoly too, is NotImplemented, two marked registries that differ are
     unequal, and a marker-free side is re-keyed into the other's."""
-    if isinstance(b, (int, MarkerPoly)) and not isinstance(b, bool):
-        b = QSeries([b], markers=getattr(b, "markers", ()))
+    if type(b) is int:
+        b = QSeries([b])
     if not isinstance(b, QSeries):
         return NotImplemented
     if a.markers and b.markers and a.markers != b.markers:
@@ -607,19 +610,20 @@ def reference_eq(a, b):
 
 def test_equality_fast_path_matches_general_path():
     plain = QSeries([1, 2, 0, 3])
-    marked = QSeries([1, 2, 0, 3], markers=UV)
+    uv_plain = QSeries([1, 2, 0, 3], markers=UV)
     pairs = [
         (plain, QSeries([1, 2, 0, 3])), (plain, QSeries([1, 2])),
         (QSeries([1, 2], trunc=4), QSeries([1, 2], trunc=4)),
         (QSeries([1, 2], trunc=4), QSeries([1, 2], trunc=5)),
         (QSeries([1, 2], trunc=4), QSeries([1, 2])),
-        (plain, marked), (marked, plain), (QSeries([1, U], markers=UV), QSeries([1])),
+        (plain, uv_plain), (uv_plain, plain), (marked([ONE, U]), QSeries([1])),
         (QSeries.zero(markers=UV), QSeries.zero()), (QSeries.zero(), QSeries.zero(markers=UV)),
-        (QSeries([U], markers=UV), QSeries([MarkerPoly.gens(("u",))[0]], markers=("u",))),
+        (marked([U]), QSeries.from_rows({(1,): [1]}, markers=("u",))),
         (QSeries.zero(markers=("u",)), QSeries.zero(markers=("v",))),
         (QSeries([3]), 3), (QSeries([3], markers=UV), 3), (QSeries.zero(), 0), (QSeries([3]), 4),
-        (QSeries([1, 2]), 1), (QSeries([U], markers=UV), U), (QSeries([1], markers=UV), 1 + 0 * U),
-        (QSeries([3]), MarkerPoly.const(3)), (QSeries([3], markers=("u",)), U),
+        (QSeries([1, 2]), 1), (marked([U]), MarkerPoly(UV, U)),
+        (QSeries([1], markers=UV), MarkerPoly(UV, ONE)),
+        (QSeries([3]), MarkerPoly((), {(): 3})), (QSeries([3], markers=("u",)), MarkerPoly(UV, U)),
         (QSeries([1]), True), (QSeries.zero(), False), (QSeries([1], trunc=0), True),
         (plain, "q"), (plain, [1, 2, 0, 3]), (plain, None),
     ]
@@ -653,7 +657,7 @@ def test_handed_out_lists_are_copies():
         rows = m.monomial_rows(3)
         assert rows == {(0, 0): [1, 0, 0, 0], (1, 0): [0, 2, 0, 0]}
         rows[(1, 0)][1] = 9
-        assert m == QSeries([1, 2 * U], trunc=trunc, markers=UV)
+        assert m == marked([ONE, {(1, 0): 2}], trunc)
 
 
 def test_huge_truncation_costs_only_the_stored_rows():
@@ -714,7 +718,7 @@ def test_marked_builders_build_no_marker_poly(marker_polys_built):
     rows += [combined_row_formula(n, h) for n in range(1, 9) for h in range(-1, 12)]
     assert marker_polys_built == []
     assert all(row.markers == UV for row in rows)
-    assert table.entry(1, 3) == QSeries.monomial(3, U * V, markers=UV)
+    assert table.entry(1, 3) == marked([{}, {}, {}, {(1, 1): 1}])
     assert counted.markers == UV and counted.trunc == 30
 
 
@@ -768,7 +772,7 @@ def ref_str(dense, trunc, markers):
     for n in range(ref_top(dense)):
         c = ref_at(dense, n, markers)
         text = str(c)
-        if c.is_zero():
+        if not c.terms:
             continue
         q = "q" if n == 1 else f"q^{n}"
         if n == 0:
@@ -823,7 +827,7 @@ def test_placed_rows_match_dense_reference(case, upto):
         upto = min(upto, trunc)
     size = max(upto + 1, 0)
     rows = {key: (row + [0] * size)[:size] for key, row in dense.items() if any(row[:size])}
-    nonzero = [n for n in range(ref_top(dense)) if not ref_at(dense, n, markers).is_zero()]
+    nonzero = [n for n in range(ref_top(dense)) if ref_at(dense, n, markers).terms]
     for s in built:
         assert_dense(s, dense, trunc, markers)
         assert [s.coefficient(n) for n in range(size)] == \

@@ -17,7 +17,7 @@ from qsip.partitions import (SipClassSpec, counting_series, enumerate_partitions
                              grow_leaves, in_sip_class)
 from qsip.qfactory import (CongruenceProductSpec, PochSpec, congruence_product, poch_finite,
                            poch_infinite)
-from qsip.series import MarkerPoly, QSeries
+from qsip.series import QSeries
 from qsip.sip import (GLASGOW, GOLLNITZ_GORDON, DISTINCT, NATURAL,
                       ROGERS_RAMANUJAN, SCHUR, SCHUR_REFINED, SPEC_REGISTRY,
                       InsufficientTableDepth, NotInClass, SipDecomposition,
@@ -71,10 +71,10 @@ def reached(root):
 
 
 def weight_of(spec, parts):
-    """The product of the parts' weights, as a MarkerPoly monomial."""
-    w = MarkerPoly.unit(spec.markers)
+    """The product of the parts' weights, as its exponent vector."""
+    w = (0,) * len(spec.markers)
     for p in parts:
-        w = w * MarkerPoly(spec.markers, {spec.weight(p): 1})
+        w = tuple(map(add, w, spec.weight(p)))
     return w
 
 
@@ -485,8 +485,7 @@ class TestBasisTable:
         assert tbl.entry(1, 1) == QSeries.monomial(1)
         assert tbl.entry(1, 2) == QSeries.monomial(2)
         schur = basis_table(SCHUR_REFINED, 2, 20)
-        u, v = MarkerPoly.gens(("u", "v"))
-        assert schur.entry(1, 3) == QSeries.monomial(3, u * v, markers=("u", "v"))
+        assert schur.entry(1, 3) == QSeries.from_rows({(1, 1): [0, 0, 0, 1]}, markers=("u", "v"))
 
     def test_glasgow_two_part_row(self):
         tbl = basis_table(GLASGOW, 2, 20)
@@ -508,8 +507,8 @@ class TestBasisTable:
         for n in range(1, 9):
             grouped: dict[int, QSeries] = {}
             for parts in enumerate_basis(spec, n, h_max):
-                mono = QSeries.monomial(sum(parts), weight_of(spec, parts),
-                                        markers=spec.markers)
+                mono = QSeries.from_rows({weight_of(spec, parts): [0] * sum(parts) + [1]},
+                                         markers=spec.markers)
                 h = parts[-1]
                 grouped[h] = grouped.get(h, QSeries.zero(markers=spec.markers)) + mono
             for h in range(1, h_max + 1):
