@@ -98,7 +98,7 @@ from . import ncopies as nc
 from .partitions import count_gordon
 from .qfactory import (CongruenceProductSpec, PochSpec, andrews_gordon_sum,
                        eta_theta_product, poch_product, series_sum)
-from .series import QSeries, _add_product, _convolve_into, _nested_sum
+from .series import QSeries, _convolve_into, _nested_sum, _sum_rows
 from .sip import (DISTINCT, GLASGOW, GOLLNITZ_GORDON, NATURAL, ROGERS_RAMANUJAN,
                   SCHUR_REFINED, class_gf, count_class)
 
@@ -323,7 +323,7 @@ def telescope_check(n_max: int, trunc: int) -> TelescopeResult:
             _convolve_into(term, row, carried, offset)
             if n + 1 < len(terms):
                 carried = _nested_sum([None, (0, carried)], [factors[n]], trunc)[1]
-        _add_product(partial, 0, term)
+        partial = _sum_rows([(0, partial), (0, term)], 1, trunc)[1]
         if n == 0:
             continue
         previous = closed[:]

@@ -30,8 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qfactory import PochSpec, binomial_row
-from .series import (QSeries, _add_product, _convolve_into, _nested_sum, _product_row,
-                     _shifted, _sum_exact)
+from .series import QSeries, _convolve_into, _nested_sum, _product_row, _shifted, _sum_exact
 
 SCHUR_MARKERS = ("u", "v")
 
@@ -199,14 +198,15 @@ def chu_vandermonde_check(r: int, s: int, n: int) -> bool:
     """
     if r < 0 or n < 0 or s < 1:
         raise ValueError("requires r, n >= 0 and s >= 1")
-    lhs: list[int] = []
+    terms = []
     for h in range(0, r + 1):
         left = binomial_row(s - 1, h, base=3)
         right = binomial_row(n + 1, r - h, base=3)
         if left and right:
-            _add_product(lhs, 3 * h * h + 3 * h * (n + 1 - r), left, right)
-    # no term cancels, so both sides are rows through their degree
-    return tuple(lhs) == binomial_row(n + s, r, base=3)
+            terms.append((3 * h * h + 3 * h * (n + 1 - r), _product_row(left, right)))
+    # no term cancels, so both sides are rows from q^0 through their degree
+    lhs = _sum_exact({(): terms})[()] if terms else (0, [])
+    return lhs == (0, list(binomial_row(n + s, r, base=3)))
 
 
 def chu_vandermonde_series_check(r: int, s: int, trunc: int) -> bool:

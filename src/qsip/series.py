@@ -20,10 +20,10 @@ to ``QSeries._make``, either as lists from q^0, whose leading zeros it
 moves into the start, or as (start, row) pairs, and it checks only the
 truncation order and trims the lists in place.  This module alone knows
 the canonical row form and the row kernels ``_convolve_into``,
-``_add_product``, ``_shifted``, ``_sum_rows`` (every other add of int rows,
-with ``_sum_exact`` for exact polynomials and ``_rows_through``, the one
-read-out of stored rows) and ``_nested_sum``, the inside-out sum under every
-q-series sum in the package.
+``_product_row``, ``_shifted``, ``_sum_rows`` (the sum of int rows at their
+starts, with ``_sum_exact`` for exact polynomials and ``_rows_through``, the
+one read-out of stored rows) and ``_nested_sum``, the inside-out sum under
+every q-series sum in the package.
 
 A :class:`QSeries` is either truncated or exact:
 
@@ -35,18 +35,17 @@ Either way each row starts at its first nonzero coefficient and ends at
 its last.  Only the dense read-outs (``coeffs``, ``monomial_rows``, ``int_coefficients``, ``inverse``)
 take time in ``trunc``; each allocates its output first.
 
-Binary operations meet at the weaker guarantee: the result truncation is the
-minimum of the operands' truncations, with None acting as infinity.  This
-keeps the truncation contract hard: no operation ever reports a coefficient
-it cannot vouch for.
+Binary operations take two series, never an int, and meet at the weaker
+guarantee: the result truncation is the minimum of the operands'
+truncations, with None acting as infinity.  This keeps the truncation
+contract hard: no operation ever reports a coefficient it cannot vouch for.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import compress, count, repeat
-from operator import add, itemgetter, mul, ne, neg, sub
+from operator import add, itemgetter, mul, ne, sub
 from typing import Iterable, Mapping
 
 
@@ -58,9 +57,10 @@ class NonUnitConstantTerm(Exception):
     """Series inversion requires the constant term to be exactly 1."""
 
 
-def _as_int(value) -> int:
+def _as_int(value, what: str = "coefficient") -> int:
+    """``value`` if it is an int; anything else, a bool too, raises TypeError."""
     if type(value) is not int:
-        raise TypeError(f"integer coefficient expected, got {value!r}")
+        raise TypeError(f"integer {what} expected, got {value!r}")
     return value
 
 
@@ -88,6 +88,8 @@ class MarkerPoly:
                     raise ValueError(
                         f"exponent vector {exps} does not match marker registry {markers}"
                     )
+                if not set(map(type, exps)) <= {int}:
+                    raise TypeError(f"integer marker exponents expected in {exps}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative marker exponent in {exps}")
                 coeff = _as_int(coeff)
@@ -264,10 +266,11 @@ def _canonical(rows: dict) -> dict:
 
 
 def _checked(rows: dict, trunc: int | None) -> dict:
-    """``rows`` as they are; a negative ``trunc`` or a row of more than
-    ``trunc + 1`` entries raises ValueError."""
+    """``rows`` as they are; a ``trunc`` that is neither None nor an int
+    raises TypeError, a negative one or a row of more than ``trunc + 1``
+    entries ValueError."""
     if trunc is not None:
-        if trunc < 0:
+        if _as_int(trunc, "truncation order") < 0:
             raise ValueError("truncation order must be non-negative")
         for row in rows.values():
             if len(row) > trunc + 1:
@@ -297,16 +300,6 @@ def _product_row(*factors) -> list[int]:
         _convolve_into(out, prod, row)
         prod = out
     return prod
-
-
-def _add_product(acc: list[int], exp: int, *factors) -> None:
-    """Add q^exp times the product of the int rows ``factors`` (lists or
-    tuples) into acc, growing it as needed."""
-    prod = _product_row(*factors)
-    end = exp + len(prod)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[exp:end] = map(add, acc[exp:end], prod)
 
 
 def _sum_rows(rows: list[tuple[int, list[int]]], g: int, last: int
@@ -390,13 +383,6 @@ def _rows_through(series: "QSeries", last: int) -> dict:
     return out
 
 
-def _as_series(value) -> "QSeries":
-    """A series operand as is; an int as a constant polynomial."""
-    if isinstance(value, QSeries):
-        return value
-    return QSeries._make({(): [_as_int(value)]}, None, ())
-
-
 def _aligned(a: "QSeries", b: "QSeries") -> tuple[tuple[str, ...], dict, dict]:
     """The registry both operands live in and each one's rows keyed in it: a
     marker-free operand takes the other's registry, its one row re-keyed to
@@ -425,9 +411,10 @@ class QSeries:
     how far they are exact.
     Instances are immutable and never hand out a row, so they may share
     them, and each marker registry has one shared exact zero
-    (:meth:`zero`); arithmetic returns new values.  :attr:`coeffs` is a
-    MarkerPoly view of the rows, built on first read.  Two series of one
-    registry compare by ``trunc`` and rows alone.
+    (:meth:`zero`); ``+`` and ``*`` take another series only and return
+    new values.  :attr:`coeffs` is a MarkerPoly view of the rows, built on
+    first read.  Two series of one registry compare by ``trunc`` and rows
+    alone; anything that is no series is never equal to one.
     """
 
     __slots__ = ("markers", "trunc", "_rows", "_coeffs")
@@ -435,8 +422,8 @@ class QSeries:
     def __init__(self, coeffs: Iterable[int] = (), trunc: int | None = None,
                  markers: Iterable[str] = ()):
         """The series sum(coeffs[n] q^n), every coefficient an int (TypeError
-        otherwise) at the zero monomial of ``markers``; a series with
-        marker terms is built by :meth:`from_rows`."""
+        otherwise, as for a ``trunc`` that is no int) at the zero monomial of
+        ``markers``; a series with marker terms is built by :meth:`from_rows`."""
         markers, coeffs = tuple(markers), list(map(_as_int, coeffs))
         self.markers, self.trunc = markers, trunc
         self._rows, self._coeffs = _canonical(_checked({(0,) * len(markers): coeffs}, trunc)), None
@@ -483,7 +470,7 @@ class QSeries:
         instance per marker registry; a truncated zero is built afresh."""
         if trunc is None:
             return _exact_zero(tuple(markers))
-        return cls._make({}, trunc, tuple(markers))
+        return cls._make(_checked({}, trunc), trunc, tuple(markers))
 
     @classmethod
     def one(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
@@ -493,7 +480,7 @@ class QSeries:
     def monomial(cls, exponent: int, coeff=1, trunc: int | None = None,
                  markers: Iterable[str] = ()) -> "QSeries":
         """The single-term series coeff * q^exponent."""
-        if exponent < 0:
+        if _as_int(exponent, "q-exponent") < 0:
             raise ValueError("negative q-exponents are out of scope")
         if trunc is not None and exponent > trunc:
             return cls.zero(trunc=trunc, markers=markers)
@@ -550,17 +537,11 @@ class QSeries:
             raise ValueError("series has marker terms; use monomial_rows()")
         return _fit(*self._rows.get(zero, (0, [])), max(upto + 1, 0))
 
-    def is_zero_through(self, upto: int) -> bool:
-        top = upto if self.trunc is None else min(upto, self.trunc)
-        if any(start <= top for start, _ in self._rows.values()):
-            return False
-        self._check_window(upto)
-        return True
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "QSeries":
-        other = _as_series(other)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         markers, a, b = _aligned(self, other)
         trunc = _min_trunc(self.trunc, other.trunc)
         rows = {}
@@ -572,21 +553,9 @@ class QSeries:
                 rows[key] = summed
         return QSeries._make(rows, trunc, markers)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "QSeries":
-        return QSeries._make({key: (start, list(map(neg, row)))
-                              for key, (start, row) in self._rows.items()},
-                             self.trunc, self.markers)
-
-    def __sub__(self, other) -> "QSeries":
-        return self + (-_as_series(other))
-
-    def __rsub__(self, other) -> "QSeries":
-        return (-self) + other
-
     def __mul__(self, other) -> "QSeries":
-        other = _as_series(other)
+        if not isinstance(other, QSeries):
+            return NotImplemented
         markers, a, b = _aligned(self, other)
         trunc = _min_trunc(self.trunc, other.trunc)
         # by key, the products that land on it: (start, a row, b row)
@@ -607,8 +576,6 @@ class QSeries:
                 _convolve_into(row, ra, rb, s - start)
             rows[key] = (start, row)
         return QSeries._make(rows, trunc, markers)
-
-    __rmul__ = __mul__
 
     def inverse(self, trunc: int | None = None) -> "QSeries":
         """Multiplicative inverse, exact to the effective truncation.
@@ -645,56 +612,16 @@ class QSeries:
                         row[n] -= acc
         return QSeries._make(inv, eff, self.markers)
 
-    def truncate(self, trunc: int) -> "QSeries":
-        """Restrict the guarantee window to 0..trunc."""
-        if self.trunc is not None and trunc > self.trunc:
-            raise TruncationExceeded(
-                f"cannot extend truncation {self.trunc} to {trunc}"
-            )
-        if trunc < 0:
-            raise ValueError("truncation order must be non-negative")
-        rows = {key: (start, row[:trunc + 1 - start])
-                for key, (start, row) in self._rows.items() if start <= trunc}
-        return QSeries._make(rows, trunc, self.markers)
-
-    # -- marker operations ---------------------------------------------------
-
-    def _check_assignment(self, assignment: Mapping[str, int], what: str) -> None:
-        missing = [m for m in self.markers if m not in assignment]
-        if missing:
-            raise ValueError(f"{what} missing markers {missing}")
-
-    def specialize(self, assignment: Mapping[str, int]) -> "QSeries":
-        """Substitute integers for all markers; coefficients become constants."""
-        self._check_assignment(assignment, "assignment")
-        values = [_as_int(assignment[m]) for m in self.markers]
-        if not self._rows:
-            return QSeries._make({}, self.trunc, ())
-        least = min(start for start, _ in self._rows.values())
-        out = [0] * max(start + len(row) - least for start, row in self._rows.values())
-        for key, (start, row) in self._rows.items():
-            weight = math.prod(v**e for v, e in zip(values, key))
-            for n, x in enumerate(row, start - least):
-                out[n] += weight * x
-        return QSeries._make({(): (least, out)}, self.trunc, ())
-
-    def marker_coefficient(self, exponents: Mapping[str, int]) -> "QSeries":
-        """Extract the marker-free series multiplying a marker monomial.
-
-        ``exponents`` must assign an exponent to every registered marker.
-        """
-        self._check_assignment(exponents, "exponents")
-        key = tuple(exponents[m] for m in self.markers)
-        return QSeries._make({(): self._rows[key]} if key in self._rows else {}, self.trunc, ())
-
     # -- comparison ------------------------------------------------------------
 
     def first_mismatch(self, other: "QSeries") -> int | None:
         """Smallest exponent where the two series differ, or None.
 
-        Comparison runs over the overlap of the guarantee windows.
+        Comparison runs over the overlap of the guarantee windows; an
+        ``other`` that is no series raises TypeError.
         """
-        other = _as_series(other)
+        if not isinstance(other, QSeries):
+            raise TypeError(f"a QSeries is compared with a QSeries, not {other!r}")
         _, a, b = _aligned(self, other)
         limit = _min_trunc(self.trunc, other.trunc)
         first = None
@@ -718,12 +645,10 @@ class QSeries:
         return first
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, QSeries) and other.markers == self.markers:
-            return self.trunc == other.trunc and self._rows == other._rows
-        if type(other) is int:
-            other = _as_series(other)
         if not isinstance(other, QSeries):
             return NotImplemented
+        if other.markers == self.markers:
+            return self.trunc == other.trunc and self._rows == other._rows
         try:
             _, a, b = _aligned(self, other)
         except ValueError:

@@ -72,13 +72,14 @@ class TestVerify:
 class TestSchurRefined:
     def test_specializes_to_distinct_nonmultiples(self):
         t = 25
-        rhs = catalog.get("schur-refined").rhs(t).specialize({"u": 1, "v": 1})
+        ones = {"u": 1, "v": 1}
+        rhs = [c.specialize(ones) for c in catalog.get("schur-refined").rhs(t).coeffs]
         plain = poch_infinite(PochSpec(1, 3, sign=-1), t) \
             * poch_infinite(PochSpec(2, 3, sign=-1), t)
-        assert rhs == plain
+        assert rhs == plain.int_coefficients(t)
         sixes = (poch_infinite(PochSpec(1, 6), t)
                  * poch_infinite(PochSpec(5, 6), t)).inverse(t)
-        assert rhs == sixes
+        assert rhs == sixes.int_coefficients(t)
 
     def test_marker_refinement_head(self):
         lhs = catalog.get("schur-refined").lhs(6)
@@ -274,7 +275,7 @@ class TestAndrewsGordon:
         lhs = catalog.get("mod7-sum").lhs
         for t in range(151):
             got = lhs(t)
-            assert got.trunc == t and got == reference.truncate(t), t
+            assert got.trunc == t and got.first_mismatch(reference) is None, t
 
     @pytest.mark.parametrize("k, i", GORDON_PAIRS)
     def test_sum_matches_product(self, k, i):
@@ -285,7 +286,7 @@ class TestAndrewsGordon:
         expected = counting_series(enumerate_partitions(20, gordon_rule(k, i)), 20)
         for total in range(21):
             got = count_gordon(k, i, total)
-            assert got.trunc == total and got == expected.truncate(total), total
+            assert got.trunc == total and got.first_mismatch(expected) is None, total
 
     @pytest.mark.parametrize("k, i", GORDON_PAIRS)
     def test_walk_matches_product(self, k, i):

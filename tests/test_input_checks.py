@@ -85,6 +85,10 @@ CHECKS = {
                      "integer coefficient expected, got True"),
     "MarkerPoly exponent": (lambda: MarkerPoly(U, {(-1,): 1}), ValueError,
                             "negative marker exponent"),
+    "MarkerPoly exponent float": (lambda: MarkerPoly(U, {(2.0,): 1}), TypeError,
+                                  "integer marker exponents expected in (2.0,)"),
+    "MarkerPoly exponent bool": (lambda: MarkerPoly(U, {(True,): 1}), TypeError,
+                                 "integer marker exponents expected in (True,)"),
     "MarkerPoly specialize float": (lambda: MarkerPoly(U, {(1,): 1}).specialize({"u": 0.5}),
                                     TypeError, "integer coefficient expected, got 0.5"),
     "MarkerPoly specialize bool": (lambda: MarkerPoly(U, {(1,): 1}).specialize({"u": True}),
@@ -113,15 +117,26 @@ CHECKS = {
                              "q-exponent must be non-negative"),
     "int_coefficients marked": (lambda: MARKED.int_coefficients(2), ValueError,
                                 "series has marker terms"),
-    "truncate": (lambda: QSeries([1], trunc=3).truncate(-1), ValueError,
-                 "truncation order must be non-negative"),
-    "specialize": (lambda: MARKED.specialize({}), ValueError,
-                   "assignment missing markers ['u']"),
-    "specialize float": (
-        lambda: QSeries.from_rows({(1,): [0, 1, 2]}, 4, U).specialize({"u": 0.5}),
-        TypeError, "integer coefficient expected, got 0.5"),
-    "specialize bool": (lambda: MARKED.specialize({"u": True}), TypeError,
-                        "integer coefficient expected, got True"),
+    "QSeries trunc float": (lambda: QSeries([1, 2], trunc=2.5), TypeError,
+                            "integer truncation order expected, got 2.5"),
+    "QSeries trunc bool": (lambda: QSeries([1], trunc=True), TypeError,
+                           "integer truncation order expected, got True"),
+    "from_rows trunc float": (lambda: QSeries.from_rows({(): [1]}, 2.5), TypeError,
+                              "integer truncation order expected, got 2.5"),
+    "zero trunc float": (lambda: QSeries.zero(2.5), TypeError,
+                         "integer truncation order expected, got 2.5"),
+    "one trunc float": (lambda: QSeries.one(2.5), TypeError,
+                        "integer truncation order expected, got 2.5"),
+    "monomial trunc float": (lambda: QSeries.monomial(1, trunc=2.5), TypeError,
+                             "integer truncation order expected, got 2.5"),
+    "monomial exponent bool": (lambda: QSeries.monomial(True), TypeError,
+                               "integer q-exponent expected, got True"),
+    "monomial exponent float": (lambda: QSeries.monomial(1.5), TypeError,
+                                "integer q-exponent expected, got 1.5"),
+    "QSeries add int": (lambda: QSeries([1]) + 1, TypeError, "unsupported operand"),
+    "QSeries mul int": (lambda: 2 * QSeries([1]), TypeError, "unsupported operand"),
+    "first_mismatch int": (lambda: QSeries([1]).first_mismatch(1), TypeError,
+                           "a QSeries is compared with a QSeries, not 1"),
     "enumerate_basis n_parts": (lambda: sip.enumerate_basis(sip.NATURAL, 0, 5), ValueError,
                                 "n_parts must be at least 1"),
     "SipDecomposition": (lambda: sip.SipDecomposition((1,), ()), ValueError,
@@ -144,7 +159,6 @@ def test_failure_reports_and_odd_operands():
         "telescoping FAIL: N=1; N=2")
     assert ConcordanceResult("x", 5, False, 3, None).summary() == (
         "x (totals <= 5): FAIL (vs lhs at 3, vs rhs at None)")
-    assert not QSeries([0, 1]).is_zero_through(1)
     # a coefficient equals one of its own registry with its terms, or the
     # int that is its constant; no two registries compare equal
     assert MarkerPoly(U, {(0,): 2}) == 2 and MarkerPoly(U) == 0 and MarkerPoly() == 0

@@ -28,14 +28,14 @@ def refuse_series_products(monkeypatch):
             raise AssertionError(f"QSeries.{name} called by a builder")
         return refused
 
-    for name in ("__mul__", "__rmul__", "inverse"):
+    for name in ("__mul__", "inverse"):
         monkeypatch.setattr(QSeries, name, refuse(name))
     gaussian_binomial.cache_clear()   # so no cached series hides a build
 
 
 def test_refusal_is_in_force(refuse_series_products):
     one = QSeries.one(5)
-    for use in (lambda: one * one, lambda: 2 * one, lambda: one.inverse()):
+    for use in (lambda: one * one, lambda: one.inverse()):
         with pytest.raises(AssertionError, match="called by a builder"):
             use()
 

@@ -6,12 +6,15 @@ a series' rows (``_rows``): the other builders hand their
 fresh rows to ``QSeries._make``, which trims them, and read a series
 through its public methods.  Nor does any other module add one int row
 into another in place (a slice assigned from a ``map(...)`` call); it
-calls the row kernels of ``series.py`` (``_sum_rows``, ``_add_product``).
+calls the row kernels of ``series.py`` (``_sum_rows``, ``_sum_exact``).
 Nor does any other module put zeros before a row (``[0] * n + row``): a
 stored row starts at its first nonzero, so a builder hands ``_make`` the
 pair (start, row) instead.  Nor does any other module name ``MarkerPoly``:
 it is a read-only view of one coefficient, built in ``series.py`` by
-``QSeries._marker_poly`` alone, with no arithmetic of its own.
+``QSeries._marker_poly`` alone, with no arithmetic of its own.  And
+``QSeries`` keeps a fixed member set: construction, ``==``,
+``first_mismatch``, display and the read-outs, with ``+``, ``*`` and
+``inverse`` on series alone.
 """
 
 import ast
@@ -96,6 +99,12 @@ def members(cls: ast.ClassDef) -> set[str]:
     return out
 
 
+def class_def(tree: ast.Module, name: str) -> ast.ClassDef:
+    """The module-level class ``name`` of the tree."""
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    return cls
+
+
 def sources() -> dict[str, ast.AST]:
     return {path.name: ast.parse(path.read_text(), str(path))
             for path in sorted(SRC.glob("*.py"))}
@@ -157,8 +166,16 @@ def test_marker_poly_is_a_read_only_view():
     trees = sources()
     assert [name for name, tree in trees.items() if "MarkerPoly" in names(tree)] == ["series.py"]
     assert marker_poly_calls(trees["series.py"]) == ["QSeries._marker_poly"]
-    (cls,) = [node for node in trees["series.py"].body
-              if isinstance(node, ast.ClassDef) and node.name == "MarkerPoly"]
     # no arithmetic: no __add__, __mul__, __sub__, __neg__ or __pow__
-    assert members(cls) == {"__slots__", "__init__", "specialize", "__eq__",
-                            "_term_str", "__str__", "__repr__"}
+    assert members(class_def(trees["series.py"], "MarkerPoly")) == {
+        "__slots__", "__init__", "specialize", "__eq__", "_term_str", "__str__", "__repr__"}
+
+
+def test_qseries_members_are_fixed():
+    # no -, truncate, specialize, marker_coefficient, is_zero_through or
+    # reflected operator: an int operand is no series
+    assert members(class_def(sources()["series.py"], "QSeries")) == {
+        "__slots__", "__init__", "from_rows", "_make", "zero", "one", "monomial",
+        "coeffs", "_marker_poly", "_check_window", "coefficient", "monomial_rows",
+        "int_coefficients", "__add__", "__mul__", "inverse", "first_mismatch",
+        "__eq__", "__hash__", "__str__", "__repr__"}

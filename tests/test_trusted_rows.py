@@ -114,7 +114,6 @@ def test_shifted(row):
 def fresh_builds():
     """One series from each builder that hands a fresh row to ``_make``,
     edge cases included."""
-    rhs = catalog.get("schur-refined").rhs(20)
     table = ncopies.exact_diff_table(1, 4, 8)
     out = [series_sum((0, 2), (), [PochSpec(1, 1)], t) for t in (0, 1, 9)]
     out += [andrews_gordon_sum(k, i, t) for k, i in [(2, 1), (3, 2)] for t in (0, 1, 15)]
@@ -130,8 +129,7 @@ def fresh_builds():
     out += [counting_series(enumerate_partitions(t), t, markers=markers)
             for t in (0, 1, 8) for markers in ((), ("u",), ("u", "v"))]
     out += [catalog.substitute_neg_q_squared(catalog.get("euler-any").rhs(t)) for t in (0, 7)]
-    out += [rhs.specialize({"u": u, "v": v}) for u, v in [(1, 1), (0, 0), (-1, 2)]]
-    out += [rhs.marker_coefficient({"u": u, "v": v}) for u, v in [(0, 0), (1, 1), (2, 0), (9, 9)]]
+    out += [catalog.get("schur-refined").rhs(20)]
     return out
 
 
@@ -145,7 +143,7 @@ def test_fresh_rows_are_canonical():
     assert ncopies.exact_diff_closed(0, 1, 4, 4) == QSeries.monomial(4)
     assert ncopies.exact_diff_closed(0, 1, 4, 3) == QSeries.zero()
     rhs = catalog.get("schur-refined").rhs(20)
-    assert rhs.marker_coefficient({"u": 9, "v": 9}) == QSeries.zero(20)
+    assert (9, 9) not in rhs.monomial_rows(20)
     marked = counting_series(enumerate_partitions(5), 5, markers=("u",))
     assert marked.markers == ("u",) and marked.coefficient(5) == 7
 
