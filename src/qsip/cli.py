@@ -1,5 +1,9 @@
 """Command-line interface: verify identities, dump tables, export JSON.
 
+:func:`main` reads the plain form ``COMMAND (--FLAG VALUE)*`` itself from the
+``_COMMANDS``/``_FLAGS`` table and hands any other argv, help included, to the
+argparse parser that :func:`build_parser` makes from the same table.
+
 Text grammars used by the flags:
 
 * partitions: comma-separated ascending positive integers, e.g. ``2,7``;
@@ -10,14 +14,16 @@ Text grammars used by the flags:
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import catalog, sip
 from .partitions import SipClassSpec
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA = "qsip-report/1"
 
@@ -66,9 +72,9 @@ def parse_spec(text: str) -> SipClassSpec:
 
 def _verify(args) -> list[dict]:
     if "identity" in args:  # verify-all takes no --identity
-        outcomes = [catalog.verify(args.identity, args.trunc)]
+        outcomes = [catalog.verify(args["identity"], args["trunc"])]
     else:
-        outcomes = catalog.verify_all(args.trunc)
+        outcomes = catalog.verify_all(args["trunc"])
     return [{
         "id": res.identity,
         "pass": res.passed,
@@ -79,7 +85,7 @@ def _verify(args) -> list[dict]:
 
 
 def _oracle(args) -> list[dict]:
-    res = catalog.oracle_concordance(args.identity, args.total_max)
+    res = catalog.oracle_concordance(args["identity"], args["total_max"])
     return [{
         "id": res.identity,
         "pass": res.passed,
@@ -91,22 +97,22 @@ def _oracle(args) -> list[dict]:
 
 
 def _basis(args) -> list[dict]:
-    spec = parse_spec(args.spec)
-    elements = list(sip.enumerate_basis(spec, args.n, args.h_max))
+    spec, n, h_max = parse_spec(args["spec"]), args["n"], args["h_max"]
+    elements = list(sip.enumerate_basis(spec, n, h_max))
     return [{
         "pass": True,
-        "n": args.n,
-        "h_max": args.h_max,
+        "n": n,
+        "h_max": h_max,
         "count": len(elements),
         "elements": [list(e) for e in elements],
-        "text": f"{len(elements)} basis elements with {args.n} parts, largest <= {args.h_max}: "
+        "text": f"{len(elements)} basis elements with {n} parts, largest <= {h_max}: "
                 + ", ".join("+".join(map(str, e)) for e in elements),
     }]
 
 
 def _decompose(args) -> list[dict]:
-    spec = parse_spec(args.spec)
-    parts = parse_partition(args.partition)
+    spec = parse_spec(args["spec"])
+    parts = parse_partition(args["partition"])
     decomp = sip.decompose(parts, spec)
     roundtrip = sip.recompose(decomp) == parts
     return [{
@@ -120,8 +126,8 @@ def _decompose(args) -> list[dict]:
 
 
 def _table(args) -> list[dict]:
-    spec = parse_spec(args.spec)
-    table = sip.basis_table(spec, args.n, args.h_max)
+    spec = parse_spec(args["spec"])
+    table = sip.basis_table(spec, args["n"], args["h_max"])
     return [{
         "pass": True,
         "n": n,
@@ -142,9 +148,11 @@ _FLAGS = {
     "partition": dict(required=True, help="comma-separated ascending parts, e.g. 2,7"),
     "n": dict(type=int, required=True, help="number of parts"),
     "h-max": dict(type=int, default=20, help="largest-part bound (default 20)"),
+    "output": dict(choices=("text", "json"), default="text"),
 }
-# Each subcommand: its help text, the flags it reads, and the handler that
-# turns the parsed flags into result rows, each with a "pass" and a "text".
+# Each subcommand: its help text, the flags it reads besides --output, and
+# the handler that turns the parsed flags into result rows, each with a
+# "pass" and a "text".
 _COMMANDS = {
     "verify": ("verify one identity", ("identity", "trunc"), _verify),
     "verify-all": ("verify every registered identity", ("trunc",), _verify),
@@ -155,35 +163,83 @@ _COMMANDS = {
 }
 
 
+def _parse_plain(argv: Sequence[str]) -> dict | None:
+    """The flags of ``COMMAND (--FLAG VALUE)*`` as argparse would set them:
+    each flag the command takes given at most once by its full name, with a
+    value that does not start with ``-`` and passes the flag's type and
+    choices.  None for any other argv, which :func:`build_parser` then
+    parses, accepts or rejects itself."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    names = (*_COMMANDS[argv[0]][1], "output")
+    given = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        name = flag[2:]
+        if flag[:2] != "--" or name not in names or name in given or value[:1] == "-":
+            return None
+        given[name] = value
+    args = {"command": argv[0]}
+    for name in names:
+        spec = _FLAGS[name]
+        if name not in given:
+            if spec.get("required"):
+                return None
+            value = spec["default"]
+        else:
+            value = given[name]
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        args[name.replace("-", "_")] = value
+    return args
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``qsip`` parser, built on the first call and returned by every
-    later one, so a process that runs :func:`main` many times builds it once.
+    """The argparse ``qsip`` parser, made from the ``_COMMANDS``/``_FLAGS``
+    table.  :func:`main` calls it only for an argv that :func:`_parse_plain`
+    does not take, so it writes every usage, help and error text; argparse
+    is imported here, on that first call.  For an argv both accept, the
+    namespace holds the dict :func:`_parse_plain` returns plus ``subparser``,
+    the chosen subcommand's own parser.
+
+    The parser is built on the first call and returned by every later one.
     It is shared within the process and must not be mutated.  Sharing is
     safe because each parse fills a fresh namespace, and usage and help
     text are formatted, and ``sys.stderr`` looked up, only when printed."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qsip",
         description="Verify q-series identities and inspect separable-class bases.",
-        epilog=__doc__.split("\n", 2)[2],
+        epilog=__doc__.split("\n\n", 2)[2],
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, handler) in _COMMANDS.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in flags:
+        for flag in (*flags, "output"):
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        p.set_defaults(handler=handler, subparser=p)
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:  # report them with the chosen subcommand's own usage line
-        args.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:  # argparse parses it, or exits with help or an error
+        namespace, extra = build_parser().parse_known_args(argv)
+        args = vars(namespace)
+        subparser = args.pop("subparser")
+        if extra:  # report them with the chosen subcommand's own usage line
+            subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        results = args.handler(args)
+        results = _COMMANDS[args["command"]][2](args)
     except (catalog.UnknownIdentity, ValueError, sip.NotInClass) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -191,8 +247,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: sizes too large to allocate ({type(exc).__name__}: {exc})",
               file=sys.stderr)
         return 2
-    if args.output == "json":
-        report = {"schema": SCHEMA, "command": args.command, "results": results}
+    if args["output"] == "json":
+        report = {"schema": SCHEMA, "command": args["command"], "results": results}
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:

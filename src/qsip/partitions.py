@@ -24,7 +24,7 @@ from itertools import chain, combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .series import QSeries
+from .series import QSeries, _marker_registry
 
 Partition = tuple[int, ...]
 
@@ -126,7 +126,7 @@ class SipClassSpec:
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(self.c))
         object.__setattr__(self, "d", tuple(self.d))
-        object.__setattr__(self, "markers", tuple(self.markers))
+        object.__setattr__(self, "markers", _marker_registry(self.markers))
         if self.k < 1:
             raise ValueError("modulus k must be a positive integer")
         if len(self.c) != self.k or len(self.d) != self.k:

@@ -64,6 +64,18 @@ def _as_int(value, what: str = "coefficient") -> int:
     return value
 
 
+def _marker_registry(markers: Iterable[str]) -> tuple[str, ...]:
+    """``markers`` as a registry tuple of distinct names.  A bare str, which
+    would split into one marker per character, raises TypeError, and a
+    repeated name ValueError."""
+    if isinstance(markers, str):
+        raise TypeError(f"a sequence of marker names expected, got the str {markers!r}")
+    markers = tuple(markers)
+    if len(set(markers)) != len(markers):
+        raise ValueError(f"marker names repeat in {markers}")
+    return markers
+
+
 class MarkerPoly:
     """One coefficient of a marked :class:`QSeries`, read off its rows: a
     polynomial in named markers with integer coefficients.
@@ -423,8 +435,9 @@ class QSeries:
                  markers: Iterable[str] = ()):
         """The series sum(coeffs[n] q^n), every coefficient an int (TypeError
         otherwise, as for a ``trunc`` that is no int) at the zero monomial of
-        ``markers``; a series with marker terms is built by :meth:`from_rows`."""
-        markers, coeffs = tuple(markers), list(map(_as_int, coeffs))
+        ``markers`` (checked by :func:`_marker_registry`); a series with marker
+        terms is built by :meth:`from_rows`."""
+        markers, coeffs = _marker_registry(markers), list(map(_as_int, coeffs))
         self.markers, self.trunc = markers, trunc
         self._rows, self._coeffs = _canonical(_checked({(0,) * len(markers): coeffs}, trunc)), None
 
@@ -433,7 +446,7 @@ class QSeries:
                   markers: Iterable[str] = ()) -> "QSeries":
         """A series from plain int lists, one per marker monomial: the
         coefficient of u^i v^j q^n is ``rows[(i, j)][n]``.  The lists are copied."""
-        markers = tuple(markers)
+        markers = _marker_registry(markers)
         copied = {}
         for key, row in rows.items():
             key = tuple(key)
@@ -468,9 +481,10 @@ class QSeries:
     def zero(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
         """The zero series.  The exact zero (``trunc`` None) is one shared
         instance per marker registry; a truncated zero is built afresh."""
+        markers = _marker_registry(markers)
         if trunc is None:
-            return _exact_zero(tuple(markers))
-        return cls._make(_checked({}, trunc), trunc, tuple(markers))
+            return _exact_zero(markers)
+        return cls._make(_checked({}, trunc), trunc, markers)
 
     @classmethod
     def one(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
@@ -509,6 +523,8 @@ class QSeries:
                                          if start <= n < start + len(row) and row[n - start]})
 
     def _check_window(self, n: int) -> None:
+        """TypeError for an ``n`` that is no int, TruncationExceeded past ``trunc``."""
+        _as_int(n, "q-exponent")
         if self.trunc is not None and n > self.trunc:
             raise TruncationExceeded(
                 f"coefficient of q^{n} requested from a series truncated at {self.trunc}"
@@ -516,9 +532,9 @@ class QSeries:
 
     def coefficient(self, n: int) -> MarkerPoly:
         """Exact coefficient of q^n; raises beyond the guaranteed range."""
+        self._check_window(n)
         if n < 0:
             raise ValueError("q-exponent must be non-negative")
-        self._check_window(n)
         return self._marker_poly(n)
 
     def monomial_rows(self, upto: int) -> dict[tuple[int, ...], list[int]]:
@@ -581,10 +597,10 @@ class QSeries:
         """Multiplicative inverse, exact to the effective truncation.
 
         A polynomial input needs an explicit ``trunc``, and a negative one
-        raises ValueError.  Raises :class:`NonUnitConstantTerm` unless the
-        constant term is 1.
+        raises ValueError, one that is no int TypeError.  Raises
+        :class:`NonUnitConstantTerm` unless the constant term is 1.
         """
-        if trunc is not None and trunc < 0:
+        if trunc is not None and _as_int(trunc, "truncation order") < 0:
             raise ValueError("truncation order must be non-negative")
         eff = self.trunc if self.trunc is not None else trunc
         if eff is None:

@@ -1,6 +1,8 @@
 """CLI surface: command wiring, grammars, JSON schema, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsip
 from qsip import catalog
-from qsip.cli import SCHEMA, build_parser, main, parse_partition, parse_spec
+from qsip.cli import (_COMMANDS, _FLAGS, SCHEMA, _parse_plain, build_parser, main,
+                      parse_partition, parse_spec)
 from qsip.sip import GLASGOW, SCHUR
 
 
@@ -295,8 +300,9 @@ def python(*args, **kwargs):
 
 
 class TestParserReuse:
-    """``main`` builds the parser once per process, and a call's output does
-    not depend on the calls made before it."""
+    """``main`` builds the argparse parser only for help or a parse error,
+    at most once per process, and a call's output does not depend on the
+    calls made before it."""
 
     def test_built_once_per_process(self, capsys):
         assert main(["verify", "--identity", "euler-any", "--trunc", "8"]) == 0
@@ -328,30 +334,146 @@ class TestParserReuse:
         print(json.dumps({"runs": runs, "builds": build_parser.cache_info().misses}))
     """
 
-    # (call, earlier call, the earlier call's exit status)
+    # (call, earlier call, the earlier call's exit status, parser builds);
+    # an unknown identity is a plain argv that the handler rejects
     CASES = {
         "verify-all after verify": (
             ["verify-all", "--trunc", "12", "--output", "json"],
-            ["verify", "--identity", "rogers-ramanujan", "--trunc", "12"], 0),
+            ["verify", "--identity", "rogers-ramanujan", "--trunc", "12"], 0, 0),
         "after an unrecognized flag": (
             ["verify", "--identity", "euler-any", "--trunc", "10", "--output", "json"],
-            ["verify", "--identity", "euler-any", "--total-max", "5"], 2),
+            ["verify", "--identity", "euler-any", "--total-max", "5"], 2, 1),
         "after an unknown identity": (
             ["verify", "--identity", "euler-any", "--trunc", "10"],
-            ["verify", "--identity", "nope", "--output", "json"], 2),
-        "help twice": (["verify", "--help"], ["verify", "--help"], 0),
+            ["verify", "--identity", "nope", "--output", "json"], 2, 0),
+        "help twice": (["verify", "--help"], ["verify", "--help"], 0, 1),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_same_output_as_the_first_call(self, case):
-        argv, earlier, earlier_status = self.CASES[case]
+        argv, earlier, earlier_status, builds = self.CASES[case]
         proc = python("-c", self.SEQUENCE, json.dumps([argv, earlier, argv]), timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         first, between, again = report["runs"]
         assert between[2] == earlier_status
         assert again == first  # stdout, stderr and exit status
-        assert report["builds"] == 1
+        assert report["builds"] == builds
+
+    def test_plain_call_leaves_argparse_unimported(self):
+        code = """if True:
+            import contextlib, io, sys
+            from qsip.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = main(["verify", "--identity", "euler-any", "--trunc", "8",
+                               "--output", "json"])
+            print(status, "argparse" in sys.modules)
+        """
+        proc = python("-c", code, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "0 False\n"), proc.stderr
+
+
+def argparse_flags(argv):
+    """The flags argparse parses from ``argv`` less the chosen subparser, or
+    None where it exits (help or an error), its output swallowed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            args = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+    del args["subparser"]
+    return args
+
+
+# argv tokens for the drawn cases: commands, flags in full, abbreviated and
+# with "=", help, "--", and values signed, underscored, spaced, empty or bad
+COMMAND_TOKENS = [*_COMMANDS, "veri", "nope", ""]
+FLAG_TOKENS = [f"--{flag}" for flag in _FLAGS] + [
+    "--iden", "--tr", "--total", "--h", "--out", "--trunc=5", "--output=json",
+    "--identity=euler-any", "-h", "--help", "--", "-", "-t", "--n=2"]
+VALUE_TOKENS = ["euler-any", "nope", "natural", "k=2,c=1:2,d=2:3", "2,7", "", "0", "5",
+                "-3", "+3", "1_0", "_1", " 7 ", "5.0", "five", "text", "json", "xml",
+                "-x", "--trunc", "verify"]
+# values of each string flag's own kind; the other flags take ints
+VALUE_KINDS = {"identity": ["euler-any", "nope", ""], "spec": ["natural", "k=2,c=1:2,d=2:3"],
+               "partition": ["2,7", ""], "output": ["text", "json"]}
+
+
+class TestPlainParser:
+    """``main`` parses a plain ``COMMAND (--FLAG VALUE)*`` argv itself; for
+    every argv it accepts, its flags equal argparse's, and it accepts none
+    that argparse rejects."""
+
+    PLAIN = [
+        ["verify", "--identity", "euler-any"],
+        ["verify", "--trunc", "12", "--identity", "slater-46", "--output", "json"],
+        ["verify", "--identity", "nope", "--trunc", "1_0"],
+        ["verify", "--identity", "", "--trunc", " +7 "],
+        ["verify-all"],
+        ["verify-all", "--output", "text", "--trunc", "0"],
+        ["oracle", "--identity", "glasgow-mod8", "--total-max", "12"],
+        ["basis", "--spec", "natural", "--n", "2", "--h-max", "30"],
+        ["decompose", "--spec", "schur", "--partition", "2,7", "--output", "json"],
+        ["table", "--spec", "gollnitz", "--n", str(10**20)],
+    ]
+    # argparse parses each of these itself: it writes help or an error, or
+    # accepts a form the plain parser leaves to it
+    OTHER = [
+        [], ["-h"], ["--help"], ["nope"], ["veri"], ["verify"], ["verify", "-h"],
+        ["verify", "--identity", "euler-any", "--help"],
+        ["verify", "--trunc", "5"],
+        ["oracle", "--identity", "slater-46", "--trunc", "5"],
+        ["verify", "--identity", "euler-any", "--identity", "slater-46"],
+        ["verify", "--iden", "euler-any"],
+        ["verify", "--identity=euler-any"],
+        ["verify", "--identity", "euler-any", "--trunc", "-5"],
+        ["verify", "--identity", "-euler"],
+        ["verify", "--identity", "euler-any", "--"],
+        ["verify", "--", "--identity", "euler-any"],
+        ["verify", "--identity", "euler-any", "--trunc", "five"],
+        ["verify", "--identity", "euler-any", "--trunc", "1" * 5000],
+        ["verify", "--identity", "euler-any", "--output", "xml"],
+        ["verify", "--identity", "euler-any", "--output"],
+        ["verify", "--identity", "euler-any", "stray"],
+        ["--output", "json", "verify", "--identity", "euler-any"],
+        ["basis", "--spec", "natural", "--n", "-1"],
+    ]
+
+    @pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+    def test_plain_argv_read_as_argparse_reads_it(self, argv):
+        assert _parse_plain(argv) == argparse_flags(argv) is not None
+
+    @pytest.mark.parametrize("argv", OTHER, ids=" ".join)
+    def test_other_argv_left_to_argparse(self, argv):
+        assert _parse_plain(argv) is None
+
+    @staticmethod
+    def near_plain(command):
+        """argv of ``command`` with some of its own flags in any order, each
+        value most often of its flag's own kind, then at times one or two more
+        tokens."""
+        def pair(flag):
+            kind = (st.sampled_from(VALUE_KINDS[flag]) if flag in VALUE_KINDS
+                    else st.integers(-10, 10**6).map(str))
+            return st.tuples(st.just(f"--{flag}"),
+                             st.one_of(kind, kind, kind, st.sampled_from(VALUE_TOKENS)))
+        own = st.lists(st.sampled_from((*_COMMANDS[command][1], "output")), unique=True)
+        none = st.just(())
+        more = st.one_of(none, none, none, st.lists(st.sampled_from(FLAG_TOKENS + VALUE_TOKENS),
+                                                     min_size=1, max_size=2))
+        return st.tuples(own.flatmap(lambda flags: st.tuples(*map(pair, flags))), more).map(
+            lambda drawn: [command, *(token for pair in drawn[0] for token in pair),
+                           *drawn[1]])
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(COMMAND_TOKENS + FLAG_TOKENS + VALUE_TOKENS), max_size=8),
+        st.sampled_from(list(_COMMANDS)).flatmap(near_plain)))
+    def test_drawn_argv_agrees_with_argparse(self, argv):
+        plain = _parse_plain(argv)
+        if plain is not None:
+            assert plain == argparse_flags(argv)
 
 
 def cap_address_space():

@@ -133,6 +133,46 @@ CHECKS = {
                                "integer q-exponent expected, got True"),
     "monomial exponent float": (lambda: QSeries.monomial(1.5), TypeError,
                                 "integer q-exponent expected, got 1.5"),
+    "inverse trunc bool": (lambda: QSeries([1, 1]).inverse(True), TypeError,
+                           "integer truncation order expected, got True"),
+    "inverse trunc float": (lambda: QSeries([1, 1]).inverse(2.0), TypeError,
+                            "integer truncation order expected, got 2.0"),
+    "coefficient bool": (lambda: QSeries([1, 1]).coefficient(True), TypeError,
+                         "integer q-exponent expected, got True"),
+    "coefficient float": (lambda: QSeries([1, 1]).coefficient(1.0), TypeError,
+                          "integer q-exponent expected, got 1.0"),
+    "monomial_rows bool": (lambda: QSeries([1, 1], trunc=3).monomial_rows(True), TypeError,
+                           "integer q-exponent expected, got True"),
+    "monomial_rows float": (lambda: QSeries([1, 1]).monomial_rows(1.5), TypeError,
+                            "integer q-exponent expected, got 1.5"),
+    "int_coefficients bool": (lambda: QSeries([1, 1]).int_coefficients(True), TypeError,
+                              "integer q-exponent expected, got True"),
+    "int_coefficients float": (lambda: QSeries([1, 1], trunc=3).int_coefficients(2.0),
+                               TypeError, "integer q-exponent expected, got 2.0"),
+    "QSeries markers str": (lambda: QSeries([1], markers="uv"), TypeError,
+                            "marker names expected, got the str 'uv'"),
+    "from_rows markers str": (lambda: QSeries.from_rows({(0, 0): [1]}, markers="uv"),
+                              TypeError, "marker names expected, got the str 'uv'"),
+    "zero markers str": (lambda: QSeries.zero(markers="uv"), TypeError,
+                         "marker names expected, got the str 'uv'"),
+    "zero trunc markers str": (lambda: QSeries.zero(3, markers="uv"), TypeError,
+                               "marker names expected, got the str 'uv'"),
+    "one markers str": (lambda: QSeries.one(markers="uv"), TypeError,
+                        "marker names expected, got the str 'uv'"),
+    "SipClassSpec markers str": (lambda: SipClassSpec(1, (1,), (0,), markers="uv"),
+                                 TypeError, "marker names expected, got the str 'uv'"),
+    "QSeries markers repeated": (lambda: QSeries([1], markers=("u", "u")), ValueError,
+                                 "marker names repeat in ('u', 'u')"),
+    "from_rows markers repeated": (
+        lambda: QSeries.from_rows({(0, 0): [1]}, markers=("u", "u")), ValueError,
+        "marker names repeat in ('u', 'u')"),
+    "zero markers repeated": (lambda: QSeries.zero(markers=("u", "u")), ValueError,
+                              "marker names repeat in ('u', 'u')"),
+    "one markers repeated": (lambda: QSeries.one(3, markers=("u", "u")), ValueError,
+                             "marker names repeat in ('u', 'u')"),
+    "SipClassSpec markers repeated": (
+        lambda: SipClassSpec(1, (1,), (0,), markers=("u", "u")), ValueError,
+        "marker names repeat in ('u', 'u')"),
     "QSeries add int": (lambda: QSeries([1]) + 1, TypeError, "unsupported operand"),
     "QSeries mul int": (lambda: 2 * QSeries([1]), TypeError, "unsupported operand"),
     "first_mismatch int": (lambda: QSeries([1]).first_mismatch(1), TypeError,
