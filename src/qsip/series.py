@@ -480,11 +480,11 @@ class QSeries:
     @classmethod
     def zero(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
         """The zero series.  The exact zero (``trunc`` None) is one shared
-        instance per marker registry; a truncated zero is built afresh."""
-        markers = _marker_registry(markers)
+        instance per marker registry, a tuple checked on its first call; a
+        truncated zero is built afresh."""
         if trunc is None:
-            return _exact_zero(markers)
-        return cls._make(_checked({}, trunc), trunc, markers)
+            return _exact_zero(markers if type(markers) is tuple else _marker_registry(markers))
+        return cls._make(_checked({}, trunc), trunc, _marker_registry(markers))
 
     @classmethod
     def one(cls, trunc: int | None = None, markers: Iterable[str] = ()) -> "QSeries":
@@ -702,4 +702,4 @@ class QSeries:
 @lru_cache(maxsize=256)
 def _exact_zero(markers: tuple[str, ...]) -> QSeries:
     """The shared exact zero of a marker registry (:meth:`QSeries.zero`)."""
-    return QSeries._make({}, None, markers)
+    return QSeries._make({}, None, _marker_registry(markers))
